@@ -159,8 +159,7 @@ int main(int argc, char** argv) {
   std::printf("parallel (%zu threads): %s\n\n", par.threads, par.summary().c_str());
 
   const bool match = seq.digest == par.digest;
-  const double speedup =
-      par.run.wall_seconds > 0.0 ? seq.run.wall_seconds / par.run.wall_seconds : 0.0;
+  const double speedup = par.wall_seconds > 0.0 ? seq.wall_seconds / par.wall_seconds : 0.0;
   std::printf("digests: %s   speedup %.2fx\n", match ? "IDENTICAL" : "MISMATCH", speedup);
 
   if (!out_path.empty()) {
@@ -184,12 +183,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(par.cross_ops),
         static_cast<unsigned long long>(par.spine_tx_messages),
         static_cast<unsigned long long>(par.spine_fail_fast));
-    json += sim::strformat("  \"rounds\": %zu,\n  \"messages\": %llu,\n", par.run.kernel.rounds,
-                           static_cast<unsigned long long>(par.run.kernel.messages));
+    json += sim::strformat("  \"rounds\": %zu,\n  \"messages\": %llu,\n", par.kernel.rounds,
+                           static_cast<unsigned long long>(par.kernel.messages));
     json += sim::strformat(
         "  \"sequential_wall_seconds\": %.9g,\n  \"parallel_wall_seconds\": %.9g,\n"
         "  \"speedup\": %.9g,\n",
-        seq.run.wall_seconds, par.run.wall_seconds, speedup);
+        seq.wall_seconds, par.wall_seconds, speedup);
     json += sim::strformat("  \"host\": {\"num_cpus\": %u}\n}\n",
                            std::thread::hardware_concurrency());
     std::ofstream out{out_path};

@@ -122,19 +122,47 @@ bool RemoteMemoryFabric::same_tray(hw::BrickId a, hw::BrickId b) const {
   return rack_.brick(a).tray() == rack_.brick(b).tray();
 }
 
-const RemoteMemoryFabric::ElectricalLink* RemoteMemoryFabric::find_electrical(
-    hw::CircuitId id) const {
-  for (const auto& l : electrical_) {
-    if (l.id == id) return &l;
+RemoteMemoryFabric::Link* RemoteMemoryFabric::find_link(hw::CircuitId id) {
+  auto it = link_table_.find(id.value);
+  return it == link_table_.end() ? nullptr : &it->second;
+}
+
+const RemoteMemoryFabric::Link* RemoteMemoryFabric::find_link(hw::CircuitId id) const {
+  auto it = link_table_.find(id.value);
+  return it == link_table_.end() ? nullptr : &it->second;
+}
+
+RemoteMemoryFabric::Link* RemoteMemoryFabric::link_with_lane(hw::CircuitId circuit) {
+  for (auto& [id, link] : link_table_) {
+    for (const Lane& lane : link.lanes) {
+      if (lane.circuit == circuit) return &link;
+    }
   }
   return nullptr;
 }
 
-const RemoteMemoryFabric::PacketLink* RemoteMemoryFabric::find_packet(hw::CircuitId id) const {
-  for (const auto& l : packet_) {
-    if (l.id == id) return &l;
-  }
-  return nullptr;
+bool RemoteMemoryFabric::has_rider(hw::CircuitId id) const {
+  return std::any_of(attachments_.begin(), attachments_.end(),
+                     [&](const Attachment& a) { return a.circuit == id; });
+}
+
+bool RemoteMemoryFabric::packet_reachable(hw::BrickId compute, hw::BrickId membrick) const {
+  return packet_net_ != nullptr && packet_net_->has_brick(compute) &&
+         packet_net_->has_brick(membrick);
+}
+
+std::size_t RemoteMemoryFabric::count_links(LinkMedium medium) const {
+  return static_cast<std::size_t>(
+      std::count_if(link_table_.begin(), link_table_.end(),
+                    [&](const auto& entry) { return entry.second.medium == medium; }));
+}
+
+void RemoteMemoryFabric::ride(Attachment& a, const Link& link) {
+  a.circuit = link.id;
+  a.medium = link.medium;
+  a.lanes = link.lane_count();
+  a.switch_hops = link.switch_hops;
+  a.fiber_length_m = link.fiber_length_m;
 }
 
 std::optional<Attachment> RemoteMemoryFabric::attach(const AttachRequest& request,
@@ -179,133 +207,20 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
     return std::nullopt;
   }
 
-  const bool electrical =
-      request.prefer_electrical_intra_tray && same_tray(request.compute, request.membrick);
-
-  // Existing circuit between the pair can be shared by multiple segments;
+  // An existing link between the pair is shared by multiple segments;
   // otherwise wire a fresh one.
-  hw::CircuitId circuit_id;
-  LinkMedium medium = electrical ? LinkMedium::kElectrical : LinkMedium::kOptical;
-  std::size_t lanes = std::max<std::size_t>(1, request.lanes);
-  std::size_t hops = request.switch_hops;
-  double fiber_m = request.fiber_length_m;
-  for (const auto& a : attachments_) {
-    if (a.compute == request.compute && a.membrick == request.membrick) {
-      circuit_id = a.circuit;
-      medium = a.medium;
-      lanes = a.lanes;
-      hops = a.switch_hops;
-      fiber_m = a.fiber_length_m;
-      break;
-    }
-  }
-
-  // Packet-substrate fallback (Section III): when the system runs low on
-  // physical circuit ports, the orchestrator programs packet-switch
-  // lookup tables instead of a dedicated circuit.
-  auto packet_fallback = [&]() -> bool {
-    if (!request.allow_packet_fallback || packet_net_ == nullptr) return false;
-    if (!packet_net_->has_brick(request.compute) || !packet_net_->has_brick(request.membrick)) {
-      return false;
-    }
-    for (const auto& link : packet_) {
-      if ((link.a == request.compute && link.b == request.membrick) ||
-          (link.a == request.membrick && link.b == request.compute)) {
-        circuit_id = link.id;
-        medium = LinkMedium::kPacket;
-        return true;
-      }
-    }
-    if (!packet_net_->connected(request.compute, request.membrick)) {
-      packet_net_->connect(request.compute, request.membrick, request.fiber_length_m);
-    }
-    circuit_id = hw::CircuitId{next_packet_id_++};
-    packet_.push_back(PacketLink{circuit_id, request.compute, request.membrick});
-    medium = LinkMedium::kPacket;
-    return true;
-  };
-
-  hw::PortId first_out_port{0};
-  if (!circuit_id.valid()) {
-    // Enough free transceiver ports on both bricks for every lane?
-    if (compute.free_port_count(true) < lanes) {
-      last_error_ = AttachError::kNoComputePort;
-      if (!packet_fallback()) return std::nullopt;
-    } else if (membrick.free_port_count(true) < lanes) {
-      last_error_ = AttachError::kNoMemoryPort;
-      if (!packet_fallback()) return std::nullopt;
-    }
-
-    if (!circuit_id.valid()) {  // not in packet fallback
-      if (electrical) {
-        // Tray backplane cross-connect: no optical switch ports involved;
-        // bond `lanes` backplane lanes.
-        ElectricalLink link;
-        link.id = hw::CircuitId{next_electrical_id_++};
-        link.a = request.compute;
-        link.b = request.membrick;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          auto* cp = compute.find_free_port(true);
-          auto* mp = membrick.find_free_port(true);
-          cp->connected = true;
-          mp->connected = true;
-          link.a_ports.push_back(cp->id);
-          link.b_ports.push_back(mp->id);
-        }
-        first_out_port = link.a_ports.front();
-        circuit_id = link.id;
-        electrical_.push_back(std::move(link));
-      } else {
-        // One optical circuit per lane; all bonded under the primary id.
-        if (circuits_.optical_switch().free_ports() < 2 * request.switch_hops * lanes) {
-          last_error_ = AttachError::kNoSwitchPorts;
-          if (!packet_fallback()) return std::nullopt;
-        }
-        if (!circuit_id.valid()) {
-          OpticalBond bond;
-          std::vector<std::pair<hw::TransceiverPort*, hw::TransceiverPort*>> taken;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            auto* cp = compute.find_free_port(true);
-            auto* mp = membrick.find_free_port(true);
-            cp->connected = true;
-            mp->connected = true;
-            taken.emplace_back(cp, mp);
-            optics::CircuitRequest creq;
-            creq.a = optics::CircuitEndpoint{request.compute, cp->id, -3.7, 1.2};
-            creq.b = optics::CircuitEndpoint{request.membrick, mp->id, -3.7, 1.2};
-            creq.hops = request.switch_hops;
-            creq.fiber_length_m = request.fiber_length_m;
-            auto circuit = circuits_.establish(creq);
-            if (!circuit) {
-              // Roll back everything wired so far.
-              for (auto& [c, m] : taken) {
-                c->connected = false;
-                m->connected = false;
-              }
-              for (hw::CircuitId id : bond.all) circuits_.teardown(id);
-              last_error_ = AttachError::kNoSwitchPorts;
-              if (!packet_fallback()) return std::nullopt;
-              bond.all.clear();
-              break;
-            }
-            bond.all.push_back(circuit->id);
-          }
-          if (!bond.all.empty()) {
-            bond.primary = bond.all.front();
-            circuit_id = bond.primary;
-            first_out_port = taken.front().first->id;
-            if (bond.all.size() > 1) bonds_.push_back(std::move(bond));
-          }
-        }
-      }
-    }
-  }
+  const Link* link = acquire_link(request.compute, request.membrick,
+                                  std::max<std::size_t>(1, request.lanes), request.switch_hops,
+                                  request.fiber_length_m, request.prefer_electrical_intra_tray,
+                                  request.allow_packet_fallback);
+  if (link == nullptr) return std::nullopt;
 
   auto segment = membrick.allocate(request.bytes, request.compute);
   if (!segment) {
     // largest_free_extent was checked above; reaching here means a race in
-    // caller logic. Keep the invariant: undo the circuit if fresh.
+    // caller logic. Keep the invariant: undo the link if fresh.
     last_error_ = AttachError::kNoMemory;
+    release_if_unused(link->id);
     return std::nullopt;
   }
 
@@ -315,8 +230,8 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
   entry.size = request.bytes;
   entry.dest_brick = request.membrick;
   entry.dest_base = segment->base;
-  entry.out_port = first_out_port;
-  entry.circuit = circuit_id;
+  entry.out_port = link->out_port();
+  entry.circuit = link->id;
   compute.tgl().rmst().insert(entry);
 
   Attachment a;
@@ -325,14 +240,160 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
   a.segment = segment->id;
   a.compute_base = entry.base;
   a.size = request.bytes;
-  a.circuit = circuit_id;
-  a.medium = medium;
-  a.lanes = medium == LinkMedium::kPacket ? 1 : lanes;
-  a.switch_hops = hops;
-  a.fiber_length_m = fiber_m;
+  ride(a, *link);
   a.established_at = now;
   attachments_.push_back(a);
   return a;
+}
+
+RemoteMemoryFabric::Link* RemoteMemoryFabric::acquire_link(hw::BrickId compute,
+                                                           hw::BrickId membrick,
+                                                           std::size_t lanes, std::size_t hops,
+                                                           double fiber_m, bool prefer_electrical,
+                                                           bool allow_packet) {
+  for (auto& [id, link] : link_table_) {
+    if (link.compute == compute && link.membrick == membrick) return &link;
+  }
+
+  Link link;
+  link.compute = compute;
+  link.membrick = membrick;
+  link.switch_hops = hops;
+  link.fiber_length_m = fiber_m;
+  auto& cb = rack_.brick(compute);
+  auto& mb = rack_.brick(membrick);
+  bool wired = false;
+  // Enough free transceiver ports on both bricks for every lane?
+  if (cb.free_port_count(true) < lanes) {
+    last_error_ = AttachError::kNoComputePort;
+  } else if (mb.free_port_count(true) < lanes) {
+    last_error_ = AttachError::kNoMemoryPort;
+  } else if (prefer_electrical && same_tray(compute, membrick)) {
+    // Tray backplane cross-connect: no optical switch ports involved;
+    // bond `lanes` backplane lanes.
+    link.id = hw::CircuitId{next_electrical_id_++};
+    link.medium = LinkMedium::kElectrical;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      auto* cp = cb.find_free_port(true);
+      auto* mp = mb.find_free_port(true);
+      cp->connected = true;
+      mp->connected = true;
+      link.lanes.push_back(Lane{cp->id, mp->id, hw::CircuitId{}});
+    }
+    wired = true;
+  } else if (circuits_.optical_switch().free_ports() < 2 * hops * lanes) {
+    last_error_ = AttachError::kNoSwitchPorts;
+  } else {
+    // One optical circuit per lane, all bonded under the primary id; a
+    // partial bond is rolled back.
+    link.lanes = wire_optical(compute, membrick, lanes, hops, fiber_m);
+    wired = link.lanes.size() == lanes;
+    if (wired) {
+      link.id = link.lanes.front().circuit;
+    } else {
+      tear_lanes(link);
+      link.lanes.clear();
+    }
+  }
+
+  // Packet-substrate fallback (Section III): when the system runs low on
+  // physical circuit ports, the orchestrator programs packet-switch
+  // lookup tables instead of a dedicated circuit.
+  if (!wired) {
+    if (!allow_packet || !packet_reachable(compute, membrick)) return nullptr;
+    program_packet(link);
+  }
+  const hw::CircuitId id = link.id;
+  return &link_table_.emplace(id.value, std::move(link)).first->second;
+}
+
+std::vector<RemoteMemoryFabric::Lane> RemoteMemoryFabric::wire_optical(hw::BrickId compute,
+                                                                       hw::BrickId membrick,
+                                                                       std::size_t lanes,
+                                                                       std::size_t hops,
+                                                                       double fiber_m) {
+  auto& cb = rack_.brick(compute);
+  auto& mb = rack_.brick(membrick);
+  std::vector<Lane> wired;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    auto* cport = cb.find_free_port(/*circuit_based=*/true);
+    auto* mport = mb.find_free_port(/*circuit_based=*/true);
+    if (cport == nullptr || mport == nullptr) {
+      last_error_ =
+          cport == nullptr ? AttachError::kNoComputePort : AttachError::kNoMemoryPort;
+      break;
+    }
+    optics::CircuitRequest creq;
+    creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
+    creq.b = optics::CircuitEndpoint{membrick, mport->id, -3.7, 1.2};
+    creq.hops = hops;
+    creq.fiber_length_m = fiber_m;
+    auto circuit = circuits_.establish(creq);
+    if (!circuit) {
+      last_error_ = AttachError::kNoSwitchPorts;
+      break;
+    }
+    cport->connected = true;
+    mport->connected = true;
+    wired.push_back(Lane{cport->id, mport->id, circuit->id});
+  }
+  return wired;
+}
+
+void RemoteMemoryFabric::program_packet(Link& link) {
+  if (!packet_net_->connected(link.compute, link.membrick)) {
+    packet_net_->connect(link.compute, link.membrick, link.fiber_length_m);
+  }
+  link.id = hw::CircuitId{next_packet_id_++};
+  link.medium = LinkMedium::kPacket;
+}
+
+bool RemoteMemoryFabric::tear_lanes(const Link& link) {
+  bool any = false;
+  for (const Lane& lane : link.lanes) {
+    // A circuit torn behind the fabric's back released its ports with it
+    // (on_circuits_torn); they may already serve another link.
+    if (lane.circuit.valid() && circuits_.find_ref(lane.circuit) == nullptr) continue;
+    rack_.brick(link.compute).port(lane.compute_port.value).connected = false;
+    rack_.brick(link.membrick).port(lane.membrick_port.value).connected = false;
+    if (lane.circuit.valid()) circuits_.teardown(lane.circuit);
+    any = true;
+  }
+  return any;
+}
+
+bool RemoteMemoryFabric::release_link(hw::CircuitId id) {
+  const Link* link = find_link(id);
+  if (link == nullptr) return false;
+  const bool any = tear_lanes(*link);
+  if (!has_rider(id)) link_table_.erase(id.value);
+  return any;
+}
+
+void RemoteMemoryFabric::release_if_unused(hw::CircuitId id) {
+  if (!has_rider(id)) release_link(id);
+}
+
+void RemoteMemoryFabric::rewire(hw::CircuitId old_id, Link fresh, sim::Time now) {
+  const hw::CircuitId id = fresh.id;
+  const Link& link = link_table_.emplace(id.value, std::move(fresh)).first->second;
+  for (auto& a : attachments_) {
+    if (a.circuit != old_id) continue;
+    ride(a, link);
+    a.established_at = now;
+    auto& rmst = rack_.compute_brick(a.compute).tgl().rmst();
+    auto entry = rmst.find_segment(a.segment);
+    if (entry) {
+      hw::RmstEntry updated = *entry;
+      updated.circuit = link.id;
+      updated.out_port = link.out_port();
+      rmst.remove(a.segment);
+      rmst.insert(updated);
+      DREDBOX_ENSURE(updated.base == a.compute_base && updated.size == a.size,
+                     "rewiring changed the RMST window of segment " + a.segment.to_string());
+    }
+  }
+  release_link(old_id);
 }
 
 bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
@@ -354,56 +415,9 @@ bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
     rmst_mapped_metric_->add(-static_cast<double>(removed.size));
   }
 
-  release_circuit_if_unused(removed);
+  release_if_unused(removed.circuit);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return true;
-}
-
-void RemoteMemoryFabric::release_circuit_if_unused(const Attachment& removed) {
-  // Tear the circuit down when no other attachment rides it.
-  const bool circuit_still_used =
-      std::any_of(attachments_.begin(), attachments_.end(),
-                  [&](const Attachment& a) { return a.circuit == removed.circuit; });
-  if (circuit_still_used) return;
-  if (removed.medium == LinkMedium::kPacket) {
-    packet_.erase(std::remove_if(packet_.begin(), packet_.end(),
-                                 [&](const PacketLink& l) { return l.id == removed.circuit; }),
-                  packet_.end());
-    circuit_busy_until_.erase(removed.circuit.value);
-  } else if (removed.medium == LinkMedium::kElectrical) {
-    const ElectricalLink* link = find_electrical(removed.circuit);
-    if (link != nullptr) {
-      for (std::size_t l = 0; l < link->lanes(); ++l) {
-        rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
-        rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
-      }
-      electrical_.erase(
-          std::remove_if(electrical_.begin(), electrical_.end(),
-                         [&](const ElectricalLink& l) { return l.id == removed.circuit; }),
-          electrical_.end());
-      circuit_busy_until_.erase(removed.circuit.value);
-    }
-  } else {
-    // Optical: tear down every lane of the bond (single-lane links have
-    // no bond record and tear down just the primary circuit).
-    std::vector<hw::CircuitId> to_tear{removed.circuit};
-    for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-      if (bit->primary == removed.circuit) {
-        to_tear = bit->all;
-        bonds_.erase(bit);
-        break;
-      }
-    }
-    for (hw::CircuitId id : to_tear) {
-      auto circuit = circuits_.find(id);
-      if (circuit) {
-        rack_.brick(circuit->a.brick).port(circuit->a.port.value).connected = false;
-        rack_.brick(circuit->b.brick).port(circuit->b.port.value).connected = false;
-        circuits_.teardown(id);
-      }
-      circuit_busy_until_.erase(id.value);
-    }
-  }
 }
 
 std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrate_attachment(
@@ -422,50 +436,12 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
 
   // Wire (or reuse) connectivity between the destination brick and the
   // serving dMEMBRICK before touching the source side, so failure leaves
-  // the old attachment intact.
-  hw::CircuitId new_circuit_id;
-  LinkMedium new_medium = LinkMedium::kOptical;
-  for (const auto& a : attachments_) {
-    if (a.compute == to && a.membrick == old.membrick) {
-      new_circuit_id = a.circuit;
-      new_medium = a.medium;
-      break;
-    }
-  }
-  bool wired_fresh = false;
-  if (!new_circuit_id.valid()) {
-    hw::TransceiverPort* cport = new_compute.find_free_port(/*circuit_based=*/true);
-    if (cport == nullptr) {
-      last_error_ = AttachError::kNoComputePort;
-      return std::nullopt;
-    }
-    hw::TransceiverPort* mport =
-        rack_.memory_brick(old.membrick).find_free_port(/*circuit_based=*/true);
-    if (mport == nullptr) {
-      last_error_ = AttachError::kNoMemoryPort;
-      return std::nullopt;
-    }
-    if (same_tray(to, old.membrick)) {
-      new_medium = LinkMedium::kElectrical;
-      new_circuit_id = hw::CircuitId{next_electrical_id_++};
-      electrical_.push_back(
-          ElectricalLink{new_circuit_id, to, old.membrick, {cport->id}, {mport->id}});
-    } else {
-      optics::CircuitRequest creq;
-      creq.a = optics::CircuitEndpoint{to, cport->id, -3.7, 1.2};
-      creq.b = optics::CircuitEndpoint{old.membrick, mport->id, -3.7, 1.2};
-      auto circuit = circuits_.establish(creq);
-      if (!circuit) {
-        last_error_ = AttachError::kNoSwitchPorts;
-        return std::nullopt;
-      }
-      new_medium = LinkMedium::kOptical;
-      new_circuit_id = circuit->id;
-    }
-    cport->connected = true;
-    mport->connected = true;
-    wired_fresh = true;
-  }
+  // the old attachment intact. A fresh link is one lane over the
+  // attachment's hop count and fibre run.
+  const Link* link = acquire_link(to, old.membrick, 1, old.switch_hops, old.fiber_length_m,
+                                  /*prefer_electrical=*/true, /*allow_packet=*/false);
+  if (link == nullptr) return std::nullopt;
+  const bool wired_fresh = !has_rider(link->id);
 
   // Move the RMST entry: remove at the source, install at the destination.
   auto& old_compute = rack_.compute_brick(from);
@@ -478,7 +454,8 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
   entry.size = old.size;
   entry.dest_brick = old.membrick;
   entry.dest_base = old_entry ? old_entry->dest_base : 0;
-  entry.circuit = new_circuit_id;
+  entry.out_port = link->out_port();
+  entry.circuit = link->id;
   new_compute.tgl().rmst().insert(entry);
 
   rack_.memory_brick(old.membrick).reassign(segment, to);
@@ -486,60 +463,24 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
   // Update the attachment record in place.
   it->compute = to;
   it->compute_base = entry.base;
-  it->circuit = new_circuit_id;
-  it->medium = new_medium;
+  ride(*it, *link);
   it->established_at = now;
   const Attachment updated = *it;
 
-  // Tear down the source-side circuit if this was its last rider.
-  const bool old_circuit_used =
-      std::any_of(attachments_.begin(), attachments_.end(),
-                  [&](const Attachment& a) { return a.circuit == old.circuit; });
-  if (!old_circuit_used) {
-    if (old.medium == LinkMedium::kElectrical) {
-      if (const ElectricalLink* link = find_electrical(old.circuit); link != nullptr) {
-        for (std::size_t l = 0; l < link->lanes(); ++l) {
-          rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
-          rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
-        }
-        electrical_.erase(
-            std::remove_if(electrical_.begin(), electrical_.end(),
-                           [&](const ElectricalLink& l) { return l.id == old.circuit; }),
-            electrical_.end());
-      }
-    } else if (auto circuit = circuits_.find(old.circuit)) {
-      rack_.brick(circuit->a.brick).port(circuit->a.port.value).connected = false;
-      rack_.brick(circuit->b.brick).port(circuit->b.port.value).connected = false;
-      circuits_.teardown(old.circuit);
-    }
-    circuit_busy_until_.erase(old.circuit.value);
-  }
-
+  // Tear down the source-side link if this was its last rider.
+  release_if_unused(old.circuit);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return MigratedAttachment{updated, wired_fresh};
 }
 
 bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
   // Only the optical substrate is subject to this fault model (fibres and
-  // beam-steering cross-connects); the tray backplane is passive copper.
-  std::vector<hw::CircuitId> lanes{circuit};
-  for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-    if (bit->primary == circuit) {
-      lanes = bit->all;
-      bonds_.erase(bit);
-      break;
-    }
-  }
-  bool any = false;
-  for (hw::CircuitId id : lanes) {
-    auto live = circuits_.find(id);
-    if (!live) continue;
-    rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
-    rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
-    circuits_.teardown(id);
-    circuit_busy_until_.erase(id.value);
-    any = true;
-  }
+  // beam-steering cross-connects); the tray backplane is passive copper. A
+  // bonded link dies as a whole; its riders keep the dead record until
+  // repaired.
+  const Link* link = link_with_lane(circuit);
+  const bool any =
+      link != nullptr && link->medium == LinkMedium::kOptical && release_link(link->id);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return any;
 }
@@ -550,67 +491,24 @@ std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
     return a.compute == compute && a.segment == segment;
   });
   if (it == attachments_.end()) return std::nullopt;
-  if (it->medium != LinkMedium::kOptical) return *it;      // nothing to repair
-  if (circuits_.find(it->circuit).has_value()) return *it;  // circuit is healthy
-
-  auto& cb = rack_.compute_brick(compute);
-  auto& mb = rack_.memory_brick(it->membrick);
+  if (it->medium != LinkMedium::kOptical) return *it;          // nothing to repair
+  if (circuits_.find_ref(it->circuit) != nullptr) return *it;  // circuit is healthy
 
   // Rebuild the exact pre-failure link: same hop count, same fibre run,
   // re-bonding up to the original lane count (degrading gracefully to
   // fewer lanes when ports ran scarce in the meantime, never below one).
-  const std::size_t want_lanes = std::max<std::size_t>(1, it->lanes);
-  OpticalBond bond;
-  std::vector<std::pair<hw::TransceiverPort*, hw::TransceiverPort*>> taken;
-  for (std::size_t l = 0; l < want_lanes; ++l) {
-    auto* cport = cb.find_free_port(/*circuit_based=*/true);
-    auto* mport = mb.find_free_port(/*circuit_based=*/true);
-    if (cport == nullptr || mport == nullptr) {
-      last_error_ =
-          cport == nullptr ? AttachError::kNoComputePort : AttachError::kNoMemoryPort;
-      break;
-    }
-    optics::CircuitRequest creq;
-    creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
-    creq.b = optics::CircuitEndpoint{it->membrick, mport->id, -3.7, 1.2};
-    creq.hops = it->switch_hops;
-    creq.fiber_length_m = it->fiber_length_m;
-    auto circuit = circuits_.establish(creq);
-    if (!circuit) {
-      last_error_ = AttachError::kNoSwitchPorts;
-      break;
-    }
-    cport->connected = true;
-    mport->connected = true;
-    taken.emplace_back(cport, mport);
-    bond.all.push_back(circuit->id);
-  }
-  if (bond.all.empty()) return std::nullopt;  // could not wire even one lane
-  bond.primary = bond.all.front();
-  if (bond.all.size() > 1) bonds_.push_back(bond);
+  Link fresh = *find_link(it->circuit);
+  const std::size_t want_lanes = fresh.lane_count();
+  fresh.lanes =
+      wire_optical(compute, fresh.membrick, want_lanes, fresh.switch_hops, fresh.fiber_length_m);
+  if (fresh.lanes.empty()) return std::nullopt;  // could not wire even one lane
+  fresh.id = fresh.lanes.front().circuit;
+  fresh.busy_until = sim::Time{};
 
-  // Heal every attachment (and RMST entry) that rode the dead circuit. The
+  // Heal every attachment (and RMST entry) that rode the dead link. The
   // compute-side window must come back byte-identical: only the link
   // record changes, never base or size.
-  const hw::CircuitId dead = it->circuit;
-  const std::size_t healed_lanes = bond.all.size();
-  for (auto& a : attachments_) {
-    if (a.circuit != dead) continue;
-    a.circuit = bond.primary;
-    a.lanes = healed_lanes;
-    a.established_at = now;
-    auto& rmst = rack_.compute_brick(a.compute).tgl().rmst();
-    auto entry = rmst.find_segment(a.segment);
-    if (entry) {
-      hw::RmstEntry updated = *entry;
-      updated.circuit = bond.primary;
-      updated.out_port = taken.front().first->id;
-      rmst.remove(a.segment);
-      rmst.insert(updated);
-      DREDBOX_ENSURE(updated.base == a.compute_base && updated.size == a.size,
-                     "repair changed the RMST window of segment " + a.segment.to_string());
-    }
-  }
+  rewire(it->circuit, std::move(fresh), now);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return *it;
 }
@@ -619,23 +517,8 @@ void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& to
   for (const auto& c : torn) {
     rack_.brick(c.a.brick).port(c.a.port.value).connected = false;
     rack_.brick(c.b.brick).port(c.b.port.value).connected = false;
-    circuit_busy_until_.erase(c.id.value);
     // A bonded link dies as a whole: tear the surviving sibling lanes too.
-    for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-      if (std::find(bit->all.begin(), bit->all.end(), c.id) == bit->all.end()) continue;
-      const OpticalBond bond = *bit;
-      bonds_.erase(bit);
-      for (hw::CircuitId id : bond.all) {
-        if (id == c.id) continue;
-        if (auto live = circuits_.find(id)) {
-          rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
-          rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
-          circuits_.teardown(id);
-        }
-        circuit_busy_until_.erase(id.value);
-      }
-      break;
-    }
+    if (const Link* link = link_with_lane(c.id)) release_link(link->id);
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
 }
@@ -648,48 +531,19 @@ std::optional<Attachment> RemoteMemoryFabric::failover_to_packet(hw::BrickId com
   });
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium == LinkMedium::kPacket) return *it;  // already failed over
-  if (packet_net_ == nullptr || !packet_net_->has_brick(compute) ||
-      !packet_net_->has_brick(it->membrick)) {
-    return std::nullopt;
-  }
+  if (!packet_reachable(compute, it->membrick)) return std::nullopt;
 
-  // Reuse the pair's existing packet link or program a fresh lookup-table
-  // path (the Section III control-plane role).
-  hw::CircuitId packet_id;
-  for (const auto& link : packet_) {
-    if ((link.a == compute && link.b == it->membrick) ||
-        (link.a == it->membrick && link.b == compute)) {
-      packet_id = link.id;
-      break;
-    }
-  }
-  if (!packet_id.valid()) {
-    if (!packet_net_->connected(compute, it->membrick)) {
-      packet_net_->connect(compute, it->membrick, it->fiber_length_m);
-    }
-    packet_id = hw::CircuitId{next_packet_id_++};
-    packet_.push_back(PacketLink{packet_id, compute, it->membrick});
-  }
-
-  // Re-point the RMST entry; window and backing bytes stay untouched.
-  auto& rmst = rack_.compute_brick(compute).tgl().rmst();
-  if (auto entry = rmst.find_segment(segment)) {
-    hw::RmstEntry updated = *entry;
-    updated.circuit = packet_id;
-    rmst.remove(segment);
-    rmst.insert(updated);
-  }
-
-  const Attachment old = *it;
-  it->circuit = packet_id;
-  it->medium = LinkMedium::kPacket;
-  it->lanes = 1;
-  it->established_at = now;
-  const Attachment updated = *it;
-  release_circuit_if_unused(old);
+  // Re-provision the pair's link on the packet substrate by programming
+  // lookup-table paths (the Section III control-plane role). Every rider
+  // moves with it; windows and backing bytes stay untouched.
+  Link fresh = *find_link(it->circuit);
+  fresh.lanes.clear();
+  fresh.busy_until = sim::Time{};
+  program_packet(fresh);
+  rewire(it->circuit, std::move(fresh), now);
   if (packet_failovers_metric_ != nullptr) packet_failovers_metric_->add();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
-  return updated;
+  return *it;
 }
 
 std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compute,
@@ -716,107 +570,42 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
   // Wire (or reuse) connectivity to the new dMEMBRICK before touching the
   // old side, so failure leaves the attachment intact. Preference order:
   // shared pair link, electrical intra-tray, optical, packet fallback.
-  hw::CircuitId new_circuit;
-  LinkMedium new_medium = LinkMedium::kOptical;
-  std::size_t new_lanes = 1;
-  hw::PortId new_out_port{0};
-  bool fresh_port = false;
-  for (const auto& a : attachments_) {
-    if (a.compute == compute && a.membrick == new_membrick) {
-      new_circuit = a.circuit;
-      new_medium = a.medium;
-      new_lanes = a.lanes;
-      break;
-    }
-  }
-  if (!new_circuit.valid()) {
-    auto* cport = cb.find_free_port(/*circuit_based=*/true);
-    auto* mport = new_mb.find_free_port(/*circuit_based=*/true);
-    if (cport != nullptr && mport != nullptr) {
-      if (same_tray(compute, new_membrick)) {
-        new_medium = LinkMedium::kElectrical;
-        new_circuit = hw::CircuitId{next_electrical_id_++};
-        electrical_.push_back(
-            ElectricalLink{new_circuit, compute, new_membrick, {cport->id}, {mport->id}});
-        cport->connected = true;
-        mport->connected = true;
-        new_out_port = cport->id;
-        fresh_port = true;
-      } else {
-        optics::CircuitRequest creq;
-        creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
-        creq.b = optics::CircuitEndpoint{new_membrick, mport->id, -3.7, 1.2};
-        creq.hops = it->switch_hops;
-        creq.fiber_length_m = it->fiber_length_m;
-        if (auto circuit = circuits_.establish(creq)) {
-          new_medium = LinkMedium::kOptical;
-          new_circuit = circuit->id;
-          cport->connected = true;
-          mport->connected = true;
-          new_out_port = cport->id;
-          fresh_port = true;
-        }
-      }
-    }
-    if (!new_circuit.valid()) {
-      // Circuit ports exhausted: packet substrate as the last resort.
-      if (packet_net_ == nullptr || !packet_net_->has_brick(compute) ||
-          !packet_net_->has_brick(new_membrick)) {
-        last_error_ = AttachError::kNoSwitchPorts;
-        return std::nullopt;
-      }
-      for (const auto& link : packet_) {
-        if ((link.a == compute && link.b == new_membrick) ||
-            (link.a == new_membrick && link.b == compute)) {
-          new_circuit = link.id;
-          break;
-        }
-      }
-      if (!new_circuit.valid()) {
-        if (!packet_net_->connected(compute, new_membrick)) {
-          packet_net_->connect(compute, new_membrick, it->fiber_length_m);
-        }
-        new_circuit = hw::CircuitId{next_packet_id_++};
-        packet_.push_back(PacketLink{new_circuit, compute, new_membrick});
-      }
-      new_medium = LinkMedium::kPacket;
-    }
-  }
+  const Link* link = acquire_link(compute, new_membrick, 1, it->switch_hops, it->fiber_length_m,
+                                  /*prefer_electrical=*/true, /*allow_packet=*/true);
+  if (link == nullptr) return std::nullopt;
 
   // Carve the replacement segment (ids are namespaced by the carving
   // brick, so relocation necessarily issues a new segment id).
   auto new_seg = new_mb.allocate(it->size, compute);
   if (!new_seg) {
     last_error_ = AttachError::kNoMemory;
+    release_if_unused(link->id);
     return std::nullopt;
   }
 
   // Re-point the RMST entry, keeping the compute-side window identical.
   auto& rmst = cb.tgl().rmst();
-  const auto old_entry = rmst.find_segment(old_segment);
   hw::RmstEntry entry;
   entry.segment = new_seg->id;
   entry.base = it->compute_base;
   entry.size = it->size;
   entry.dest_brick = new_membrick;
   entry.dest_base = new_seg->base;
-  entry.out_port = fresh_port || !old_entry ? new_out_port : old_entry->out_port;
-  entry.circuit = new_circuit;
+  entry.out_port = link->out_port();
+  entry.circuit = link->id;
   rmst.remove(old_segment);
   rmst.insert(entry);
 
   const Attachment old = *it;
   it->membrick = new_membrick;
   it->segment = new_seg->id;
-  it->circuit = new_circuit;
-  it->medium = new_medium;
-  it->lanes = new_medium == LinkMedium::kPacket ? 1 : new_lanes;
+  ride(*it, *link);
   it->established_at = now;
   const Attachment result = *it;
 
   // Release the old backing bytes and the old link when last rider.
   rack_.memory_brick(old.membrick).release(old_segment);
-  release_circuit_if_unused(old);
+  release_if_unused(old.circuit);
   if (relocations_metric_ != nullptr) relocations_metric_->add();
   DREDBOX_ENSURE(result.compute_base == old.compute_base && result.size == old.size,
                  "relocation changed the compute-side window");
@@ -1071,9 +860,23 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     return tx;
   }
 
+  // One link lookup per attempt: medium, lanes and cable occupancy all live
+  // on the pair's link. Optical liveness and propagation come from the
+  // circuit manager, which may have torn the circuit behind our back.
+  Link* link = find_link(route->entry->circuit);
+  const optics::Circuit* circuit = nullptr;
+  if (link != nullptr && link->medium == LinkMedium::kOptical) {
+    circuit = circuits_.find_ref(link->id);
+  }
+  if (link == nullptr || (link->medium == LinkMedium::kOptical && circuit == nullptr)) {
+    tx.status = TransactionStatus::kCircuitDown;
+    tx.completed_at = t;
+    return tx;
+  }
+
   // Packet-substrate attachments delegate the whole round trip to the
   // packet network model (NI, on-brick switches, MAC/PHY).
-  if (find_packet(route->entry->circuit) != nullptr) {
+  if (link->medium == LinkMedium::kPacket) {
     net::Packet pkt =
         kind == TransactionKind::kRead
             ? packet_net_->remote_read(compute, tx.destination, tx.remote_address, bytes, t,
@@ -1086,35 +889,15 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     return tx;
   }
 
-  // Resolve the medium: intra-tray electrical links are tracked by the
-  // fabric itself; optical circuits by the circuit manager.
-  LinkMedium medium = LinkMedium::kOptical;
-  sim::Time propagation;
-  if (const ElectricalLink* link = find_electrical(route->entry->circuit); link != nullptr) {
-    medium = LinkMedium::kElectrical;
-    propagation = latencies_.electrical_propagation;
-  } else {
-    const optics::Circuit* circuit = circuits_.find_ref(route->entry->circuit);
-    if (circuit == nullptr) {
-      tx.status = TransactionStatus::kCircuitDown;
-      tx.completed_at = t;
-      return tx;
-    }
-    propagation = circuit->propagation_delay();
-  }
+  const LinkMedium medium = link->medium;
+  const sim::Time propagation = medium == LinkMedium::kElectrical
+                                    ? latencies_.electrical_propagation
+                                    : circuit->propagation_delay();
   const sim::Time serdes =
       medium == LinkMedium::kElectrical ? latencies_.electrical_serdes : latencies_.serdes;
   const sim::ComponentId wire =
       medium == LinkMedium::kElectrical ? kBdElectricalProp : kBdOpticalProp;
-
-  // Bonded-lane count for this circuit (attachments on the pair carry it).
-  std::size_t lanes = 1;
-  for (const auto& a : attachments_) {
-    if (a.circuit == route->entry->circuit) {
-      lanes = a.lanes;
-      break;
-    }
-  }
+  const std::size_t lanes = link->lane_count();
 
   const auto tech = rack_.memory_brick(tx.destination).config().technology;
   // Array occupancy: first-word latency plus streaming time for the
@@ -1127,7 +910,7 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   // Outbound: request (write carries payload; read is header-only).
   const std::uint32_t out_bytes = kind == TransactionKind::kWrite ? bytes : 0;
   const sim::Time out_ser = serialization_time(out_bytes, medium, lanes);
-  sim::Time& busy = circuit_busy_until_[route->entry->circuit.value];
+  sim::Time& busy = link->busy_until;
   const sim::Time start = std::max(t, busy);
   tx.breakdown.charge(kBdCircuitWait, start - t);
   tx.breakdown.charge(kBdSerialization, out_ser);
@@ -1177,7 +960,6 @@ void RemoteMemoryFabric::check_invariants() const {
   for (std::size_t i = 0; i < attachments_.size(); ++i) {
     const Attachment& a = attachments_[i];
     DREDBOX_INVARIANT(a.size > 0, "attachment maps zero bytes");
-    DREDBOX_INVARIANT(a.circuit.valid(), "attachment has no link record");
     for (std::size_t j = i + 1; j < attachments_.size(); ++j) {
       DREDBOX_INVARIANT(attachments_[j].compute != a.compute ||
                             attachments_[j].segment != a.segment,
@@ -1213,30 +995,42 @@ void RemoteMemoryFabric::check_invariants() const {
                       "dMEMBRICK segment " + a.segment.to_string() +
                           " disagrees with the attachment record");
 
-    // The link record matches the medium. Optical circuits may be absent
-    // (failed); electrical and packet links are fabric-owned and must exist.
-    switch (a.medium) {
-      case LinkMedium::kElectrical:
-        DREDBOX_INVARIANT(find_electrical(a.circuit) != nullptr,
-                          "electrical attachment without a backplane link record");
-        break;
-      case LinkMedium::kPacket:
-        DREDBOX_INVARIANT(find_packet(a.circuit) != nullptr,
-                          "packet attachment without a lookup-table link record");
-        break;
-      case LinkMedium::kOptical:
-        break;
-    }
+    // Every attachment rides its pair's link record and copies its fields.
+    const Link* link = find_link(a.circuit);
+    DREDBOX_INVARIANT(link != nullptr,
+                      "segment " + a.segment.to_string() + " rides no link record");
+    DREDBOX_INVARIANT(link->compute == a.compute && link->membrick == a.membrick &&
+                          link->medium == a.medium && link->lane_count() == a.lanes &&
+                          link->switch_hops == a.switch_hops &&
+                          link->fiber_length_m == a.fiber_length_m,
+                      "segment " + a.segment.to_string() + " disagrees with link " +
+                          link->id.to_string());
   }
 
-  // Fabric-owned link endpoints must still hold their transceiver ports.
-  for (const auto& link : electrical_) {
-    DREDBOX_INVARIANT(link.a_ports.size() == link.b_ports.size(),
-                      "electrical link with unbalanced lane bundles");
-    for (std::size_t l = 0; l < link.lanes(); ++l) {
-      DREDBOX_INVARIANT(rack_.brick(link.a).port(link.a_ports[l].value).connected &&
-                            rack_.brick(link.b).port(link.b_ports[l].value).connected,
-                        "electrical link lane rides a disconnected transceiver port");
+  // Every link has a rider and is its pair's only link; backplane lanes
+  // and live optical lanes still hold both transceiver ports. Optical
+  // circuits may be absent (fail_circuit() models fibre cuts).
+  for (auto it = link_table_.begin(); it != link_table_.end(); ++it) {
+    const Link& link = it->second;
+    DREDBOX_INVARIANT(it->first == link.id.value && has_rider(link.id),
+                      "orphan or mis-keyed link record " + link.id.to_string());
+    DREDBOX_INVARIANT(std::none_of(std::next(it), link_table_.end(),
+                                   [&](const auto& other) {
+                                     return other.second.compute == link.compute &&
+                                            other.second.membrick == link.membrick;
+                                   }),
+                      "two links between bricks " + link.compute.to_string() + " and " +
+                          link.membrick.to_string());
+    DREDBOX_INVARIANT(link.lanes.empty() == (link.medium == LinkMedium::kPacket),
+                      "link " + link.id.to_string() + " has lanes that disagree with its medium");
+    for (const Lane& lane : link.lanes) {
+      DREDBOX_INVARIANT(lane.circuit.valid() == (link.medium == LinkMedium::kOptical),
+                        "link " + link.id.to_string() + " mixes backplane and optical lanes");
+      if (lane.circuit.valid() && circuits_.find_ref(lane.circuit) == nullptr) continue;
+      DREDBOX_INVARIANT(rack_.brick(link.compute).port(lane.compute_port.value).connected &&
+                            rack_.brick(link.membrick).port(lane.membrick_port.value).connected,
+                        "link " + link.id.to_string() +
+                            " lane rides a disconnected transceiver port");
     }
   }
 }

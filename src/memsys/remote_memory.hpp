@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +40,8 @@ struct Attachment {
   /// Parallel lanes bonded into this pair's link (Section II: multiple
   /// links "can be used to provide more aggregate bandwidth").
   std::size_t lanes = 1;
-  /// Link parameters of the original provisioning, kept so repair() can
-  /// rebuild the exact pre-failure path (hop count and fibre run).
+  /// Link parameters of the pair's link (copied from it, like medium and
+  /// lanes), so repair() can rebuild the exact pre-failure path.
   std::size_t switch_hops = 1;
   double fiber_length_m = 10.0;
   sim::Time established_at;
@@ -92,7 +94,7 @@ class RemoteMemoryFabric {
   /// must be registered in the network; the fabric programs the lookup
   /// tables (the Section III control-path role) on first use.
   void set_packet_network(net::PacketNetwork* network) { packet_net_ = network; }
-  std::size_t packet_links() const { return packet_.size(); }
+  std::size_t packet_links() const { return count_links(LinkMedium::kPacket); }
 
   /// Wires rack-wide telemetry in: attach/detach counters, per-access
   /// round-trip histograms ("memsys.read.latency_ns" — the Fig. 8
@@ -121,10 +123,11 @@ class RemoteMemoryFabric {
 
   /// Re-points an attachment from one dCOMPUBRICK to another *without
   /// touching the data*: the dMEMBRICK segment stays where it is; only
-  /// the RMST entry moves and a circuit to the new brick is wired (or
-  /// reused). This is the disaggregation dividend for VM migration —
-  /// remote memory never gets copied. Returns nullopt (state unchanged)
-  /// when the new brick lacks ports/RMST slots or the switch lacks ports.
+  /// the RMST entry moves and a one-lane link to the new brick (same hops
+  /// and fibre) is wired, or the pair's link reused. This is the
+  /// disaggregation dividend for VM migration — remote memory never gets
+  /// copied. Returns nullopt (state unchanged) when the new brick lacks
+  /// ports/RMST slots or the switch lacks ports.
   std::optional<MigratedAttachment> migrate_attachment(hw::SegmentId segment,
                                                        hw::BrickId from, hw::BrickId to,
                                                        sim::Time now);
@@ -133,8 +136,8 @@ class RemoteMemoryFabric {
   /// Simulates a fault on an optical circuit (fibre cut, switch failure):
   /// the cross-connects drop and the endpoint transceivers lose link.
   /// Subsequent transactions over attachments riding it complete with
-  /// TransactionStatus::kCircuitDown. Returns false for unknown ids or
-  /// non-optical links.
+  /// TransactionStatus::kCircuitDown. Any lane of a bond fails the whole
+  /// link. Returns false for unknown ids or non-optical links.
   bool fail_circuit(hw::CircuitId circuit);
 
   /// Repairs a failed attachment by wiring a fresh circuit (reusing the
@@ -146,16 +149,17 @@ class RemoteMemoryFabric {
   /// Reacts to circuits the CircuitManager tore down behind the fabric's
   /// back (insertion-loss drift, switch-port failure): releases the brick
   /// transceiver ports of every torn circuit, tears sibling lanes of any
-  /// bond a torn circuit belonged to (a bonded link dies as a whole) and
-  /// drops stale occupancy records. Attachments stay installed — their
+  /// bond a torn circuit belonged to (a bonded link dies as a whole).
+  /// Attachments stay installed on the dead link — their
   /// transactions report kCircuitDown until repaired.
   void on_circuits_torn(const std::vector<optics::Circuit>& torn);
 
-  /// Moves one attachment's traffic to the packet substrate (Section III
-  /// fallback) without touching the data: the RMST window, segment and
-  /// backing bytes are preserved; only the link record changes. Used when
-  /// a circuit cannot be re-provisioned. Returns the updated attachment or
-  /// nullopt (state unchanged) when no packet path exists.
+  /// Moves one attachment's link — and so every attachment riding it — to
+  /// the packet substrate (Section III fallback) without touching the data:
+  /// RMST windows, segments and backing bytes are preserved; only the link
+  /// record changes. Used when a circuit cannot be re-provisioned. Returns
+  /// the updated attachment or nullopt (state unchanged) when no packet
+  /// path exists.
   std::optional<Attachment> failover_to_packet(hw::BrickId compute, hw::SegmentId segment,
                                                sim::Time now);
 
@@ -207,13 +211,15 @@ class RemoteMemoryFabric {
   const CircuitPathLatencies& latencies() const { return latencies_; }
 
   /// Number of live electrical intra-tray links (for introspection).
-  std::size_t electrical_links() const { return electrical_.size(); }
+  std::size_t electrical_links() const { return count_links(LinkMedium::kElectrical); }
 
   /// Deep consistency audit of the control-plane state: every attachment
   /// references live bricks of the right kinds, its segment is really
   /// carved on the dMEMBRICK for the attached dCOMPUBRICK, the matching
-  /// RMST entry is installed at the compute side, link records agree with
-  /// the medium, and no (compute, segment) pair is attached twice.
+  /// RMST entry is installed at the compute side, no (compute, segment)
+  /// pair is attached twice, every attachment copies its pair's link
+  /// record, every link has a rider and is its pair's only one, and its
+  /// live lanes hold connected transceiver ports.
   /// Optical circuits are allowed to be absent (fail_circuit() models
   /// fibre cuts; transactions then report kCircuitDown). Throws
   /// ContractViolation on the first broken invariant. Wired into every
@@ -222,30 +228,36 @@ class RemoteMemoryFabric {
   void check_invariants() const;
 
  private:
-  /// Intra-tray electrical cross-connect (fixed backplane wiring; no
-  /// optical switch ports involved). May bond several backplane lanes.
-  struct ElectricalLink {
-    hw::CircuitId id;
-    hw::BrickId a;
-    hw::BrickId b;
-    std::vector<hw::PortId> a_ports;
-    std::vector<hw::PortId> b_ports;
-    std::size_t lanes() const { return a_ports.size(); }
+  /// One bonded lane of a link: a transceiver port on each brick plus, for
+  /// optical links, the circuit through the rack switch (invalid for
+  /// backplane lanes).
+  struct Lane {
+    hw::PortId compute_port;
+    hw::PortId membrick_port;
+    hw::CircuitId circuit;
   };
 
-  /// Bond of parallel optical circuits between one pair (primary id is
-  /// what attachments reference; siblings are torn down with it).
-  struct OpticalBond {
-    hw::CircuitId primary;
-    std::vector<hw::CircuitId> all;  // includes primary
-  };
-
-  /// Packet-substrate fallback link (no dedicated circuit; lookup-table
-  /// entries multiplex many destinations over the PBN ports).
-  struct PacketLink {
+  /// The one link between a (dCOMPUBRICK, dMEMBRICK) pair, whatever carries
+  /// it: bonded backplane lanes (electrical), bonded circuits through the
+  /// rack switch (optical, id = primary circuit) or packet-substrate
+  /// lookup-table entries (packet, no dedicated lanes). It is the only
+  /// record of medium, lanes, hops, fibre and cable occupancy; attachments
+  /// copy those fields from it. A failed optical link keeps its record
+  /// (with dead lanes) for its riders until repair() or failover rewires it.
+  struct Link {
     hw::CircuitId id;
-    hw::BrickId a;
-    hw::BrickId b;
+    LinkMedium medium = LinkMedium::kOptical;
+    hw::BrickId compute;
+    hw::BrickId membrick;
+    std::vector<Lane> lanes;
+    std::size_t switch_hops = 1;
+    double fiber_length_m = 10.0;
+    sim::Time busy_until;
+    std::size_t lane_count() const { return std::max<std::size_t>(1, lanes.size()); }
+    /// The compute-side GTH port of the first lane (0 for packet links).
+    hw::PortId out_port() const {
+      return lanes.empty() ? hw::PortId{0} : lanes.front().compute_port;
+    }
   };
 
   hw::Rack& rack_;
@@ -253,11 +265,8 @@ class RemoteMemoryFabric {
   CircuitPathLatencies latencies_;
   net::PacketNetwork* packet_net_ = nullptr;
   std::vector<Attachment> attachments_;
-  std::vector<ElectricalLink> electrical_;
-  std::vector<OpticalBond> bonds_;
-  std::vector<PacketLink> packet_;
-  /// Per-circuit cable occupancy for serialization contention.
-  std::unordered_map<std::uint32_t, sim::Time> circuit_busy_until_;
+  /// Every link, keyed by id (ordered, so iteration is deterministic).
+  std::map<std::uint32_t, Link> link_table_;
   /// Per-(dMEMBRICK, controller) occupancy: a brick dimensioned with more
   /// memory controllers serves more concurrent transactions (Section II).
   std::unordered_map<std::uint64_t, sim::Time> controller_busy_until_;
@@ -287,10 +296,35 @@ class RemoteMemoryFabric {
   sim::metrics::Counter* relocations_metric_ = nullptr;
 
   std::optional<Attachment> attach_impl(const AttachRequest& request, sim::Time now);
-  /// Tears the link behind `removed` when no surviving attachment rides it
-  /// (all three media; optical bonds die whole). Shared by detach /
-  /// relocate / failover.
-  void release_circuit_if_unused(const Attachment& removed);
+  /// The pair's link, wired on demand: the existing link when there is
+  /// one, else `lanes` backplane lanes (same tray and `prefer_electrical`),
+  /// else `lanes` optical circuits (all or none), else — when
+  /// `allow_packet` and the packet substrate reaches both bricks — a
+  /// packet link. Records each shortfall in last_error_. Null => nothing
+  /// was wired.
+  Link* acquire_link(hw::BrickId compute, hw::BrickId membrick, std::size_t lanes,
+                     std::size_t hops, double fiber_m, bool prefer_electrical, bool allow_packet);
+  /// Wires up to `lanes` optical circuits between the pair, stopping at the
+  /// first shortfall (recorded in last_error_). Returns the lanes wired.
+  std::vector<Lane> wire_optical(hw::BrickId compute, hw::BrickId membrick, std::size_t lanes,
+                                 std::size_t hops, double fiber_m);
+  /// Programs packet lookup tables between `link`'s pair (Section III) and
+  /// makes it a packet link with a fresh id.
+  void program_packet(Link& link);
+  /// Frees both brick ports of every live lane of `link` and tears its
+  /// optical circuits. Returns whether any lane was live.
+  bool tear_lanes(const Link& link);
+  /// Tears every live lane of link `id` (brick ports, optical circuits) and
+  /// drops the record, occupancy included, once no attachment rides it.
+  /// Returns whether any lane was live.
+  bool release_link(hw::CircuitId id);
+  /// release_link() once the last attachment has left link `id`.
+  void release_if_unused(hw::CircuitId id);
+  /// Replaces link `old_id` by `fresh` (same pair): every rider and its RMST
+  /// entry moves over with its window untouched, then the old link goes.
+  void rewire(hw::CircuitId old_id, Link fresh, sim::Time now);
+  /// Copies the link-owned fields into `a` (it now rides `link`).
+  static void ride(Attachment& a, const Link& link);
   Transaction execute(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
@@ -298,8 +332,13 @@ class RemoteMemoryFabric {
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,
                                std::size_t lanes) const;
   const Attachment* find_attachment(hw::BrickId compute, std::uint64_t address) const;
-  const ElectricalLink* find_electrical(hw::CircuitId id) const;
-  const PacketLink* find_packet(hw::CircuitId id) const;
+  Link* find_link(hw::CircuitId id);
+  const Link* find_link(hw::CircuitId id) const;
+  /// The link that bonds `circuit` as one of its lanes, if any.
+  Link* link_with_lane(hw::CircuitId circuit);
+  bool has_rider(hw::CircuitId id) const;
+  bool packet_reachable(hw::BrickId compute, hw::BrickId membrick) const;
+  std::size_t count_links(LinkMedium medium) const;
   bool same_tray(hw::BrickId a, hw::BrickId b) const;
 };
 

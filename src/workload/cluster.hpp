@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "core/parallel_runner.hpp"
+#include "sim/partition.hpp"
 #include "sim/time.hpp"
 #include "workload/engine.hpp"
 
@@ -31,7 +31,10 @@ struct ClusterResult {
   std::uint64_t spine_fail_fast = 0;
 
   std::uint64_t digest = 0;
-  core::ParallelRunReport run;
+  /// The partitioned kernel's round accounting for the coupled window and
+  /// the host wall-clock it took (the scaling experiment's speedup inputs).
+  sim::PartitionRunStats kernel;
+  double wall_seconds = 0.0;
   std::size_t threads = 1;
   double duration_s = 0.0;
 

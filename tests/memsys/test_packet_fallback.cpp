@@ -134,5 +134,27 @@ TEST_F(PacketFallbackTest, MixedMediaCoexist) {
   EXPECT_TRUE(tx.ok());
 }
 
+TEST_F(PacketFallbackTest, FailoverMovesTheWholePairLink) {
+  // Two segments share the pair's optical circuit; failing one over moves
+  // the link, so both ride the packet substrate and the circuit is freed.
+  auto a1 = fabric_.attach(request(membrick_a_), Time::zero());
+  auto a2 = fabric_.attach(request(membrick_a_), Time::zero());
+  ASSERT_TRUE(a1 && a2);
+  ASSERT_EQ(switch_.free_ports(), 0u);
+
+  auto moved = fabric_.failover_to_packet(compute_, a1->segment, Time::ms(1));
+  ASSERT_TRUE(moved);
+  EXPECT_EQ(moved->medium, LinkMedium::kPacket);
+  for (const auto& a : fabric_.attachments_of(compute_)) {
+    EXPECT_EQ(a.medium, LinkMedium::kPacket);
+    EXPECT_EQ(a.circuit, moved->circuit);
+  }
+  EXPECT_EQ(fabric_.packet_links(), 1u);
+  EXPECT_EQ(switch_.free_ports(), 2u);
+  EXPECT_EQ(rack_.brick(compute_).free_port_count(true), 8u);
+  EXPECT_TRUE(fabric_.read(compute_, a2->compute_base, 64, Time::ms(2)).ok());
+  fabric_.check_invariants();
+}
+
 }  // namespace
 }  // namespace dredbox::memsys

@@ -325,6 +325,118 @@ TEST_F(RemoteMemoryTest, CrossTrayAttachmentsAreOptical) {
   EXPECT_EQ(fabric_.electrical_links(), 0u);
 }
 
+/// VM migration between two dCOMPUBRICKs on different trays, both
+/// cross-tray from the serving dMEMBRICK: the re-pointed attachment gets a
+/// fresh optical link and the source link must go away whole.
+class MigrationLinkTest : public ::testing::Test {
+ protected:
+  MigrationLinkTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+    const hw::TrayId tray_a = rack_.add_tray();
+    const hw::TrayId tray_m = rack_.add_tray();
+    const hw::TrayId tray_b = rack_.add_tray();
+    from_ = rack_.add_compute_brick(tray_a).id();
+    membrick_ = rack_.add_memory_brick(tray_m).id();
+    to_ = rack_.add_compute_brick(tray_b).id();
+  }
+
+  AttachRequest request() const {
+    AttachRequest req;
+    req.compute = from_;
+    req.membrick = membrick_;
+    return req;
+  }
+
+  hw::Rack rack_;
+  optics::OpticalSwitch switch_;
+  optics::CircuitManager circuits_;
+  RemoteMemoryFabric fabric_;
+  hw::BrickId from_;
+  hw::BrickId membrick_;
+  hw::BrickId to_;
+};
+
+TEST_F(MigrationLinkTest, MigrateTearsEveryBondedLane) {
+  auto req = request();
+  req.lanes = 4;
+  auto a = fabric_.attach(req, Time::zero());
+  ASSERT_TRUE(a);
+  ASSERT_EQ(switch_.ports_in_use(), 8u);
+
+  auto moved = fabric_.migrate_attachment(a->segment, from_, to_, Time::ms(1));
+  ASSERT_TRUE(moved);
+  EXPECT_TRUE(moved->new_circuit);
+  // Only the fresh one-lane circuit remains: the three sibling lanes of the
+  // source bond are gone with their brick and switch ports.
+  EXPECT_EQ(switch_.ports_in_use(), 2u);
+  EXPECT_EQ(circuits_.active_circuits(), 1u);
+  EXPECT_EQ(rack_.brick(membrick_).free_port_count(true), 7u);
+  EXPECT_EQ(rack_.brick(from_).free_port_count(true), 8u);
+  EXPECT_EQ(rack_.brick(to_).free_port_count(true), 7u);
+  fabric_.check_invariants();
+}
+
+TEST_F(MigrationLinkTest, MigratedAttachmentCarriesItsNewLinkLanes) {
+  auto req = request();
+  req.lanes = 4;
+  auto a = fabric_.attach(req, Time::zero());
+  ASSERT_TRUE(a);
+
+  auto moved = fabric_.migrate_attachment(a->segment, from_, to_, Time::ms(1));
+  ASSERT_TRUE(moved);
+  EXPECT_EQ(moved->attachment.lanes, 1u);
+  EXPECT_EQ(fabric_.attachments_of(to_).front().lanes, 1u);
+
+  // A single lane serializes the payload at one lane's rate: a 16 KiB read
+  // must not look four times faster than the wire it rides.
+  const auto tx = fabric_.read(to_, moved->attachment.compute_base, 16384, Time::ms(2));
+  ASSERT_TRUE(tx.ok());
+  const double lane_ns = (16384.0 + fabric_.latencies().framing_bytes) * 8.0 /
+                         fabric_.latencies().line_rate_gbps;
+  EXPECT_GE(tx.breakdown.of("serialization").as_ns(), lane_ns - 1.0);
+  fabric_.check_invariants();
+}
+
+TEST_F(MigrationLinkTest, MigrationKeepsHopsAndFibre) {
+  auto req = request();
+  req.switch_hops = 2;
+  req.fiber_length_m = 50.0;
+  auto a = fabric_.attach(req, Time::zero());
+  ASSERT_TRUE(a);
+
+  auto moved = fabric_.migrate_attachment(a->segment, from_, to_, Time::ms(1));
+  ASSERT_TRUE(moved);
+  const auto circuit = circuits_.find(moved->attachment.circuit);
+  ASSERT_TRUE(circuit);
+  EXPECT_EQ(circuit->hops, 2u);
+  EXPECT_DOUBLE_EQ(circuit->fiber_length_m, 50.0);
+  EXPECT_EQ(switch_.ports_in_use(), 4u);
+  EXPECT_EQ(moved->attachment.switch_hops, 2u);
+  EXPECT_DOUBLE_EQ(moved->attachment.fiber_length_m, 50.0);
+  fabric_.check_invariants();
+}
+
+TEST_F(MigrationLinkTest, MigratingPacketRiderReleasesPacketLink) {
+  net::PacketNetwork packet_net;
+  packet_net.add_brick(from_);
+  packet_net.add_brick(to_);
+  packet_net.add_brick(membrick_);
+  fabric_.set_packet_network(&packet_net);
+
+  auto req = request();
+  req.lanes = 9;  // more lanes than transceivers: falls back to packets
+  req.allow_packet_fallback = true;
+  auto a = fabric_.attach(req, Time::zero());
+  ASSERT_TRUE(a);
+  ASSERT_EQ(a->medium, LinkMedium::kPacket);
+  ASSERT_EQ(fabric_.packet_links(), 1u);
+
+  auto moved = fabric_.migrate_attachment(a->segment, from_, to_, Time::ms(1));
+  ASSERT_TRUE(moved);
+  EXPECT_EQ(moved->attachment.medium, LinkMedium::kOptical);
+  EXPECT_EQ(fabric_.packet_links(), 0u);  // its last rider left
+  fabric_.check_invariants();
+}
+
 /// Intra-tray pairs: both bricks in one tray ride the electrical circuit
 /// (Section II) — no optical switch ports are consumed and the round trip
 /// is shorter.
