@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -20,7 +21,9 @@
 #include "reference_event_queue.hpp"
 #include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/partition.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 #include "tco/conventional_dc.hpp"
 #include "tco/disaggregated_dc.hpp"
 #include "tco/workload.hpp"
@@ -492,6 +495,100 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (256 << 10));
 }
 BENCHMARK(BM_DmaSteadyStateAllocs);
+
+// A closed-loop read/write tenant window, stepped one op at a time: in
+// such a window every dispatched event is one op's issue (draw, fabric
+// walk, completion, re-issue). After the warm-up every pool has settled,
+// and each measured op must leave the heap untouched. The one store that
+// grows with the window by design is the result's latency SampleSet
+// (geometric doubling, O(log ops) allocations per window, none per op):
+// the warm-up ends just past its doubling to 8192 samples, and the
+// measured ops fit inside that capacity.
+void BM_WorkloadEngineWindowAllocs(benchmark::State& state) {
+  constexpr std::uint64_t kWarmOps = 4097;
+  core::DatacenterConfig config;
+  config.trays = 2;
+  config.compute_bricks_per_tray = 2;
+  config.memory_bricks_per_tray = 2;
+  core::Datacenter dc{config};
+  workload::WorkloadConfig wc;
+  workload::TenantSpec closed;
+  closed.name = "bench-closed";
+  closed.vms = 2;
+  closed.outstanding = 2;
+  closed.rate_hz = 1e6;  // 1 us mean think time
+  closed.mix = {0.6, 0.4, 0.0};
+  wc.tenants = {closed};
+  wc.duration = sim::Time::ms(50);  // far longer than warm-up plus measured ops
+  wc.power_samples = 0;
+  workload::WorkloadEngine engine{dc, wc};
+  engine.prepare();
+  dc.advance_to(engine.boot_ready());
+  engine.begin_window(dc.simulator().now());
+  sim::EventQueue& queue = dc.simulator().queue();
+  std::uint64_t warm = 0;
+  while (warm < kWarmOps && queue.dispatch_one()) ++warm;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = heap_allocs();
+    benchmark::DoNotOptimize(queue.dispatch_one());
+    allocs += heap_allocs() - before;
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+// Fixed op count: warm-up plus measured ops stay inside the sample
+// store's 8192-sample capacity.
+BENCHMARK(BM_WorkloadEngineWindowAllocs)->Iterations(4000);
+
+// Barrier rounds of the partitioned kernel on a warmed 4-shard token
+// ring (each receipt forwards the token to the next shard): one run()
+// per iteration, allocations counted per round. Inbox capacity, the
+// per-run tables and the Phase-B body are all reused, so a warmed
+// kernel's rounds never touch the heap.
+void BM_PartitionRoundAllocs(benchmark::State& state) {
+  constexpr std::size_t kShards = 4;
+  constexpr sim::Time kLookahead = sim::Time::ns(100);
+  struct Ring {
+    sim::PartitionedKernel kernel;
+    std::vector<std::unique_ptr<sim::Simulator>> sims;
+    std::vector<std::size_t> next_link;
+    void on_token(std::size_t shard) {
+      sim::Simulator& sim = *sims[shard];
+      const std::size_t to = (shard + 1) % kShards;
+      kernel.send(next_link[shard], sim.now() + kLookahead, [this, to] { on_token(to); },
+                  "token");
+    }
+  } ring;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    ring.sims.push_back(std::make_unique<sim::Simulator>(i + 1));
+    ring.kernel.add_shard(*ring.sims.back());
+  }
+  for (std::size_t i = 0; i < kShards; ++i) {
+    for (std::size_t j = 0; j < kShards; ++j) {
+      if (i == j) continue;
+      const std::size_t link = ring.kernel.connect(i, j, kLookahead);
+      if (j == (i + 1) % kShards) ring.next_link.push_back(link);
+    }
+  }
+  ring.sims[0]->at(kLookahead, [&ring] { ring.on_token(0); }, "token");
+  std::vector<sim::Time> horizons(kShards, sim::Time::us(20));
+  ring.kernel.run(horizons);  // warm-up: inbox and table capacity settle
+  std::uint64_t allocs = 0;
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    for (auto& horizon : horizons) horizon = horizon + sim::Time::us(20);
+    const std::uint64_t before = heap_allocs();
+    const sim::PartitionRunStats stats = ring.kernel.run(horizons);
+    allocs += heap_allocs() - before;
+    rounds += stats.rounds;
+  }
+  state.counters["allocs_per_round"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(std::max<std::uint64_t>(rounds, 1)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
+}
+BENCHMARK(BM_PartitionRoundAllocs);
 
 // End-to-end load-session throughput: a full WorkloadEngine run (mixed
 // closed + open tenants, sync ops and DMA) per iteration, items = ops the

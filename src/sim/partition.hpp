@@ -13,55 +13,7 @@
 
 namespace dredbox::sim {
 
-/// One timestamped event crossing a partition boundary: deliver `action`
-/// into the destination shard's queue at `when`. `seq` is the per-link
-/// send order, the tie-break that keeps FIFO-within-timestamp intact when
-/// two messages of one link land on the same tick.
-struct ChannelMessage {
-  Time when;
-  /// Originating link id: the second tie-break key, so two links landing
-  /// messages on one tick merge in a fixed order.
-  std::uint32_t link = 0;
-  std::uint64_t seq = 0;
-  InplaceAction action;
-  const char* label = nullptr;
-};
-
-/// One direction of an inter-partition link: the sending shard pushes
-/// during its parallel phase, the coordinator drains between rounds. A
-/// single shard writes and a single (barrier-separated) thread reads, so
-/// the mutex is formally redundant — but it makes the channel provable
-/// under clang -Wthread-safety and visible to TSan, instead of resting on
-/// an invariant one refactor away from false.
-class CrossChannel {
- public:
-  explicit CrossChannel(std::uint32_t id) : id_{id} {}
-
-  std::uint32_t id() const { return id_; }
-
-  void push(Time when, InplaceAction action, const char* label) DREDBOX_EXCLUDES(mu_) {
-    MutexLock lock{mu_};
-    queue_.push_back(ChannelMessage{when, id_, next_seq_++, std::move(action), label});
-  }
-
-  /// Moves every queued message (in send order) onto the back of `into`.
-  void drain(std::vector<ChannelMessage>& into) DREDBOX_EXCLUDES(mu_) {
-    MutexLock lock{mu_};
-    for (auto& message : queue_) into.push_back(std::move(message));
-    queue_.clear();
-  }
-
-  std::uint64_t sent() const DREDBOX_EXCLUDES(mu_) {
-    MutexLock lock{mu_};
-    return next_seq_;
-  }
-
- private:
-  mutable Mutex mu_;
-  std::vector<ChannelMessage> queue_ DREDBOX_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ DREDBOX_GUARDED_BY(mu_) = 0;
-  const std::uint32_t id_;
-};
+class WorkerPool;
 
 /// What one PartitionedKernel::run call did.
 struct PartitionRunStats {
@@ -71,21 +23,25 @@ struct PartitionRunStats {
   std::size_t dispatched = 0;
   /// Cross-partition messages delivered into shard queues.
   std::uint64_t messages = 0;
+  /// Phase-B shard entries: one per (round, shard) pair whose shard had
+  /// an event at or below its cap. Shards with nothing runnable in a
+  /// round are not entered, so this over `rounds` is the mean fan-out.
+  std::size_t shard_runs = 0;
   std::size_t threads = 1;
 };
 
 /// Conservative-lookahead parallel event kernel (the CMB scheme in its
 /// barrier-round form). Each shard is a full Simulator — its own
 /// EventQueue, clock and RNG — and shards exchange events only through
-/// per-link timestamped channels whose delivery lag is bounded below by
-/// the link's lookahead (physically: the inter-rack propagation delay).
+/// timestamped links whose delivery lag is bounded below by the link's
+/// lookahead (physically: the inter-rack propagation delay).
 ///
 /// run() alternates two phases. Phase A, on the coordinator thread:
-/// drain every channel, merge each shard's incoming messages in
+/// take each destination shard's inbox, merge its messages in
 /// (time, link, seq) order — a total order that is a pure function of
-/// send history, never of thread interleaving — and schedule them;
-/// then read each shard's next-event time h_i. Phase B, fanned across
-/// the pool: each shard i processes events strictly below
+/// send history, never of thread interleaving — and schedule them; then
+/// read each shard's next-event time h_i. Phase B, fanned across the
+/// pool: each shard i processes events strictly below
 ///
 ///     safe_i = min over incoming links (j -> i) of
 ///                  reach_j + lookahead(j->i)
@@ -100,6 +56,18 @@ struct PartitionRunStats {
 /// call), and a shard whose reach exceeds its own horizon executes
 /// nothing at all this call, so it bounds nothing.
 ///
+/// Cost of a round: O(shards + messages + events dispatched) when the
+/// lookaheads are even. Phase A sorts only the inboxes that received
+/// mail and re-reads only the queue heads that can have moved (shards
+/// that ran or received mail). Each reach and cap starts from the term of the earliest source;
+/// every other source is no earlier than the second-earliest and at least
+/// the target's smallest lookahead away, so when that bound cannot beat
+/// the first term the minimum is exact. Only uneven lookaheads fall back
+/// to scanning every term. Caps are needed only for seeds (h_i within
+/// the horizon), and Phase B enters only shards with h_i <= cap_i. A
+/// shard left out would have dispatched nothing and merely moved its
+/// clock, which nothing reads before the final alignment to the horizon.
+///
 /// Determinism: the rounds — and therefore the exact points where
 /// messages enter each queue, the per-queue sequence numbers they draw,
 /// and every tie-break — are a function of (shard states, horizons)
@@ -108,29 +76,33 @@ struct PartitionRunStats {
 /// construction, which the digest tests then verify end to end.
 class PartitionedKernel {
  public:
-  PartitionedKernel() = default;
+  PartitionedKernel();
+  ~PartitionedKernel();
   PartitionedKernel(const PartitionedKernel&) = delete;
   PartitionedKernel& operator=(const PartitionedKernel&) = delete;
 
   /// Registers a shard; returns its index. The Simulator must outlive the
   /// kernel. All shards must be added before the first run().
-  std::size_t add_shard(Simulator& sim);
+  std::size_t add_shard(Simulator& sim) DREDBOX_EXCLUDES(mail_mu_);
 
   /// Connects `from` -> `to` with a strictly positive lookahead (the
   /// link's minimum delivery lag). Returns the link id used by send().
-  std::size_t connect(std::size_t from, std::size_t to, Time lookahead);
+  std::size_t connect(std::size_t from, std::size_t to, Time lookahead)
+      DREDBOX_EXCLUDES(mail_mu_);
 
   /// Sender-side: deliver `action` into the link's destination shard at
   /// `when`. Must be called from the sending shard's execution context
-  /// (one of its events, or wiring code before run()) with
+  /// (one of its events, or wiring code outside run()) with
   /// `when >= sender.now() + lookahead` — the contract the conservative
   /// horizon computation rests on, checked on every send.
-  void send(std::size_t link, Time when, InplaceAction action, const char* label = nullptr);
+  void send(std::size_t link, Time when, InplaceAction action, const char* label = nullptr)
+      DREDBOX_EXCLUDES(mail_mu_);
 
   /// Ran on the executing thread right before a shard's parallel phase
-  /// each round (the shard index is the argument). Hook for thread-
-  /// affinity bookkeeping — the cluster uses it to re-bind each rack's
-  /// thread-confined telemetry to the worker that drives it this round.
+  /// in every round that enters it (the shard index is the argument; a
+  /// shard with nothing runnable that round is not entered). Hook for
+  /// thread-affinity bookkeeping — the cluster uses it to re-bind each
+  /// rack's thread-confined telemetry to the worker that drives it.
   void set_shard_prologue(std::function<void(std::size_t)> prologue) {
     prologue_ = std::move(prologue);
   }
@@ -148,32 +120,72 @@ class PartitionedKernel {
   /// silent, so a later call must not extend one shard's horizon past
   /// traffic a neighbor already advanced beyond. The cluster runner
   /// always passes one uniform horizon, which is trivially safe.
-  PartitionRunStats run(const std::vector<Time>& horizons, std::size_t threads = 1);
+  PartitionRunStats run(const std::vector<Time>& horizons, std::size_t threads = 1)
+      DREDBOX_EXCLUDES(mail_mu_);
 
  private:
   struct Link {
     std::size_t from;
     std::size_t to;
     Time lookahead;
-    std::unique_ptr<CrossChannel> channel;
   };
-  struct Shard {
-    Simulator* sim;
-    /// Incoming / outgoing link ids, in connect order.
-    std::vector<std::size_t> in;
-    std::vector<std::size_t> out;
+  /// One timestamped event crossing a partition boundary: deliver
+  /// `action` into the destination shard's queue at `when`. `seq` is the
+  /// per-link send order, the tie-break that keeps FIFO-within-timestamp
+  /// intact when two messages of one link land on the same tick; `link`
+  /// is the second key, so two links landing on one tick merge in a
+  /// fixed order.
+  struct Message {
+    Time when;
+    std::uint32_t link = 0;
+    std::uint64_t seq = 0;
+    InplaceAction action;
+    const char* label = nullptr;
   };
 
-  /// Drains shard i's incoming channels and schedules the messages in
-  /// (when, link, seq) order. Returns messages delivered.
-  std::uint64_t deliver_incoming(std::size_t shard);
+  /// Phase A delivery: merges and schedules every non-empty inbox.
+  /// Returns messages delivered.
+  std::uint64_t deliver_mail() DREDBOX_EXCLUDES(mail_mu_);
+  /// Rebuilds the per-run tables (link lookaheads, all-pairs distances).
+  void prepare_run();
 
-  std::vector<Shard> shards_;
+  std::vector<Simulator*> shards_;
   std::vector<Link> links_;
   std::function<void(std::size_t)> prologue_;
-  /// Phase A scratch, reused across rounds so steady state stays
-  /// allocation-free once high-water marks are reached.
-  std::vector<ChannelMessage> scratch_;
+
+  /// The mail: senders run concurrently in Phase B and only the
+  /// coordinator reads in Phase A, so one lock taken once per send and
+  /// once per round covers it, provably under clang -Wthread-safety.
+  Mutex mail_mu_;
+  /// One inbox per destination shard, in send order.
+  std::vector<std::vector<Message>> inbox_ DREDBOX_GUARDED_BY(mail_mu_);
+  /// Destinations whose inbox went non-empty since the last delivery.
+  std::vector<std::size_t> mailed_ DREDBOX_GUARDED_BY(mail_mu_);
+  /// Messages sent per link so far: the next send's seq.
+  std::vector<std::uint64_t> link_sent_ DREDBOX_GUARDED_BY(mail_mu_);
+
+  // The pool, per-run tables and per-round scratch are kept across calls
+  // (the pool is rebuilt only when the thread count changes), so a warmed
+  // kernel runs its rounds without touching the heap.
+  std::unique_ptr<WorkerPool> pool_;
+  /// n x n, row = source: the smallest link lookahead j -> i, and the
+  /// min-plus path distance j -> i (zero on the diagonal).
+  std::vector<Time> hop_;
+  std::vector<Time> dist_;
+  /// Per shard: its smallest in-link lookahead, and the smallest distance
+  /// from any other shard — the lower bounds that settle a round's
+  /// minimums without scanning every term.
+  std::vector<Time> in_min_;
+  std::vector<Time> near_;
+  /// Per shard: nonzero when its queue head may have moved since next_
+  /// was read (it ran, or mail landed).
+  std::vector<char> stale_;
+  std::vector<Time> next_;
+  std::vector<Time> reach_;
+  std::vector<Time> caps_;
+  /// Shards whose queue head is within their horizon.
+  std::vector<std::size_t> seeds_;
+  std::vector<std::size_t> runnable_;
 };
 
 }  // namespace dredbox::sim

@@ -33,7 +33,7 @@ bool Rng::chance(double probability) {
   return uniform(0.0, 1.0) < probability;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+std::size_t Rng::weighted_index(std::span<const double> weights) {
   if (weights.empty()) throw std::invalid_argument("Rng::weighted_index: empty weights");
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total <= 0) throw std::invalid_argument("Rng::weighted_index: non-positive total weight");

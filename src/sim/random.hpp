@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace dredbox::sim {
@@ -29,7 +31,11 @@ class Rng {
   bool chance(double probability);
 
   /// Picks an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
+  /// Takes a view, so a per-op draw over a fixed mix allocates nothing.
+  std::size_t weighted_index(std::span<const double> weights);
+  std::size_t weighted_index(std::initializer_list<double> weights) {
+    return weighted_index(std::span<const double>{weights.begin(), weights.size()});
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>

@@ -12,10 +12,11 @@ namespace dredbox::workload {
 
 std::string ClusterResult::summary() const {
   std::string out = sim::strformat(
-      "cluster: %zu racks, %zu threads, %zu rounds, %llu cross-partition messages\n"
+      "cluster: %zu racks, %zu threads, %zu rounds (%zu shard runs), %llu cross-partition "
+      "messages\n"
       "offered %llu, completed %llu (%.0f req/s), failed %llu, cross-rack %llu "
       "(spine tx %llu, fail-fast %llu)\n",
-      racks.size(), threads, kernel.rounds,
+      racks.size(), threads, kernel.rounds, kernel.shard_runs,
       static_cast<unsigned long long>(kernel.messages),
       static_cast<unsigned long long>(offered), static_cast<unsigned long long>(completed),
       throughput_hz(), static_cast<unsigned long long>(failed),

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/contract.hpp"
 #include "sim/digest.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -209,6 +211,210 @@ TEST(PartitionedKernelTest, StatsCountRoundsAndMessages) {
   EXPECT_EQ(stats.threads, 2u);
   EXPECT_EQ(game.kernel.links(), 2u);
   EXPECT_EQ(game.kernel.shards(), 2u);
+}
+
+/// Seeded random traffic over an arbitrary link graph: tokens wander
+/// until the horizon. Every event draws from its own shard's Rng and
+/// forwards its token either locally or over a random out-link; while the
+/// shard's budget lasts, one event in ten also forks a second token. Each
+/// shard folds its (time, label) dispatch sequence into its own digest (a
+/// shard's events run on one thread per round, so no locks), and the
+/// shard digests fold, in shard order, into the schedule fingerprint.
+struct RandomTraffic {
+  RandomTraffic(std::size_t n, std::size_t budget) : budget_(n, budget), logs_(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sims.push_back(std::make_unique<Simulator>(1000 + i));
+      kernel.add_shard(*sims.back());
+    }
+    out_.resize(n);
+  }
+
+  void connect(std::size_t from, std::size_t to, Time lookahead) {
+    const std::size_t link = kernel.connect(from, to, lookahead);
+    out_[from].push_back(link);
+    to_.push_back(to);
+  }
+
+  void seed_tokens(std::size_t per_shard) {
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+      for (std::size_t e = 0; e < per_shard; ++e) {
+        const Time when = Time::ps(sims[i]->rng().uniform_int(1, 20000));
+        sims[i]->at(when, [this, i] { on_event(i, "seed"); }, "seed");
+      }
+    }
+  }
+
+  void on_event(std::size_t shard, const char* label) {
+    Simulator& sim = *sims[shard];
+    logs_[shard].update(label).update(static_cast<std::uint64_t>(sim.now().ticks()));
+    Rng& rng = sim.rng();
+    int tokens = 1;
+    if (budget_[shard] > 0 && rng.chance(0.1)) {
+      --budget_[shard];
+      tokens = 2;
+    }
+    for (int k = 0; k < tokens; ++k) {
+      const auto& out = out_[shard];
+      if (!out.empty() && rng.chance(0.5)) {
+        const std::size_t link = out[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1))];
+        const std::size_t dest = to_[link];
+        const Time when = sim.now() + kernel.lookahead(link) + Time::ps(rng.uniform_int(0, 3000));
+        kernel.send(link, when, [this, dest] { on_event(dest, "msg"); }, "msg");
+      } else {
+        sim.after(Time::ps(rng.uniform_int(1, 4000)), [this, shard] { on_event(shard, "local"); },
+                  "local");
+      }
+    }
+  }
+
+  std::uint64_t fingerprint() const {
+    Digest d;
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      d.update(static_cast<std::uint64_t>(i)).update(logs_[i].value());
+    }
+    return d.value();
+  }
+
+  PartitionedKernel kernel;
+  std::vector<std::unique_ptr<Simulator>> sims;
+
+ private:
+  std::vector<std::size_t> budget_;
+  std::vector<Digest> logs_;
+  std::vector<std::vector<std::size_t>> out_;
+  std::vector<std::size_t> to_;
+};
+
+/// Links every ordered pair of `mesh`'s shards, lookaheads 1..5 ns by pair.
+void wire_full_mesh(RandomTraffic& mesh, std::size_t n) {
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t to = 0; to < n; ++to) {
+      const auto spread = static_cast<std::int64_t>((from * 7 + to * 3) % 5);
+      if (from != to) mesh.connect(from, to, Time::ns(1 + spread));
+    }
+  }
+}
+
+// The schedule of a 16-shard full mesh under seeded random traffic,
+// pinned to the values the per-link-channel kernel produced: the dispatch
+// order and the exact round count are a function of the caps and the
+// delivery points, so any drift in either shows up here.
+TEST(PartitionedKernelTest, FullMeshScheduleIsPinned) {
+  for (std::size_t threads : {1u, 4u}) {
+    RandomTraffic mesh{16, 8};
+    wire_full_mesh(mesh, 16);
+    mesh.seed_tokens(1);
+    const PartitionRunStats stats = mesh.kernel.run(std::vector<Time>(16, Time::us(1)), threads);
+    EXPECT_EQ(mesh.fingerprint(), 10556665264365925153ull) << "threads=" << threads;
+    EXPECT_EQ(stats.rounds, 884u) << "threads=" << threads;
+    EXPECT_EQ(stats.messages, 20635u) << "threads=" << threads;
+    EXPECT_EQ(stats.dispatched, 41168u) << "threads=" << threads;
+    EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
+  }
+}
+
+// Non-uniform horizons over a sparse graph with one-way links exercise
+// the horizon clipping of reach and caps and the infinite distances of
+// unreachable pairs; the round count pins the caps to the values the
+// per-link-channel kernel computed.
+TEST(PartitionedKernelTest, NonUniformHorizonScheduleIsPinned) {
+  for (std::size_t threads : {1u, 3u}) {
+    RandomTraffic ring{6, 8};
+    for (std::size_t i = 0; i < 6; ++i) ring.connect(i, (i + 1) % 6, Time::ns(2));
+    ring.connect(0, 3, Time::ns(1));
+    ring.connect(4, 1, Time::ns(3));
+    ring.seed_tokens(2);
+    const std::vector<Time> horizons{Time::ns(300), Time::ns(900), Time::ns(150),
+                                     Time::ns(600), Time::ns(1200), Time::ns(450)};
+    const PartitionRunStats stats = ring.kernel.run(horizons, threads);
+    EXPECT_EQ(ring.fingerprint(), 969121224818465401ull) << "threads=" << threads;
+    EXPECT_EQ(stats.rounds, 87u) << "threads=" << threads;
+    EXPECT_EQ(stats.messages, 1326u) << "threads=" << threads;
+    EXPECT_EQ(stats.dispatched, 2615u) << "threads=" << threads;
+    for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(ring.sims[i]->now(), horizons[i]);
+  }
+}
+
+// Random sparse graphs — uneven and one-way lookaheads, unreachable
+// pairs, per-shard horizons — cover the bound computations' corner cases
+// far more densely than the cluster topologies do. Rounds, messages,
+// dispatches and the dispatch order of every case fold into one digest,
+// pinned to the value the per-link-channel kernel produced.
+TEST(PartitionedKernelTest, RandomGraphSchedulesArePinned) {
+  Digest all;
+  std::uint64_t total_rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng graph{seed};
+    const auto n = static_cast<std::size_t>(graph.uniform_int(2, 9));
+    RandomTraffic traffic{n, 6};
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        if (from != to && graph.chance(0.4)) {
+          traffic.connect(from, to, Time::ps(graph.uniform_int(500, 8000)));
+        }
+      }
+    }
+    traffic.seed_tokens(2);
+    std::vector<Time> horizons;
+    for (std::size_t i = 0; i < n; ++i) horizons.push_back(Time::ns(graph.uniform_int(100, 600)));
+    const PartitionRunStats stats = traffic.kernel.run(horizons, 1 + seed % 3);
+    all.update(traffic.fingerprint())
+        .update(static_cast<std::uint64_t>(stats.rounds))
+        .update(stats.messages)
+        .update(static_cast<std::uint64_t>(stats.dispatched));
+    total_rounds += stats.rounds;
+  }
+  EXPECT_EQ(total_rounds, 830u);
+  EXPECT_EQ(all.value(), 15107709276404678721ull);
+}
+
+// Mail sent from wiring code — before the first run() and between two
+// runs — waits in the destination's inbox and lands at its timestamp.
+TEST(PartitionedKernelTest, SendsOutsideRunAreDelivered) {
+  Simulator a{1}, b{2};
+  PartitionedKernel kernel;
+  kernel.add_shard(a);
+  kernel.add_shard(b);
+  const std::size_t link = kernel.connect(0, 1, Time::ns(10));
+  std::vector<Time> received;
+  kernel.send(link, Time::ns(40), [&] { received.push_back(b.now()); }, "before-run");
+  const PartitionRunStats first = kernel.run({Time::us(1), Time::us(1)}, 2);
+  EXPECT_EQ(first.messages, 1u);
+  EXPECT_EQ(received, (std::vector<Time>{Time::ns(40)}));
+
+  kernel.send(link, Time::us(1) + Time::ns(25), [&] { received.push_back(b.now()); }, "between");
+  const PartitionRunStats second = kernel.run({Time::us(2), Time::us(2)}, 2);
+  EXPECT_EQ(second.messages, 1u);
+  EXPECT_EQ(received, (std::vector<Time>{Time::ns(40), Time::us(1) + Time::ns(25)}));
+}
+
+// A shard with nothing at or below its cap is not entered — neither its
+// prologue nor its run_until — yet still ends parked at its horizon.
+TEST(PartitionedKernelTest, IdleShardsAreNotEntered) {
+  for (std::size_t threads : {1u, 3u}) {
+    Simulator a{1}, b{2}, c{3};
+    PartitionedKernel kernel;
+    kernel.add_shard(a);
+    kernel.add_shard(b);
+    kernel.add_shard(c);
+    kernel.connect(0, 1, Time::ns(5));
+    std::vector<int> entered(3, 0);  // one slot per shard: no two threads share one
+    kernel.set_shard_prologue([&](std::size_t shard) { ++entered[shard]; });
+    a.at(Time::ns(10), [] {}, "early");
+    // Round 1 caps b at 14 ns (a's head + lookahead - 1 tick): b's head
+    // at 1 us is past it, so only a runs. Round 2 runs b alone. c never
+    // has work.
+    b.at(Time::us(1), [] {}, "late");
+    const PartitionRunStats stats = kernel.run({Time::us(2), Time::us(2), Time::us(2)}, threads);
+    EXPECT_EQ(stats.rounds, 2u) << "threads=" << threads;
+    EXPECT_EQ(stats.shard_runs, 2u) << "threads=" << threads;
+    EXPECT_EQ(stats.dispatched, 2u) << "threads=" << threads;
+    EXPECT_EQ(entered, (std::vector<int>{1, 1, 0})) << "threads=" << threads;
+    EXPECT_EQ(a.now(), Time::us(2));
+    EXPECT_EQ(b.now(), Time::us(2));
+    EXPECT_EQ(c.now(), Time::us(2));
+  }
 }
 
 }  // namespace
