@@ -496,6 +496,86 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_DmaSteadyStateAllocs);
 
+// Far-future timers (window ends, power sweeps) pending while 256 near
+// events churn in a hold model: each iteration dispatches the earliest
+// event and schedules a replacement 100 ns - 2 us ahead, so the window
+// re-spans over and over with the far timers on the overflow rung. A day
+// sized to reach the far timers would hold the whole churn in one sorted
+// array; sized from the near events it holds a few. Must stay at 0
+// allocs/op once the queue's vectors and arena reach their working size.
+void BM_EventQueueFarTimer(benchmark::State& state) {
+  const auto far_timers = static_cast<int>(state.range(0));
+  constexpr int kChurn = 256;
+  sim::EventQueue q;
+  std::uint64_t rng = 0x5eed;
+  const auto hop = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return sim::Time::ns(100 + static_cast<double>((rng >> 33) % 1900));
+  };
+  for (int i = 0; i < far_timers; ++i) {
+    q.schedule(sim::Time::sec(1000) + sim::Time::us(i), [] {});
+  }
+  for (int i = 0; i < kChurn; ++i) q.schedule(hop(), [] {});
+  const auto churn = [&] {
+    benchmark::DoNotOptimize(q.dispatch_one());
+    q.schedule(q.now() + hop(), [] {});
+  };
+  for (int i = 0; i < 1 << 16; ++i) churn();  // warm-up: several re-spans
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = heap_allocs();
+    churn();
+    allocs += heap_allocs() - before;
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.counters["in_drain"] = static_cast<double>(q.calendar_stats().in_drain);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueFarTimer)->Arg(1)->Arg(64)->Arg(1024);
+
+// One 4 KiB write through the fabric on a warm cross-tray attachment: the
+// walk a DMA chunk makes (TGL match, segment check, link, controller,
+// breakdown). Issue times advance 1 us per write, so the link and the
+// controller are idle and the cost is the walk alone. 0 allocs/op.
+void BM_RemoteWriteChunk(benchmark::State& state) {
+  hw::Rack rack;
+  const hw::TrayId tray_a = rack.add_tray();
+  const hw::TrayId tray_b = rack.add_tray();
+  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
+  hw::MemoryBrickConfig mc;
+  mc.capacity_bytes = 8ull << 30;
+  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
+  optics::OpticalSwitch sw;
+  optics::CircuitManager circuits{sw};
+  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  memsys::AttachRequest req;
+  req.compute = cpu;
+  req.membrick = mem;
+  req.bytes = 1ull << 30;
+  const auto attachment = fabric.attach(req, sim::Time::zero());
+  std::uint64_t offset = 0;
+  sim::Time t = sim::Time::zero();
+  const auto write = [&] {
+    const memsys::Transaction tx =
+        fabric.write(cpu, attachment->compute_base + (offset & 0xFFFF000), 4096, t);
+    offset += 4096;
+    t += sim::Time::us(1);
+    return tx.ok();
+  };
+  for (int i = 0; i < 256; ++i) benchmark::DoNotOptimize(write());  // warm-up
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = heap_allocs();
+    benchmark::DoNotOptimize(write());
+    allocs += heap_allocs() - before;
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_RemoteWriteChunk);
+
 // A closed-loop read/write tenant window, stepped one op at a time: in
 // such a window every dispatched event is one op's issue (draw, fabric
 // walk, completion, re-issue). After the warm-up every pool has settled,

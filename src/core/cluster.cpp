@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "net/interrack_link.hpp"
+#include "sim/arena.hpp"
 #include "sim/contract.hpp"
 #include "sim/digest.hpp"
 #include "sim/format.hpp"
@@ -93,15 +94,15 @@ class Cluster::RackPort final : public CrossRackPort {
           "spine.fail_fast");
       return;
     }
-    const std::uint32_t slot = alloc_pending(Pending{token, address, closed_loop, write, now});
+    const PendingHandle handle = alloc_pending(Pending{token, address, closed_loop, write, now});
     p.link.on_send(request_bytes(bytes, write));
     Cluster* cluster = &cluster_;
     const std::uint32_t target = p.rack;
     const std::uint32_t src = rack_;
     cluster_.kernel_.send(
         p.tx_link, now + p.link.one_way(request_bytes(bytes, write)),
-        [cluster, target, src, slot, address, bytes, write] {
-          cluster->serve(target, src, slot, address, bytes, write);
+        [cluster, target, src, handle, address, bytes, write] {
+          cluster->serve(target, src, handle, address, bytes, write);
         },
         "spine.request");
   }
@@ -119,8 +120,9 @@ class Cluster::RackPort final : public CrossRackPort {
     net::InterRackLink link;     // sender-owned outbound direction
   };
 
-  /// In-flight request bookkeeping, slot-addressed so the reply message
-  /// carries a 4-byte handle instead of the whole record.
+  /// In-flight request bookkeeping, pooled so the request and reply
+  /// messages carry an 8-byte (slot, generation) handle instead of the
+  /// whole record.
   struct Pending {
     std::uint32_t token = 0;
     std::uint64_t address = 0;
@@ -129,25 +131,25 @@ class Cluster::RackPort final : public CrossRackPort {
     sim::Time issued_at;
   };
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  std::uint32_t alloc_pending(Pending p) {
-    if (free_head_ != kNoSlot) {
-      const std::uint32_t slot = free_head_;
-      free_head_ = free_list_[slot];
-      pending_[slot] = p;
-      return slot;
-    }
-    pending_.push_back(p);
-    free_list_.push_back(kNoSlot);
-    return static_cast<std::uint32_t>(pending_.size() - 1);
+  PendingHandle alloc_pending(const Pending& p) {
+    const std::uint32_t slot = pending_.create(p).second;
+    return PendingHandle{slot, pending_.generation(slot)};
   }
 
-  Pending take_pending(std::uint32_t slot) {
-    const Pending p = pending_.at(slot);
-    free_list_[slot] = free_head_;
-    free_head_ = slot;
-    return p;
+  /// Retires the request `handle` names. Retiring bumps the slot's
+  /// generation, so a duplicated or late reply for a slot that has since
+  /// been retired (and perhaps reissued) is refused instead of completing
+  /// the slot's next tenant or freeing the slot twice.
+  Pending take_pending(PendingHandle handle) {
+    const Pending* p = pending_.get(handle.slot);
+    DREDBOX_INVARIANT(p != nullptr && pending_.generation(handle.slot) == handle.generation,
+                      "Cluster: stale cross-rack reply for pending slot " +
+                          std::to_string(handle.slot) + " generation " +
+                          std::to_string(handle.generation) + " — the request was already "
+                          "completed");
+    const Pending out = *p;
+    pending_.destroy(handle.slot);
+    return out;
   }
 
   /// Peer slot index for a given rack (the rack indices skip our own).
@@ -158,9 +160,7 @@ class Cluster::RackPort final : public CrossRackPort {
   Cluster& cluster_;
   const std::uint32_t rack_;
   std::vector<Peer> peers_;
-  std::vector<Pending> pending_;
-  std::vector<std::uint32_t> free_list_;
-  std::uint32_t free_head_ = kNoSlot;
+  sim::IndexedArena<Pending> pending_;
   /// Target-side state (written only from this rack's serve events).
   std::uint64_t rx_ = 0;
   sim::Digest served_;
@@ -291,7 +291,7 @@ void Cluster::arm_spine_faults(sim::Time base) {
   }
 }
 
-void Cluster::serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot,
+void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handle,
                     std::uint64_t address, std::uint32_t bytes, bool write) {
   RackPort& port = *ports_[target];
   ++port.rx_;
@@ -314,12 +314,12 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot,
   Cluster* cluster = this;
   kernel_.send(
       back.tx_link, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
-      [cluster, src, slot, ok] { cluster->complete(src, slot, ok); }, "spine.reply");
+      [cluster, src, handle, ok] { cluster->complete(src, handle, ok); }, "spine.reply");
 }
 
-void Cluster::complete(std::uint32_t src, std::uint32_t slot, bool ok) {
+void Cluster::complete(std::uint32_t src, PendingHandle handle, bool ok) {
   RackPort& port = *ports_[src];
-  const RackPort::Pending pending = port.take_pending(slot);
+  const RackPort::Pending pending = port.take_pending(handle);
   CrossCompletion completion{pending.token,       pending.address, pending.write,
                              pending.closed_loop, ok,              pending.issued_at,
                              racks_[src]->simulator().now()};

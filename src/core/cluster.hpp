@@ -91,14 +91,25 @@ class Cluster {
 
  private:
   class RackPort;
+  /// White-box access for the stale-reply regression test.
+  friend struct ClusterTestAccess;
+
+  /// Names one in-flight request on its source rack: the pending slot and
+  /// the slot's generation when the request took it. Request and reply
+  /// messages carry it, as DMA chunk events carry their JobHandle.
+  struct PendingHandle {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+  };
 
   /// Target-side half of a cross-rack request: serve it against rack
   /// `target`'s fabric through its gateway brick, then send the reply.
-  void serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot, std::uint64_t address,
+  void serve(std::uint32_t target, std::uint32_t src, PendingHandle handle, std::uint64_t address,
              std::uint32_t bytes, bool write);
-  /// Source-side half: retire pending slot `slot` and hand the completion
-  /// to the rack's installed handler.
-  void complete(std::uint32_t src, std::uint32_t slot, bool ok);
+  /// Source-side half: retire the request `handle` names and hand the
+  /// completion to the rack's installed handler. A stale handle (the reply
+  /// was already delivered) throws sim::ContractViolation.
+  void complete(std::uint32_t src, PendingHandle handle, bool ok);
 
   void wire_spine();
   void boot_gateways();

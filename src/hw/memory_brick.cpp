@@ -94,11 +94,11 @@ void MemoryBrick::coalesce() {
   free_list_ = std::move(merged);
 }
 
-std::optional<MemorySegment> MemoryBrick::find_segment(SegmentId segment) const {
-  auto it = std::find_if(segments_.begin(), segments_.end(),
-                         [&](const MemorySegment& s) { return s.id == segment; });
-  if (it == segments_.end()) return std::nullopt;
-  return *it;
+const MemorySegment* MemoryBrick::find_segment(SegmentId segment) const {
+  for (const MemorySegment& s : segments_) {
+    if (s.id == segment) return &s;
+  }
+  return nullptr;
 }
 
 std::uint64_t MemoryBrick::bytes_owned_by(BrickId owner) const {

@@ -69,7 +69,9 @@ class MemoryBrick : public Brick {
   /// false when the id is unknown.
   bool reassign(SegmentId segment, BrickId new_owner);
 
-  std::optional<MemorySegment> find_segment(SegmentId segment) const;
+  /// The live segment with this id, or null (valid until the next
+  /// allocate/release).
+  const MemorySegment* find_segment(SegmentId segment) const;
   const std::vector<MemorySegment>& segments() const { return segments_; }
 
   /// Bytes held by one consuming compute brick.

@@ -1,6 +1,5 @@
 #include "hw/rack.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dredbox::hw {
@@ -20,39 +19,37 @@ Tray& Rack::tray(TrayId id) {
 
 const Tray& Rack::tray(TrayId id) const { return const_cast<Rack*>(this)->tray(id); }
 
+template <typename T>
+T& Rack::install(std::unique_ptr<T> brick) {
+  T& ref = *brick;
+  tray(ref.tray()).plug(ref.id());
+  if (bricks_.size() <= ref.id().value) bricks_.resize(ref.id().value + 1);
+  bricks_[ref.id().value] = std::move(brick);
+  ++brick_count_;
+  return ref;
+}
+
 ComputeBrick& Rack::add_compute_brick(TrayId tray_id, const ComputeBrickConfig& config) {
   const BrickId id = next_brick_id();
-  auto brick = std::make_unique<ComputeBrick>(id, tray_id, config);
-  auto& ref = *brick;
-  tray(tray_id).plug(id);
-  bricks_.emplace(id, std::move(brick));
-  return ref;
+  return install(std::make_unique<ComputeBrick>(id, tray_id, config));
 }
 
 MemoryBrick& Rack::add_memory_brick(TrayId tray_id, const MemoryBrickConfig& config) {
   const BrickId id = next_brick_id();
-  auto brick = std::make_unique<MemoryBrick>(id, tray_id, config);
-  auto& ref = *brick;
-  tray(tray_id).plug(id);
-  bricks_.emplace(id, std::move(brick));
-  return ref;
+  return install(std::make_unique<MemoryBrick>(id, tray_id, config));
 }
 
 AcceleratorBrick& Rack::add_accelerator_brick(TrayId tray_id, const AccelBrickConfig& config) {
   const BrickId id = next_brick_id();
-  auto brick = std::make_unique<AcceleratorBrick>(id, tray_id, config);
-  auto& ref = *brick;
-  tray(tray_id).plug(id);
-  bricks_.emplace(id, std::move(brick));
-  return ref;
+  return install(std::make_unique<AcceleratorBrick>(id, tray_id, config));
 }
 
 void Rack::remove_brick(BrickId id) {
-  auto it = bricks_.find(id);
-  if (it == bricks_.end()) {
+  Brick* found = find(id);
+  if (found == nullptr) {
     throw std::out_of_range("Rack::remove_brick: unknown brick " + id.to_string());
   }
-  Brick& b = *it->second;
+  Brick& b = *found;
   for (const auto& p : b.ports()) {
     if (p.connected) {
       throw std::logic_error("Rack::remove_brick: brick " + id.to_string() +
@@ -66,15 +63,14 @@ void Rack::remove_brick(BrickId id) {
     throw std::logic_error("Rack::remove_brick: memory brick has live segments");
   }
   tray(b.tray()).unplug(id);
-  bricks_.erase(it);
+  bricks_[id.value].reset();
+  --brick_count_;
 }
 
 Brick& Rack::brick(BrickId id) {
-  auto it = bricks_.find(id);
-  if (it == bricks_.end()) {
-    throw std::out_of_range("Rack::brick: unknown brick " + id.to_string());
-  }
-  return *it->second;
+  Brick* b = find(id);
+  if (b == nullptr) throw std::out_of_range("Rack::brick: unknown brick " + id.to_string());
+  return *b;
 }
 
 const Brick& Rack::brick(BrickId id) const { return const_cast<Rack*>(this)->brick(id); }
@@ -110,25 +106,25 @@ const AcceleratorBrick& Rack::accelerator_brick(BrickId id) const {
 
 std::vector<BrickId> Rack::bricks_of_kind(BrickKind kind) const {
   std::vector<BrickId> out;
-  for (const auto& [id, b] : bricks_) {
-    if (b->kind() == kind) out.push_back(id);
+  for (const auto& b : bricks_) {
+    if (b != nullptr && b->kind() == kind) out.push_back(b->id());
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<BrickId> Rack::all_bricks() const {
   std::vector<BrickId> out;
-  out.reserve(bricks_.size());
-  for (const auto& [id, b] : bricks_) out.push_back(id);
-  std::sort(out.begin(), out.end());
+  out.reserve(brick_count_);
+  for (const auto& b : bricks_) {
+    if (b != nullptr) out.push_back(b->id());
+  }
   return out;
 }
 
 std::size_t Rack::total_compute_cores() const {
   std::size_t total = 0;
-  for (const auto& [id, b] : bricks_) {
-    if (b->kind() == BrickKind::kCompute) {
+  for (const auto& b : bricks_) {
+    if (b != nullptr && b->kind() == BrickKind::kCompute) {
       total += static_cast<const ComputeBrick&>(*b).apu_cores();
     }
   }
@@ -137,8 +133,8 @@ std::size_t Rack::total_compute_cores() const {
 
 std::uint64_t Rack::total_pool_memory_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [id, b] : bricks_) {
-    if (b->kind() == BrickKind::kMemory) {
+  for (const auto& b : bricks_) {
+    if (b != nullptr && b->kind() == BrickKind::kMemory) {
       total += static_cast<const MemoryBrick&>(*b).capacity_bytes();
     }
   }
@@ -147,7 +143,8 @@ std::uint64_t Rack::total_pool_memory_bytes() const {
 
 double Rack::power_draw_watts(const PowerModel& model, std::size_t switch_ports_in_use) const {
   double watts = static_cast<double>(switch_ports_in_use) * model.optical_switch_port_w;
-  for (const auto& [id, b] : bricks_) {
+  for (const auto& b : bricks_) {
+    if (b == nullptr) continue;
     const PowerState ps = b->power_state();
     if (ps == PowerState::kOff) {
       watts += model.powered_off_w;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <map>
 #include <vector>
 
 #include "hw/accel_brick.hpp"
@@ -36,7 +35,7 @@ class Rack {
   void remove_brick(BrickId id);
 
   // --- lookup ---
-  bool has_brick(BrickId id) const { return bricks_.count(id) != 0; }
+  bool has_brick(BrickId id) const { return find(id) != nullptr; }
   Brick& brick(BrickId id);
   const Brick& brick(BrickId id) const;
 
@@ -53,7 +52,7 @@ class Rack {
 
   std::vector<BrickId> bricks_of_kind(BrickKind kind) const;
   std::vector<BrickId> all_bricks() const;
-  std::size_t brick_count() const { return bricks_.size(); }
+  std::size_t brick_count() const { return brick_count_; }
   std::size_t tray_count() const { return trays_.size(); }
 
   // --- aggregates (Fig. 11: resource-equivalent datacenters) ---
@@ -68,14 +67,23 @@ class Rack {
   std::string describe() const;
 
  private:
-  // Ordered by id so every rack-wide sweep (inventory, power sweeps,
-  // scheduling scans) enumerates bricks deterministically.
-  std::map<BrickId, std::unique_ptr<Brick>> bricks_;
+  // Indexed by id: ids come from next_brick_ (starting at 1) and are never
+  // reused, so a lookup is one bounds check and one load, and every
+  // rack-wide sweep (inventory, power, scheduling scans) enumerates bricks
+  // in id order. Removed bricks (and the unused slot 0) are null.
+  std::vector<std::unique_ptr<Brick>> bricks_;
+  std::size_t brick_count_ = 0;
   std::vector<Tray> trays_;
   std::uint32_t next_brick_ = 1;
   std::uint32_t next_tray_ = 1;
 
   BrickId next_brick_id() { return BrickId{next_brick_++}; }
+  /// The live brick with this id, or null.
+  Brick* find(BrickId id) const {
+    return id.value < bricks_.size() ? bricks_[id.value].get() : nullptr;
+  }
+  template <typename T>
+  T& install(std::unique_ptr<T> brick);
   template <typename T>
   T& typed_brick(BrickId id, BrickKind expected);
 };

@@ -638,8 +638,8 @@ std::size_t RemoteMemoryFabric::scrub_rmst(hw::BrickId compute) {
   std::size_t rewritten = 0;
   for (const auto& a : attachments_) {
     if (a.compute != compute) continue;
-    const auto backing = rack_.memory_brick(a.membrick).find_segment(a.segment);
-    if (!backing) continue;
+    const hw::MemorySegment* backing = rack_.memory_brick(a.membrick).find_segment(a.segment);
+    if (backing == nullptr) continue;
     const auto entry = rmst.find_segment(a.segment);
     hw::RmstEntry fixed;
     fixed.segment = a.segment;
@@ -819,6 +819,8 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
 Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId compute,
                                              std::uint64_t address, std::uint32_t bytes,
                                              sim::Time when, const sim::TraceContext& ctx) {
+  // One attempt resolves each brick once and appends each pipeline stage
+  // to the breakdown once (legs summed), so nothing here scans.
   Transaction tx;
   tx.kind = kind;
   tx.source = compute;
@@ -830,7 +832,7 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
 
   // The APU forwards the transaction to the TGL via its master ports; the
   // TGL identifies the remote segment (fully associative RMST match).
-  tx.breakdown.charge(kBdTglLookup, latencies_.tgl_lookup);
+  tx.breakdown.append(kBdTglLookup, latencies_.tgl_lookup);
   sim::Time t = when + latencies_.tgl_lookup;
 
   auto route = cb.tgl().route(address);
@@ -841,10 +843,11 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   }
   tx.destination = route->entry->dest_brick;
   tx.remote_address = route->remote_addr;
+  const hw::MemoryBrick& mb = rack_.memory_brick(tx.destination);
 
   // A crashed dMEMBRICK never answers: the transaction dies at the TGL
   // (the modelled equivalent of an AXI timeout back to the APU).
-  if (rack_.brick(tx.destination).failed()) {
+  if (mb.failed()) {
     tx.status = TransactionStatus::kBrickFailed;
     tx.completed_at = t;
     return tx;
@@ -853,8 +856,9 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   // Cross-check the RMST entry against the dMEMBRICK's segment table: a
   // corrupted entry (SEU in the PL comparators) would scatter the access
   // over the wrong backing bytes, so it is refused instead.
-  const auto backing = rack_.memory_brick(tx.destination).find_segment(route->entry->segment);
-  if (!backing || backing->owner != compute || backing->base != route->entry->dest_base) {
+  const hw::MemorySegment* backing = mb.find_segment(route->entry->segment);
+  if (backing == nullptr || backing->owner != compute ||
+      backing->base != route->entry->dest_base) {
     tx.status = TransactionStatus::kCorruptMapping;
     tx.completed_at = t;
     return tx;
@@ -874,16 +878,17 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     return tx;
   }
 
+  const auto tech = mb.config().technology;
+
   // Packet-substrate attachments delegate the whole round trip to the
   // packet network model (NI, on-brick switches, MAC/PHY).
   if (link->medium == LinkMedium::kPacket) {
     net::Packet pkt =
         kind == TransactionKind::kRead
             ? packet_net_->remote_read(compute, tx.destination, tx.remote_address, bytes, t,
-                                       rack_.memory_brick(tx.destination).config().technology, ctx)
+                                       tech, ctx)
             : packet_net_->remote_write(compute, tx.destination, tx.remote_address, bytes, t,
-                                        rack_.memory_brick(tx.destination).config().technology,
-                                        ctx);
+                                        tech, ctx);
     tx.breakdown.merge(pkt.breakdown);
     tx.completed_at = pkt.delivered_at;
     return tx;
@@ -899,7 +904,6 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
       medium == LinkMedium::kElectrical ? kBdElectricalProp : kBdOpticalProp;
   const std::size_t lanes = link->lane_count();
 
-  const auto tech = rack_.memory_brick(tx.destination).config().technology;
   // Array occupancy: first-word latency plus streaming time for the
   // payload at the controller's bandwidth.
   const bool hmc = tech == hw::MemoryTechnology::kHmc;
@@ -907,52 +911,61 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   const sim::Time mem_access = (hmc ? latencies_.hmc_access : latencies_.ddr_access) +
                                sim::Time::ns(static_cast<double>(bytes) * 8.0 / array_gbps);
 
-  // Outbound: request (write carries payload; read is header-only).
+  // Outbound: request (write carries payload; read is header-only). Return:
+  // read carries payload back; write returns a short ack.
   const std::uint32_t out_bytes = kind == TransactionKind::kWrite ? bytes : 0;
+  const std::uint32_t back_bytes = kind == TransactionKind::kRead ? bytes : 0;
   const sim::Time out_ser = serialization_time(out_bytes, medium, lanes);
+  const sim::Time back_ser = serialization_time(back_bytes, medium, lanes);
   sim::Time& busy = link->busy_until;
   const sim::Time start = std::max(t, busy);
-  tx.breakdown.charge(kBdCircuitWait, start - t);
-  tx.breakdown.charge(kBdSerialization, out_ser);
+  tx.breakdown.append(kBdCircuitWait, start - t);
+  tx.breakdown.append(kBdSerialization, out_ser + back_ser);
   busy = start + out_ser;
   t = start + out_ser;
 
-  tx.breakdown.charge(kBdSerdesTx, serdes);
+  tx.breakdown.append(kBdSerdesTx, serdes);
   t += serdes;
-  tx.breakdown.charge(wire, propagation);
+  tx.breakdown.append(wire, propagation * 2);
   t += propagation;
-  tx.breakdown.charge(kBdSerdesRx, serdes);
+  tx.breakdown.append(kBdSerdesRx, serdes);
   t += serdes;
 
   // dMEMBRICK: glue logic steers the transaction to one of the brick's
   // memory controllers (address-interleaved); a busy controller delays
   // the access, so bricks dimensioned with more controllers sustain more
   // concurrent transactions (Section II).
-  tx.breakdown.charge(kBdGlueLogic, latencies_.glue_logic);
+  tx.breakdown.append(kBdGlueLogic, latencies_.glue_logic);
   t += latencies_.glue_logic;
-  const auto& mb = rack_.memory_brick(tx.destination);
-  const std::size_t mc_count = mb.config().memory_controllers;
-  const std::size_t mc =
-      static_cast<std::size_t>((tx.remote_address >> 12)) % std::max<std::size_t>(1, mc_count);
-  const std::uint64_t mc_key =
-      (static_cast<std::uint64_t>(tx.destination.value) << 8) | static_cast<std::uint64_t>(mc);
-  sim::Time& mc_busy = controller_busy_until_[mc_key];
+  const std::size_t mc = static_cast<std::size_t>((tx.remote_address >> 12)) %
+                         mb.config().memory_controllers;
+  sim::Time& mc_busy = controller_busy_until(mb, mc);
   const sim::Time mc_start = std::max(t, mc_busy);
-  tx.breakdown.charge(kBdMcWait, mc_start - t);
-  tx.breakdown.charge(kBdMemAccess, mem_access);
+  tx.breakdown.append(kBdMcWait, mc_start - t);
+  tx.breakdown.append(kBdMemAccess, mem_access);
   mc_busy = mc_start + mem_access;
   t = mc_start + mem_access;
 
-  // Return: read carries payload back; write returns a short ack.
-  const std::uint32_t back_bytes = kind == TransactionKind::kRead ? bytes : 0;
-  const sim::Time back_ser = serialization_time(back_bytes, medium, lanes);
-  tx.breakdown.charge(kBdSerialization, back_ser);
-  tx.breakdown.charge(kBdSerdesReturn, serdes * 2);
-  tx.breakdown.charge(wire, propagation);
+  tx.breakdown.append(kBdSerdesReturn, serdes * 2);
   t += back_ser + serdes * 2 + propagation;
 
   tx.completed_at = t;
   return tx;
+}
+
+sim::Time& RemoteMemoryFabric::controller_busy_until(const hw::MemoryBrick& membrick,
+                                                     std::size_t mc) {
+  // A brick's controller slots are laid out on its first transaction, so
+  // only that one grows the arrays.
+  constexpr std::uint32_t kUnplaced = 0xffffffffu;
+  const std::uint32_t id = membrick.id().value;
+  if (id >= controller_base_.size()) controller_base_.resize(id + 1, kUnplaced);
+  std::uint32_t& base = controller_base_[id];
+  if (base == kUnplaced) {
+    base = static_cast<std::uint32_t>(controller_busy_until_.size());
+    controller_busy_until_.resize(base + membrick.config().memory_controllers);
+  }
+  return controller_busy_until_[base + mc];
 }
 // dredbox-lint: hot-path-end
 
@@ -987,8 +1000,8 @@ void RemoteMemoryFabric::check_invariants() const {
                           rack_.brick(a.membrick).kind() == hw::BrickKind::kMemory,
                       "attachment server " + a.membrick.to_string() +
                           " is not a live dMEMBRICK");
-    const auto segment = rack_.memory_brick(a.membrick).find_segment(a.segment);
-    DREDBOX_INVARIANT(segment.has_value(), "segment " + a.segment.to_string() +
+    const hw::MemorySegment* segment = rack_.memory_brick(a.membrick).find_segment(a.segment);
+    DREDBOX_INVARIANT(segment != nullptr, "segment " + a.segment.to_string() +
                                                " is not carved on dMEMBRICK " +
                                                a.membrick.to_string());
     DREDBOX_INVARIANT(segment->owner == a.compute && segment->size == a.size,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/rack.hpp"
@@ -269,7 +268,10 @@ class RemoteMemoryFabric {
   std::map<std::uint32_t, Link> link_table_;
   /// Per-(dMEMBRICK, controller) occupancy: a brick dimensioned with more
   /// memory controllers serves more concurrent transactions (Section II).
-  std::unordered_map<std::uint64_t, sim::Time> controller_busy_until_;
+  /// Flat: a brick's controllers sit contiguously from
+  /// controller_base_[brick id], laid out when the brick first serves.
+  std::vector<sim::Time> controller_busy_until_;
+  std::vector<std::uint32_t> controller_base_;
   AttachError last_error_ = AttachError::kNoMemory;
   std::optional<sim::RetryPolicy> retry_policy_;
   /// Electrical and packet link ids live in ranges the optical manager
@@ -329,6 +331,8 @@ class RemoteMemoryFabric {
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                            std::uint32_t bytes, sim::Time when, const sim::TraceContext& ctx);
+  /// Busy-until of controller `mc` on `membrick`.
+  sim::Time& controller_busy_until(const hw::MemoryBrick& membrick, std::size_t mc);
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,
                                std::size_t lanes) const;
   const Attachment* find_attachment(hw::BrickId compute, std::uint64_t address) const;

@@ -23,6 +23,12 @@ void Breakdown::charge(ComponentId component, Time amount) {
     times_[i] += amount;
     return;
   }
+  append(component, amount);
+}
+
+void Breakdown::append(ComponentId component, Time amount) {
+  DREDBOX_REQUIRE(find(component) == count_,
+                  "Breakdown::append: component already charged — use charge()");
   DREDBOX_INVARIANT(count_ < kMaxComponents,
                     "Breakdown overflow: one op charged more than kMaxComponents "
                     "distinct components — grow kMaxComponents only if the "

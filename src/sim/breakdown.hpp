@@ -35,6 +35,12 @@ class Breakdown {
   /// the datapath caches ids at namespace scope and charges by id.
   void charge(ComponentId component, Time amount);
 
+  /// Appends a component this breakdown does not hold yet, in O(1) — for
+  /// pipelines that charge each stage exactly once (the fabric walk sums a
+  /// stage's repeated legs before appending). A repeated id is a contract
+  /// violation, checked in -DDREDBOX_AUDIT=ON builds.
+  void append(ComponentId component, Time amount);
+
   /// Compatibility shim: interns `component` and charges by id. Still
   /// allocation-free for every label the datapath ships (known labels
   /// resolve with a lock-free registry scan); a copy is made only the

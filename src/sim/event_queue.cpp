@@ -46,6 +46,9 @@ constexpr int kInitialShift = 15;
 // rungs (a single far-future timer / a million same-day events) stay sane.
 constexpr std::size_t kMinBuckets = 64;
 constexpr std::size_t kMaxBuckets = 32768;
+// Smallest rank whose mean spacing may set the day width: a tie group or
+// two near now() must not shrink the days to a few ticks.
+constexpr std::size_t kMinSpacingRank = 16;
 
 }  // namespace
 
@@ -65,6 +68,9 @@ std::string SchedulePerturbation::to_string() const {
 
 EventQueue::EventQueue()
     : buckets_(kInitialBuckets, nullptr), occupancy_(kInitialBuckets / 64, 0) {
+  // Sized up front so a queue whose rung stays small never allocates at a
+  // re-span; a larger rung grows it once to its working-set size.
+  respan_distances_.reserve(kMinBuckets);
   bucket_shift_ = kInitialShift;
   win_last_ = (static_cast<std::int64_t>(kInitialBuckets) << kInitialShift) - 1;
 }
@@ -207,10 +213,11 @@ void EventQueue::load_bucket(std::size_t index) const {
 }
 
 void EventQueue::rebuild_from_overflow() const {
-  // Reclaim cancelled rung nodes and measure the span of the live ones.
+  // Reclaim cancelled rung nodes and record each live node's distance from
+  // now() (the new window start).
   Node* live = nullptr;
   std::size_t live_count = 0;
-  std::int64_t hi = 0;
+  respan_distances_.clear();
   Node* node = overflow_;
   while (node != nullptr) {
     Node* next = node->next;
@@ -220,7 +227,7 @@ void EventQueue::rebuild_from_overflow() const {
       node->next = live;
       live = node;
       ++live_count;
-      hi = std::max(hi, node->when.ticks());
+      respan_distances_.push_back(static_cast<std::uint64_t>(node->when.ticks() - now_.ticks()));
     }
     node = next;
   }
@@ -235,20 +242,46 @@ void EventQueue::rebuild_from_overflow() const {
   // has dispatched, and run_until() stops advancing now() strictly below
   // the earliest remaining event.
   win_start_ = now_.ticks();
+
+  // Day width from the density of the nearest events. The node of rank r
+  // (0-based, by distance) sits at d_r, so d_r / (r + 1) is the mean
+  // spacing of the r + 1 nearest nodes. Taking the finest such spacing
+  // over the median rank and each halving rank below it (down to
+  // kMinSpacingRank), rounded up to a power of two, keeps far timers — a
+  // window end, a power sweep — from widening the days: they only raise
+  // the spacing at ranks above the near cluster. Sizing the day to reach
+  // the farthest event would let one far timer stretch the days until the
+  // open day holds nearly every pending event. With one day per live node
+  // the year spans about as many near events as are pending; if clamping
+  // the bucket count cuts it short, the days widen until the node that set
+  // the spacing fits, so a re-span always moves that node and every nearer
+  // one into the window. The rest stay on the rung.
   const std::size_t want = std::clamp(std::bit_ceil(live_count), kMinBuckets, kMaxBuckets);
   if (buckets_.size() != want) buckets_.assign(want, nullptr);
   occupancy_.assign(want / 64, 0);
-  // Smallest day width such that the farthest event fits the window:
-  // ((hi - win_start_) >> shift) < want. Saturating win_last_ at the
-  // tick type's maximum is safe — when want << shift overshoots
-  // INT64_MAX the buckets physically cover every representable tick, so
-  // any index computed against the saturated window stays in range. This
-  // is what lets Time::infinity() timers park and re-span exactly once
-  // instead of bouncing on the rung forever.
-  const std::uint64_t distance = static_cast<std::uint64_t>(hi - win_start_);
-  int shift = 0;
-  while ((distance >> shift) >= want) ++shift;
+  const auto first = respan_distances_.begin();
+  std::uint64_t spacing = UINT64_MAX;
+  std::uint64_t spacing_reach = 0;  // distance of the node that set `spacing`
+  std::size_t above = live_count;
+  for (std::size_t rank = (live_count - 1) / 2;; rank = (rank - 1) / 2) {
+    std::nth_element(first, first + rank, first + above);
+    const std::uint64_t reach = respan_distances_[rank];
+    const std::uint64_t mean = (reach + rank) / (rank + 1);  // ceil(reach / (rank + 1))
+    if (mean < spacing) {
+      spacing = mean;
+      spacing_reach = reach;
+    }
+    if (rank < 2 * kMinSpacingRank) break;
+    above = rank;
+  }
+  int shift = spacing <= 1 ? 0 : std::bit_width(spacing - 1);
+  while ((spacing_reach >> shift) >= want) ++shift;
   bucket_shift_ = shift;
+  // Saturating win_last_ at the tick type's maximum is safe — when
+  // want << shift overshoots INT64_MAX the buckets physically cover every
+  // representable tick, so any index computed against the saturated window
+  // stays in range. This is what lets a lone Time::infinity() timer
+  // re-span exactly once instead of bouncing on the rung forever.
   const unsigned __int128 last = static_cast<unsigned __int128>(win_start_) +
                                  (static_cast<unsigned __int128>(want) << shift) - 1;
   win_last_ = last > static_cast<unsigned __int128>(INT64_MAX) ? INT64_MAX
@@ -257,7 +290,13 @@ void EventQueue::rebuild_from_overflow() const {
   ++rebuilds_;
   while (live != nullptr) {
     Node* next = live->next;
-    bucket_prepend(bucket_index(live->when.ticks()), live);
+    if (live->when.ticks() > win_last_) {
+      live->next = overflow_;
+      overflow_ = live;
+      ++overflow_count_;
+    } else {
+      bucket_prepend(bucket_index(live->when.ticks()), live);
+    }
     live = next;
   }
 }

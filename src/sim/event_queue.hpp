@@ -130,8 +130,9 @@ struct CalendarStats {
 /// Geometry: the "year" [window_start, window_last] is split into
 /// power-of-two-width day buckets; an event lands in its day's unsorted
 /// chain in O(1). Events past the year go to an unsorted overflow rung;
-/// when the year is exhausted the window re-spans from the overflow
-/// (adaptive bucket count/width), so refills amortize to O(1) per event.
+/// when the year is exhausted the window re-spans from the overflow, with
+/// one day per live event and days sized from the spacing of the nearest
+/// events (far timers stay on the rung), so a day holds O(1) events.
 /// A day is sorted once when the cursor reaches it, into a descending
 /// "drain" serviced back-to-front — so a whole same-timestamp tie-batch
 /// is dispatched without re-touching the priority structure, and events
@@ -332,6 +333,9 @@ class EventQueue {
   mutable std::int64_t win_start_ = 0;   // tick of bucket 0 (<= now())
   mutable std::int64_t win_last_ = 0;    // last tick in the window, inclusive
   mutable int bucket_shift_ = 0;         // day width = 1 << bucket_shift_ ticks
+  // Scratch for rebuild_from_overflow(): live rung nodes' distances from
+  // now(). Capacity is kept, so steady-state re-spans never allocate.
+  mutable std::vector<std::uint64_t> respan_distances_;
   mutable std::uint64_t rebuilds_ = 0;
   mutable std::uint64_t bucket_loads_ = 0;
 

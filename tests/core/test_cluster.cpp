@@ -12,6 +12,16 @@
 #include "sim/time.hpp"
 
 namespace dredbox::core {
+
+/// Befriended by Cluster: delivers a spine reply for an explicit pending
+/// handle, the way a duplicated or late reply message would.
+struct ClusterTestAccess {
+  static void deliver_reply(Cluster& cluster, std::uint32_t src, std::uint32_t slot,
+                            std::uint32_t generation, bool ok) {
+    cluster.complete(src, Cluster::PendingHandle{slot, generation}, ok);
+  }
+};
+
 namespace {
 
 bool mentions(const std::vector<std::string>& errors, const std::string& field) {
@@ -213,6 +223,45 @@ TEST(ClusterTest, SpineFaultsArmExactlyOnce) {
   cluster.arm_spine_faults(t0);
   EXPECT_TRUE(cluster.spine_faults_armed());
   EXPECT_THROW(cluster.arm_spine_faults(t0), std::logic_error);
+}
+
+TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {
+  TwoRacks rig;
+  CrossRackPort& port = rig.cluster.port(0);
+  std::vector<CrossCompletion> done;
+  port.set_handler([&](const CrossCompletion& c) { done.push_back(c); });
+
+  // The first request takes pending slot 0 at its first generation (1);
+  // its reply retires the slot.
+  port.issue(0, 4096, 64, /*write=*/false, /*token=*/1, /*closed_loop=*/false);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].token, 1u);
+
+  // The second request reuses slot 0. Delivering the first reply again
+  // must not complete it, nor put slot 0 on the free list a second time.
+  port.issue(0, 8192, 64, /*write=*/false, /*token=*/2, /*closed_loop=*/false);
+  EXPECT_THROW(ClusterTestAccess::deliver_reply(rig.cluster, 0, 0, 1, true),
+               sim::ContractViolation);
+  EXPECT_EQ(done.size(), 1u);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(2), 1);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[1].token, 2u);
+  EXPECT_TRUE(done[1].ok);
+
+  // A repeat of the second reply, with its slot now free, is refused too.
+  EXPECT_THROW(ClusterTestAccess::deliver_reply(rig.cluster, 0, 0, 2, true),
+               sim::ContractViolation);
+
+  // Slot 0 was freed exactly once: two concurrent requests get distinct
+  // slots and each completes once, with its own token.
+  port.issue(0, 0, 64, /*write=*/true, /*token=*/3, /*closed_loop=*/false);
+  port.issue(0, 64, 64, /*write=*/true, /*token=*/4, /*closed_loop=*/false);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(3), 1);
+  ASSERT_EQ(done.size(), 4u);
+  EXPECT_EQ(done[2].token, 3u);
+  EXPECT_EQ(done[3].token, 4u);
+  EXPECT_EQ(rig.cluster.link_stats(1).rx_messages, 4u);
 }
 
 TEST(ClusterTest, GatewayWindowRejectsOutOfRangeOffsets) {

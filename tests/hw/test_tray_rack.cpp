@@ -105,6 +105,26 @@ TEST(RackTest, RemoveBrickChecksState) {
   cb.release_cores(1);
   EXPECT_NO_THROW(rack.remove_brick(id));
   EXPECT_FALSE(rack.has_brick(id));
+  EXPECT_THROW(rack.brick(id), std::out_of_range);
+  EXPECT_THROW(rack.remove_brick(id), std::out_of_range);
+  EXPECT_EQ(rack.brick_count(), 0u);
+}
+
+TEST(RackTest, EnumerationSkipsRemovedBricksAndIdsAreNotReused) {
+  Rack rack;
+  const TrayId t = rack.add_tray();
+  const BrickId c1 = rack.add_compute_brick(t).id();
+  const BrickId m2 = rack.add_memory_brick(t).id();
+  const BrickId c3 = rack.add_compute_brick(t).id();
+  rack.remove_brick(c1);
+  EXPECT_EQ(rack.all_bricks(), (std::vector<BrickId>{m2, c3}));
+  EXPECT_EQ(rack.bricks_of_kind(BrickKind::kCompute), (std::vector<BrickId>{c3}));
+  EXPECT_EQ(rack.brick_count(), 2u);
+  const BrickId c4 = rack.add_compute_brick(t).id();
+  EXPECT_GT(c4, c3);
+  EXPECT_EQ(rack.all_bricks(), (std::vector<BrickId>{m2, c3, c4}));
+  EXPECT_THROW(rack.compute_brick(c1), std::out_of_range);
+  EXPECT_THROW(rack.brick(BrickId{}), std::out_of_range);
 }
 
 TEST(RackTest, RemoveMemoryBrickWithSegmentsRejected) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "net/packet_network.hpp"
+
 namespace dredbox::memsys {
 namespace {
 
@@ -526,6 +531,173 @@ TEST_F(IntraTrayMemoryTest, SecondSegmentSharesElectricalLink) {
   EXPECT_EQ(fabric_.electrical_links(), 1u);  // still used by a2
   fabric_.detach(compute_, a2->segment);
   EXPECT_EQ(fabric_.electrical_links(), 0u);
+}
+
+/// The Fig. 8 breakdown of every medium, pinned component by component:
+/// labels, first-appearance order and exact tick values, plus the round
+/// trip. One compute brick reaches three single-controller dMEMBRICKs:
+/// one in its own tray (electrical), one across trays on the only optical
+/// circuit, and one across trays through the packet fallback (the
+/// two-port switch has no room for a second circuit). Each medium sees a
+/// 4 KiB write and a word read issued at the same instant — the read
+/// waits for the write's serialization on the link and for the write's
+/// array access at the controller — then, 1 ms later on an idle path, a
+/// 4 KiB read and a word write issued together. The expected strings were
+/// recorded from the fabric before it charged each stage once per
+/// transaction; any change to the walk must leave them unchanged.
+class FabricBreakdownPinTest : public ::testing::Test {
+ protected:
+  FabricBreakdownPinTest()
+      : switch_{two_port_switch()}, circuits_{switch_}, fabric_{rack_, circuits_} {
+    const hw::TrayId tray_a = rack_.add_tray();
+    const hw::TrayId tray_b = rack_.add_tray();
+    compute_ = rack_.add_compute_brick(tray_a).id();
+    hw::MemoryBrickConfig mc;
+    mc.capacity_bytes = 4ull << 30;
+    mc.memory_controllers = 1;
+    electrical_ = rack_.add_memory_brick(tray_a, mc).id();
+    optical_ = rack_.add_memory_brick(tray_b, mc).id();
+    packet_ = rack_.add_memory_brick(tray_b, mc).id();
+    packet_net_.add_brick(compute_);
+    packet_net_.add_brick(packet_);
+    fabric_.set_packet_network(&packet_net_);
+  }
+
+  static optics::OpticalSwitchConfig two_port_switch() {
+    optics::OpticalSwitchConfig cfg;
+    cfg.ports = 2;
+    return cfg;
+  }
+
+  std::uint64_t attach(hw::BrickId membrick, LinkMedium expected) {
+    AttachRequest req;
+    req.compute = compute_;
+    req.membrick = membrick;
+    req.bytes = 1ull << 30;
+    req.allow_packet_fallback = true;
+    const auto a = fabric_.attach(req, Time::zero());
+    EXPECT_TRUE(a.has_value());
+    EXPECT_EQ(a->medium, expected);
+    return a->compute_base;
+  }
+
+  /// "label=ticks;..." in first-appearance order, then "rt=ticks".
+  static std::string pin(const Transaction& tx) {
+    std::string out;
+    for (const auto& [label, amount] : tx.breakdown.components()) {
+      out.append(label).append("=").append(std::to_string(amount.ticks())).append(";");
+    }
+    EXPECT_TRUE(tx.ok());
+    return out + "rt=" + std::to_string(tx.round_trip().ticks());
+  }
+
+  /// The four transactions of one medium, in issue order.
+  std::vector<std::string> run(std::uint64_t base) {
+    const Time idle = Time::ms(1);
+    std::vector<std::string> out;
+    out.push_back(pin(fabric_.write(compute_, base, 4096, Time::zero())));
+    out.push_back(pin(fabric_.read(compute_, base + 4096, 64, Time::zero())));
+    out.push_back(pin(fabric_.read(compute_, base + 8192, 4096, idle)));
+    out.push_back(pin(fabric_.write(compute_, base + 12288, 64, idle)));
+    return out;
+  }
+
+  hw::Rack rack_;
+  optics::OpticalSwitch switch_;
+  optics::CircuitManager circuits_;
+  RemoteMemoryFabric fabric_;
+  net::PacketNetwork packet_net_;
+  hw::BrickId compute_;
+  hw::BrickId electrical_;
+  hw::BrickId optical_;
+  hw::BrickId packet_;
+};
+
+TEST_F(FabricBreakdownPinTest, ElectricalBreakdownIsPinned) {
+  const auto got = run(attach(electrical_, LinkMedium::kElectrical));
+  const std::vector<std::string> expected = {
+      "TGL lookup (RMST)=25000;circuit wait=0;serialization=2052000;"
+      "GTH serdes (TX)=30000;electrical propagation=4000;GTH serdes (RX)=30000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=0;memory access=264800;"
+      "GTH serdes (return)=60000;rt=2505800",
+      "TGL lookup (RMST)=25000;circuit wait=2050000;serialization=36000;"
+      "GTH serdes (TX)=30000;electrical propagation=4000;GTH serdes (RX)=30000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=262800;memory access=63200;"
+      "GTH serdes (return)=60000;rt=2601000",
+      "TGL lookup (RMST)=25000;circuit wait=0;serialization=2052000;"
+      "GTH serdes (TX)=30000;electrical propagation=4000;GTH serdes (RX)=30000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=0;memory access=264800;"
+      "GTH serdes (return)=60000;rt=2505800",
+      "TGL lookup (RMST)=25000;circuit wait=2000;serialization=36000;"
+      "GTH serdes (TX)=30000;electrical propagation=4000;GTH serdes (RX)=30000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=230800;memory access=63200;"
+      "GTH serdes (return)=60000;rt=521000",
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(FabricBreakdownPinTest, OpticalBreakdownIsPinned) {
+  const auto got = run(attach(optical_, LinkMedium::kOptical));
+  const std::vector<std::string> expected = {
+      "TGL lookup (RMST)=25000;circuit wait=0;serialization=3283200;"
+      "GTH serdes (TX)=50000;optical propagation=100000;GTH serdes (RX)=50000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=0;memory access=264800;"
+      "GTH serdes (return)=100000;rt=3913000",
+      "TGL lookup (RMST)=25000;circuit wait=3280000;serialization=57600;"
+      "GTH serdes (TX)=50000;optical propagation=100000;GTH serdes (RX)=50000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=261600;memory access=63200;"
+      "GTH serdes (return)=100000;rt=4027400",
+      "TGL lookup (RMST)=25000;circuit wait=0;serialization=3283200;"
+      "GTH serdes (TX)=50000;optical propagation=100000;GTH serdes (RX)=50000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=0;memory access=264800;"
+      "GTH serdes (return)=100000;rt=3913000",
+      "TGL lookup (RMST)=25000;circuit wait=3200;serialization=57600;"
+      "GTH serdes (TX)=50000;optical propagation=100000;GTH serdes (RX)=50000;"
+      "glue logic (dMEMBRICK)=40000;memory controller wait=210400;memory access=63200;"
+      "GTH serdes (return)=100000;rt=699400",
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(FabricBreakdownPinTest, ControllersBelongToTheirBrick) {
+  // Same-instant reads on two bricks never queue on each other's
+  // controller; a second read on the first brick does.
+  const std::uint64_t near = attach(electrical_, LinkMedium::kElectrical);
+  const std::uint64_t far = attach(optical_, LinkMedium::kOptical);
+  const Transaction first = fabric_.read(compute_, near, 4096, Time::zero());
+  const Transaction other = fabric_.read(compute_, far, 4096, Time::zero());
+  const Transaction again = fabric_.read(compute_, near + 4096, 4096, Time::zero());
+  EXPECT_EQ(first.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_EQ(other.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_GT(again.breakdown.of("memory controller wait"), Time::zero());
+}
+
+TEST_F(FabricBreakdownPinTest, PacketBreakdownIsPinned) {
+  attach(optical_, LinkMedium::kOptical);  // takes the switch's only circuit
+  const auto got = run(attach(packet_, LinkMedium::kPacket));
+  const std::vector<std::string> expected = {
+      "TGL lookup (RMST)=25000;TGL / NI injection=25000;"
+      "on-brick switch (dCOMPUBRICK)=85000;serialization=3289600;"
+      "MAC/PHY (dCOMPUBRICK)=470000;optical propagation=100000;"
+      "MAC/PHY (dMEMBRICK)=470000;glue logic (dMEMBRICK)=40000;memory access=60000;"
+      "on-brick switch (dMEMBRICK)=85000;rt=4649600",
+      "TGL lookup (RMST)=25000;TGL / NI injection=25000;"
+      "on-brick switch (dCOMPUBRICK)=3368200;serialization=64000;"
+      "MAC/PHY (dCOMPUBRICK)=470000;optical propagation=100000;"
+      "MAC/PHY (dMEMBRICK)=470000;glue logic (dMEMBRICK)=40000;memory access=60000;"
+      "on-brick switch (dMEMBRICK)=85000;rt=4707200",
+      "TGL lookup (RMST)=25000;TGL / NI injection=25000;"
+      "on-brick switch (dCOMPUBRICK)=85000;serialization=3289600;"
+      "MAC/PHY (dCOMPUBRICK)=470000;optical propagation=100000;"
+      "MAC/PHY (dMEMBRICK)=470000;glue logic (dMEMBRICK)=40000;memory access=60000;"
+      "on-brick switch (dMEMBRICK)=85000;rt=4649600",
+      "TGL lookup (RMST)=25000;TGL / NI injection=25000;"
+      "on-brick switch (dCOMPUBRICK)=91400;serialization=64000;"
+      "MAC/PHY (dCOMPUBRICK)=470000;optical propagation=100000;"
+      "MAC/PHY (dMEMBRICK)=470000;glue logic (dMEMBRICK)=40000;memory access=60000;"
+      "on-brick switch (dMEMBRICK)=3310600;rt=4656000",
+  };
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

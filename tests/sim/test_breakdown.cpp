@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/contract.hpp"
+
 namespace dredbox::sim {
 namespace {
 
@@ -73,6 +75,20 @@ TEST(BreakdownTest, ZeroChargeComponentAppears) {
   b.charge("queueing", Time::zero());
   EXPECT_TRUE(b.has("queueing"));
   EXPECT_EQ(b.total(), Time::zero());
+}
+
+TEST(BreakdownTest, AppendKeepsFirstAppearanceOrder) {
+  Breakdown b;
+  b.append(component_id("mac"), Time::ns(10));
+  b.append(component_id("phy"), Time::ns(5));
+  b.charge(component_id("mac"), Time::ns(1));
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.components()[0].first, "mac");
+  EXPECT_EQ(b.components()[1].first, "phy");
+  EXPECT_EQ(b.of("mac"), Time::ns(11));
+#if DREDBOX_AUDIT_ENABLED
+  EXPECT_THROW(b.append(component_id("phy"), Time::ns(1)), ContractViolation);
+#endif
 }
 
 }  // namespace

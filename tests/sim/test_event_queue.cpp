@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
+
+#include "reference_event_queue.hpp"
+#include "sim/contract.hpp"
 
 namespace dredbox::sim {
 namespace {
@@ -358,6 +363,95 @@ TEST(EventQueueCalendarTest, StatsReflectGeometryAndActivity) {
   EXPECT_EQ(reset_stats.window_start_ps, 0);
   EXPECT_EQ(reset_stats.in_overflow, 0u);
   EXPECT_EQ(reset_stats.rebuilds, 0u);
+}
+
+/// Far-future timers (workload window ends, power sweeps) pending beside
+/// steady near-term churn: `far_timers` timers from 1 s on, and 64
+/// self-rescheduling chains, each next hop 100 ns - 2 us ahead, for 4 ms
+/// of sim time. Fires every event through `queue` and logs (chain or
+/// -1 - timer, fire ticks); `on_dispatch` sees the queue after every
+/// dispatch.
+template <typename Queue, typename Probe>
+std::vector<std::pair<int, std::int64_t>> far_timer_churn(Queue& queue, int far_timers,
+                                                          Probe on_dispatch) {
+  std::vector<std::pair<int, std::int64_t>> log;
+  std::uint64_t state = 0x5eed;
+  const auto hop = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return Time::ns(100 + static_cast<std::int64_t>((state >> 33) % 1900));
+  };
+  for (int timer = 0; timer < far_timers; ++timer) {
+    queue.schedule(Time::sec(1) + Time::us(timer), [&log, &queue, timer] {
+      log.emplace_back(-1 - timer, queue.now().ticks());
+    });
+  }
+  std::function<void(int)> step = [&](int chain) {
+    log.emplace_back(chain, queue.now().ticks());
+    const Time next = queue.now() + hop();
+    if (next < Time::ms(4)) queue.schedule(next, [&step, chain] { step(chain); });
+  };
+  for (int chain = 0; chain < 64; ++chain) {
+    queue.schedule(hop(), [&step, chain] { step(chain); });
+  }
+  while (queue.dispatch_one()) on_dispatch(queue);
+  return log;
+}
+
+TEST(EventQueueCalendarTest, FarTimersDoNotStretchTheDays) {
+  // Sizing re-spanned days to reach the far timers would put every churn
+  // event into one sorted day (in_drain ~ 64); sizing them from the
+  // spacing of the near events keeps a day at a few events, with the far
+  // timers parked on the overflow rung until their own re-span. With 256
+  // far timers the median pending event is itself a far timer, so the
+  // spacing must come from a rank inside the near cluster.
+  for (const int far_timers : {1, 256}) {
+    SCOPED_TRACE(far_timers);
+    EventQueue calendar;
+    std::size_t max_drain = 0;  // while churning, after the first re-span
+    std::size_t probes = 0;
+    const auto calendar_log = far_timer_churn(calendar, far_timers, [&](const EventQueue& q) {
+      const CalendarStats stats = q.calendar_stats();
+      if (stats.rebuilds == 0 || q.now() >= Time::ms(4)) return;
+      max_drain = std::max(max_drain, stats.in_drain);
+      ++probes;
+    });
+    ReferenceEventQueue reference;
+    const auto reference_log =
+        far_timer_churn(reference, far_timers, [](const ReferenceEventQueue&) {});
+    EXPECT_EQ(calendar_log, reference_log);
+    ASSERT_GT(calendar_log.size(), 100000u);
+    EXPECT_EQ(calendar_log.back().first, -far_timers);
+    EXPECT_GT(probes, 100000u) << "the churn never re-spanned the window";
+    EXPECT_LE(max_drain, 16u);
+    calendar.check_invariants();
+  }
+}
+
+TEST(EventQueueCalendarTest, HugeFarRungStillLandsInTheYear) {
+  // 140,000 events 1 ps apart, 1 s out: over four times as many rung nodes
+  // as the bucket clamp allows days. Their spacing (distance / rank at the
+  // median, ~14 us, rounded to 2^24 ps) times 32768 days gives a year of
+  // ~0.55 s that ends before the first of them. The re-span must widen the
+  // days until the node that set the spacing fits, or no node would ever
+  // reach a bucket.
+#if DREDBOX_AUDIT_ENABLED
+  GTEST_SKIP() << "audit builds sweep every node on every schedule: quadratic at this size";
+#endif
+  EventQueue q;
+  constexpr std::int64_t kEvents = 140000;
+  std::int64_t fired = 0;
+  bool ordered = true;
+  for (std::int64_t i = 0; i < kEvents; ++i) {
+    q.schedule(Time::sec(1) + Time::ps(i), [&, i] {
+      ordered = ordered && fired == i;
+      ++fired;
+    });
+  }
+  EXPECT_EQ(q.run(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_TRUE(ordered);
+  EXPECT_GE(q.calendar_stats().rebuilds, 1u);
+  q.check_invariants();
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {

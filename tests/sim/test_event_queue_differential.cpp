@@ -4,8 +4,9 @@
 // arena-pooled nodes) and the retained binary-heap ReferenceEventQueue are
 // driven through one seeded, randomized operation sequence — schedule
 // (ties, boundary-straddling times, far-future rung times, Time::infinity
-// epoch times), cancel (live, fired, stale), reschedule-to-back-of-tie,
-// dispatch_one, run_until, and cascaded scheduling from inside actions —
+// epoch times, far timers pending beside near-term churn), cancel (live,
+// fired, stale), reschedule-to-back-of-tie, dispatch_one, run_until, and
+// cascaded scheduling from inside actions —
 // and must agree, after every single operation, on the dispatch stream
 // (tag, timestamp), now(), pending(), empty(), and next_time().
 //
@@ -92,13 +93,23 @@ struct Driver {
 using CalendarDriver = Driver<EventQueue, EventId>;
 using ReferenceDriver = Driver<ReferenceEventQueue, ReferenceEventQueue::EventId>;
 
+/// Operation-stream flavours. kTieHeavy re-aims 40% of schedules at the
+/// last scheduled timestamp. kFarTimer keeps far-future timers (>= 1 s,
+/// like a workload window end) pending beside the near-term churn, so
+/// every window re-span must size its days from the near events and
+/// leave the far ones on the overflow rung.
+enum class Stream { kPlain, kTieHeavy, kFarTimer };
+
 class DifferentialHarness {
  public:
   explicit DifferentialHarness(std::uint64_t seed) : rng_{seed} {}
 
-  void run_ops(std::size_t op_count, bool tie_heavy) {
+  void run_ops(std::size_t op_count, Stream stream) {
+    if (stream == Stream::kFarTimer) {
+      for (int i = 0; i < 3; ++i) schedule_both(far_time());
+    }
     for (std::size_t op = 0; op < op_count; ++op) {
-      step(tie_heavy);
+      step(stream);
       ASSERT_TRUE(compare()) << " after op " << op;
     }
     // Drain both to quiescence: the full dispatch streams must match.
@@ -122,10 +133,12 @@ class DifferentialHarness {
   /// calendar geometry: exact ties, now() itself, both sides of a bucket
   /// boundary, just-inside / just-past the window (ladder spill), and the
   /// INT64_MAX epoch; the same literal time feeds both queues.
-  Time pick_time(bool tie_heavy) {
+  Time pick_time(Stream stream) {
     const auto stats = calendar_.queue.calendar_stats();
     const std::int64_t now = calendar_.queue.now().ticks();
     const std::uint64_t roll = splitmix64(rng_) % 100;
+    if (stream == Stream::kFarTimer && roll < 5) return far_time();
+    const bool tie_heavy = stream == Stream::kTieHeavy;
     if (tie_heavy && roll < 40 && !last_scheduled_.is_infinite() &&
         last_scheduled_ >= calendar_.queue.now()) {
       return last_scheduled_;  // exact tie with a still-pending timestamp
@@ -156,14 +169,24 @@ class DifferentialHarness {
     return Time::ps(saturating_add(now, delta));
   }
 
-  void step(bool tie_heavy) {
+  /// 1-2 s past now(): far beyond any window the near-term churn spans.
+  Time far_time() {
+    const std::int64_t offset =
+        1'000'000'000'000 + static_cast<std::int64_t>(splitmix64(rng_) % 1'000'000'000'000);
+    return Time::ps(saturating_add(calendar_.queue.now().ticks(), offset));
+  }
+
+  void schedule_both(Time when) {
+    const std::uint64_t tag = next_tag_++;
+    calendar_.do_schedule(when, tag);
+    reference_.do_schedule(when, tag);
+    last_scheduled_ = when;
+  }
+
+  void step(Stream stream) {
     const std::uint64_t roll = splitmix64(rng_) % 100;
     if (roll < 45 || calendar_.queue.pending() == 0) {
-      const Time when = pick_time(tie_heavy);
-      const std::uint64_t tag = next_tag_++;
-      calendar_.do_schedule(when, tag);
-      reference_.do_schedule(when, tag);
-      last_scheduled_ = when;
+      schedule_both(pick_time(stream));
       return;
     }
     if (roll < 60) {
@@ -179,7 +202,7 @@ class DifferentialHarness {
       auto it = calendar_.live.lower_bound(splitmix64(rng_) % next_tag_);
       if (it == calendar_.live.end()) return;
       const std::uint64_t tag = it->first;
-      const Time when = pick_time(tie_heavy);
+      const Time when = pick_time(stream);
       const bool a = calendar_.do_cancel(tag);
       const bool b = reference_.do_cancel(tag);
       EXPECT_EQ(a, b);
@@ -253,12 +276,12 @@ class EventQueueDifferentialTest : public testing::TestWithParam<std::uint64_t> 
 // comfortably exceeds the 1e5-operation floor for the oracle.
 TEST_P(EventQueueDifferentialTest, DispatchStreamMatchesReferenceHeap) {
   DifferentialHarness harness{GetParam() * 0x9e3779b97f4a7c15ull + 1};
-  harness.run_ops(3500, /*tie_heavy=*/false);
+  harness.run_ops(3500, Stream::kPlain);
 }
 
 TEST_P(EventQueueDifferentialTest, TieHeavyStreamMatchesReferenceHeap) {
   DifferentialHarness harness{GetParam() * 0xbf58476d1ce4e5b9ull + 7};
-  harness.run_ops(1500, /*tie_heavy=*/true);
+  harness.run_ops(1500, Stream::kTieHeavy);
 }
 
 // The batch-collection path (armed kIdentity perturbation) must be
@@ -270,10 +293,20 @@ TEST_P(EventQueueDifferentialTest, IdentityPerturbationMatchesReferenceHeap) {
   SchedulePerturbation identity;
   identity.mode = SchedulePerturbation::Mode::kIdentity;
   harness.calendar_queue().set_perturbation(identity);
-  harness.run_ops(1200, /*tie_heavy=*/true);
+  harness.run_ops(1200, Stream::kTieHeavy);
   EXPECT_GT(harness.calendar_queue().batches_collected(), 0u)
       << "tie-heavy stream collected no multi-event batches; the variant "
          "did not exercise the batch path";
+}
+
+// Far-future timers pending during near-term churn: the re-span rule
+// sizes days from the near events and parks the far ones on the rung, so
+// the stream crosses that rung boundary at nearly every re-span.
+TEST_P(EventQueueDifferentialTest, FarTimerStreamMatchesReferenceHeap) {
+  DifferentialHarness harness{GetParam() * 0xd1b54a32d192ed03ull + 29};
+  harness.run_ops(2500, Stream::kFarTimer);
+  EXPECT_GT(harness.calendar_queue().calendar_stats().rebuilds, 0u)
+      << "the far-timer stream never re-spanned the window";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferentialTest,
