@@ -8,13 +8,13 @@
 // first-order slowdown model, with 50% of each application's working set
 // disaggregated.
 
-#include <cstdio>
+#include <algorithm>
 
 #include "core/app_performance.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
 
 struct Interconnect {
   const char* name;
@@ -23,7 +23,7 @@ struct Interconnect {
 
 }  // namespace
 
-int main() {
+void abl_app_slowdown(Report& report) {
   std::printf("=== Ablation: application slowdown vs interconnect (50%% remote) ===\n\n");
 
   // Round trips measured by the other benches of this repository, plus
@@ -60,26 +60,27 @@ int main() {
 
   // The design-point check: the circuit path holds the pilot-class apps
   // near native; the commodity paths do not hold the demanding ones.
-  bool circuit_ok = true;
-  bool commodity_fails_someone = false;
+  double worst_pilot = 0.0, worst_analytics = 0.0, worst_commodity = 0.0;
   for (const auto& app : apps) {
     if (app.name.find("KV store") != std::string::npos) continue;
     const double s486 = model.slowdown(app, 0.5, sim::Time::ns(486));
     const bool pilot = app.name.find("video") != std::string::npos ||
                        app.name.find("NFV") != std::string::npos;
-    if (pilot ? s486 >= 1.10 : s486 >= 1.35) circuit_ok = false;
-    if (model.slowdown(app, 0.5, sim::Time::us(20)) >= 1.5) commodity_fails_someone = true;
+    double& worst = pilot ? worst_pilot : worst_analytics;
+    worst = std::max(worst, s486);
+    worst_commodity = std::max(worst_commodity, model.slowdown(app, 0.5, sim::Time::us(20)));
   }
-  std::printf("Design-point checks:\n");
-  std::printf("  sub-us circuit path: pilots within 10%%, analytics within 35%% -> %s\n",
-              circuit_ok ? "CONFIRMED" : "NOT confirmed");
-  std::printf("  40GbE-class paths inflate demanding apps >1.5x -> %s\n",
-              commodity_fails_someone ? "CONFIRMED" : "NOT confirmed");
+  report.check("worst pilot slowdown on the sub-us circuit path", "§I", worst_pilot,
+               below(1.10));
+  report.check("worst analytics slowdown on the sub-us circuit path", "§I", worst_analytics,
+               below(1.35));
+  report.check("worst slowdown on a 40GbE-class path", "§I", worst_commodity, at_least(1.5));
   std::printf("\nThis is the quantitative case for the FEC-free, circuit-switched\n");
   std::printf("design: every 100 ns on the round trip is ~%.0f%% slowdown for the\n",
               (model.slowdown(apps[3], 0.5, sim::Time::ns(586)) -
                model.slowdown(apps[3], 0.5, sim::Time::ns(486))) *
                   100.0);
   std::printf("memory-intensive analytics profile at 50%% remote.\n");
-  return circuit_ok ? 0 : 1;
 }
+
+}  // namespace dredbox::repro

@@ -4,65 +4,40 @@
 // consolidation pass packs them — cheap because disaggregated segments
 // are re-pointed, not copied — and the emptied bricks power off.
 
-#include <cstdio>
-#include <memory>
-
 #include "orch/consolidator.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
-namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
-}
+namespace dredbox::repro {
 
-int main() {
+void abl_consolidation(Report& report) {
   std::printf("=== Ablation: consolidation + power-off closed loop ===\n\n");
 
-  hw::Rack rack;
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  orch::SdmController sdm{rack, fabric, circuits};
-  orch::MigrationEngine engine{rack, fabric, sdm};
+  ManagedRack fab;
+  hw::Rack& rack = fab.rack;
+  orch::MigrationEngine engine{rack, fab.fabric, fab.sdm};
   orch::PowerManager power{rack};
 
-  struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
-    os::BareMetalOs os;
-    hyp::Hypervisor hypervisor;
-    orch::SdmAgent agent;
-  };
-  std::vector<std::unique_ptr<Stack>> stacks;
   std::vector<hw::BrickId> computes;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
   hw::ComputeBrickConfig cc;
   cc.apu_cores = 4;
   cc.local_memory_bytes = 8 * kGiB;
   for (int i = 0; i < 8; ++i) {
-    auto& cb = rack.add_compute_brick(i < 4 ? tray_a : tray_b, cc);
-    stacks.push_back(std::make_unique<Stack>(cb));
-    sdm.register_agent(stacks.back()->agent);
-    computes.push_back(cb.id());
+    computes.push_back(fab.add_compute(i < 4 ? fab.tray_a : fab.tray_b, cc));
   }
   hw::MemoryBrickConfig mc;
   mc.capacity_bytes = 64 * kGiB;
-  rack.add_memory_brick(tray_b, mc);
+  rack.add_memory_brick(fab.tray_b, mc);
 
   // Tenant churn aftermath: one 1-core VM stranded on each brick, each
   // holding 1 GiB of disaggregated memory.
-  for (std::size_t i = 0; i < stacks.size(); ++i) {
-    auto vm = stacks[i]->hypervisor.create_vm(1, kGiB);
+  for (std::size_t i = 0; i < fab.stacks.size(); ++i) {
+    auto vm = fab.stacks[i]->hypervisor.create_vm(1, kGiB);
     orch::ScaleUpRequest req;
     req.vm = *vm;
     req.compute = computes[i];
     req.bytes = kGiB;
     req.posted_at = sim::Time::sec(static_cast<double>(i));
-    if (!sdm.scale_up(req).ok) {
-      std::printf("setup scale-up failed\n");
-      return 1;
-    }
+    if (!fab.sdm.scale_up(req).ok) throw std::runtime_error("setup scale-up failed");
   }
 
   hw::PowerModel pm;
@@ -73,13 +48,13 @@ int main() {
     }
     return n;
   };
-  const double power_before = rack.power_draw_watts(pm, sw.ports_in_use());
+  const double power_before = rack.power_draw_watts(pm, fab.sw.ports_in_use());
   const std::size_t bricks_before = active_bricks();
 
-  orch::Consolidator consolidator{rack, sdm, engine, power};
-  const auto report = consolidator.consolidate(sim::Time::sec(100));
+  orch::Consolidator consolidator{rack, fab.sdm, engine, power};
+  const auto pass = consolidator.consolidate(sim::Time::sec(100));
 
-  const double power_after = rack.power_draw_watts(pm, sw.ports_in_use());
+  const double power_after = rack.power_draw_watts(pm, fab.sw.ports_in_use());
   const std::size_t bricks_after = active_bricks();
 
   sim::TextTable table{{"", "before", "after one pass"}};
@@ -90,16 +65,15 @@ int main() {
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("pass summary: %zu migrations in %s total (memory re-pointed, not\n",
-              report.migrations, report.total_migration_time.to_string().c_str());
+              pass.migrations, pass.total_migration_time.to_string().c_str());
   std::uint64_t repointed = 0;
-  for (const auto& m : report.moves) repointed += m.repointed_bytes;
+  for (const auto& m : pass.moves) repointed += m.repointed_bytes;
   std::printf("copied: %llu GiB followed the VMs); %zu bricks emptied, %zu swept off\n\n",
-              static_cast<unsigned long long>(repointed >> 30), report.bricks_emptied,
-              report.bricks_powered_off);
+              static_cast<unsigned long long>(repointed >> 30), pass.bricks_emptied,
+              pass.bricks_powered_off);
 
-  const double saving = (power_before - power_after) / power_before;
-  std::printf("Design-choice check: one consolidation pass cuts rack power by %.1f%%\n",
-              saving * 100);
-  std::printf("  -> %s\n", saving > 0.2 ? "CONFIRMED" : "NOT confirmed");
-  return saving > 0.2 ? 0 : 1;
+  report.check("rack power cut by one consolidation pass", "objectives",
+               (power_before - power_after) / power_before, above(0.2));
 }
+
+}  // namespace dredbox::repro

@@ -8,42 +8,27 @@
 //   3. cross-tray attach   — optical circuit through the rack switch
 //   4. scale-out           — spawn another VM [13]
 
-#include <cstdio>
-#include <memory>
-
 #include "orch/scale_out.hpp"
-#include "orch/sdm_controller.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
+#include "sim/format.hpp"
 
-namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
-}
+namespace dredbox::repro {
 
-int main() {
+void abl_elasticity_tiers(Report& report) {
   std::printf("=== Ablation: elasticity tiers (1 GiB grant each) ===\n\n");
 
-  hw::Rack rack;
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  orch::SdmController sdm{rack, fabric, circuits};
-
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
+  ManagedRack fab;
+  hw::Rack& rack = fab.rack;
+  orch::SdmController& sdm = fab.sdm;
   hw::ComputeBrickConfig cc;
   cc.apu_cores = 4;
   cc.local_memory_bytes = 8 * kGiB;
-  auto& cb = rack.add_compute_brick(tray_a, cc);
-  os::BareMetalOs os{cb};
-  hyp::Hypervisor hv{cb, os};
-  orch::SdmAgent agent{hv, os};
-  sdm.register_agent(agent);
+  fab.add_compute(fab.tray_a, cc);
 
   hw::MemoryBrickConfig mc;
   mc.capacity_bytes = 32 * kGiB;
-  const hw::BrickId local_mb = rack.add_memory_brick(tray_a, mc).id();
-  const hw::BrickId remote_mb = rack.add_memory_brick(tray_b, mc).id();
+  const hw::BrickId local_mb = rack.add_memory_brick(fab.tray_a, mc).id();
+  const hw::BrickId remote_mb = rack.add_memory_brick(fab.tray_b, mc).id();
 
   orch::AllocationRequest req;
   req.vcpus = 1;
@@ -51,10 +36,7 @@ int main() {
   const auto donor = sdm.allocate_vm(req, sim::Time::zero());
   req.memory_bytes = 2 * kGiB;
   const auto taker = sdm.allocate_vm(req, sim::Time::zero());
-  if (!donor.ok || !taker.ok) {
-    std::printf("boot failed\n");
-    return 1;
-  }
+  if (!donor.ok || !taker.ok) throw std::runtime_error("boot failed");
 
   sim::TextTable table{{"tier", "mechanism", "delay", "fabric state touched"}};
 
@@ -72,7 +54,7 @@ int main() {
   s2.posted_at = sim::Time::sec(20);
   const auto t2 = sdm.scale_up(s2);
   if (!t2.ok || t2.membrick != local_mb) {
-    std::printf("tier-2 setup unexpected (mb=%s)\n", t2.membrick.to_string().c_str());
+    throw std::runtime_error("tier-2 setup unexpected (mb=" + t2.membrick.to_string() + ")");
   }
   table.add_row({"2", "attach, intra-tray electrical", t2.delay().to_string(),
                  "RMST + backplane lane"});
@@ -84,9 +66,7 @@ int main() {
   orch::ScaleUpRequest s3 = s2;
   s3.posted_at = sim::Time::sec(30);
   const auto t3 = sdm.scale_up(s3);
-  if (!t3.ok || t3.membrick != remote_mb) {
-    std::printf("tier-3 setup unexpected\n");
-  }
+  if (!t3.ok || t3.membrick != remote_mb) throw std::runtime_error("tier-3 setup unexpected");
   table.add_row({"3", "attach, cross-tray optical", t3.delay().to_string(),
                  "RMST + circuit + switch ports"});
   if (filler) rack.memory_brick(local_mb).release(filler->id);
@@ -100,12 +80,15 @@ int main() {
 
   std::printf("%s\n", table.to_string().c_str());
 
-  const bool ordered = t1.delay() < t2.delay() && t2.delay() < t3.delay() &&
-                       t3.delay() < t4.delay();
-  std::printf("Tier ordering check (1 < 2 < 3 < 4) -> %s\n",
-              ordered ? "CONFIRMED" : "NOT confirmed");
+  const double delays_s[] = {t1.delay().as_sec(), t2.delay().as_sec(), t3.delay().as_sec(),
+                             t4.delay().as_sec()};
+  for (int tier = 1; tier < 4; ++tier) {
+    report.check(sim::strformat("tier %d delay (s) vs tier %d", tier, tier + 1), "Fig. 10",
+                 delays_s[tier - 1], below(delays_s[tier]));
+  }
   std::printf("\nThe SDM-C exploits this ladder: ballooning redistributes what the\n");
   std::printf("brick already holds; the fabric only gets touched when genuinely new\n");
   std::printf("memory is needed, and the optical switch only for cross-tray grants.\n");
-  return ordered ? 0 : 1;
 }
+
+}  // namespace dredbox::repro

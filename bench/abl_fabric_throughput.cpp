@@ -5,15 +5,11 @@
 // and memory-controller contention — the end-to-end question "how much
 // bandwidth can one dMEMBRICK actually serve?".
 
-#include <cstdio>
-
 #include "memsys/dma.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
-constexpr std::uint64_t kMiB = 1ull << 20;
 
 struct Scenario {
   std::size_t compute_bricks;
@@ -23,37 +19,24 @@ struct Scenario {
 
 double run(const Scenario& sc) {
   sim::Simulator sim;
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
+  optics::OpticalSwitchConfig swc;
+  swc.ports = 96;
+  CircuitRack fab{swc};
   std::vector<hw::BrickId> cpus;
   for (std::size_t i = 0; i < sc.compute_bricks; ++i) {
-    cpus.push_back(rack.add_compute_brick(tray_a).id());
+    cpus.push_back(fab.rack.add_compute_brick(fab.tray_a).id());
   }
   hw::MemoryBrickConfig mc;
   mc.capacity_bytes = 64 * kGiB;
   mc.memory_controllers = sc.memory_controllers;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-
-  optics::OpticalSwitchConfig swc;
-  swc.ports = 96;
-  optics::OpticalSwitch sw{swc};
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  const hw::BrickId mem = fab.rack.add_memory_brick(fab.tray_b, mc).id();
 
   // One bonded attachment and one dual-channel DMA engine per brick.
   std::vector<std::unique_ptr<memsys::DmaEngine>> engines;
   std::vector<memsys::Attachment> attachments;
   for (hw::BrickId cpu : cpus) {
-    memsys::AttachRequest req;
-    req.compute = cpu;
-    req.membrick = mem;
-    req.bytes = 8 * kGiB;
-    req.lanes = sc.lanes_per_brick;
-    auto a = fabric.attach(req, sim::Time::zero());
-    if (!a) throw std::runtime_error("attach failed: " + to_string(fabric.last_error()));
-    attachments.push_back(*a);
-    engines.push_back(std::make_unique<memsys::DmaEngine>(sim, fabric, cpu, 2, 65536));
+    attachments.push_back(fab.attach(cpu, mem, 8 * kGiB, sc.lanes_per_brick));
+    engines.push_back(std::make_unique<memsys::DmaEngine>(sim, fab.fabric, cpu, 2, 65536));
   }
 
   // Every brick pushes 64 MiB; measure wall-clock of the slowest.
@@ -78,7 +61,7 @@ double run(const Scenario& sc) {
 
 }  // namespace
 
-int main() {
+void abl_fabric_throughput(Report& report) {
   std::printf("=== Fabric stress: aggregate DMA throughput into one dMEMBRICK ===\n");
   std::printf("64 MiB pushed per dCOMPUBRICK, dual-channel DMA, 64 KiB chunks\n\n");
 
@@ -112,7 +95,10 @@ int main() {
   std::printf("  abl_memory_controllers for the 64 B-read latency cliff), while link\n");
   std::printf("  count is the *bandwidth* knob — exactly how Section II frames the\n");
   std::printf("  dMEMBRICK's two dimensioning axes.\n");
-  const bool ok = four_lane > 2.0 * one_lane && rich >= starved;
-  std::printf("  -> %s\n", ok ? "CONFIRMED" : "NOT confirmed");
-  return ok ? 0 : 1;
+  report.check("one consumer's throughput (Gb/s) on 4 bonded lanes vs twice 1 lane", "§II",
+               four_lane, above(2.0 * one_lane));
+  report.check("4-consumer throughput (Gb/s) with 4 controllers vs 1", "§II", rich,
+               at_least(starved));
 }
+
+}  // namespace dredbox::repro

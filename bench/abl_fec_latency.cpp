@@ -6,28 +6,23 @@
 // latency penalty of adding RS-FEC to the remote-memory path, and the
 // coding gain it would buy on marginal links.
 
-#include <cstdio>
-
-#include "net/packet_network.hpp"
 #include "optics/fec.hpp"
 #include "optics/receiver.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
 
 double round_trip_ns(optics::FecScheme scheme) {
-  net::PacketNetwork network{net::PacketPathLatencies{}, optics::FecModel{scheme}};
-  const hw::BrickId cpu{1}, mem{2};
-  network.add_brick(cpu);
-  network.add_brick(mem);
-  network.connect(cpu, mem, 10.0);
-  return network.remote_read(cpu, mem, 0x0, 64, sim::Time::zero()).latency().as_ns();
+  return PacketPair{hw::BrickId{1}, hw::BrickId{2}, scheme}
+      .read(64, sim::Time::zero())
+      .latency()
+      .as_ns();
 }
 
 }  // namespace
 
-int main() {
+void abl_fec_latency(Report& report) {
   std::printf("=== Ablation: FEC-free vs RS-FEC on the remote-memory path ===\n\n");
 
   const double base_ns = round_trip_ns(optics::FecScheme::kNone);
@@ -61,10 +56,11 @@ int main() {
               p_raw - p_strong);
 
   const double penalty_light = round_trip_ns(optics::FecScheme::kRsLight) - base_ns;
-  std::printf("\nPaper rationale check: RS-FEC adds >100 ns per traversal (round-trip\n");
-  std::printf("penalty measured: %.0f ns, i.e. %.0f ns per traversal) -> %s\n", penalty_light,
-              penalty_light / 2.0, penalty_light / 2.0 > 100.0 ? "CONFIRMED" : "NOT confirmed");
+  std::printf("\n");
+  report.check("RS(528,514) added latency per traversal (ns)", "§III", penalty_light / 2.0,
+               above(100.0));
   std::printf("Verdict: in-rack budgets close at 6-8 hops without FEC (see fig7_ber),\n");
   std::printf("so dReDBox keeps the interface FEC-free and banks the latency.\n");
-  return 0;
 }
+
+}  // namespace dredbox::repro

@@ -5,49 +5,29 @@
 // and the optical-switch ports the electrical substrate saves — and hence
 // why the SDM-C prefers same-tray dMEMBRICKs.
 
-#include <cstdio>
+#include "repro.hpp"
 
-#include "memsys/remote_memory.hpp"
-#include "sim/report.hpp"
+namespace dredbox::repro {
 
-namespace {
-using namespace dredbox;
-}
-
-int main() {
+void abl_intra_tray(Report& report) {
   std::printf("=== Ablation: intra-tray electrical vs cross-tray optical ===\n\n");
 
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
-  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
-  const hw::BrickId mem_local = rack.add_memory_brick(tray_a).id();   // same tray
-  const hw::BrickId mem_remote = rack.add_memory_brick(tray_b).id();  // other tray
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-
-  memsys::AttachRequest local_req;
-  local_req.compute = cpu;
-  local_req.membrick = mem_local;
-  const auto local = fabric.attach(local_req, sim::Time::zero());
-  memsys::AttachRequest remote_req;
-  remote_req.compute = cpu;
-  remote_req.membrick = mem_remote;
-  const auto remote = fabric.attach(remote_req, sim::Time::zero());
-  if (!local || !remote) {
-    std::printf("attach failed\n");
-    return 1;
-  }
+  CircuitRack fab;
+  const hw::BrickId cpu = fab.rack.add_compute_brick(fab.tray_a).id();
+  const hw::BrickId mem_local = fab.rack.add_memory_brick(fab.tray_a).id();   // same tray
+  const hw::BrickId mem_remote = fab.rack.add_memory_brick(fab.tray_b).id();  // other tray
+  const auto local = fab.attach(cpu, mem_local);
+  const auto remote = fab.attach(cpu, mem_remote);
+  auto& fabric = fab.fabric;
   std::printf("intra-tray attach medium: %s (switch ports used: %zu)\n",
-              memsys::to_string(local->medium).c_str(), sw.ports_in_use());
+              memsys::to_string(local.medium).c_str(), fab.sw.ports_in_use());
   std::printf("cross-tray attach medium: %s (switch ports used: %zu)\n\n",
-              memsys::to_string(remote->medium).c_str(), sw.ports_in_use());
+              memsys::to_string(remote.medium).c_str(), fab.sw.ports_in_use());
 
   sim::TextTable table{{"payload (B)", "intra-tray RT (ns)", "cross-tray RT (ns)", "saving"}};
   for (std::uint32_t bytes : {64u, 256u, 1024u, 4096u}) {
-    const auto e = fabric.read(cpu, local->compute_base, bytes, sim::Time::ms(bytes));
-    const auto o = fabric.read(cpu, remote->compute_base, bytes, sim::Time::ms(bytes) + sim::Time::us(500));
+    const auto e = fabric.read(cpu, local.compute_base, bytes, sim::Time::ms(bytes));
+    const auto o = fabric.read(cpu, remote.compute_base, bytes, sim::Time::ms(bytes) + sim::Time::us(500));
     table.add_row({std::to_string(bytes), sim::TextTable::num(e.round_trip().as_ns(), 0),
                    sim::TextTable::num(o.round_trip().as_ns(), 0),
                    sim::TextTable::pct((o.round_trip() - e.round_trip()).as_ns() /
@@ -55,7 +35,7 @@ int main() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  const auto e64 = fabric.read(cpu, local->compute_base, 64, sim::Time::sec(10));
+  const auto e64 = fabric.read(cpu, local.compute_base, 64, sim::Time::sec(10));
   std::printf("64 B intra-tray breakdown:\n%s\n", e64.breakdown.to_string().c_str());
 
   std::printf("Port economics: the intra-tray attachment consumed 0 optical switch\n");
@@ -63,10 +43,10 @@ int main() {
   std::printf("traffic electrical preserves the switch for cross-tray circuits — the\n");
   std::printf("scarcity that otherwise forces the packet-switched fallback (Sec. III).\n\n");
 
-  const bool faster =
-      fabric.read(cpu, local->compute_base, 64, sim::Time::sec(20)).round_trip() <
-      fabric.read(cpu, remote->compute_base, 64, sim::Time::sec(30)).round_trip();
-  std::printf("Design-choice check: electrical intra-tray path is faster -> %s\n",
-              faster ? "CONFIRMED" : "NOT confirmed");
-  return faster ? 0 : 1;
+  const auto e = fabric.read(cpu, local.compute_base, 64, sim::Time::sec(20));
+  const auto o = fabric.read(cpu, remote.compute_base, 64, sim::Time::sec(30));
+  report.check("64 B intra-tray electrical round trip (ns) vs cross-tray optical", "§II",
+               e.round_trip().as_ns(), below(o.round_trip().as_ns()));
 }
+
+}  // namespace dredbox::repro

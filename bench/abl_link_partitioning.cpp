@@ -6,15 +6,11 @@
 // aggregated links, and isolation when two dCOMPUBRICKs share vs own
 // their links.
 
-#include <cstdio>
-
-#include "memsys/remote_memory.hpp"
-#include "net/packet_network.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 #include "sim/stats.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
 
 /// Time for `burst` back-to-back 4 KiB reads from one compute brick using
 /// `links` parallel links on the dMEMBRICK side.
@@ -33,7 +29,7 @@ double burst_completion_us(std::size_t links, int burst) {
 
 }  // namespace
 
-int main() {
+void abl_link_partitioning(Report& report) {
   std::printf("=== Ablation: dMEMBRICK link aggregation vs partitioning ===\n\n");
 
   constexpr int kBurst = 64;
@@ -94,33 +90,21 @@ int main() {
   std::printf("Mode C: bonded lanes on the circuit-switched mainline (16 KiB read)\n");
   sim::TextTable bond_tbl{{"lanes", "round trip (us)", "switch ports"}};
   for (std::size_t lanes : {1u, 2u, 4u}) {
-    hw::Rack rack;
-    const hw::TrayId t1 = rack.add_tray();
-    const hw::TrayId t2 = rack.add_tray();
-    const hw::BrickId cpu = rack.add_compute_brick(t1).id();
-    const hw::BrickId memb = rack.add_memory_brick(t2).id();
-    optics::OpticalSwitch sw;
-    optics::CircuitManager circuits{sw};
-    memsys::RemoteMemoryFabric fabric{rack, circuits};
-    memsys::AttachRequest req;
-    req.compute = cpu;
-    req.membrick = memb;
-    req.lanes = lanes;
-    auto a = fabric.attach(req, sim::Time::zero());
-    if (!a) continue;
-    const auto tx = fabric.read(cpu, a->compute_base, 16384, sim::Time::zero());
+    CircuitRack fab;
+    const hw::BrickId cpu = fab.rack.add_compute_brick(fab.tray_a).id();
+    const hw::BrickId memb = fab.rack.add_memory_brick(fab.tray_b).id();
+    const auto a = fab.attach(cpu, memb, kGiB, lanes);
+    const auto tx = fab.fabric.read(cpu, a.compute_base, 16384, sim::Time::zero());
     bond_tbl.add_row({std::to_string(lanes),
                       sim::TextTable::num(tx.round_trip().as_us(), 2),
-                      std::to_string(sw.ports_in_use())});
+                      std::to_string(fab.sw.ports_in_use())});
   }
   std::printf("%s\n", bond_tbl.to_string().c_str());
 
-  const bool agg_scales = burst_completion_us(4, kBurst) < 0.5 * base;
-  const bool isolation = split_lat.mean() < shared_lat.mean();
-  std::printf("Design-choice checks:\n");
-  std::printf("  aggregating 4 links >2x faster on bursts -> %s\n",
-              agg_scales ? "CONFIRMED" : "NOT confirmed");
-  std::printf("  partitioning isolates tenants (lower mean RT) -> %s\n",
-              isolation ? "CONFIRMED" : "NOT confirmed");
-  return (agg_scales && isolation) ? 0 : 1;
+  report.check("64x4 KiB burst time (us) over 4 aggregated links vs half of 1 link", "§II",
+               burst_completion_us(4, kBurst), below(0.5 * base));
+  report.check("mean RT (us) with partitioned links vs one shared link", "§II", split_lat.mean(),
+               below(shared_lat.mean()));
 }
+
+}  // namespace dredbox::repro

@@ -5,14 +5,11 @@
 // stream concurrent reads at one dMEMBRICK; the bench sweeps the
 // controller count and reports sustained latency.
 
-#include <cstdio>
-
-#include "memsys/remote_memory.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 #include "sim/stats.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
 
 struct Outcome {
   double mean_rt_ns;
@@ -21,29 +18,15 @@ struct Outcome {
 };
 
 Outcome run(std::size_t controllers) {
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
+  CircuitRack fab;
   std::vector<hw::BrickId> cpus;
-  for (int i = 0; i < 4; ++i) cpus.push_back(rack.add_compute_brick(tray_a).id());
+  for (int i = 0; i < 4; ++i) cpus.push_back(fab.rack.add_compute_brick(fab.tray_a).id());
   hw::MemoryBrickConfig mc;
   mc.memory_controllers = controllers;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  const hw::BrickId mem = fab.rack.add_memory_brick(fab.tray_b, mc).id();
 
   std::vector<memsys::Attachment> attachments;
-  for (hw::BrickId cpu : cpus) {
-    memsys::AttachRequest req;
-    req.compute = cpu;
-    req.membrick = mem;
-    req.bytes = 1ull << 30;
-    auto a = fabric.attach(req, sim::Time::zero());
-    if (!a) throw std::runtime_error("attach failed");
-    attachments.push_back(*a);
-  }
+  for (hw::BrickId cpu : cpus) attachments.push_back(fab.attach(cpu, mem));
 
   // Each brick issues a 64 B read every 110 ns (interleaved pages), for
   // 1000 rounds: enough pressure that a single controller saturates.
@@ -54,7 +37,7 @@ Outcome run(std::size_t controllers) {
     for (std::size_t b = 0; b < cpus.size(); ++b) {
       const std::uint64_t addr =
           attachments[b].compute_base + (static_cast<std::uint64_t>(round % 64) << 12);
-      const auto tx = fabric.read(cpus[b], addr, 64, when);
+      const auto tx = fab.fabric.read(cpus[b], addr, 64, when);
       round_trips.add(tx.round_trip().as_ns());
       waits.add(tx.breakdown.of("memory controller wait").as_ns());
     }
@@ -64,7 +47,7 @@ Outcome run(std::size_t controllers) {
 
 }  // namespace
 
-int main() {
+void abl_memory_controllers(Report& report) {
   std::printf("=== Ablation: dMEMBRICK memory-controller dimensioning ===\n");
   std::printf("4 dCOMPUBRICKs x 64 B read every 110 ns at one dMEMBRICK\n\n");
 
@@ -80,10 +63,10 @@ int main() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  std::printf("Design-choice check: adding controllers absorbs concurrent demand\n");
-  std::printf("  (mean RT %.0f ns @1 MC -> %.0f ns @4 MCs) -> %s\n", rt1, rt4,
-              rt4 < rt1 ? "CONFIRMED" : "NOT confirmed");
+  report.check("mean 64 B round trip (ns) with 4 memory controllers vs 1", "§II", rt4,
+               below(rt1));
   std::printf("This is why the brick is *dimensioned*, not fixed: bandwidth-hungry\n");
   std::printf("trays take more controllers, capacity-hungry trays take more DRAM.\n");
-  return rt4 < rt1 ? 0 : 1;
 }
+
+}  // namespace dredbox::repro

@@ -5,45 +5,28 @@
 // controller IPs." This bench compares end-to-end remote access with the
 // two back-ends over both interconnect modes.
 
-#include <cstdio>
+#include "repro.hpp"
 
-#include "memsys/remote_memory.hpp"
-#include "net/packet_network.hpp"
-#include "sim/report.hpp"
-
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
 
 double circuit_rt_ns(hw::MemoryTechnology tech) {
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
-  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
+  CircuitRack fab;
+  const hw::BrickId cpu = fab.rack.add_compute_brick(fab.tray_a).id();
   hw::MemoryBrickConfig mc;
   mc.technology = tech;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  memsys::AttachRequest areq;
-  areq.compute = cpu;
-  areq.membrick = mem;
-  const auto a = fabric.attach(areq, sim::Time::zero());
-  return fabric.read(cpu, a->compute_base, 64, sim::Time::zero()).round_trip().as_ns();
+  const hw::BrickId mem = fab.rack.add_memory_brick(fab.tray_b, mc).id();
+  const auto a = fab.attach(cpu, mem);
+  return fab.fabric.read(cpu, a.compute_base, 64, sim::Time::zero()).round_trip().as_ns();
 }
 
 double packet_rt_ns(hw::MemoryTechnology tech) {
-  net::PacketNetwork network;
-  const hw::BrickId cpu{1}, mem{2};
-  network.add_brick(cpu);
-  network.add_brick(mem);
-  network.connect(cpu, mem, 10.0);
-  return network.remote_read(cpu, mem, 0x0, 64, sim::Time::zero(), tech).latency().as_ns();
+  return PacketPair{}.read(64, sim::Time::zero(), tech).latency().as_ns();
 }
 
 }  // namespace
 
-int main() {
+void abl_memory_technology(Report& report) {
   std::printf("=== Ablation: DDR4 vs HMC dMEMBRICK back-end ===\n\n");
 
   sim::TextTable table{{"path", "DDR4 RT (ns)", "HMC RT (ns)", "HMC advantage"}};
@@ -62,5 +45,12 @@ int main() {
   std::printf("only %.0f%%/%.0f%% — the glue-logic abstraction is cheap, which is why\n",
               100.0 * (c_ddr - c_hmc) / c_ddr, 100.0 * (p_ddr - p_hmc) / p_ddr);
   std::printf("the brick can be dimensioned by capacity/bandwidth need, not latency.\n");
-  return (c_hmc < c_ddr && p_hmc < p_ddr) ? 0 : 1;
+  report.check("circuit-path HMC round trip (ns) vs DDR4", "§II", c_hmc, below(c_ddr));
+  report.check("packet-path HMC round trip (ns) vs DDR4", "§II", p_hmc, below(p_ddr));
+  // The interconnect dominates the round trip, so the back-end moves it
+  // by little.
+  report.check("circuit-path HMC gain over DDR4", "§II", (c_ddr - c_hmc) / c_ddr, below(0.10));
+  report.check("packet-path HMC gain over DDR4", "§II", (p_ddr - p_hmc) / p_ddr, below(0.10));
 }
+
+}  // namespace dredbox::repro

@@ -4,50 +4,23 @@
 // segments are re-pointed (RMST + circuit move) with zero data movement.
 // A conventional server must stream the whole footprint.
 
-#include <cstdio>
-#include <memory>
+#include <algorithm>
 
 #include "orch/migration.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
 
-struct Testbed {
-  hw::Rack rack;
-  optics::OpticalSwitch sw;
-  std::unique_ptr<optics::CircuitManager> circuits;
-  std::unique_ptr<memsys::RemoteMemoryFabric> fabric;
-  std::unique_ptr<orch::SdmController> sdm;
-  std::unique_ptr<orch::MigrationEngine> engine;
-
-  struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
-    os::BareMetalOs os;
-    hyp::Hypervisor hypervisor;
-    orch::SdmAgent agent;
-  };
-  std::vector<std::unique_ptr<Stack>> stacks;
+struct Testbed : ManagedRack {
+  orch::MigrationEngine engine{rack, fabric, sdm};
   std::vector<hw::BrickId> computes;
 
   Testbed() {
-    circuits = std::make_unique<optics::CircuitManager>(sw);
-    fabric = std::make_unique<memsys::RemoteMemoryFabric>(rack, *circuits);
-    sdm = std::make_unique<orch::SdmController>(rack, *fabric, *circuits);
-    engine = std::make_unique<orch::MigrationEngine>(rack, *fabric, *sdm);
-    const hw::TrayId tray_a = rack.add_tray();
-    const hw::TrayId tray_b = rack.add_tray();
     hw::ComputeBrickConfig cc;
     cc.apu_cores = 4;
     cc.local_memory_bytes = 16 * kGiB;
-    for (hw::TrayId tray : {tray_a, tray_b}) {
-      auto& cb = rack.add_compute_brick(tray, cc);
-      stacks.push_back(std::make_unique<Stack>(cb));
-      sdm->register_agent(stacks.back()->agent);
-      computes.push_back(cb.id());
-    }
+    for (hw::TrayId tray : {tray_a, tray_b}) computes.push_back(add_compute(tray, cc));
     hw::MemoryBrickConfig mc;
     mc.capacity_bytes = 64 * kGiB;
     rack.add_memory_brick(tray_b, mc);
@@ -56,7 +29,7 @@ struct Testbed {
 
 }  // namespace
 
-int main() {
+void abl_migration(Report& report) {
   std::printf("=== Ablation: migration cost vs disaggregated-memory fraction ===\n");
   std::printf("VM footprint: 16 GiB total; local portion pre-copied at 10 Gb/s,\n");
   std::printf("disaggregated segments re-pointed (zero copy).\n\n");
@@ -66,37 +39,33 @@ int main() {
 
   // The all-local baseline (conventional mainboard).
   Testbed probe;
-  const sim::Time conventional = probe.engine->conventional_copy_time(16 * kGiB);
+  const sim::Time conventional = probe.engine.conventional_copy_time(16 * kGiB);
 
+  // Total time must fall at every step up in the remote fraction; the
+  // stop-and-copy pause stays short throughout.
+  double largest_step_s = -1e30;
+  double previous_s = 0.0;
+  double max_downtime_ms = 0.0;
   for (const std::uint64_t remote_gib : {0ull, 4ull, 8ull, 12ull, 15ull}) {
     Testbed tb;
     const std::uint64_t local_gib = 16 - remote_gib;
     orch::AllocationRequest req;
     req.vcpus = 2;
     req.memory_bytes = local_gib * kGiB;
-    const auto vm = tb.sdm->allocate_vm(req, sim::Time::zero());
-    if (!vm.ok) {
-      std::printf("boot failed: %s\n", vm.error.c_str());
-      return 1;
-    }
+    const auto vm = tb.sdm.allocate_vm(req, sim::Time::zero());
+    if (!vm.ok) throw std::runtime_error("boot failed: " + vm.error);
     for (std::uint64_t g = 0; g < remote_gib; ++g) {
       orch::ScaleUpRequest sr;
       sr.vm = vm.vm;
       sr.compute = vm.compute;
       sr.bytes = kGiB;
       sr.posted_at = sim::Time::sec(1 + static_cast<double>(g));
-      const auto r = tb.sdm->scale_up(sr);
-      if (!r.ok) {
-        std::printf("scale-up failed: %s\n", r.error.c_str());
-        return 1;
-      }
+      const auto r = tb.sdm.scale_up(sr);
+      if (!r.ok) throw std::runtime_error("scale-up failed: " + r.error);
     }
     const auto result =
-        tb.engine->migrate(vm.vm, tb.computes[0], tb.computes[1], sim::Time::sec(100));
-    if (!result.ok) {
-      std::printf("migration failed: %s\n", result.error.c_str());
-      return 1;
-    }
+        tb.engine.migrate(vm.vm, tb.computes[0], tb.computes[1], sim::Time::sec(100));
+    if (!result.ok) throw std::runtime_error("migration failed: " + result.error);
     char frac[16];
     std::snprintf(frac, sizeof frac, "%2llu/16",
                   static_cast<unsigned long long>(remote_gib));
@@ -107,6 +76,11 @@ int main() {
                    sim::TextTable::num(result.downtime.as_ms(), 0),
                    sim::TextTable::num(conventional.as_sec() / result.total_time.as_sec(), 1) +
                        "x faster"});
+    if (remote_gib > 0) {
+      largest_step_s = std::max(largest_step_s, result.total_time.as_sec() - previous_s);
+    }
+    previous_s = result.total_time.as_sec();
+    max_downtime_ms = std::max(max_downtime_ms, result.downtime.as_ms());
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("All-local conventional baseline: %.2f s to move 16 GiB\n\n",
@@ -114,5 +88,10 @@ int main() {
   std::printf("Design-choice check: migration time shrinks with the disaggregated\n");
   std::printf("fraction because re-pointing RMST entries replaces data movement —\n");
   std::printf("the 'improved VM migration' the project objectives promise.\n");
-  return 0;
+  report.check("largest change in total migration time (s) per step up in remote fraction",
+               "objectives", largest_step_s, below(0.0));
+  report.check("largest downtime (ms) over all remote fractions", "objectives",
+               max_downtime_ms, at_most(100.0));
 }
+
+}  // namespace dredbox::repro

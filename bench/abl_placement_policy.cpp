@@ -4,14 +4,11 @@
 // power-off opportunity: it concentrates segments on already-active
 // dMEMBRICKs so the rest can stay powered off.
 
-#include <cstdio>
-
 #include "core/datacenter.hpp"
-#include "sim/report.hpp"
+#include "repro.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
 
 core::DatacenterConfig config() {
   core::DatacenterConfig cfg;
@@ -81,7 +78,7 @@ Outcome run(bool power_conscious) {
 
 }  // namespace
 
-int main() {
+void abl_placement_policy(Report& report) {
   std::printf("=== Ablation: power-conscious (SDM-C) vs naive spreading placement ===\n");
   std::printf("Workload: 4 VMs, 12 x 2 GiB scale-ups across an 8-dMEMBRICK pool\n\n");
 
@@ -98,11 +95,11 @@ int main() {
   std::printf("%s\n", table.to_string().c_str());
 
   const double saving = (spread.power_w - packed.power_w) / spread.power_w;
-  std::printf("Design-choice check: packing keeps more bricks off and saves %.1f%%\n",
-              saving * 100);
-  std::printf("rack power for the same served memory -> %s\n",
-              packed.active_membricks < spread.active_membricks && saving > 0.0
-                  ? "CONFIRMED"
-                  : "NOT confirmed");
-  return packed.active_membricks < spread.active_membricks ? 0 : 1;
+  report.check("active dMEMBRICKs under SDM-C packing vs naive spreading", "§IV-C",
+               static_cast<double>(packed.active_membricks),
+               below(static_cast<double>(spread.active_membricks)));
+  report.check("rack power saved by packing for the same served memory", "§IV-C", saving,
+               above(0.0));
 }
+
+}  // namespace dredbox::repro

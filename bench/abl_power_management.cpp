@@ -3,18 +3,16 @@
 // timeout and the SDM-C pays a wake latency when demand returns. The
 // bench integrates rack energy over 48 h with and without the manager.
 
-#include <cstdio>
 #include <memory>
 
 #include "core/datacenter.hpp"
 #include "core/pilots/nfv.hpp"
 #include "orch/power_manager.hpp"
+#include "repro.hpp"
 #include "sim/stats.hpp"
-#include "sim/report.hpp"
 
+namespace dredbox::repro {
 namespace {
-using namespace dredbox;
-constexpr std::uint64_t kGiB = 1ull << 30;
 
 core::DatacenterConfig dc_config() {
   core::DatacenterConfig cfg;
@@ -94,7 +92,7 @@ RunOutcome run(bool managed) {
 
 }  // namespace
 
-int main() {
+void abl_power_management(Report& report) {
   std::printf("=== Ablation: power-aware management over a 48 h diurnal trace ===\n\n");
 
   const RunOutcome off = run(false);
@@ -115,7 +113,8 @@ int main() {
   std::printf("Cost: %.2f s mean scale-up (vs %.2f s) — wake latency shows up only\n",
               on.mean_scale_delay_s, off.mean_scale_delay_s);
   std::printf("when demand returns to a dark brick.\n\n");
-  std::printf("Design-choice check: power management saves energy on diurnal load -> %s\n",
-              saving > 0.05 ? "CONFIRMED" : "NOT confirmed");
-  return saving > 0.05 ? 0 : 1;
+  report.check("energy saved by sweeping idle bricks over 48 h of diurnal load", "objectives",
+               saving, above(0.05));
 }
+
+}  // namespace dredbox::repro

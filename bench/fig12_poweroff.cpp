@@ -5,16 +5,13 @@
 // conventional datacenter only ~15% of hosts can.
 
 #include <algorithm>
-#include <cstdio>
 
-#include "sim/report.hpp"
+#include "repro.hpp"
 #include "tco/tco_study.hpp"
 
-namespace {
-using namespace dredbox;
-}
+namespace dredbox::repro {
 
-int main() {
+void fig12_poweroff(Report& report) {
   tco::TcoConfig config;
   config.servers = 64;
   config.repetitions = 10;
@@ -51,11 +48,11 @@ int main() {
                 row.conventional_off * 100, sim::ascii_bar(row.conventional_off, 1.0, 40).c_str());
   }
 
-  std::printf("\nPaper claim check: up to ~88%% of one brick class powered off\n");
-  std::printf("  (measured best: %.1f%%) -> %s\n", best_dd * 100,
-              best_dd > 0.75 ? "REPRODUCED" : "NOT reproduced");
-  std::printf("Paper claim check: conventional datacenter stays <=~15%%\n");
-  std::printf("  (measured best: %.1f%%) -> %s\n", best_conv * 100,
-              best_conv <= 0.20 ? "REPRODUCED" : "NOT reproduced");
-  return (best_dd > 0.75 && best_conv <= 0.20) ? 0 : 1;
+  std::printf("\n");
+  report.check("best share of one brick class powered off (paper: up to ~88%)", "Fig. 12",
+               best_dd, above(0.75));
+  report.check("best share of conventional servers powered off (paper: ~15%)", "Fig. 12",
+               best_conv, at_most(0.20));
 }
+
+}  // namespace dredbox::repro

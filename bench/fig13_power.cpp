@@ -4,16 +4,13 @@
 // with diverse, unbalanced resource requirements.
 
 #include <algorithm>
-#include <cstdio>
 
-#include "sim/report.hpp"
+#include "repro.hpp"
 #include "tco/tco_study.hpp"
 
-namespace {
-using namespace dredbox;
-}
+namespace dredbox::repro {
 
-int main() {
+void fig13_power(Report& report) {
   tco::TcoConfig config;
   config.servers = 64;
   config.repetitions = 10;
@@ -47,11 +44,10 @@ int main() {
                 row.dredbox_norm, sim::ascii_bar(row.dredbox_norm, 1.0, 40).c_str());
   }
 
-  std::printf("\nPaper claim check: almost 50%% savings on unbalanced workloads\n");
-  std::printf("  (measured best: %.1f%%) -> %s\n", best_savings * 100,
-              best_savings > 0.35 && best_savings < 0.70 ? "REPRODUCED" : "NOT reproduced");
-  std::printf("Shape check: balanced Half-Half saves little (%.1f%%) -> %s\n",
-              halfhalf_savings * 100,
-              halfhalf_savings < 0.15 ? "REPRODUCED" : "NOT reproduced");
-  return best_savings > 0.35 ? 0 : 1;
+  std::printf("\n");
+  report.check("best savings on unbalanced workloads (paper: almost 50%)", "Fig. 13",
+               best_savings, within(0.35, 0.70));
+  report.check("balanced Half-Half savings", "Fig. 13", halfhalf_savings, below(0.15));
 }
+
+}  // namespace dredbox::repro

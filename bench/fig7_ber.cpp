@@ -6,19 +6,17 @@
 // one traversing six).
 
 #include <cmath>
-#include <cstdio>
 
 #include "optics/link_budget.hpp"
 #include "optics/mbo.hpp"
 #include "optics/receiver.hpp"
 #include "optics/units.hpp"
+#include "repro.hpp"
 #include "sim/random.hpp"
-#include "sim/report.hpp"
 #include "sim/stats.hpp"
 
+namespace dredbox::repro {
 namespace {
-
-using namespace dredbox;
 
 struct ChannelRun {
   std::size_t channel;
@@ -53,7 +51,7 @@ ChannelRun measure_channel(const optics::MboChannel& channel, std::size_t hops,
 
 }  // namespace
 
-int main() {
+void fig7_ber(Report& report) {
   std::printf("=== Fig. 7: BER vs receiving optical power (10 Gb/s links) ===\n");
   std::printf("SiP MBO: 8 channels, shared 1310 nm laser, mean launch -3.7 dBm\n");
   std::printf("Optical switch: ~1 dB insertion loss per hop; FEC-free interface\n\n");
@@ -109,12 +107,12 @@ int main() {
   }
   std::printf("%s\n", hops_tbl.to_string().c_str());
 
-  const bool both_below = std::pow(10.0, ch1.log10_ber.box_plot().maximum) < 1e-12 &&
-                          std::pow(10.0, ch8.log10_ber.box_plot().maximum) < 1e-12;
-  std::printf("Paper claim check: all bi-directional links achieve BER below 1e-12 -> %s\n",
-              both_below ? "REPRODUCED" : "NOT reproduced");
-  std::printf("Shape check: ch-8 (8 hops) receives less power than ch-1 (6 hops) -> %s\n",
-              ch8.rx_power_dbm.median() < ch1.rx_power_dbm.median() ? "REPRODUCED"
-                                                                    : "NOT reproduced");
-  return both_below ? 0 : 1;
+  report.check("worst-trial BER of links ch-1 and ch-8", "Fig. 7",
+               std::pow(10.0, std::max(ch1.log10_ber.box_plot().maximum,
+                                       ch8.log10_ber.box_plot().maximum)),
+               below(1e-12));
+  report.check("ch-8 (8 hops) median rx power (dBm) vs ch-1 (6 hops)", "Fig. 7",
+               ch8.rx_power_dbm.median(), below(ch1.rx_power_dbm.median()));
 }
+
+}  // namespace dredbox::repro

@@ -4,27 +4,18 @@
 // and the MAC/PHY blocks on both the dMEMBRICK and the dCOMPUBRICK, plus
 // the optical path propagation delay.
 
-#include <cstdio>
-
-#include "net/packet_network.hpp"
+#include "repro.hpp"
 #include "sim/breakdown.hpp"
 #include "sim/stats.hpp"
 
-namespace {
-using namespace dredbox;
-}
+namespace dredbox::repro {
 
-int main() {
+void fig8_latency(Report& report) {
   std::printf("=== Fig. 8: round-trip remote memory access latency breakdown ===\n");
   std::printf("Path: APU -> TGL/NI -> on-brick switch -> MAC/PHY -> optics -> \n");
   std::printf("      MAC/PHY -> on-brick switch -> glue logic -> DDR (and back)\n\n");
 
-  net::PacketNetwork network;
-  const hw::BrickId cpu{1};
-  const hw::BrickId mem{2};
-  network.add_brick(cpu);
-  network.add_brick(mem);
-  network.connect(cpu, mem, 10.0);  // 10 m in-rack fibre
+  PacketPair path;
 
   // Average over a stream of isolated 64 B reads (one outstanding at a
   // time, spaced far apart: pure hardware latency, no queueing).
@@ -32,8 +23,7 @@ int main() {
   sim::Breakdown avg;
   sim::SampleSet round_trip_ns;
   for (int i = 0; i < kReads; ++i) {
-    const net::Packet pkt =
-        network.remote_read(cpu, mem, 0x1000, 64, sim::Time::us(10.0 * i));
+    const net::Packet pkt = path.read(64, sim::Time::us(10.0 * i));
     avg.merge(pkt.breakdown);
     round_trip_ns.add(pkt.latency().as_ns());
   }
@@ -51,15 +41,13 @@ int main() {
                           avg.of("on-brick switch (dMEMBRICK)").as_ns();
   const double prop = avg.of("optical propagation").as_ns();
 
-  std::printf("Shape checks vs the paper:\n");
-  std::printf("  MAC/PHY + on-brick switching dominate (%.0f%% of total) -> %s\n",
-              100.0 * (mac_phy + switches) / total,
-              (mac_phy + switches) > 0.5 * total ? "REPRODUCED" : "NOT reproduced");
-  std::printf("  optical propagation is a minor contributor (%.0f%%) -> %s\n",
-              100.0 * prop / total, prop < 0.15 * total ? "REPRODUCED" : "NOT reproduced");
-  std::printf("  round trip is sub-2us at rack scale -> %s\n",
-              total < 2000.0 ? "REPRODUCED" : "NOT reproduced");
+  report.check("MAC/PHY + on-brick switching share of the round trip", "Fig. 8",
+               (mac_phy + switches) / total, above(0.5));
+  report.check("optical propagation share of the round trip", "Fig. 8", prop / total,
+               below(0.15));
+  report.check("round trip (ns) at rack scale", "Fig. 8", total, below(2000.0));
   std::printf("\nNote: 'work is on-going on further optimizing IP designs' (Section III);\n");
   std::printf("the abl_circuit_vs_packet bench shows the mainline circuit path beating this.\n");
-  return 0;
 }
+
+}  // namespace dredbox::repro

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Perf harness: build Release, run the micro benchmarks plus a fixed set of
-# end-to-end reproduction benches, and reduce everything into one
-# BENCH_<tag>.json perf-trajectory point (see scripts/bench_reduce.py for
-# the schema). All benches are seed-pinned in code, so two runs on the
-# same host differ only by timer noise.
+# end-to-end reproduction experiments (dredbox_repro NAME), and reduce
+# everything into one BENCH_<tag>.json perf-trajectory point (see
+# scripts/bench_reduce.py for the schema). All experiments are seed-pinned
+# in code, so two runs on the same host differ only by timer noise.
 #
 # Usage: scripts/bench.sh [--tag TAG] [-o OUT] [--build-dir DIR] [--quick]
 #                         [--sweep] [--baseline 'NAME=NS[=NOTE]']...
@@ -45,8 +45,9 @@ done
 OUT="${OUT:-BENCH_${TAG}.json}"
 
 # The end-to-end set: fabric throughput (bandwidth), Fig. 8 (latency
-# breakdown), Fig. 10 (orchestration agility) — one bench per axis of the
-# paper's evaluation.
+# breakdown), Fig. 10 (orchestration agility) — one experiment per axis of
+# the paper's evaluation, each run as `dredbox_repro NAME` and recorded
+# under NAME so points stay comparable across the trajectory.
 E2E_BENCHES="abl_fabric_throughput fig8_latency fig10_scaleup"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
@@ -58,7 +59,7 @@ SWEEP_TARGET=""
 [[ "$RUN_SWEEP" == 1 ]] && SWEEP_TARGET="sweep"
 # shellcheck disable=SC2086
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)" \
-  --target micro_benchmarks quickstart $E2E_BENCHES $SWEEP_TARGET
+  --target micro_benchmarks quickstart dredbox_repro $SWEEP_TARGET
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -80,7 +81,7 @@ for bench in $E2E_BENCHES; do
   echo "== end-to-end: $bench"
   start_ns=$(date +%s%N)
   rc=0
-  "$BUILD_DIR/bench/$bench" > "$tmp/$bench.out" 2>&1 || rc=$?
+  "$BUILD_DIR/bench/dredbox_repro" "$bench" > "$tmp/$bench.out" 2>&1 || rc=$?
   end_ns=$(date +%s%N)
   wall=$(awk -v s="$start_ns" -v e="$end_ns" 'BEGIN { printf "%.3f", (e - s) / 1e9 }')
   if [[ "$rc" != 0 ]]; then

@@ -55,8 +55,8 @@ MIN_SWEEP_SPEEDUP = 2.0
 # it only binds when the host has the cores to honour it.
 MIN_PARALLEL_SPEEDUP = 1.2
 
-# End-to-end bench stdout lines worth keeping in the record: the paper
-# shape checks and the headline summary figures.
+# End-to-end stdout lines worth keeping in the record: the dredbox_repro
+# verdict lines and the headline summary figures.
 CHECK_RE = re.compile(r"REPRODUCED|NOT reproduced|Round trip:|speedup")
 
 

@@ -281,7 +281,7 @@ std::size_t FaultInjector::schedule(const FaultPlan& plan) {
     const Time when = std::max(event.at, sim_.now()) + Time::ps(1);
     events_.push_back(event);
     const std::size_t index = events_.size() - 1;
-    sim_.at(when, [this, index] { fire(index); });
+    sim_.at(when, [this, index] { fire(index); }, "sim.fault.inject");
     ++scheduled_;
     ++count;
   }
@@ -303,7 +303,7 @@ void FaultInjector::fire(std::size_t index) {
   if (active_metric_ != nullptr) active_metric_->set(static_cast<double>(active()));
   it->second(event);
   if (event.duration > Time::zero() && recover_.count(event.kind) != 0) {
-    sim_.after(event.duration, [this, index] { fire_recovery(index); });
+    sim_.after(event.duration, [this, index] { fire_recovery(index); }, "sim.fault.recover");
   }
 }
 
