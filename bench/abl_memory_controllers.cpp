@@ -39,7 +39,7 @@ Outcome run(std::size_t controllers) {
           attachments[b].compute_base + (static_cast<std::uint64_t>(round % 64) << 12);
       const auto tx = fab.fabric.read(cpus[b], addr, 64, when);
       round_trips.add(tx.round_trip().as_ns());
-      waits.add(tx.breakdown.of("memory controller wait").as_ns());
+      waits.add(tx.breakdown.of(sim::component("memory controller wait")).as_ns());
     }
   }
   return Outcome{round_trips.mean(), round_trips.percentile(95), waits.mean()};

@@ -31,8 +31,8 @@ void abl_near_data(Report& report) {
   const auto deployment = mgr.deploy(cpu, kernel, sim::Time::zero());
   if (!deployment) throw std::runtime_error("deploy failed");
   std::printf("deployment: bitstream push %.1f ms + PCAP %.1f ms (one-time)\n\n",
-              deployment->breakdown.of("bitstream transfer").as_ms(),
-              deployment->breakdown.of("PCAP reconfiguration").as_ms());
+              deployment->breakdown.of(sim::component("bitstream transfer")).as_ms(),
+              deployment->breakdown.of(sim::component("PCAP reconfiguration")).as_ms());
 
   // Fig. 5 mode: the wrapper's own transceivers wired straight to the
   // dMEMBRICK hosting the dataset (4 bonded lanes).

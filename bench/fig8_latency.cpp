@@ -35,11 +35,11 @@ void fig8_latency(Report& report) {
               round_trip_ns.min(), round_trip_ns.max());
 
   const double total = avg.total().as_ns();
-  const double mac_phy = avg.of("MAC/PHY (dCOMPUBRICK)").as_ns() +
-                         avg.of("MAC/PHY (dMEMBRICK)").as_ns();
-  const double switches = avg.of("on-brick switch (dCOMPUBRICK)").as_ns() +
-                          avg.of("on-brick switch (dMEMBRICK)").as_ns();
-  const double prop = avg.of("optical propagation").as_ns();
+  const double mac_phy = avg.of(sim::component("MAC/PHY (dCOMPUBRICK)")).as_ns() +
+                         avg.of(sim::component("MAC/PHY (dMEMBRICK)")).as_ns();
+  const double switches = avg.of(sim::component("on-brick switch (dCOMPUBRICK)")).as_ns() +
+                          avg.of(sim::component("on-brick switch (dMEMBRICK)")).as_ns();
+  const double prop = avg.of(sim::component("optical propagation")).as_ns();
 
   report.check("MAC/PHY + on-brick switching share of the round trip", "Fig. 8",
                (mac_phy + switches) / total, above(0.5));

@@ -115,18 +115,23 @@ void BM_RmstLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_RmstLookupMiss)->Arg(32);
 
-// Breakdown::charge with literal labels: every transaction in the datapath
-// charges several components, so this path must not allocate per call.
+// Breakdown::charge by compile-time component id: every transaction in the
+// datapath charges several components, so allocs_per_op must read 0.
 void BM_BreakdownCharge(benchmark::State& state) {
   sim::Breakdown breakdown;
-  breakdown.charge("serialization", sim::Time::ns(1));
-  breakdown.charge("optical propagation", sim::Time::ns(1));
-  breakdown.charge("MAC/PHY (dCOMPUBRICK)", sim::Time::ns(1));
-  breakdown.charge("MAC/PHY (dMEMBRICK)", sim::Time::ns(1));
+  breakdown.charge(sim::component("serialization"), sim::Time::ns(1));
+  breakdown.charge(sim::component("optical propagation"), sim::Time::ns(1));
+  breakdown.charge(sim::component("MAC/PHY (dCOMPUBRICK)"), sim::Time::ns(1));
+  breakdown.charge(sim::component("MAC/PHY (dMEMBRICK)"), sim::Time::ns(1));
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
-    breakdown.charge("MAC/PHY (dMEMBRICK)", sim::Time::ns(1));
+    const std::uint64_t before = heap_allocs();
+    breakdown.charge(sim::component("MAC/PHY (dMEMBRICK)"), sim::Time::ns(1));
     benchmark::DoNotOptimize(breakdown);
+    allocs += heap_allocs() - before;
   }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BreakdownCharge);

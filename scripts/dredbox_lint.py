@@ -275,7 +275,7 @@ def lint_file(
             add(idx, "hot-path-alloc",
                 "heap-allocating construct inside a hot-path region; the op "
                 "datapath is allocation-free in steady state — use "
-                "sim::InplaceFunction, interned ComponentIds, or pooled storage "
+                "sim::InplaceFunction, sim::component() ids, or pooled storage "
                 "(or suppress with the reason this branch is cold)")
         if layer is not None:
             raw_line = raw_lines[idx - 1] if idx - 1 < len(raw_lines) else ""

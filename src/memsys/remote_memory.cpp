@@ -11,22 +11,20 @@ namespace dredbox::memsys {
 
 namespace {
 
-// Interned breakdown components for the per-transaction datapath: resolved
-// once at startup so execute_path() charges by 2-byte id instead of paying
-// a registry scan per stage per transaction (ISSUE 9b).
-const sim::ComponentId kBdTglLookup = sim::component_id("TGL lookup (RMST)");
-const sim::ComponentId kBdCircuitWait = sim::component_id("circuit wait");
-const sim::ComponentId kBdSerialization = sim::component_id("serialization");
-const sim::ComponentId kBdSerdesTx = sim::component_id("GTH serdes (TX)");
-const sim::ComponentId kBdSerdesRx = sim::component_id("GTH serdes (RX)");
-const sim::ComponentId kBdSerdesReturn = sim::component_id("GTH serdes (return)");
-const sim::ComponentId kBdOpticalProp = sim::component_id("optical propagation");
-const sim::ComponentId kBdElectricalProp = sim::component_id("electrical propagation");
-const sim::ComponentId kBdGlueLogic = sim::component_id("glue logic (dMEMBRICK)");
-const sim::ComponentId kBdMcWait = sim::component_id("memory controller wait");
-const sim::ComponentId kBdMemAccess = sim::component_id("memory access");
-const sim::ComponentId kBdRetryBackoff = sim::component_id("retry backoff");
-const sim::ComponentId kBdReprovision = sim::component_id("circuit re-provision");
+// Breakdown components charged by the per-transaction datapath.
+constexpr sim::ComponentId kBdTglLookup = sim::component("TGL lookup (RMST)");
+constexpr sim::ComponentId kBdCircuitWait = sim::component("circuit wait");
+constexpr sim::ComponentId kBdSerialization = sim::component("serialization");
+constexpr sim::ComponentId kBdSerdesTx = sim::component("GTH serdes (TX)");
+constexpr sim::ComponentId kBdSerdesRx = sim::component("GTH serdes (RX)");
+constexpr sim::ComponentId kBdSerdesReturn = sim::component("GTH serdes (return)");
+constexpr sim::ComponentId kBdOpticalProp = sim::component("optical propagation");
+constexpr sim::ComponentId kBdElectricalProp = sim::component("electrical propagation");
+constexpr sim::ComponentId kBdGlueLogic = sim::component("glue logic (dMEMBRICK)");
+constexpr sim::ComponentId kBdMcWait = sim::component("memory controller wait");
+constexpr sim::ComponentId kBdMemAccess = sim::component("memory access");
+constexpr sim::ComponentId kBdRetryBackoff = sim::component("retry backoff");
+constexpr sim::ComponentId kBdReprovision = sim::component("circuit re-provision");
 
 }  // namespace
 
@@ -397,9 +395,7 @@ void RemoteMemoryFabric::rewire(hw::CircuitId old_id, Link fresh, sim::Time now)
 }
 
 bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return false;
 
   const Attachment removed = *it;
@@ -422,9 +418,7 @@ bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
 
 std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrate_attachment(
     hw::SegmentId segment, hw::BrickId from, hw::BrickId to, sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == from && a.segment == segment;
-  });
+  const auto it = find_attachment(from, segment);
   if (it == attachments_.end()) return std::nullopt;
   const Attachment old = *it;
 
@@ -487,9 +481,7 @@ bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
 
 std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
                                                      hw::SegmentId segment, sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium != LinkMedium::kOptical) return *it;          // nothing to repair
   if (circuits_.find_ref(it->circuit) != nullptr) return *it;  // circuit is healthy
@@ -526,9 +518,7 @@ void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& to
 std::optional<Attachment> RemoteMemoryFabric::failover_to_packet(hw::BrickId compute,
                                                                  hw::SegmentId segment,
                                                                  sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium == LinkMedium::kPacket) return *it;  // already failed over
   if (!packet_reachable(compute, it->membrick)) return std::nullopt;
@@ -550,9 +540,7 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
                                                                hw::SegmentId old_segment,
                                                                hw::BrickId new_membrick,
                                                                sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == old_segment;
-  });
+  const auto it = find_attachment(compute, old_segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->membrick == new_membrick) return *it;  // already there
 
@@ -692,6 +680,13 @@ const Attachment* RemoteMemoryFabric::find_attachment(hw::BrickId compute,
     }
   }
   return nullptr;
+}
+
+std::vector<Attachment>::iterator RemoteMemoryFabric::find_attachment(hw::BrickId compute,
+                                                                      hw::SegmentId segment) {
+  return std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
+    return a.compute == compute && a.segment == segment;
+  });
 }
 
 // dredbox-lint: hot-path-begin — execute()/execute_path() are the per-op

@@ -336,6 +336,8 @@ class RemoteMemoryFabric {
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,
                                std::size_t lanes) const;
   const Attachment* find_attachment(hw::BrickId compute, std::uint64_t address) const;
+  /// The attachment of `segment` to `compute`, or attachments_.end().
+  std::vector<Attachment>::iterator find_attachment(hw::BrickId compute, hw::SegmentId segment);
   Link* find_link(hw::CircuitId id);
   const Link* find_link(hw::CircuitId id) const;
   /// The link that bonds `circuit` as one of its lanes, if any.

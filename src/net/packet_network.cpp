@@ -9,20 +9,19 @@ namespace dredbox::net {
 
 namespace {
 
-// Interned breakdown components for the per-packet pipeline: resolved once
-// at startup so traverse() charges by 2-byte id per stage (ISSUE 9b).
-const sim::ComponentId kBdTglInject = sim::component_id("TGL / NI injection");
-const sim::ComponentId kBdSwitchCompute = sim::component_id("on-brick switch (dCOMPUBRICK)");
-const sim::ComponentId kBdSwitchMem = sim::component_id("on-brick switch (dMEMBRICK)");
-const sim::ComponentId kBdSerialization = sim::component_id("serialization");
-const sim::ComponentId kBdCongestion = sim::component_id("congestion penalty");
-const sim::ComponentId kBdMacPhyCompute = sim::component_id("MAC/PHY (dCOMPUBRICK)");
-const sim::ComponentId kBdMacPhyMem = sim::component_id("MAC/PHY (dMEMBRICK)");
-const sim::ComponentId kBdFec = sim::component_id("FEC encode/decode");
-const sim::ComponentId kBdOpticalProp = sim::component_id("optical propagation");
-const sim::ComponentId kBdLossRetrans = sim::component_id("loss retransmissions");
-const sim::ComponentId kBdGlueLogic = sim::component_id("glue logic (dMEMBRICK)");
-const sim::ComponentId kBdMemAccess = sim::component_id("memory access");
+// Breakdown components charged by the per-packet pipeline.
+constexpr sim::ComponentId kBdTglInject = sim::component("TGL / NI injection");
+constexpr sim::ComponentId kBdSwitchCompute = sim::component("on-brick switch (dCOMPUBRICK)");
+constexpr sim::ComponentId kBdSwitchMem = sim::component("on-brick switch (dMEMBRICK)");
+constexpr sim::ComponentId kBdSerialization = sim::component("serialization");
+constexpr sim::ComponentId kBdCongestion = sim::component("congestion penalty");
+constexpr sim::ComponentId kBdMacPhyCompute = sim::component("MAC/PHY (dCOMPUBRICK)");
+constexpr sim::ComponentId kBdMacPhyMem = sim::component("MAC/PHY (dMEMBRICK)");
+constexpr sim::ComponentId kBdFec = sim::component("FEC encode/decode");
+constexpr sim::ComponentId kBdOpticalProp = sim::component("optical propagation");
+constexpr sim::ComponentId kBdLossRetrans = sim::component("loss retransmissions");
+constexpr sim::ComponentId kBdGlueLogic = sim::component("glue logic (dMEMBRICK)");
+constexpr sim::ComponentId kBdMemAccess = sim::component("memory access");
 
 }  // namespace
 

@@ -34,12 +34,12 @@ std::optional<AccelDeployment> AcceleratorManager::deploy(hw::BrickId owner,
 
     // Middleware step (i): the remote dCOMPUBRICK pushes the bitstream.
     const sim::Time push = transfer_time(bitstream.size_bytes);
-    deployment.breakdown.charge("bitstream transfer", push);
+    deployment.breakdown.charge(sim::component("bitstream transfer"), push);
     accel.store_bitstream(bitstream);
 
     // Middleware step (ii): PL reconfiguration through the PCAP port.
     const sim::Time pcap = sim::Time::sec(accel.reconfigure(bitstream.name));
-    deployment.breakdown.charge("PCAP reconfiguration", pcap);
+    deployment.breakdown.charge(sim::component("PCAP reconfiguration"), pcap);
 
     deployment.ready_at = now + push + pcap;
     reservations_[id] = owner;
@@ -70,7 +70,7 @@ OffloadResult AcceleratorManager::offload(hw::BrickId accel, std::uint64_t items
   sim::Time t = now;
   // Descriptor out.
   const sim::Time desc = transfer_time(config_.descriptor_bytes);
-  result.breakdown.charge("descriptor transfer", desc);
+  result.breakdown.charge(sim::component("descriptor transfer"), desc);
   t += desc;
 
   // Kernel streams the data through its near memory; whichever is slower
@@ -79,12 +79,12 @@ OffloadResult AcceleratorManager::offload(hw::BrickId accel, std::uint64_t items
       sim::Time::ns(static_cast<double>(data_bytes) * 8.0 / config_.near_data_gbps);
   const sim::Time kernel = sim::Time::sec(brick.offload(items));
   const sim::Time phase = std::max(stream, kernel);
-  result.breakdown.charge("near-data processing", phase);
+  result.breakdown.charge(sim::component("near-data processing"), phase);
   t += phase;
 
   // Result back.
   const sim::Time res = transfer_time(config_.result_bytes);
-  result.breakdown.charge("result transfer", res);
+  result.breakdown.charge(sim::component("result transfer"), res);
   t += res;
 
   result.ok = true;
@@ -151,7 +151,7 @@ OffloadResult AcceleratorManager::offload_from_membrick(hw::BrickId accel,
 
   sim::Time t = now;
   const sim::Time desc = transfer_time(config_.descriptor_bytes);
-  result.breakdown.charge("descriptor transfer", desc);
+  result.breakdown.charge(sim::component("descriptor transfer"), desc);
   t += desc;
 
   // Data streams over the bonded direct circuits at line rate x lanes;
@@ -160,11 +160,11 @@ OffloadResult AcceleratorManager::offload_from_membrick(hw::BrickId accel,
   const sim::Time stream = sim::Time::ns(static_cast<double>(data_bytes) * 8.0 / lane_gbps);
   const sim::Time kernel = sim::Time::sec(brick.offload(items));
   const sim::Time phase = std::max(stream, kernel);
-  result.breakdown.charge("stream from dMEMBRICK", phase);
+  result.breakdown.charge(sim::component("stream from dMEMBRICK"), phase);
   t += phase;
 
   const sim::Time res = transfer_time(config_.result_bytes);
-  result.breakdown.charge("result transfer", res);
+  result.breakdown.charge(sim::component("result transfer"), res);
   t += res;
 
   result.ok = true;
@@ -194,10 +194,10 @@ OffloadResult AcceleratorManager::process_on_compute(std::uint64_t data_bytes, d
   OffloadResult result;
   sim::Time t = now;
   const sim::Time haul = transfer_time(data_bytes);
-  result.breakdown.charge("data transfer to dCOMPUBRICK", haul);
+  result.breakdown.charge(sim::component("data transfer to dCOMPUBRICK"), haul);
   t += haul;
   const sim::Time compute = sim::Time::ns(static_cast<double>(data_bytes) * 8.0 / cpu_gbps);
-  result.breakdown.charge("CPU processing", compute);
+  result.breakdown.charge(sim::component("CPU processing"), compute);
   t += compute;
   result.ok = true;
   result.completed_at = t;

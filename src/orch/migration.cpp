@@ -178,7 +178,7 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
     prep += hp + hv_add;
     result.repointed_bytes += a.size;
   }
-  result.breakdown.charge("re-point preparation (overlapped)", prep);
+  result.breakdown.charge(sim::component("re-point preparation (overlapped)"), prep);
 
   // --- pre-copy rounds over the local portion (guest keeps running) ---
   double remaining = static_cast<double>(local);
@@ -194,7 +194,7 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
     ++iterations;
   }
   result.precopy_iterations = iterations;
-  result.breakdown.charge("pre-copy (local memory)", precopy);
+  result.breakdown.charge(sim::component("pre-copy (local memory)"), precopy);
 
   // Elapsed so far: preparation and pre-copy proceed concurrently.
   sim::Time t = now + std::max(prep, precopy);
@@ -204,13 +204,13 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
   const sim::Time downtime_start = t;
   t += config_.pause_resume / 2;
   const sim::Time residual = sim::Time::sec(remaining / bw);
-  result.breakdown.charge("stop-and-copy (residual)", residual);
+  result.breakdown.charge(sim::component("stop-and-copy (residual)"), residual);
   t += residual;
   copied += remaining;
-  result.breakdown.charge("glue-logic switchover", sdm_.timing().glue_configure);
+  result.breakdown.charge(sim::component("glue-logic switchover"), sdm_.timing().glue_configure);
   t += sdm_.timing().glue_configure;
   t += config_.pause_resume / 2;
-  result.breakdown.charge("pause/resume", config_.pause_resume);
+  result.breakdown.charge(sim::component("pause/resume"), config_.pause_resume);
   result.downtime = t - downtime_start;
 
   src_hv.destroy_vm(vm);

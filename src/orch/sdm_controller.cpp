@@ -54,8 +54,8 @@ SdmAgent& SdmController::agent_for(hw::BrickId compute) {
 
 sim::Time SdmController::controller_transaction(sim::Time arrival, sim::Breakdown& breakdown) {
   const sim::Time start = std::max(arrival, controller_busy_until_);
-  breakdown.charge("SDM-C queueing", start - arrival);
-  breakdown.charge("SDM-C inspect+reserve", timing_.inspect_and_select);
+  breakdown.charge(sim::component("SDM-C queueing"), start - arrival);
+  breakdown.charge(sim::component("SDM-C inspect+reserve"), timing_.inspect_and_select);
   controller_busy_until_ = start + timing_.inspect_and_select;
   return controller_busy_until_;
 }
@@ -63,13 +63,13 @@ sim::Time SdmController::controller_transaction(sim::Time arrival, sim::Breakdow
 sim::Time SdmController::program_switch(sim::Time ready, bool new_circuit,
                                         sim::Breakdown& breakdown) {
   if (!new_circuit) {
-    breakdown.charge("switch programming", sim::Time::zero());
+    breakdown.charge(sim::component("switch programming"), sim::Time::zero());
     return ready;
   }
   const sim::Time setup = circuits_.setup_time();
   const sim::Time start = std::max(ready, switch_ctl_busy_until_);
-  breakdown.charge("switch ctl queueing", start - ready);
-  breakdown.charge("switch programming", setup);
+  breakdown.charge(sim::component("switch ctl queueing"), start - ready);
+  breakdown.charge(sim::component("switch programming"), setup);
   switch_ctl_busy_until_ = start + setup;
   return switch_ctl_busy_until_;
 }
@@ -78,7 +78,7 @@ sim::Time SdmController::wake_brick(hw::BrickId brick, sim::Time ready,
                                     sim::Breakdown& breakdown) {
   if (power_mgr_ != nullptr) {
     const sim::Time wake = power_mgr_->ensure_powered(brick, ready);
-    if (wake > sim::Time::zero()) breakdown.charge("brick wake-up", wake);
+    if (wake > sim::Time::zero()) breakdown.charge(sim::component("brick wake-up"), wake);
     return ready + wake;
   }
   if (rack_.brick(brick).power_state() == hw::PowerState::kOff) {
@@ -283,7 +283,7 @@ ScaleUpResult SdmController::scale_up_impl(const ScaleUpRequest& request,
   result.posted_at = request.posted_at;
 
   // Application -> Scale-up controller -> SDM-C relay.
-  result.breakdown.charge("Scale-up API relay", timing_.api_relay);
+  result.breakdown.charge(sim::component("Scale-up API relay"), timing_.api_relay);
   sim::Time t = controller_transaction(request.posted_at + timing_.api_relay, result.breakdown);
 
   auto membrick = select_membrick(request.bytes, request.compute);
@@ -317,16 +317,17 @@ ScaleUpResult SdmController::scale_up_impl(const ScaleUpRequest& request,
   }
 
   // Configuration push to the destination brick's glue logic via the agent.
-  result.breakdown.charge("agent RPC + glue config", timing_.agent_rpc + timing_.glue_configure);
+  result.breakdown.charge(sim::component("agent RPC + glue config"),
+                          timing_.agent_rpc + timing_.glue_configure);
   t += timing_.agent_rpc + timing_.glue_configure;
 
   // Baremetal hotplug: serialized per brick (kernel hotplug lock),
   // parallel across bricks.
   SdmAgent& agent = agent_for(request.compute);
   const sim::Time hp_start = std::max(t, agent.busy_until());
-  result.breakdown.charge("hotplug queueing (per brick)", hp_start - t);
+  result.breakdown.charge(sim::component("hotplug queueing (per brick)"), hp_start - t);
   const sim::Time hp_latency = agent.attach_physical(*attachment);
-  result.breakdown.charge("baremetal hotplug", hp_latency);
+  result.breakdown.charge(sim::component("baremetal hotplug"), hp_latency);
   agent.set_busy_until(hp_start + hp_latency);
   if (telemetry_ != nullptr && telemetry_->tracing()) {
     telemetry_->tracer().record_span(hp_start, hp_start + hp_latency,
@@ -339,10 +340,10 @@ ScaleUpResult SdmController::scale_up_impl(const ScaleUpRequest& request,
 
   // Control handed back to the scale-up controller, which configures the
   // hypervisor to expand the guest's physical memory.
-  result.breakdown.charge("hypervisor handoff", timing_.hypervisor_handoff);
+  result.breakdown.charge(sim::component("hypervisor handoff"), timing_.hypervisor_handoff);
   t += timing_.hypervisor_handoff;
   const sim::Time hv_latency = agent.expand_guest(request.vm, *attachment, t, ctx);
-  result.breakdown.charge("QEMU DIMM add + guest online", hv_latency);
+  result.breakdown.charge(sim::component("QEMU DIMM add + guest online"), hv_latency);
   t += hv_latency;
 
   result.ok = true;
@@ -359,7 +360,7 @@ ScaleUpResult SdmController::scale_down(hw::VmId vm, hw::BrickId compute,
   result.vm = vm;
   result.posted_at = now;
 
-  result.breakdown.charge("Scale-up API relay", timing_.api_relay);
+  result.breakdown.charge(sim::component("Scale-up API relay"), timing_.api_relay);
   sim::Time t = controller_transaction(now + timing_.api_relay, result.breakdown);
 
   const auto attachments = fabric_.attachments_of(compute);
@@ -374,9 +375,9 @@ ScaleUpResult SdmController::scale_down(hw::VmId vm, hw::BrickId compute,
 
   SdmAgent& agent = agent_for(compute);
   const sim::Time hp_start = std::max(t, agent.busy_until());
-  result.breakdown.charge("hotplug queueing (per brick)", hp_start - t);
+  result.breakdown.charge(sim::component("hotplug queueing (per brick)"), hp_start - t);
   const sim::Time shrink_latency = agent.shrink_guest(vm, *it);
-  result.breakdown.charge("guest shrink + hot-remove", shrink_latency);
+  result.breakdown.charge(sim::component("guest shrink + hot-remove"), shrink_latency);
   agent.set_busy_until(hp_start + shrink_latency);
   t = hp_start + shrink_latency;
 
@@ -400,7 +401,7 @@ ScaleUpResult SdmController::rebalance(hw::VmId donor, hw::VmId recipient,
   result.vm = recipient;
   result.posted_at = now;
 
-  result.breakdown.charge("Scale-up API relay", timing_.api_relay);
+  result.breakdown.charge(sim::component("Scale-up API relay"), timing_.api_relay);
   sim::Time t = controller_transaction(now + timing_.api_relay, result.breakdown);
 
   SdmAgent& agent = agent_for(compute);
@@ -416,17 +417,17 @@ ScaleUpResult SdmController::rebalance(hw::VmId donor, hw::VmId recipient,
     return result;
   }
 
-  result.breakdown.charge("agent RPC", timing_.agent_rpc);
+  result.breakdown.charge(sim::component("agent RPC"), timing_.agent_rpc);
   t += timing_.agent_rpc;
 
   const sim::Time reclaim = hv.balloon_reclaim(donor, bytes);
-  result.breakdown.charge("balloon reclaim (donor)", reclaim);
+  result.breakdown.charge(sim::component("balloon reclaim (donor)"), reclaim);
   t += reclaim;
 
   // Recipient gets a DIMM backed by the ballooned-out host pages (no
   // fabric segment involved).
   const sim::Time expand = hv.expand_vm_memory(recipient, bytes, hw::SegmentId{}, t);
-  result.breakdown.charge("QEMU DIMM add + guest online", expand);
+  result.breakdown.charge(sim::component("QEMU DIMM add + guest online"), expand);
   t += expand;
 
   result.ok = true;

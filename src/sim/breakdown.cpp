@@ -8,7 +8,7 @@
 namespace dredbox::sim {
 
 // dredbox-lint: hot-path-begin — charge()/of()/has() run a handful of
-// times per op over the fixed inline arrays; only interned ids move, so
+// times per op over the fixed inline arrays; only 2-byte ids move, so
 // there is nothing to heap-allocate.
 std::size_t Breakdown::find(ComponentId component) const {
   for (std::size_t i = 0; i < count_; ++i) {
@@ -38,10 +38,6 @@ void Breakdown::append(ComponentId component, Time amount) {
   ++count_;
 }
 
-void Breakdown::charge(std::string_view component, Time amount) {
-  charge(component_id(component), amount);
-}
-
 Time Breakdown::total() const {
   Time sum = Time::zero();
   for (std::size_t i = 0; i < count_; ++i) sum += times_[i];
@@ -53,19 +49,7 @@ Time Breakdown::of(ComponentId component) const {
   return i < count_ ? times_[i] : Time::zero();
 }
 
-Time Breakdown::of(std::string_view component) const {
-  // A label that was never interned anywhere cannot have been charged
-  // here; answer without growing the registry.
-  const auto id = component_id_if_interned(component);
-  return id ? of(*id) : Time::zero();
-}
-
 bool Breakdown::has(ComponentId component) const { return find(component) < count_; }
-
-bool Breakdown::has(std::string_view component) const {
-  const auto id = component_id_if_interned(component);
-  return id && has(*id);
-}
 // dredbox-lint: hot-path-end
 
 // components() builds a vector for reporting/tracing consumers — cold by

@@ -17,12 +17,10 @@ namespace dredbox::sim {
 /// its share under a stable component name, and the report preserves the
 /// order in which components first appeared (i.e., pipeline order).
 ///
-/// Storage is a fixed inline array keyed by interned ComponentId (ISSUE
-/// 9b): a Breakdown embedded in a pooled Transaction or Packet never heap-
-/// allocates, and the hot charge sites compare 2-byte ids instead of
-/// strings. The string-keyed API remains as a compatibility shim (it
-/// interns through the global component registry — a lock-free scan for
-/// every label the datapath ships).
+/// Storage is a fixed inline array keyed by ComponentId: a Breakdown
+/// embedded in a pooled Transaction or Packet never heap-allocates, and
+/// charge sites name their stage with sim::component("label"), which
+/// resolves to a 2-byte id at compile time.
 class Breakdown {
  public:
   /// Distinct components one op can accumulate. The widest real path (a
@@ -31,8 +29,7 @@ class Breakdown {
   /// an invariant violation, not a reallocation.
   static constexpr std::size_t kMaxComponents = 24;
 
-  /// Adds `amount` under the interned component — the hot-path overload;
-  /// the datapath caches ids at namespace scope and charges by id.
+  /// Adds `amount` under `component`.
   void charge(ComponentId component, Time amount);
 
   /// Appends a component this breakdown does not hold yet, in O(1) — for
@@ -41,31 +38,23 @@ class Breakdown {
   /// violation, checked in -DDREDBOX_AUDIT=ON builds.
   void append(ComponentId component, Time amount);
 
-  /// Compatibility shim: interns `component` and charges by id. Still
-  /// allocation-free for every label the datapath ships (known labels
-  /// resolve with a lock-free registry scan); a copy is made only the
-  /// first time a process-new label appears, inside the registry.
-  void charge(std::string_view component, Time amount);
-
   /// Sum over all components.
   Time total() const;
 
   /// Contribution of one component; Time::zero() if absent.
-  Time of(std::string_view component) const;
   Time of(ComponentId component) const;
 
-  bool has(std::string_view component) const;
   bool has(ComponentId component) const;
 
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
 
   /// Resolved (label, time) pairs in first-appearance order. Built on
-  /// demand for reporting/tracing consumers; the views point at registry-
-  /// owned storage and outlive the Breakdown.
+  /// demand for reporting/tracing consumers; the views point at
+  /// kComponentLabels and outlive the Breakdown.
   std::vector<std::pair<std::string_view, Time>> components() const;
 
-  /// Raw interned entries in first-appearance order (hot-path reads).
+  /// Raw entries in first-appearance order (hot-path reads).
   const ComponentId* ids() const { return ids_; }
   const Time* times() const { return times_; }
 

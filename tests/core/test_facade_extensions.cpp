@@ -151,7 +151,7 @@ TEST(FacadeExtensionsTest, PacketFallbackThroughScaleUp) {
   // The packet-backed memory is usable.
   const auto tx = dc.remote_read(vm.compute, attachments[0].compute_base, 64);
   EXPECT_TRUE(tx.ok());
-  EXPECT_TRUE(tx.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("MAC/PHY (dCOMPUBRICK)")));
 }
 
 }  // namespace

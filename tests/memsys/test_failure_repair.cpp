@@ -178,7 +178,7 @@ TEST_F(FailureRepairTest, RetriedTransactionBreakdownIsNotDoubleCharged) {
   // Healthy single-attempt reference for the per-attempt charges.
   const Transaction healthy = fabric_.read(compute_, a.compute_base, 64, Time::sec(1));
   ASSERT_TRUE(healthy.ok());
-  const Time lookup_per_attempt = healthy.breakdown.of("TGL lookup (RMST)");
+  const Time lookup_per_attempt = healthy.breakdown.of(sim::component("TGL lookup (RMST)"));
   ASSERT_GT(lookup_per_attempt, Time::zero());
 
   // Cut the circuit: the next read pays attempt 1 (circuit-down, charges
@@ -191,13 +191,14 @@ TEST_F(FailureRepairTest, RetriedTransactionBreakdownIsNotDoubleCharged) {
 
   // Per-attempt component: exactly twice the single-attempt charge (one
   // failed + one successful attempt), not 3x or 4x.
-  EXPECT_EQ(tx.breakdown.of("TGL lookup (RMST)"),
+  EXPECT_EQ(tx.breakdown.of(sim::component("TGL lookup (RMST)")),
             lookup_per_attempt + lookup_per_attempt);
   // Recovery components: charged exactly once each.
-  EXPECT_EQ(tx.breakdown.of("retry backoff"), policy.initial_backoff);
-  EXPECT_EQ(tx.breakdown.of("circuit re-provision"), circuits_.setup_time());
+  EXPECT_EQ(tx.breakdown.of(sim::component("retry backoff")), policy.initial_backoff);
+  EXPECT_EQ(tx.breakdown.of(sim::component("circuit re-provision")), circuits_.setup_time());
   // Components charged only by the successful attempt appear once.
-  EXPECT_EQ(tx.breakdown.of("serialization"), healthy.breakdown.of("serialization"));
+  constexpr sim::ComponentId kSerialization = sim::component("serialization");
+  EXPECT_EQ(tx.breakdown.of(kSerialization), healthy.breakdown.of(kSerialization));
 
   // Timestamps re-stamped for the whole retried span: issue at the
   // original issue time, completion at or after the last attempt, so

@@ -90,8 +90,8 @@ TEST_F(PacketFallbackTest, PacketReadWorksButIsSlower) {
   ASSERT_TRUE(opt_tx.ok());
   ASSERT_TRUE(pkt_tx.ok());
   // The packet path carries MAC/PHY overheads the circuit avoids.
-  EXPECT_TRUE(pkt_tx.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
-  EXPECT_FALSE(opt_tx.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
+  EXPECT_TRUE(pkt_tx.breakdown.has(sim::component("MAC/PHY (dCOMPUBRICK)")));
+  EXPECT_FALSE(opt_tx.breakdown.has(sim::component("MAC/PHY (dCOMPUBRICK)")));
   EXPECT_GT(pkt_tx.round_trip(), opt_tx.round_trip());
 }
 

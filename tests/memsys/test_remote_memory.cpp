@@ -137,13 +137,13 @@ TEST_F(RemoteMemoryTest, ReadBreakdownHasCircuitPathStages) {
   auto a = fabric_.attach(request(), Time::zero());
   ASSERT_TRUE(a);
   const Transaction tx = fabric_.read(compute_, a->compute_base, 64, Time::zero());
-  EXPECT_TRUE(tx.breakdown.has("TGL lookup (RMST)"));
-  EXPECT_TRUE(tx.breakdown.has("GTH serdes (TX)"));
-  EXPECT_TRUE(tx.breakdown.has("optical propagation"));
-  EXPECT_TRUE(tx.breakdown.has("glue logic (dMEMBRICK)"));
-  EXPECT_TRUE(tx.breakdown.has("memory access"));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("TGL lookup (RMST)")));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("GTH serdes (TX)")));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("optical propagation")));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("glue logic (dMEMBRICK)")));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("memory access")));
   // No MAC framing on the circuit-switched mainline.
-  EXPECT_FALSE(tx.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
+  EXPECT_FALSE(tx.breakdown.has(sim::component("MAC/PHY (dCOMPUBRICK)")));
 }
 
 TEST_F(RemoteMemoryTest, UnmappedAddressFaults) {
@@ -169,7 +169,7 @@ TEST_F(RemoteMemoryTest, CircuitContentionSerializes) {
   const Transaction t1 = fabric_.write(compute_, a->compute_base, 65536, Time::zero());
   const Transaction t2 = fabric_.write(compute_, a->compute_base, 65536, Time::zero());
   EXPECT_GT(t2.round_trip(), t1.round_trip());
-  EXPECT_GT(t2.breakdown.of("circuit wait"), Time::zero());
+  EXPECT_GT(t2.breakdown.of(sim::component("circuit wait")), Time::zero());
 }
 
 TEST_F(RemoteMemoryTest, BondedLanesConsumePortsPerLane) {
@@ -297,12 +297,12 @@ TEST_F(RemoteMemoryTest, MemoryControllerContention) {
   // the second read waits. Four controllers: both proceed in parallel.
   const auto r1 = fabric.read(cpu1, a1.compute_base, 64, Time::zero());
   const auto r2 = fabric.read(cpu2, a2.compute_base + 4096, 64, Time::zero());
-  EXPECT_GT(r2.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_GT(r2.breakdown.of(sim::component("memory controller wait")), Time::zero());
   EXPECT_GT(r2.round_trip(), r1.round_trip());
 
   const auto q1 = fabric.read(cpu1, b1.compute_base, 64, Time::ms(1));
   const auto q2 = fabric.read(cpu2, b2.compute_base + 4096, 64, Time::ms(1));
-  EXPECT_EQ(q2.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_EQ(q2.breakdown.of(sim::component("memory controller wait")), Time::zero());
   EXPECT_EQ(q1.round_trip(), q2.round_trip());
 }
 
@@ -397,7 +397,7 @@ TEST_F(MigrationLinkTest, MigratedAttachmentCarriesItsNewLinkLanes) {
   ASSERT_TRUE(tx.ok());
   const double lane_ns = (16384.0 + fabric_.latencies().framing_bytes) * 8.0 /
                          fabric_.latencies().line_rate_gbps;
-  EXPECT_GE(tx.breakdown.of("serialization").as_ns(), lane_ns - 1.0);
+  EXPECT_GE(tx.breakdown.of(sim::component("serialization")).as_ns(), lane_ns - 1.0);
   fabric_.check_invariants();
 }
 
@@ -496,8 +496,8 @@ TEST_F(IntraTrayMemoryTest, ElectricalReadFasterThanOptical) {
   ASSERT_TRUE(a);
   const Transaction tx = fabric_.read(compute_, a->compute_base, 64, Time::zero());
   ASSERT_TRUE(tx.ok());
-  EXPECT_TRUE(tx.breakdown.has("electrical propagation"));
-  EXPECT_FALSE(tx.breakdown.has("optical propagation"));
+  EXPECT_TRUE(tx.breakdown.has(sim::component("electrical propagation")));
+  EXPECT_FALSE(tx.breakdown.has(sim::component("optical propagation")));
 
   // Same shape over the optical path, forced, through an independent
   // fabric instance (the first pair already shares an electrical link, and
@@ -667,9 +667,9 @@ TEST_F(FabricBreakdownPinTest, ControllersBelongToTheirBrick) {
   const Transaction first = fabric_.read(compute_, near, 4096, Time::zero());
   const Transaction other = fabric_.read(compute_, far, 4096, Time::zero());
   const Transaction again = fabric_.read(compute_, near + 4096, 4096, Time::zero());
-  EXPECT_EQ(first.breakdown.of("memory controller wait"), Time::zero());
-  EXPECT_EQ(other.breakdown.of("memory controller wait"), Time::zero());
-  EXPECT_GT(again.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_EQ(first.breakdown.of(sim::component("memory controller wait")), Time::zero());
+  EXPECT_EQ(other.breakdown.of(sim::component("memory controller wait")), Time::zero());
+  EXPECT_GT(again.breakdown.of(sim::component("memory controller wait")), Time::zero());
 }
 
 TEST_F(FabricBreakdownPinTest, PacketBreakdownIsPinned) {

@@ -30,15 +30,15 @@ TEST(PacketNetworkTest, RemoteReadRoundTripAccounting) {
 TEST(PacketNetworkTest, BreakdownContainsFig8Components) {
   auto net = make_network();
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
-  EXPECT_TRUE(pkt.breakdown.has("TGL / NI injection"));
-  EXPECT_TRUE(pkt.breakdown.has("on-brick switch (dCOMPUBRICK)"));
-  EXPECT_TRUE(pkt.breakdown.has("on-brick switch (dMEMBRICK)"));
-  EXPECT_TRUE(pkt.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
-  EXPECT_TRUE(pkt.breakdown.has("MAC/PHY (dMEMBRICK)"));
-  EXPECT_TRUE(pkt.breakdown.has("optical propagation"));
-  EXPECT_TRUE(pkt.breakdown.has("glue logic (dMEMBRICK)"));
-  EXPECT_TRUE(pkt.breakdown.has("memory access"));
-  EXPECT_FALSE(pkt.breakdown.has("FEC encode/decode"));  // FEC-free mainline
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("TGL / NI injection")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("on-brick switch (dCOMPUBRICK)")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("on-brick switch (dMEMBRICK)")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("MAC/PHY (dCOMPUBRICK)")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("MAC/PHY (dMEMBRICK)")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("optical propagation")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("glue logic (dMEMBRICK)")));
+  EXPECT_TRUE(pkt.breakdown.has(sim::component("memory access")));
+  EXPECT_FALSE(pkt.breakdown.has(sim::component("FEC encode/decode")));  // FEC-free mainline
 }
 
 TEST(PacketNetworkTest, RoundTripLatencyInExpectedRange) {
@@ -53,9 +53,9 @@ TEST(PacketNetworkTest, RoundTripLatencyInExpectedRange) {
 TEST(PacketNetworkTest, MacPhyDominatesPropagationInRack) {
   auto net = make_network();
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
-  const Time mac_phy =
-      pkt.breakdown.of("MAC/PHY (dCOMPUBRICK)") + pkt.breakdown.of("MAC/PHY (dMEMBRICK)");
-  EXPECT_GT(mac_phy, pkt.breakdown.of("optical propagation"));
+  const Time mac_phy = pkt.breakdown.of(sim::component("MAC/PHY (dCOMPUBRICK)")) +
+                       pkt.breakdown.of(sim::component("MAC/PHY (dMEMBRICK)"));
+  EXPECT_GT(mac_phy, pkt.breakdown.of(sim::component("optical propagation")));
 }
 
 TEST(PacketNetworkTest, WriteCarriesPayloadOutbound) {
@@ -63,7 +63,8 @@ TEST(PacketNetworkTest, WriteCarriesPayloadOutbound) {
   const Packet rd = net.remote_read(kCpu, kMem, 0x0, 4096, Time::zero());
   const Packet wr = net.remote_write(kCpu, kMem, 0x0, 4096, Time::zero());
   // Both move the same bytes once, so serialization matches.
-  EXPECT_EQ(rd.breakdown.of("serialization"), wr.breakdown.of("serialization"));
+  constexpr sim::ComponentId kSerialization = sim::component("serialization");
+  EXPECT_EQ(rd.breakdown.of(kSerialization), wr.breakdown.of(kSerialization));
   EXPECT_EQ(wr.type, PacketType::kMemWriteAck);
 }
 
@@ -80,7 +81,8 @@ TEST(PacketNetworkTest, HmcFasterThanDdr) {
       net.remote_read(kCpu, kMem, 0x0, 64, Time::zero(), hw::MemoryTechnology::kDdr4);
   const Packet hmc =
       net.remote_read(kCpu, kMem, 0x0, 64, Time::ms(1), hw::MemoryTechnology::kHmc);
-  EXPECT_LT(hmc.breakdown.of("memory access"), ddr.breakdown.of("memory access"));
+  constexpr sim::ComponentId kMemoryAccess = sim::component("memory access");
+  EXPECT_LT(hmc.breakdown.of(kMemoryAccess), ddr.breakdown.of(kMemoryAccess));
 }
 
 TEST(PacketNetworkTest, FecAddsLatencyOnBothTraversals) {
@@ -88,9 +90,9 @@ TEST(PacketNetworkTest, FecAddsLatencyOnBothTraversals) {
   auto fec = make_network(optics::FecModel{optics::FecScheme::kRsLight});
   const Packet p0 = plain.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   const Packet p1 = fec.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
-  EXPECT_TRUE(p1.breakdown.has("FEC encode/decode"));
+  EXPECT_TRUE(p1.breakdown.has(sim::component("FEC encode/decode")));
   // One FEC charge per direction.
-  EXPECT_EQ(p1.breakdown.of("FEC encode/decode"), sim::Time::ns(240));
+  EXPECT_EQ(p1.breakdown.of(sim::component("FEC encode/decode")), sim::Time::ns(240));
   EXPECT_GT(p1.latency(), p0.latency() + Time::ns(200));
 }
 
@@ -101,7 +103,7 @@ TEST(PacketNetworkTest, FartherBricksHaveMorePropagation) {
   net.connect(kCpu, kMem, 100.0);
   const Packet far = net.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   // 100 m at 5 ns/m, twice (request + response) = 1000 ns.
-  EXPECT_EQ(far.breakdown.of("optical propagation"), Time::ns(1000));
+  EXPECT_EQ(far.breakdown.of(sim::component("optical propagation")), Time::ns(1000));
 }
 
 TEST(PacketNetworkTest, UnconnectedPairThrows) {

@@ -38,8 +38,8 @@ TEST_F(AccelManagerTest, DeployReservesAndLoads) {
   EXPECT_TRUE(mgr_.is_reserved(d->accel));
   EXPECT_EQ(mgr_.free_count(), 1u);
   EXPECT_GT(d->ready_at, Time::zero());
-  EXPECT_TRUE(d->breakdown.has("bitstream transfer"));
-  EXPECT_TRUE(d->breakdown.has("PCAP reconfiguration"));
+  EXPECT_TRUE(d->breakdown.has(sim::component("bitstream transfer")));
+  EXPECT_TRUE(d->breakdown.has(sim::component("PCAP reconfiguration")));
   EXPECT_EQ(rack_.accelerator_brick(d->accel).active_accelerator(), "classifier");
 }
 
@@ -103,7 +103,7 @@ TEST_F(AccelManagerTest, KernelBoundWhenComputeHeavy) {
   const auto result = mgr_.offload(d->accel, 10'000, 1 << 10, d->ready_at);
   ASSERT_TRUE(result.ok);
   // 10k ops at 1k ops/s = 10 s of kernel time.
-  EXPECT_NEAR(result.breakdown.of("near-data processing").as_sec(), 10.0, 0.01);
+  EXPECT_NEAR(result.breakdown.of(sim::component("near-data processing")).as_sec(), 10.0, 0.01);
 }
 
 /// Direct dMEMBRICK links (Fig. 5's wrapper transceivers).
@@ -147,7 +147,7 @@ TEST_F(AccelLinkTest, OffloadFromMembrickStreamsOverBondedLanes) {
   const std::uint64_t data = 4ull << 30;
   const auto job = mgr_.offload_from_membrick(d->accel, data / 64, data, d->ready_at);
   ASSERT_TRUE(job.ok) << job.error;
-  EXPECT_TRUE(job.breakdown.has("stream from dMEMBRICK"));
+  EXPECT_TRUE(job.breakdown.has(sim::component("stream from dMEMBRICK")));
   EXPECT_LT(job.network_bytes, 10'000u);  // shared network untouched by data
 
   // A single-lane link streams the same data ~4x slower.
@@ -156,8 +156,8 @@ TEST_F(AccelLinkTest, OffloadFromMembrickStreamsOverBondedLanes) {
   ASSERT_TRUE(mgr_.link_memory(d2->accel, membrick_, 1, circuits_));
   const auto slow = mgr_.offload_from_membrick(d2->accel, data / 64, data, d2->ready_at);
   ASSERT_TRUE(slow.ok);
-  EXPECT_GT(slow.breakdown.of("stream from dMEMBRICK").as_sec(),
-            3.0 * job.breakdown.of("stream from dMEMBRICK").as_sec());
+  EXPECT_GT(slow.breakdown.of(sim::component("stream from dMEMBRICK")).as_sec(),
+            3.0 * job.breakdown.of(sim::component("stream from dMEMBRICK")).as_sec());
 }
 
 TEST_F(AccelLinkTest, OffloadWithoutLinkFails) {

@@ -119,7 +119,7 @@ TEST_F(SmartScaleUpTest, UsesBalloonTierWhenDonorReported) {
   req.posted_at = Time::sec(10);
   const auto result = sdm_.scale_up_smart(req);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(result.breakdown.has("balloon reclaim (donor)"));
+  EXPECT_TRUE(result.breakdown.has(sim::component("balloon reclaim (donor)")));
   EXPECT_EQ(fabric_.attachment_count(), 0u);  // fabric untouched
   EXPECT_EQ(stack_->hypervisor.vm(*donor).usable_bytes(), 6 * kGiB);
   EXPECT_EQ(stack_->hypervisor.vm(*taker).usable_bytes(), 4 * kGiB);
@@ -135,7 +135,7 @@ TEST_F(SmartScaleUpTest, FallsBackToAttachWithoutDonor) {
   req.posted_at = Time::sec(10);
   const auto result = sdm_.scale_up_smart(req);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(result.breakdown.has("baremetal hotplug"));
+  EXPECT_TRUE(result.breakdown.has(sim::component("baremetal hotplug")));
   EXPECT_EQ(fabric_.attachment_count(), 1u);
 }
 
@@ -152,7 +152,7 @@ TEST_F(SmartScaleUpTest, StaleDonorReportIgnored) {
   req.posted_at = Time::sec(500);  // far beyond the staleness limit
   const auto result = sdm_.scale_up_smart(req);
   ASSERT_TRUE(result.ok);
-  EXPECT_FALSE(result.breakdown.has("balloon reclaim (donor)"));
+  EXPECT_FALSE(result.breakdown.has(sim::component("balloon reclaim (donor)")));
   EXPECT_EQ(fabric_.attachment_count(), 1u);
 }
 
@@ -175,7 +175,7 @@ TEST_F(SmartScaleUpTest, ReportGuestUsageFeedsRegistry) {
   req.posted_at = Time::sec(10);
   const auto result = sdm_.scale_up_smart(req);
   ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.breakdown.has("balloon reclaim (donor)"));
+  EXPECT_TRUE(result.breakdown.has(sim::component("balloon reclaim (donor)")));
 }
 
 TEST_F(SmartScaleUpTest, ReportForUnknownVmForgetsEntry) {

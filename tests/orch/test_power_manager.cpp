@@ -119,7 +119,7 @@ TEST(PowerManagerTest, SdmChargesWakeUpInScaleUpPath) {
   sr.posted_at = Time::sec(200);
   const auto result = sdm.scale_up(sr);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.breakdown.of("brick wake-up"), pm.config().wake_latency);
+  EXPECT_EQ(result.breakdown.of(sim::component("brick wake-up")), pm.config().wake_latency);
   EXPECT_GT(result.delay(), pm.config().wake_latency);
 }
 

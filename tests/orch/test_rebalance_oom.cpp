@@ -84,8 +84,8 @@ TEST_F(RebalanceOomTest, RebalanceFasterThanScaleUp) {
   ASSERT_TRUE(attach.ok);
   // The balloon tier skips circuit setup and kernel hotplug entirely.
   EXPECT_LT(balloon.delay(), attach.delay());
-  EXPECT_FALSE(balloon.breakdown.has("baremetal hotplug"));
-  EXPECT_TRUE(balloon.breakdown.has("balloon reclaim (donor)"));
+  EXPECT_FALSE(balloon.breakdown.has(sim::component("baremetal hotplug")));
+  EXPECT_TRUE(balloon.breakdown.has(sim::component("balloon reclaim (donor)")));
 }
 
 TEST_F(RebalanceOomTest, RebalanceValidatesDonorSlack) {

@@ -128,11 +128,11 @@ TEST_F(SdmControllerTest, ScaleUpBreakdownHasPipelineStages) {
   ASSERT_TRUE(vm.ok);
   const auto result = do_scale_up(vm.vm, vm.compute, kGiB, Time::sec(1));
   ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.breakdown.has("Scale-up API relay"));
-  EXPECT_TRUE(result.breakdown.has("SDM-C inspect+reserve"));
-  EXPECT_TRUE(result.breakdown.has("switch programming"));
-  EXPECT_TRUE(result.breakdown.has("baremetal hotplug"));
-  EXPECT_TRUE(result.breakdown.has("QEMU DIMM add + guest online"));
+  EXPECT_TRUE(result.breakdown.has(sim::component("Scale-up API relay")));
+  EXPECT_TRUE(result.breakdown.has(sim::component("SDM-C inspect+reserve")));
+  EXPECT_TRUE(result.breakdown.has(sim::component("switch programming")));
+  EXPECT_TRUE(result.breakdown.has(sim::component("baremetal hotplug")));
+  EXPECT_TRUE(result.breakdown.has(sim::component("QEMU DIMM add + guest online")));
 }
 
 TEST_F(SdmControllerTest, SecondScaleUpSkipsSwitchProgramming) {
@@ -142,8 +142,8 @@ TEST_F(SdmControllerTest, SecondScaleUpSkipsSwitchProgramming) {
   const auto first = do_scale_up(vm.vm, vm.compute, kGiB, Time::sec(1));
   const auto second = do_scale_up(vm.vm, vm.compute, kGiB, Time::sec(100));
   ASSERT_TRUE(first.ok && second.ok);
-  EXPECT_GT(first.breakdown.of("switch programming"), Time::zero());
-  EXPECT_EQ(second.breakdown.of("switch programming"), Time::zero());
+  EXPECT_GT(first.breakdown.of(sim::component("switch programming")), Time::zero());
+  EXPECT_EQ(second.breakdown.of(sim::component("switch programming")), Time::zero());
   EXPECT_LT(second.delay(), first.delay());
 }
 
@@ -156,8 +156,8 @@ TEST_F(SdmControllerTest, ConcurrentRequestsQueueAtController) {
   const auto r1 = do_scale_up(vm1.vm, vm1.compute, kGiB, Time::sec(1));
   const auto r2 = do_scale_up(vm1.vm, vm1.compute, kGiB, Time::sec(1));
   ASSERT_TRUE(r1.ok && r2.ok);
-  EXPECT_EQ(r1.breakdown.of("SDM-C queueing"), Time::zero());
-  EXPECT_GT(r2.breakdown.of("SDM-C queueing"), Time::zero());
+  EXPECT_EQ(r1.breakdown.of(sim::component("SDM-C queueing")), Time::zero());
+  EXPECT_GT(r2.breakdown.of(sim::component("SDM-C queueing")), Time::zero());
   EXPECT_GT(r2.delay(), r1.delay());
 }
 
@@ -237,7 +237,7 @@ TEST_F(SdmControllerTest, IntraTrayMembrickPreferredWhenAvailable) {
   const auto result = do_scale_up(vm.vm, vm.compute, kGiB, Time::sec(1));
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.membrick, local_mb);
-  EXPECT_EQ(result.breakdown.of("switch programming"), Time::zero());
+  EXPECT_EQ(result.breakdown.of(sim::component("switch programming")), Time::zero());
   EXPECT_EQ(switch_.ports_in_use(), 0u);
   const auto attachments = fabric_.attachments_of(vm.compute);
   ASSERT_EQ(attachments.size(), 1u);

@@ -1,8 +1,8 @@
-// Tests for the interned component-label registry (ISSUE 9b) and the
-// Breakdown behaviours that ride on it: deterministic ids for the shipped
-// vocabulary, lock-free lookups that never grow the registry, id/string
-// charge equivalence, clear() for pooled reuse, and the fixed-capacity
-// overflow invariant.
+// Tests for the compile-time breakdown vocabulary (sim/component.hpp) and
+// the Breakdown behaviours that ride on it: ids pinned to table positions,
+// label round-trips for the shipped vocabulary, clear() for pooled reuse,
+// and the fixed-capacity overflow invariant. A misspelt label is a compile
+// error, checked by the component_label.* ctests.
 
 #include "sim/component.hpp"
 
@@ -17,91 +17,67 @@ namespace dredbox::sim {
 namespace {
 
 TEST(ComponentRegistryTest, InterningIsIdempotent) {
-  const ComponentId a = component_id("TGL lookup (RMST)");
-  const ComponentId b = component_id("TGL lookup (RMST)");
+  constexpr ComponentId a = component("TGL lookup (RMST)");
+  constexpr ComponentId b = component("TGL lookup (RMST)");
   EXPECT_EQ(a, b);
   EXPECT_EQ(component_label(a), "TGL lookup (RMST)");
 }
 
 TEST(ComponentRegistryTest, ShippedVocabularyIsPreInterned) {
-  // The datapath's labels are interned at registry construction, so the
-  // charge(string_view) shim never takes the registry's write lock for
-  // them. A representative label from each charging subsystem:
-  const std::size_t before = component_count();
+  // A representative label from each charging subsystem round-trips
+  // through its id.
   for (const char* label : {"serialization", "optical propagation",
                             "electrical propagation", "memory access",
                             "TGL lookup (RMST)", "retry backoff",
                             "circuit re-provision", "switch programming",
                             "pre-copy (local memory)"}) {
-    EXPECT_TRUE(component_id_if_interned(label).has_value())
-        << label << " is not pre-interned";
+    bool found = false;
+    for (ComponentId id = 0; id < kComponentCount; ++id) {
+      if (component_label(id) == label) found = true;
+    }
+    EXPECT_TRUE(found) << label << " is not in kComponentLabels";
   }
-  EXPECT_EQ(component_count(), before) << "lookups must not grow the registry";
 }
 
-TEST(ComponentRegistryTest, LookupOfUnknownLabelDoesNotIntern) {
-  const std::size_t before = component_count();
-  EXPECT_FALSE(component_id_if_interned("never-interned-label-xyzzy").has_value());
-  EXPECT_EQ(component_count(), before);
-}
-
-TEST(ComponentRegistryTest, NewLabelsGetFreshStableIds) {
-  const ComponentId fresh = component_id("test-component-fresh-label");
-  EXPECT_EQ(component_label(fresh), "test-component-fresh-label");
-  const auto found = component_id_if_interned("test-component-fresh-label");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, fresh);
-}
-
-TEST(BreakdownInterningTest, IdAndStringChargesAreEquivalent) {
-  const ComponentId id = component_id("serialization");
-  Breakdown by_id;
-  by_id.charge(id, Time::ns(120));
-  Breakdown by_string;
-  by_string.charge("serialization", Time::ns(120));
-  EXPECT_EQ(by_id.of(id), by_string.of("serialization"));
-  EXPECT_EQ(by_id.of("serialization"), Time::ns(120));
-  EXPECT_TRUE(by_id.has(id));
-  EXPECT_TRUE(by_string.has("serialization"));
-}
-
-TEST(BreakdownInterningTest, OfUnknownLabelIsZeroWithoutInterning) {
-  Breakdown breakdown;
-  breakdown.charge("serialization", Time::ns(5));
-  const std::size_t before = component_count();
-  EXPECT_EQ(breakdown.of("no-such-component-ever"), Time::zero());
-  EXPECT_FALSE(breakdown.has("no-such-component-ever"));
-  EXPECT_EQ(component_count(), before)
-      << "querying a breakdown must never grow the global registry";
+TEST(ComponentRegistryTest, LabelIdsArePinned) {
+  // Ids are table positions; a reorder of kComponentLabels moves them.
+  EXPECT_EQ(component("TGL / NI injection"), 0u);
+  EXPECT_EQ(component("SDM-C queueing"), 21u);
+  EXPECT_EQ(component("balloon reclaim (donor)"), 47u);
+  EXPECT_THROW(component_label(static_cast<ComponentId>(kComponentCount)), ContractViolation);
 }
 
 TEST(BreakdownInterningTest, ClearResetsForPooledReuse) {
+  constexpr ComponentId kSerialization = component("serialization");
+  constexpr ComponentId kMemoryAccess = component("memory access");
   Breakdown breakdown;
-  breakdown.charge("serialization", Time::ns(10));
-  breakdown.charge("memory access", Time::ns(20));
+  breakdown.charge(kSerialization, Time::ns(10));
+  breakdown.charge(kMemoryAccess, Time::ns(20));
   ASSERT_EQ(breakdown.size(), 2u);
   breakdown.clear();
   EXPECT_TRUE(breakdown.empty());
   EXPECT_EQ(breakdown.total(), Time::zero());
-  EXPECT_EQ(breakdown.of("serialization"), Time::zero());
+  EXPECT_EQ(breakdown.of(kSerialization), Time::zero());
   // Reuse after clear starts a fresh first-appearance order.
-  breakdown.charge("memory access", Time::ns(7));
+  breakdown.charge(kMemoryAccess, Time::ns(7));
   ASSERT_EQ(breakdown.size(), 1u);
   EXPECT_EQ(breakdown.components()[0].first, "memory access");
 }
 
 TEST(BreakdownInterningTest, OverflowPastFixedCapacityTrips) {
+  static_assert(kComponentCount > Breakdown::kMaxComponents,
+                "the overflow case needs one more label than a Breakdown holds");
   Breakdown breakdown;
-  for (std::size_t i = 0; i < Breakdown::kMaxComponents; ++i) {
-    breakdown.charge("test-overflow-" + std::to_string(i), Time::ns(1));
+  for (ComponentId id = 0; id < Breakdown::kMaxComponents; ++id) {
+    breakdown.charge(id, Time::ns(1));
   }
   EXPECT_EQ(breakdown.size(), Breakdown::kMaxComponents);
   // Re-charging an existing component still works at capacity...
-  breakdown.charge("test-overflow-0", Time::ns(1));
-  EXPECT_EQ(breakdown.of("test-overflow-0"), Time::ns(2));
+  breakdown.charge(0, Time::ns(1));
+  EXPECT_EQ(breakdown.of(0), Time::ns(2));
   // ...but a 25th distinct component is an invariant violation, not a
   // reallocation: per-op components are a small fixed vocabulary.
-  EXPECT_THROW(breakdown.charge("test-overflow-one-too-many", Time::ns(1)),
+  EXPECT_THROW(breakdown.charge(static_cast<ComponentId>(Breakdown::kMaxComponents), Time::ns(1)),
                ContractViolation);
 }
 
@@ -109,11 +85,11 @@ TEST(BreakdownInterningTest, ComponentsViewsPointAtRegistryStorage) {
   std::string_view serialization_view;
   {
     Breakdown breakdown;
-    breakdown.charge("serialization", Time::ns(3));
+    breakdown.charge(component("serialization"), Time::ns(3));
     serialization_view = breakdown.components()[0].first;
-  }  // breakdown destroyed; the view must remain valid (registry-owned)
+  }  // breakdown destroyed; the view must remain valid (static table)
   EXPECT_EQ(serialization_view, "serialization");
-  EXPECT_EQ(serialization_view, component_label(*component_id_if_interned("serialization")));
+  EXPECT_EQ(serialization_view.data(), component_label(component("serialization")).data());
 }
 
 }  // namespace
