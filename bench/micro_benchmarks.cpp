@@ -29,41 +29,136 @@
 #include "tco/workload.hpp"
 #include "workload/engine.hpp"
 
-// Process-wide heap-allocation counter, so the telemetry benches can
-// prove the disabled-tracing hot path allocation-free rather than assert
-// it. This binary is standalone, so replacing global new/delete here
-// cannot leak into the library or tests.
+// Process-wide heap-allocation counter, so the allocation-free benches prove
+// their paths allocation-free rather than assert it. Every replaceable
+// allocation function is replaced, nothrow and aligned forms included: one
+// left to the runtime would escape the count and, under ASan, be freed here
+// by a mismatched deallocator. This binary is standalone, so the
+// replacements cannot leak into the library or tests.
 static std::atomic<std::uint64_t> g_heap_allocs{0};
 
-void* operator new(std::size_t size) {
+static void* counted_alloc(std::size_t size, std::size_t align = 0) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  size = size ? size : 1;
+  return align ? std::aligned_alloc(align, (size + align - 1) / align * align)
+               : std::malloc(size);
+}
+static void* counted_alloc_or_throw(std::size_t size, std::size_t align = 0) {
+  if (void* p = counted_alloc(size, align)) return p;
   throw std::bad_alloc{};
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
+
+using AlignT = std::align_val_t;
+using NothrowT = std::nothrow_t;
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, AlignT a) { return counted_alloc_or_throw(n, std::size_t(a)); }
+void* operator new[](std::size_t n, AlignT a) { return counted_alloc_or_throw(n, std::size_t(a)); }
+void* operator new(std::size_t n, const NothrowT&) noexcept { return counted_alloc(n); }
+void* operator new[](std::size_t n, const NothrowT&) noexcept { return counted_alloc(n); }
+void* operator new(std::size_t n, AlignT a, const NothrowT&) noexcept {
+  return counted_alloc(n, std::size_t(a));
+}
+void* operator new[](std::size_t n, AlignT a, const NothrowT&) noexcept {
+  return counted_alloc(n, std::size_t(a));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, AlignT) noexcept { std::free(p); }
+void operator delete[](void* p, AlignT) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, AlignT) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, AlignT) noexcept { std::free(p); }
+void operator delete(void* p, const NothrowT&) noexcept { std::free(p); }
+void operator delete[](void* p, const NothrowT&) noexcept { std::free(p); }
+void operator delete(void* p, AlignT, const NothrowT&) noexcept { std::free(p); }
+void operator delete[](void* p, AlignT, const NothrowT&) noexcept { std::free(p); }
+
+// Set when any allocation-free bench saw a heap allocation; main() turns it
+// into the exit status (google-benchmark itself exits 0 on a failed bench).
+static bool g_alloc_gate_failed = false;
 
 namespace {
 
 using namespace dredbox;
 
-std::uint64_t heap_allocs() { return g_heap_allocs.load(std::memory_order_relaxed); }
+// Counts the heap allocations made inside the measured ops of one
+// allocation-free bench. check() records them per op as a counter and
+// fails the bench unless there were none.
+class AllocGate {
+ public:
+  template <class Op>
+  void count(Op&& op) {
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    op();
+    allocs_ += g_heap_allocs.load(std::memory_order_relaxed) - before;
+  }
+  void check(benchmark::State& state, const char* counter, std::uint64_t ops) {
+    state.counters[counter] =
+        static_cast<double>(allocs_) / static_cast<double>(std::max<std::uint64_t>(ops, 1));
+    if (allocs_ == 0) return;
+    g_alloc_gate_failed = true;
+    state.SkipWithError("heap allocation on an allocation-free path");
+  }
 
-void BM_RmstLookup(benchmark::State& state) {
-  const auto entries = static_cast<std::size_t>(state.range(0));
+ private:
+  std::uint64_t allocs_ = 0;
+};
+
+// An RMST of `entries` 1 GiB windows laid end to end from kRmstBase.
+constexpr std::uint64_t kRmstBase = 1ull << 40;
+hw::Rmst make_rmst(std::size_t entries) {
   hw::Rmst rmst{entries};
   for (std::size_t i = 0; i < entries; ++i) {
     hw::RmstEntry e;
     e.segment = hw::SegmentId{static_cast<std::uint32_t>(i + 1)};
-    e.base = (1ull << 40) + (static_cast<std::uint64_t>(i) << 30);
+    e.base = kRmstBase + (static_cast<std::uint64_t>(i) << 30);
     e.size = 1ull << 30;
     e.dest_brick = hw::BrickId{1};
     rmst.insert(e);
   }
-  std::uint64_t addr = (1ull << 40) + (entries / 2 << 30) + 64;
+  return rmst;
+}
+
+// Two trays of two compute and two memory bricks: the datacenter the
+// remote-read and workload-window benches boot their VMs on.
+core::DatacenterConfig two_tray_config() {
+  core::DatacenterConfig config;
+  config.trays = 2;
+  config.compute_bricks_per_tray = 2;
+  config.memory_bricks_per_tray = 2;
+  return config;
+}
+
+// A compute brick and an 8 GiB memory brick on two trays, joined by a
+// 1 GiB attachment: the fabric the DMA and chunk-write benches walk.
+struct AttachedPair {
+  hw::Rack rack;
+  optics::OpticalSwitch sw;
+  optics::CircuitManager circuits{sw};
+  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  hw::BrickId cpu;
+  std::uint64_t base = 0;  // compute-side base address of the attachment
+
+  AttachedPair() {
+    const hw::TrayId tray_a = rack.add_tray();
+    const hw::TrayId tray_b = rack.add_tray();
+    cpu = rack.add_compute_brick(tray_a).id();
+    hw::MemoryBrickConfig mc;
+    mc.capacity_bytes = 8ull << 30;
+    memsys::AttachRequest req;
+    req.compute = cpu;
+    req.membrick = rack.add_memory_brick(tray_b, mc).id();
+    req.bytes = 1ull << 30;
+    base = fabric.attach(req, sim::Time::zero())->compute_base;
+  }
+};
+
+void BM_RmstLookup(benchmark::State& state) {
+  const auto entries = static_cast<std::size_t>(state.range(0));
+  const hw::Rmst rmst = make_rmst(entries);
+  std::uint64_t addr = kRmstBase + (entries / 2 << 30) + 64;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rmst.lookup(addr));
   }
@@ -76,17 +171,9 @@ BENCHMARK(BM_RmstLookup)->Arg(4)->Arg(16)->Arg(32);
 // interval index alone (the worst case for clustered remote traffic).
 void BM_RmstLookupStrided(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
-  hw::Rmst rmst{entries};
+  const hw::Rmst rmst = make_rmst(entries);
   std::vector<std::uint64_t> addrs;
-  for (std::size_t i = 0; i < entries; ++i) {
-    hw::RmstEntry e;
-    e.segment = hw::SegmentId{static_cast<std::uint32_t>(i + 1)};
-    e.base = (1ull << 40) + (static_cast<std::uint64_t>(i) << 30);
-    e.size = 1ull << 30;
-    e.dest_brick = hw::BrickId{1};
-    rmst.insert(e);
-    addrs.push_back(e.base + 64);
-  }
+  for (std::size_t i = 0; i < entries; ++i) addrs.push_back(kRmstBase + (i << 30) + 64);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rmst.find(addrs[i]));
@@ -99,15 +186,7 @@ BENCHMARK(BM_RmstLookupStrided)->Arg(4)->Arg(16)->Arg(32);
 // Address below every window: the miss path (MRU miss + one index probe).
 void BM_RmstLookupMiss(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
-  hw::Rmst rmst{entries};
-  for (std::size_t i = 0; i < entries; ++i) {
-    hw::RmstEntry e;
-    e.segment = hw::SegmentId{static_cast<std::uint32_t>(i + 1)};
-    e.base = (1ull << 40) + (static_cast<std::uint64_t>(i) << 30);
-    e.size = 1ull << 30;
-    e.dest_brick = hw::BrickId{1};
-    rmst.insert(e);
-  }
+  const hw::Rmst rmst = make_rmst(entries);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rmst.find(0x1000));
   }
@@ -123,15 +202,14 @@ void BM_BreakdownCharge(benchmark::State& state) {
   breakdown.charge(sim::component("optical propagation"), sim::Time::ns(1));
   breakdown.charge(sim::component("MAC/PHY (dCOMPUBRICK)"), sim::Time::ns(1));
   breakdown.charge(sim::component("MAC/PHY (dMEMBRICK)"), sim::Time::ns(1));
-  std::uint64_t allocs = 0;
+  AllocGate allocs;
   for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    breakdown.charge(sim::component("MAC/PHY (dMEMBRICK)"), sim::Time::ns(1));
-    benchmark::DoNotOptimize(breakdown);
-    allocs += heap_allocs() - before;
+    allocs.count([&] {
+      breakdown.charge(sim::component("MAC/PHY (dMEMBRICK)"), sim::Time::ns(1));
+      benchmark::DoNotOptimize(breakdown);
+    });
   }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BreakdownCharge);
@@ -139,7 +217,7 @@ BENCHMARK(BM_BreakdownCharge);
 // Repetition-minimum aggregate for the queue benches: this host is shared,
 // so per-repetition means carry neighbor steal time (observed up to ~2x).
 // The min across repetitions approximates the contention-free cost and is
-// the statistic the old-vs-new kernel comparison quotes; bench_reduce.py
+// the statistic the old-vs-new kernel comparison quotes; scripts/bench.sh
 // records it alongside the median.
 double stat_min(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
@@ -295,26 +373,12 @@ void BM_FabricAttachDetach(benchmark::State& state) {
 BENCHMARK(BM_FabricAttachDetach);
 
 void BM_DmaMegabyteTransfer(benchmark::State& state) {
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
-  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
-  hw::MemoryBrickConfig mc;
-  mc.capacity_bytes = 8ull << 30;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  memsys::AttachRequest req;
-  req.compute = cpu;
-  req.membrick = mem;
-  req.bytes = 1ull << 30;
-  const auto attachment = fabric.attach(req, sim::Time::zero());
+  AttachedPair pair;
   sim::Simulator sim;
-  memsys::DmaEngine dma{sim, fabric, cpu, 2, 65536};
+  memsys::DmaEngine dma{sim, pair.fabric, pair.cpu, 2, 65536};
   for (auto _ : state) {
     memsys::DmaDescriptor d;
-    d.address = attachment->compute_base;
+    d.address = pair.base;
     d.bytes = 1 << 20;
     bool done = false;
     dma.enqueue(d, [&](const memsys::DmaCompletion&) { done = true; });
@@ -363,11 +427,7 @@ BENCHMARK(BM_EventDispatchTraceContext)->Arg(0)->Arg(1);
 
 void BM_RemoteReadTelemetry(benchmark::State& state) {
   const bool tracing = state.range(0) != 0;
-  core::DatacenterConfig config;
-  config.trays = 2;
-  config.compute_bricks_per_tray = 2;
-  config.memory_bricks_per_tray = 2;
-  core::Datacenter dc{config};
+  core::Datacenter dc{two_tray_config()};
   // Metrics stay on in both variants so the /0-vs-/1 delta isolates the
   // causal-tracing machinery alone.
   dc.metrics().enable();
@@ -389,19 +449,18 @@ BENCHMARK(BM_RemoteReadTelemetry)->Arg(0)->Arg(1);
 void BM_TracerDisabledHotPath(benchmark::State& state) {
   sim::Tracer tracer;  // never enabled: every call must be a cheap no-op
   tracer.seed_trace_ids(1);
-  std::uint64_t allocs = 0;
+  AllocGate allocs;
   for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    const auto ctx = tracer.begin_trace();
-    tracer.record_span(sim::Time::us(1), sim::Time::us(2), sim::TraceCategory::kFabric,
-                       "remote read", {}, ctx);
-    tracer.record(sim::Time::us(3), sim::TraceCategory::kFabric, "retry");
-    allocs += heap_allocs() - before;
+    allocs.count([&] {
+      const auto ctx = tracer.begin_trace();
+      tracer.record_span(sim::Time::us(1), sim::Time::us(2), sim::TraceCategory::kFabric,
+                         "remote read", {}, ctx);
+      tracer.record(sim::Time::us(3), sim::TraceCategory::kFabric, "retry");
+    });
     benchmark::DoNotOptimize(&tracer);
   }
-  // Must stay 0.0: a disabled tracer that heap-allocates is a regression.
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  // A disabled tracer that heap-allocates is a regression.
+  allocs.check(state, "allocs_per_iter", state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TracerDisabledHotPath);
@@ -419,21 +478,17 @@ void BM_TracerEnabledRecordSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerEnabledRecordSpan);
 
-// --- allocation-free hot datapath (ISSUE 9) ---
+// --- allocation-free hot datapath ---
 //
 // The op datapath — issue, fabric walk, breakdown charging, completion,
 // retry bookkeeping — must not touch the heap in steady state. These
 // benches measure it directly with the global-new counter: after a short
 // warm-up (arena chunks, RMST tables, metric registrations, queue
-// capacity all settle), allocs_per_op must read exactly 0.0. The reducer
-// (scripts/bench_reduce.py) fails the run otherwise.
+// capacity all settle), allocs_per_op must read exactly 0.0. AllocGate
+// fails the bench otherwise, and the micro.zero_allocs ctest runs them.
 
 void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
-  core::DatacenterConfig config;
-  config.trays = 2;
-  config.compute_bricks_per_tray = 2;
-  config.memory_bricks_per_tray = 2;
-  core::Datacenter dc{config};
+  core::Datacenter dc{two_tray_config()};
   dc.metrics().enable();
   const auto vm = dc.boot_vm("bench-guest", /*vcpus=*/2, /*memory=*/2ull << 30);
   const auto up = dc.scale_up(vm.vm, vm.compute, 2ull << 30);
@@ -447,41 +502,26 @@ void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
         dc.remote_read(vm.compute, attachment.compute_base + (offset & 0xFFC0), 64));
     offset += 64;
   }
-  std::uint64_t allocs = 0;
+  AllocGate allocs;
   for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    benchmark::DoNotOptimize(
-        dc.remote_read(vm.compute, attachment.compute_base + (offset & 0xFFC0), 64));
-    allocs += heap_allocs() - before;
+    allocs.count([&] {
+      benchmark::DoNotOptimize(
+          dc.remote_read(vm.compute, attachment.compute_base + (offset & 0xFFC0), 64));
+    });
     offset += 64;
   }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RemoteReadSteadyStateAllocs);
 
 void BM_DmaSteadyStateAllocs(benchmark::State& state) {
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
-  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
-  hw::MemoryBrickConfig mc;
-  mc.capacity_bytes = 8ull << 30;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  memsys::AttachRequest req;
-  req.compute = cpu;
-  req.membrick = mem;
-  req.bytes = 1ull << 30;
-  const auto attachment = fabric.attach(req, sim::Time::zero());
+  AttachedPair pair;
   sim::Simulator sim;
-  memsys::DmaEngine dma{sim, fabric, cpu, 2, 65536};
+  memsys::DmaEngine dma{sim, pair.fabric, pair.cpu, 2, 65536};
   const auto transfer = [&] {
     memsys::DmaDescriptor d;
-    d.address = attachment->compute_base;
+    d.address = pair.base;
     d.bytes = 256 << 10;  // 4 chunks through the pooled job machinery
     bool done = false;
     dma.enqueue(d, [&done](const memsys::DmaCompletion& c) { done = c.ok; });
@@ -489,14 +529,9 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
     return done;
   };
   for (int i = 0; i < 64; ++i) benchmark::DoNotOptimize(transfer());  // warm-up
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    benchmark::DoNotOptimize(transfer());
-    allocs += heap_allocs() - before;
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  AllocGate allocs;
+  for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(transfer()); });
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.SetBytesProcessed(state.iterations() * (256 << 10));
 }
 BENCHMARK(BM_DmaSteadyStateAllocs);
@@ -526,14 +561,9 @@ void BM_EventQueueFarTimer(benchmark::State& state) {
     q.schedule(q.now() + hop(), [] {});
   };
   for (int i = 0; i < 1 << 16; ++i) churn();  // warm-up: several re-spans
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    churn();
-    allocs += heap_allocs() - before;
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  AllocGate allocs;
+  for (auto _ : state) allocs.count(churn);
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.counters["in_drain"] = static_cast<double>(q.calendar_stats().in_drain);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -544,39 +574,20 @@ BENCHMARK(BM_EventQueueFarTimer)->Arg(1)->Arg(64)->Arg(1024);
 // breakdown). Issue times advance 1 us per write, so the link and the
 // controller are idle and the cost is the walk alone. 0 allocs/op.
 void BM_RemoteWriteChunk(benchmark::State& state) {
-  hw::Rack rack;
-  const hw::TrayId tray_a = rack.add_tray();
-  const hw::TrayId tray_b = rack.add_tray();
-  const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
-  hw::MemoryBrickConfig mc;
-  mc.capacity_bytes = 8ull << 30;
-  const hw::BrickId mem = rack.add_memory_brick(tray_b, mc).id();
-  optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  memsys::AttachRequest req;
-  req.compute = cpu;
-  req.membrick = mem;
-  req.bytes = 1ull << 30;
-  const auto attachment = fabric.attach(req, sim::Time::zero());
+  AttachedPair pair;
   std::uint64_t offset = 0;
   sim::Time t = sim::Time::zero();
   const auto write = [&] {
     const memsys::Transaction tx =
-        fabric.write(cpu, attachment->compute_base + (offset & 0xFFFF000), 4096, t);
+        pair.fabric.write(pair.cpu, pair.base + (offset & 0xFFFF000), 4096, t);
     offset += 4096;
     t += sim::Time::us(1);
     return tx.ok();
   };
   for (int i = 0; i < 256; ++i) benchmark::DoNotOptimize(write());  // warm-up
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    benchmark::DoNotOptimize(write());
-    allocs += heap_allocs() - before;
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  AllocGate allocs;
+  for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(write()); });
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_RemoteWriteChunk);
@@ -591,11 +602,7 @@ BENCHMARK(BM_RemoteWriteChunk);
 // measured ops fit inside that capacity.
 void BM_WorkloadEngineWindowAllocs(benchmark::State& state) {
   constexpr std::uint64_t kWarmOps = 4097;
-  core::DatacenterConfig config;
-  config.trays = 2;
-  config.compute_bricks_per_tray = 2;
-  config.memory_bricks_per_tray = 2;
-  core::Datacenter dc{config};
+  core::Datacenter dc{two_tray_config()};
   workload::WorkloadConfig wc;
   workload::TenantSpec closed;
   closed.name = "bench-closed";
@@ -613,14 +620,9 @@ void BM_WorkloadEngineWindowAllocs(benchmark::State& state) {
   sim::EventQueue& queue = dc.simulator().queue();
   std::uint64_t warm = 0;
   while (warm < kWarmOps && queue.dispatch_one()) ++warm;
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = heap_allocs();
-    benchmark::DoNotOptimize(queue.dispatch_one());
-    allocs += heap_allocs() - before;
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  AllocGate allocs;
+  for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(queue.dispatch_one()); });
+  allocs.check(state, "allocs_per_op", state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 // Fixed op count: warm-up plus measured ops stay inside the sample
@@ -660,17 +662,13 @@ void BM_PartitionRoundAllocs(benchmark::State& state) {
   ring.sims[0]->at(kLookahead, [&ring] { ring.on_token(0); }, "token");
   std::vector<sim::Time> horizons(kShards, sim::Time::us(20));
   ring.kernel.run(horizons);  // warm-up: inbox and table capacity settle
-  std::uint64_t allocs = 0;
+  AllocGate allocs;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     for (auto& horizon : horizons) horizon = horizon + sim::Time::us(20);
-    const std::uint64_t before = heap_allocs();
-    const sim::PartitionRunStats stats = ring.kernel.run(horizons);
-    allocs += heap_allocs() - before;
-    rounds += stats.rounds;
+    allocs.count([&] { rounds += ring.kernel.run(horizons).rounds; });
   }
-  state.counters["allocs_per_round"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(std::max<std::uint64_t>(rounds, 1)));
+  allocs.check(state, "allocs_per_round", rounds);
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_PartitionRoundAllocs);
@@ -682,11 +680,7 @@ BENCHMARK(BM_PartitionRoundAllocs);
 void BM_WorkloadEngineSteadyState(benchmark::State& state) {
   std::uint64_t completed = 0;
   for (auto _ : state) {
-    core::DatacenterConfig config;
-    config.trays = 2;
-    config.compute_bricks_per_tray = 2;
-    config.memory_bricks_per_tray = 2;
-    core::Datacenter dc{config};
+    core::Datacenter dc{two_tray_config()};
     workload::WorkloadConfig wc;
     workload::TenantSpec closed;
     closed.name = "bench-closed";
@@ -729,4 +723,10 @@ BENCHMARK(BM_FcfsScheduling);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return ran == 0 || g_alloc_gate_failed ? 1 : 0;
+}

@@ -11,7 +11,7 @@
 //   $ ./datacenter --racks 4 --out parallel.json
 //
 // The JSON report follows the "dredbox-parallel/v1" schema consumed by
-// scripts/bench_reduce.py.
+// scripts/validate_artifacts.py.
 
 #include <cstdio>
 #include <cstdlib>

@@ -9,7 +9,7 @@
 //   $ ./sweep --duration-ms 5 --out sweep.json
 //
 // The JSON report follows the "dredbox-sweep/v1" schema consumed by
-// scripts/bench_reduce.py.
+// scripts/validate_artifacts.py.
 
 #include <cstdio>
 #include <cstdlib>
@@ -193,7 +193,8 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     // The parallel pass (when run) is the authoritative report; splice in
     // the sequential wall clock, the digest verdict and the host's core
-    // count so bench_reduce.py can judge the speedup criterion fairly.
+    // count so scripts/validate_artifacts.py can judge the speedup
+    // criterion fairly.
     const core::SweepReport& emitted = skip_parallel ? sequential : parallel;
     std::string json = emitted.to_json();
     const std::size_t tail = json.rfind("\n}");

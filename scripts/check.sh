@@ -19,7 +19,8 @@
 # multi-rack run digest-identical to its sequential reference (healthy and
 # under a spine fault), an obs stage schema-validates the three
 # observability artifacts (Chrome trace, OpenMetrics, dredbox-report/v1)
-# from a faulty quickstart, and the bench smoke finishes.
+# from a faulty quickstart, and the bench smoke (scripts/bench.sh --smoke)
+# finishes.
 # Run from the repository root:
 #
 #   $ scripts/check.sh
@@ -96,7 +97,7 @@ DREDBOX_FAULT_PLAN='link-flap@1ms+2ms;congestion@2ms+1ms:magnitude=4;brick-crash
 echo "== sweep: 2x2 grid on 2 threads, digests must match sequential"
 "$root/build/examples/sweep" --threads 2 --seeds 1,2 --trays 1,2 \
   --ratios 0.5 --duration-ms 2 --out "$root/build/sweep_smoke.json"
-python3 "$root/scripts/bench_reduce.py" validate "$root/build/sweep_smoke.json"
+python3 "$root/scripts/validate_artifacts.py" "$root/build/sweep_smoke.json"
 
 echo "== parallel: 2-rack coupled run on 2 threads, digests must match sequential"
 # The conservative-lookahead kernel's gating proof, healthy and with a
@@ -105,7 +106,7 @@ echo "== parallel: 2-rack coupled run on 2 threads, digests must match sequentia
 # artifact must pass schema validation.
 "$root/build/examples/datacenter" --racks 2 --threads 2 --duration-ms 1 \
   --out "$root/build/parallel_smoke.json" > /dev/null
-python3 "$root/scripts/bench_reduce.py" validate "$root/build/parallel_smoke.json"
+python3 "$root/scripts/validate_artifacts.py" "$root/build/parallel_smoke.json"
 "$root/build/examples/datacenter" --racks 2 --threads 2 --duration-ms 1 \
   --fault-rack 0 --fault-at-ms 0.3 --fault-for-ms 0.4 > /dev/null
 
@@ -116,11 +117,10 @@ DREDBOX_FAULT_PLAN='link-flap@1ms+2ms;congestion@2ms+1ms:magnitude=4' \
   DREDBOX_REPORT_FILE="$root/build/obs.report.json" \
   DREDBOX_PROFILE=1 \
   "$root/build/examples/quickstart" > /dev/null
-python3 "$root/scripts/bench_reduce.py" validate \
+python3 "$root/scripts/validate_artifacts.py" \
   "$root/build/obs.trace.json" "$root/build/obs.om" "$root/build/obs.report.json"
 
-echo "== bench: micro + end-to-end smoke, BENCH_*.json schema"
-bash "$root/scripts/bench.sh" --quick --tag smoke -o "$root/build/BENCH_smoke.json"
-python3 "$root/scripts/bench_reduce.py" validate "$root"/BENCH_*.json
+echo "== bench: benchmark/ smoke run + micro medians, self-compared"
+bash "$root/scripts/bench.sh" --smoke --tag smoke -o "$root/build/BENCH_smoke.json"
 
 echo "== all checks passed"

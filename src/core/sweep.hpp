@@ -86,7 +86,7 @@ struct SweepReport {
   std::size_t cells_ok() const;
 
   /// Serializes to the "dredbox-sweep/v1" JSON schema consumed by
-  /// scripts/bench_reduce.py (digests as fixed-width hex strings).
+  /// scripts/validate_artifacts.py (digests as fixed-width hex strings).
   std::string to_json() const;
 };
 

@@ -14,7 +14,7 @@
 namespace dredbox::sim {
 
 /// Schema tag of the run-report artifact this builder emits. Versioned so
-/// downstream tooling (scripts/bench_reduce.py validate) can evolve the
+/// downstream tooling (scripts/validate_artifacts.py) can evolve the
 /// contract without guessing; bump to /v2 on any breaking field change.
 inline constexpr const char* kReportSchema = "dredbox-report/v1";
 
