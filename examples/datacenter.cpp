@@ -7,7 +7,7 @@
 //
 //   $ ./datacenter                              # 2 racks, 2 threads
 //   $ ./datacenter --racks 16 --threads 4 --cross-share 0.15
-//   $ ./datacenter --fault-rack 0 --fault-at-ms 1 --fault-for-ms 2
+//   $ ./datacenter --spine-faults 'spine-down@1ms+2ms:target=0'
 //   $ ./datacenter --racks 4 --out parallel.json
 //
 // The JSON report follows the "dredbox-parallel/v1" schema consumed by
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -37,15 +38,14 @@ void usage() {
       "  --duration-ms X  generation window (default 2)\n"
       "  --cross-share X  fraction of reads/writes crossing the spine (default 0.10)\n"
       "  --vms N          VMs per rack (default 1)\n"
-      "  --fault-rack N   rack whose spine uplink fails (default: no fault)\n"
-      "  --fault-at-ms X  fault onset (default 1)\n"
-      "  --fault-for-ms X fault duration (default 1)\n"
+      "  --spine-faults SPEC\n"
+      "                   window-relative spine-down plan in the fault mini-language,\n"
+      "                   e.g. 'spine-down@0.3ms+0.4ms:target=3' (default: none)\n"
       "  --out FILE       write the dredbox-parallel/v1 JSON report to FILE\n");
 }
 
 core::ScenarioBuilder make_builder(std::size_t racks, std::uint64_t seed, double cross_share,
-                                   std::size_t threads, long fault_rack, double fault_at_ms,
-                                   double fault_for_ms) {
+                                   std::size_t threads, const sim::FaultPlan& spine_faults) {
   core::RackSpec rack;
   rack.trays = 1;
   rack.compute_bricks_per_tray = 2;
@@ -56,11 +56,8 @@ core::ScenarioBuilder make_builder(std::size_t racks, std::uint64_t seed, double
       .partitions(threads)
       .seed(seed)
       .compute_local_memory_bytes(8ull << 30)
-      .memory_pool_bytes(32ull << 30);
-  if (fault_rack >= 0) {
-    builder.spine_fault(static_cast<std::size_t>(fault_rack), sim::Time::ms(fault_at_ms),
-                        sim::Time::ms(fault_for_ms));
-  }
+      .memory_pool_bytes(32ull << 30)
+      .configure([&](core::DatacenterConfig& c) { c.spine.faults = spine_faults; });
   return builder;
 }
 
@@ -84,18 +81,14 @@ workload::WorkloadConfig make_workload(std::size_t racks, std::size_t vms, doubl
   return config;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::size_t racks = 2;
   std::size_t threads = 2;
   std::uint64_t seed = 1;
   double duration_ms = 2.0;
   double cross_share = 0.10;
   std::size_t vms = 1;
-  long fault_rack = -1;
-  double fault_at_ms = 1.0;
-  double fault_for_ms = 1.0;
+  std::string spine_faults;
   std::string out_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -119,12 +112,8 @@ int main(int argc, char** argv) {
       cross_share = std::strtod(value().c_str(), nullptr);
     } else if (arg == "--vms") {
       vms = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--fault-rack") {
-      fault_rack = std::strtol(value().c_str(), nullptr, 10);
-    } else if (arg == "--fault-at-ms") {
-      fault_at_ms = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--fault-for-ms") {
-      fault_for_ms = std::strtod(value().c_str(), nullptr);
+    } else if (arg == "--spine-faults") {
+      spine_faults = value();
     } else if (arg == "--out") {
       out_path = value();
     } else {
@@ -137,14 +126,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const core::ScenarioBuilder builder = make_builder(racks, seed, cross_share, threads,
-                                                     fault_rack, fault_at_ms, fault_for_ms);
+  const sim::FaultPlan plan = sim::FaultPlan::parse(spine_faults);
+  const core::ScenarioBuilder builder = make_builder(racks, seed, cross_share, threads, plan);
   const workload::WorkloadConfig workload = make_workload(racks, vms, duration_ms);
 
   std::printf("== dReDBox multi-rack datacenter ==\n");
   std::printf("%zu racks on the spine, %.1f ms window, cross-rack share %.2f%s\n\n", racks,
-              duration_ms, cross_share,
-              fault_rack >= 0 ? ", spine fault scheduled" : "");
+              duration_ms, cross_share, plan.empty() ? "" : ", spine fault scheduled");
 
   // Sequential reference: an independent cluster, same seed, 1 thread.
   core::Scenario seq_scenario = builder.build();
@@ -169,7 +157,7 @@ int main(int argc, char** argv) {
                            par.threads, static_cast<unsigned long long>(seed));
     json += sim::strformat("  \"duration_ms\": %.9g,\n  \"cross_share\": %.9g,\n", duration_ms,
                            cross_share);
-    json += sim::strformat("  \"fault_rack\": %ld,\n", fault_rack);
+    json += sim::strformat("  \"spine_faults\": \"%s\",\n", plan.to_string().c_str());
     json += sim::strformat("  \"digest\": \"%016llx\",\n  \"digests_match\": %s,\n",
                            static_cast<unsigned long long>(par.digest),
                            match ? "true" : "false");
@@ -201,4 +189,17 @@ int main(int argc, char** argv) {
   }
 
   return match ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (a malformed plan, an invalid config, an unusable workload)
+  // is a usage error: report the dotted-field errors, never abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "datacenter: %s\n", e.what());
+    return 2;
+  }
 }

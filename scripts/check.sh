@@ -108,7 +108,7 @@ echo "== parallel: 2-rack coupled run on 2 threads, digests must match sequentia
   --out "$root/build/parallel_smoke.json" > /dev/null
 python3 "$root/scripts/validate_artifacts.py" "$root/build/parallel_smoke.json"
 "$root/build/examples/datacenter" --racks 2 --threads 2 --duration-ms 1 \
-  --fault-rack 0 --fault-at-ms 0.3 --fault-for-ms 0.4 > /dev/null
+  --spine-faults 'spine-down@0.3ms+0.4ms:target=0' > /dev/null
 
 echo "== obs: faulty quickstart must emit schema-valid trace/OpenMetrics/report"
 DREDBOX_FAULT_PLAN='link-flap@1ms+2ms;congestion@2ms+1ms:magnitude=4' \

@@ -157,6 +157,20 @@ class Cluster::RackPort final : public CrossRackPort {
     return rack < rack_ ? rack : rack - 1;
   }
 
+  /// Applies a spine fault on rack `down`'s uplink, delivered by this
+  /// rack's injector on its own queue: the faulted rack loses every
+  /// outbound direction, a peer only its direction toward it. Only
+  /// admission is gated by link state; messages already launched land.
+  void set_uplink(std::uint64_t down, bool up) {
+    DREDBOX_INVARIANT(down < cluster_.racks_.size(),
+                      "spine fault targets a rack that does not exist");
+    if (down == rack_) {
+      for (auto& peer : peers_) peer.link.set_up(up);
+    } else {
+      peers_[peer_of(static_cast<std::uint32_t>(down))].link.set_up(up);
+    }
+  }
+
   Cluster& cluster_;
   const std::uint32_t rack_;
   std::vector<Peer> peers_;
@@ -198,6 +212,12 @@ void Cluster::wire_spine() {
     spine_.attach_rack(static_cast<std::uint32_t>(r));
     kernel_.add_shard(racks_[r]->simulator());
     ports_.push_back(std::make_unique<RackPort>(*this, static_cast<std::uint32_t>(r)));
+    RackPort* port = ports_.back().get();
+    racks_[r]->faults().on(sim::FaultKind::kSpineLinkDown,
+                           [port](const sim::FaultEvent& e) { port->set_uplink(e.target, false); });
+    racks_[r]->faults().on_recover(
+        sim::FaultKind::kSpineLinkDown,
+        [port](const sim::FaultEvent& e) { port->set_uplink(e.target, true); });
   }
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) spine_.provision(static_cast<std::uint32_t>(a),
@@ -252,42 +272,11 @@ void Cluster::boot_gateways() {
 void Cluster::arm_spine_faults(sim::Time base) {
   if (faults_armed_) throw std::logic_error("Cluster: spine faults already armed");
   faults_armed_ = true;
-  // Every rack learns about a spine fault through events on its *own*
-  // queue (the only thread allowed to touch its links). Only admission
-  // is gated by link state, so requests and replies already launched
-  // always land.
-  for (const auto& fault : config_.spine.faults) {
-    const auto down_rack = static_cast<std::uint32_t>(fault.rack);
-    const sim::Time down_at = base + fault.at;
-    const sim::Time up_at = down_at + fault.duration;
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-      RackPort* port = ports_[r].get();
-      sim::Simulator& sim = racks_[r]->simulator();
-      DREDBOX_INVARIANT(base >= sim.now(),
-                        "Cluster::arm_spine_faults: base lies in a rack's past");
-      if (r == fault.rack) {
-        // The faulted rack loses every outbound direction.
-        sim.at(
-            down_at,
-            [port] {
-              for (auto& peer : port->peers_) peer.link.set_up(false);
-            },
-            "spine.fault");
-        sim.at(
-            up_at,
-            [port] {
-              for (auto& peer : port->peers_) peer.link.set_up(true);
-            },
-            "spine.restore");
-      } else {
-        // Peers lose (only) their direction toward the faulted rack.
-        const std::size_t slot = port->peer_of(down_rack);
-        sim.at(
-            down_at, [port, slot] { port->peers_[slot].link.set_up(false); }, "spine.fault");
-        sim.at(
-            up_at, [port, slot] { port->peers_[slot].link.set_up(true); }, "spine.restore");
-      }
-    }
+  const sim::FaultPlan plan = config_.spine.faults.shifted(base);
+  for (auto& rack : racks_) {
+    DREDBOX_INVARIANT(base >= rack->simulator().now(),
+                      "Cluster::arm_spine_faults: base lies in a rack's past");
+    rack->inject_faults(plan);
   }
 }
 

@@ -39,7 +39,7 @@ class Cluster {
   /// Requires config.racks to be non-empty; validates the config and
   /// throws std::invalid_argument listing every error. Boots one gateway
   /// VM per rack (throwing std::runtime_error if a gateway cannot come
-  /// up) and schedules any configured spine faults.
+  /// up) and routes every rack's `spine-down` faults to its spine links.
   explicit Cluster(const DatacenterConfig& config);
   ~Cluster();
 
@@ -72,8 +72,8 @@ class Cluster {
   /// schedule, not just each source's view.
   std::uint64_t served_digest(std::size_t r) const;
 
-  /// Schedules the configured spine faults, each at `base` + its `at`
-  /// offset (with the matching restore `duration` later). The cluster
+  /// Schedules the configured spine faults, shifted by `base`, on every
+  /// rack's fault injector (each recovers `duration` later). The cluster
   /// workload engine arms at its window start; drivers without a
   /// workload can arm at zero for wiring-absolute fault times. At most
   /// one arming per cluster; `base` must not lie in any rack's past.

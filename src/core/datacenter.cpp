@@ -224,10 +224,13 @@ std::vector<std::string> DatacenterConfig::validate() const {
     require(errors, spine.cross_share >= 0.0 && spine.cross_share <= 1.0,
             sim::strformat("spine.cross_share: %g outside [0, 1]", spine.cross_share));
     for (std::size_t i = 0; i < spine.faults.size(); ++i) {
-      const SpineFaultSpec& fault = spine.faults[i];
-      require(errors, fault.rack < racks.size(),
-              sim::strformat("spine.faults[%zu].rack: rack %zu out of range (%zu racks)",
-                             i, fault.rack, racks.size()));
+      const sim::FaultEvent& fault = spine.faults.events()[i];
+      require(errors, fault.kind == sim::FaultKind::kSpineLinkDown,
+              sim::strformat("spine.faults[%zu].kind: %s is not spine-down", i,
+                             sim::to_string(fault.kind).c_str()));
+      require(errors, fault.target < racks.size(),
+              sim::strformat("spine.faults[%zu].target: rack %llu out of range (%zu racks)", i,
+                             static_cast<unsigned long long>(fault.target), racks.size()));
       require(errors, fault.at >= sim::Time::zero(),
               sim::strformat("spine.faults[%zu].at: cannot be negative", i));
       require(errors, fault.duration > sim::Time::zero(),
@@ -304,8 +307,8 @@ std::uint64_t DatacenterConfig::digest() const {
     d.update(spine.gateway_bytes);
     fold_double(spine.cross_share);
     d.update(static_cast<std::uint64_t>(spine.faults.size()));
-    for (const SpineFaultSpec& fault : spine.faults) {
-      d.update(static_cast<std::uint64_t>(fault.rack));
+    for (const sim::FaultEvent& fault : spine.faults.events()) {
+      d.update(fault.target);
       fold_time(fault.at);
       fold_time(fault.duration);
     }

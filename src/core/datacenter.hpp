@@ -40,19 +40,6 @@ struct RackSpec {
   std::size_t accelerator_bricks_per_tray = 0;
 };
 
-/// One scripted inter-rack fault: rack `rack` loses its spine uplink at
-/// `at` (every cross-rack request involving it fails fast at the sending
-/// NIC; in-flight light still lands) and regains it `duration` later.
-/// `at` counts from the moment Cluster::arm_spine_faults() is called —
-/// the cluster workload engine arms at its window start, so faults land
-/// a known offset into the measured window regardless of how long the
-/// control plane took to boot.
-struct SpineFaultSpec {
-  std::size_t rack = 0;
-  sim::Time at = sim::Time::ms(1);
-  sim::Time duration = sim::Time::ms(1);
-};
-
 /// The inter-rack optical spine of a multi-rack deployment: the circuit
 /// layer racks bind remote-memory segments across, plus the per-rack
 /// gateway window those segments are served from.
@@ -75,9 +62,11 @@ struct SpineSpec {
   /// that targets cross-rack segments; a TenantSpec placement overrides
   /// it per tenant.
   double cross_share = 0.0;
-  /// Scripted spine-uplink faults (the inter-rack analogue of a fault
-  /// plan's link-flap).
-  std::vector<SpineFaultSpec> faults;
+  /// Scripted spine-uplink faults: `spine-down` events (target = rack
+  /// index) that Cluster::arm_spine_faults() shifts by its base — the
+  /// cluster workload engine arms at its window start, so faults land a
+  /// known offset into the measured window however long boot took.
+  sim::FaultPlan faults;
 };
 
 /// Shape of a dReDBox deployment assembled by the Datacenter facade.
@@ -202,10 +191,11 @@ class Datacenter {
   const orch::PowerManager& power_manager() const { return power_mgr_; }
 
   /// The rack's fault-injection engine, pre-wired with a handler (and,
-  /// where it makes sense, a recovery handler) for every FaultKind: link
-  /// flaps re-provision, loss drift tears circuits below the FEC floor,
-  /// brick crashes trigger SDM-C evacuation, and so on. Use it directly
-  /// for counters; schedule plans through inject_faults().
+  /// where it makes sense, a recovery handler) for every in-rack FaultKind:
+  /// link flaps re-provision, loss drift tears circuits below the FEC
+  /// floor, brick crashes trigger SDM-C evacuation, and so on; a Cluster
+  /// adds spine-down. Use it directly for counters; schedule plans through
+  /// inject_faults().
   sim::FaultInjector& faults() { return injector_; }
   const sim::FaultInjector& faults() const { return injector_; }
 

@@ -1,6 +1,9 @@
 #include "core/scenario.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+
+#include "sim/format.hpp"
 
 namespace dredbox::core {
 
@@ -79,7 +82,7 @@ ScenarioBuilder& ScenarioBuilder::cross_rack_share(double share) {
 
 ScenarioBuilder& ScenarioBuilder::spine_fault(std::size_t rack, sim::Time at,
                                               sim::Time duration) {
-  config_.spine.faults.push_back(SpineFaultSpec{rack, at, duration});
+  config_.spine.faults.add({at, sim::FaultKind::kSpineLinkDown, rack, 0, 0.0, duration});
   return *this;
 }
 
@@ -188,7 +191,15 @@ Scenario ScenarioBuilder::build() const {
   if (!config_.racks.empty()) {
     // Multi-rack topology: everything declared for "the rack" applies to
     // every rack of the cluster, including the fault plan (each rack runs
-    // its own injector on its own shard).
+    // its own injector on its own shard; the cluster routes spine-down).
+    for (std::size_t i = 0; plan && i < plan->size(); ++i) {
+      const sim::FaultEvent& e = plan->events()[i];
+      if (e.kind == sim::FaultKind::kSpineLinkDown && e.target >= config_.racks.size()) {
+        throw std::invalid_argument(
+            sim::strformat("fault_plan[%zu].target: rack %llu out of range (%zu racks)", i,
+                           static_cast<unsigned long long>(e.target), config_.racks.size()));
+      }
+    }
     scenario.cluster_ = std::make_unique<Cluster>(config_);  // ctor validates
     for (std::size_t r = 0; r < scenario.cluster_->size(); ++r) {
       Datacenter& dc = scenario.cluster_->rack(r);
@@ -200,7 +211,7 @@ Scenario ScenarioBuilder::build() const {
       if (profiling) dc.simulator().queue().enable_profiling();
     }
     if (plan) {
-      scenario.fault_plan_ = std::move(plan);
+      scenario.fault_plan_.emplace(std::move(*plan));
       for (std::size_t r = 0; r < scenario.cluster_->size(); ++r) {
         scenario.faults_scheduled_ +=
             scenario.cluster_->rack(r).inject_faults(*scenario.fault_plan_);
@@ -218,7 +229,7 @@ Scenario ScenarioBuilder::build() const {
     scenario.dc_->simulator().queue().enable_profiling();
   }
   if (plan) {
-    scenario.fault_plan_ = std::move(plan);
+    scenario.fault_plan_.emplace(std::move(*plan));
     scenario.faults_scheduled_ = scenario.dc_->inject_faults(*scenario.fault_plan_);
   }
   return scenario;

@@ -108,7 +108,7 @@ class ScenarioBuilder {
   /// overrides per tenant).
   ScenarioBuilder& cross_rack_share(double share);
   /// Scripted spine-uplink fault: rack `rack` loses its uplink at `at`
-  /// for `duration`.
+  /// for `duration` (appends one `spine-down` event to spine.faults).
   ScenarioBuilder& spine_fault(std::size_t rack, sim::Time at, sim::Time duration);
 
   // --- sizing ---
@@ -156,10 +156,11 @@ class ScenarioBuilder {
   std::vector<std::string> validate() const { return config_.validate(); }
 
   /// Validates (throwing std::invalid_argument that lists every field
-  /// error), assembles the Datacenter, enables the requested telemetry and
-  /// schedules the fault plan. The builder can be reused — build() again
-  /// produces a fresh, fully independent rack (the sweep runner's per-cell
-  /// isolation relies on this).
+  /// error, or names `fault_plan[i].target` for a spine-down event whose
+  /// rack does not exist), assembles the Datacenter, enables the requested
+  /// telemetry and schedules the fault plan. The builder can be reused —
+  /// build() again produces a fresh, fully independent rack (the sweep
+  /// runner's per-cell isolation relies on this).
   Scenario build() const;
 
  private:

@@ -13,12 +13,12 @@ namespace dredbox::sim {
 
 namespace {
 
-constexpr std::array<FaultKind, 9> kAllFaultKinds{
+constexpr std::array<FaultKind, 10> kAllFaultKinds{
     FaultKind::kLinkFlap,        FaultKind::kInsertionLossDrift,
     FaultKind::kSwitchPortFailure, FaultKind::kCongestionBurst,
     FaultKind::kLossBurst,       FaultKind::kBrickCrash,
     FaultKind::kBrickRestart,    FaultKind::kRmstCorruption,
-    FaultKind::kControllerStall,
+    FaultKind::kControllerStall, FaultKind::kSpineLinkDown,
 };
 
 /// Renders a time as "<number><unit>" using the largest unit that divides
@@ -133,6 +133,8 @@ std::string to_string(FaultKind kind) {
       return "rmst-corruption";
     case FaultKind::kControllerStall:
       return "controller-stall";
+    case FaultKind::kSpineLinkDown:
+      return "spine-down";
   }
   return "<unknown fault kind>";
 }
@@ -204,10 +206,9 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
 }
 
 FaultPlan FaultPlan::generate(Rng& rng, const GeneratorConfig& config) {
-  std::vector<double> weights(kAllFaultKinds.size(), 0.0);
-  for (std::size_t i = 0; i < std::min(weights.size(), config.weights.size()); ++i) {
-    weights[i] = config.weights[i];
-  }
+  const std::vector<double> weights(
+      config.weights.begin(),
+      config.weights.begin() + std::min(config.weights.size(), kAllFaultKinds.size()));
 
   FaultPlan plan;
   for (std::size_t i = 0; i < config.events; ++i) {
@@ -221,6 +222,7 @@ FaultPlan FaultPlan::generate(Rng& rng, const GeneratorConfig& config) {
       case FaultKind::kLossBurst:
       case FaultKind::kBrickCrash:
       case FaultKind::kControllerStall:
+      case FaultKind::kSpineLinkDown:
         event.duration =
             Time::ps(rng.uniform_int(1, std::max<std::int64_t>(1, config.max_duration.ticks())));
         break;

@@ -31,6 +31,8 @@ enum class FaultKind : std::uint8_t {
   kRmstCorruption,      // RMST entry corruption (target = compute brick,
                         // aux = attachment ordinal)
   kControllerStall,     // SDM-C service stalls for `duration`
+  kSpineLinkDown,       // rack `target` loses its spine uplink for
+                        // `duration` (routed by core::Cluster)
 };
 
 std::string to_string(FaultKind kind);
@@ -102,7 +104,7 @@ class FaultPlan {
     Time max_duration = Time::ms(50);  // flap/burst/stall lengths
     /// Relative weights per kind, indexed in FaultKind declaration order.
     /// Defaults favour the interconnect faults the paper's availability
-    /// story hinges on; zero a slot to exclude that kind.
+    /// story hinges on; zero or omit a slot to exclude that kind.
     std::vector<double> weights = {4, 1, 2, 2, 2, 2, 0, 2, 1};
   };
 

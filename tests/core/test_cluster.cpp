@@ -46,14 +46,19 @@ TEST(ClusterConfigTest, ErrorsNameDottedFields) {
   config.racks[1].memory_bricks_per_tray = 0;
   config.spine.propagation = sim::Time::zero();
   config.spine.cross_share = 1.5;
-  config.spine.faults.push_back(SpineFaultSpec{7, sim::Time::ms(1), sim::Time::ms(1)});
+  config.spine.faults.add({sim::Time::ms(1), sim::FaultKind::kSpineLinkDown, 7, 0, 0.0,
+                          sim::Time::ms(1)});
+  config.spine.faults.add({sim::Time::ms(1), sim::FaultKind::kLinkFlap, 0, 0, 0.0,
+                          sim::Time::ms(1)});
   config.partitions = 0;
   const auto errors = config.validate();
   EXPECT_TRUE(mentions(errors, "racks[0].trays"));
   EXPECT_TRUE(mentions(errors, "racks[1].memory_bricks_per_tray"));
   EXPECT_TRUE(mentions(errors, "spine.propagation"));
   EXPECT_TRUE(mentions(errors, "spine.cross_share"));
-  EXPECT_TRUE(mentions(errors, "spine.faults[0].rack"));
+  EXPECT_TRUE(mentions(errors, "spine.faults[0].target"));
+  EXPECT_FALSE(mentions(errors, "spine.faults[0].kind"));
+  EXPECT_TRUE(mentions(errors, "spine.faults[1].kind"));
   EXPECT_TRUE(mentions(errors, "partitions"));
 }
 
@@ -99,7 +104,8 @@ TEST(ClusterBuilderTest, BuilderAssemblesAMultiRackScenario) {
   EXPECT_EQ(cluster.config().partitions, 2u);
   EXPECT_DOUBLE_EQ(cluster.config().spine.cross_share, 0.25);
   ASSERT_EQ(cluster.config().spine.faults.size(), 1u);
-  EXPECT_EQ(cluster.config().spine.faults[0].rack, 1u);
+  EXPECT_EQ(cluster.config().spine.faults.events()[0].kind, sim::FaultKind::kSpineLinkDown);
+  EXPECT_EQ(cluster.config().spine.faults.events()[0].target, 1u);
   EXPECT_GT(cluster.power_draw_watts(), 0.0);
   EXPECT_FALSE(cluster.describe().empty());
 }
@@ -124,17 +130,43 @@ TEST(ClusterBuilderTest, SpineSetterPreservesDeclaredFaults) {
   EXPECT_EQ(scenario.cluster().config().spine.faults.size(), 1u);
 }
 
-/// Builds a 2-rack cluster and aligns both racks to a common t0 the way
-/// the cluster workload engine does, so raw port traffic can flow.
-struct TwoRacks {
-  TwoRacks() : scenario{make()} , cluster{scenario.cluster()} {
-    sim::Time t0 = sim::Time::zero();
-    for (std::size_t r = 0; r < cluster.size(); ++r) {
-      t0 = std::max(t0, cluster.rack(r).simulator().now());
-    }
-    for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).advance_to(t0);
-    start = t0;
+TEST(ClusterBuilderTest, PlanSpineFaultOnAMissingRackIsRejected) {
+  ScenarioBuilder builder;
+  builder.add_racks(2, RackSpec{1, 2, 2, 0})
+      .fault_plan("link-flap@1ms+1ms;spine-down@1ms+1ms:target=2");
+  try {
+    builder.build();
+    FAIL() << "a spine-down event on rack 2 of 2 must not build";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("fault_plan[1].target"), std::string::npos)
+        << e.what();
   }
+}
+
+TEST(ClusterBuilderTest, SingleRackSkipsSpineDownEvents) {
+  // A lone rack has no spine, so no handler for the kind: the injector
+  // counts the event as skipped instead of losing it.
+  Scenario scenario = ScenarioBuilder{}.fault_plan("spine-down@1ms+1ms").build();
+  scenario.run_fault_plan();
+  EXPECT_EQ(scenario->faults().skipped(), 1u);
+  EXPECT_EQ(scenario->faults().injected(), 0u);
+}
+
+/// Aligns every rack to the latest rack clock, the way the cluster
+/// workload engine does before its window, and returns that instant.
+sim::Time align_racks(Cluster& cluster) {
+  sim::Time t0 = sim::Time::zero();
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    t0 = std::max(t0, cluster.rack(r).simulator().now());
+  }
+  for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).advance_to(t0);
+  return t0;
+}
+
+/// Builds a 2-rack cluster aligned to a common start, so raw port traffic
+/// can flow.
+struct TwoRacks {
+  TwoRacks() : scenario{make()}, cluster{scenario.cluster()}, start{align_racks(cluster)} {}
   static Scenario make() {
     return ScenarioBuilder{}.add_racks(2, RackSpec{1, 2, 2, 0}).build();
   }
@@ -177,36 +209,42 @@ TEST(ClusterTest, CrossReadRoundTripCrossesTheSpineTwice) {
 }
 
 TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
-  // Arm a fault that downs rack 0's uplink immediately for 1 ms.
-  Scenario scenario = ScenarioBuilder{}
-                          .add_racks(2, RackSpec{1, 2, 2, 0})
-                          .spine_fault(0, sim::Time::zero(), sim::Time::ms(1))
-                          .build();
-  Cluster& cluster = scenario.cluster();
-  sim::Time t0 = sim::Time::zero();
-  for (std::size_t r = 0; r < cluster.size(); ++r) {
-    t0 = std::max(t0, cluster.rack(r).simulator().now());
+  // Rack 0 sends to rack 1 while an immediate 1 ms spine fault is down:
+  // on the sender's own uplink, on the target's, and on the target's as a
+  // builder-level fault plan (timed from build rather than from arming).
+  ScenarioBuilder sender_down;
+  sender_down.add_racks(2, RackSpec{1, 2, 2, 0})
+      .spine_fault(0, sim::Time::zero(), sim::Time::ms(1));
+  ScenarioBuilder target_down;
+  target_down.add_racks(2, RackSpec{1, 2, 2, 0})
+      .spine_fault(1, sim::Time::zero(), sim::Time::ms(1));
+  ScenarioBuilder target_down_by_plan;
+  target_down_by_plan.add_racks(2, RackSpec{1, 2, 2, 0})
+      .fault_plan("spine-down@0ms+1ms:target=1");
+  for (const ScenarioBuilder* builder : {&sender_down, &target_down, &target_down_by_plan}) {
+    Scenario scenario = builder->build();
+    Cluster& cluster = scenario.cluster();
+    const sim::Time t0 = align_racks(cluster);
+    cluster.arm_spine_faults(t0);
+    cluster.advance_all(t0 + sim::Time::us(10), 1);  // the down event fires
+
+    std::vector<CrossCompletion> done;
+    cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
+    cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/1, /*closed_loop=*/false);
+    cluster.advance_all(t0 + sim::Time::us(20), 1);
+
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_FALSE(done[0].ok);
+    EXPECT_EQ(cluster.link_stats(0).fail_fast, 1u);
+    EXPECT_EQ(cluster.link_stats(1).rx_messages, 0u);
+
+    // After the restore, the same port carries traffic again.
+    cluster.advance_all(t0 + sim::Time::ms(2), 1);
+    cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/2, /*closed_loop=*/false);
+    cluster.advance_all(t0 + sim::Time::ms(3), 1);
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_TRUE(done[1].ok);
   }
-  for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).advance_to(t0);
-  cluster.arm_spine_faults(t0);
-  cluster.advance_all(t0 + sim::Time::us(10), 1);  // the down event fires
-
-  std::vector<CrossCompletion> done;
-  cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
-  cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/1, /*closed_loop=*/false);
-  cluster.advance_all(t0 + sim::Time::us(20), 1);
-
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_FALSE(done[0].ok);
-  EXPECT_EQ(cluster.link_stats(0).fail_fast, 1u);
-  EXPECT_EQ(cluster.link_stats(1).rx_messages, 0u);
-
-  // After the restore, the same port carries traffic again.
-  cluster.advance_all(t0 + sim::Time::ms(2), 1);
-  cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/2, /*closed_loop=*/false);
-  cluster.advance_all(t0 + sim::Time::ms(3), 1);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_TRUE(done[1].ok);
 }
 
 TEST(ClusterTest, SpineFaultsArmExactlyOnce) {
@@ -215,14 +253,40 @@ TEST(ClusterTest, SpineFaultsArmExactlyOnce) {
                           .spine_fault(0, sim::Time::ms(1), sim::Time::ms(1))
                           .build();
   Cluster& cluster = scenario.cluster();
-  sim::Time t0 = sim::Time::zero();
-  for (std::size_t r = 0; r < cluster.size(); ++r) {
-    t0 = std::max(t0, cluster.rack(r).simulator().now());
-  }
+  const sim::Time t0 = align_racks(cluster);
   EXPECT_FALSE(cluster.spine_faults_armed());
   cluster.arm_spine_faults(t0);
   EXPECT_TRUE(cluster.spine_faults_armed());
   EXPECT_THROW(cluster.arm_spine_faults(t0), std::logic_error);
+}
+
+TEST(ClusterTest, EachRackInjectsAndRecoversASpineFaultOnce) {
+  Scenario scenario = ScenarioBuilder{}
+                          .add_racks(3, RackSpec{1, 2, 2, 0})
+                          .spine_fault(1, sim::Time::us(10), sim::Time::us(20))
+                          .build();
+  Cluster& cluster = scenario.cluster();
+  const sim::Time t0 = align_racks(cluster);
+  cluster.arm_spine_faults(t0);
+  cluster.advance_all(t0 + sim::Time::ms(1), 1);
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    const sim::FaultInjector& faults = cluster.rack(r).faults();
+    EXPECT_EQ(faults.scheduled(), 1u) << "rack " << r;
+    EXPECT_EQ(faults.injected(), 1u) << "rack " << r;
+    EXPECT_EQ(faults.recovered(), 1u) << "rack " << r;
+    EXPECT_EQ(faults.skipped(), 0u) << "rack " << r;
+    EXPECT_NO_THROW(faults.check_invariants());
+  }
+
+  // Recovered: the faulted rack reaches both peers again.
+  std::vector<CrossCompletion> done;
+  cluster.port(1).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
+  cluster.port(1).issue(0, 0, 64, /*write=*/false, /*token=*/1, /*closed_loop=*/false);
+  cluster.port(1).issue(1, 0, 64, /*write=*/false, /*token=*/2, /*closed_loop=*/false);
+  cluster.advance_all(t0 + sim::Time::ms(2), 1);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_TRUE(done[0].ok);
+  EXPECT_TRUE(done[1].ok);
 }
 
 TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {

@@ -13,7 +13,7 @@ TEST(FaultKindNames, RoundTripThroughStrings) {
       FaultKind::kSwitchPortFailure, FaultKind::kCongestionBurst,
       FaultKind::kLossBurst,         FaultKind::kBrickCrash,
       FaultKind::kBrickRestart,      FaultKind::kRmstCorruption,
-      FaultKind::kControllerStall,
+      FaultKind::kControllerStall,   FaultKind::kSpineLinkDown,
   };
   for (FaultKind kind : kinds) {
     const auto back = fault_kind_from_string(to_string(kind));

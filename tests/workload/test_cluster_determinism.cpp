@@ -156,29 +156,37 @@ std::uint64_t canonical(const ClusterResult& result) {
 }
 
 TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
-  RunSpec spec;
-  spec.seed = 5;
-  spec.window = sim::Time::us(200);
-  const std::uint64_t baseline = canonical(run_once(spec, 2));
-
   constexpr sim::SchedulePerturbation::Mode kCycle[] = {
       sim::SchedulePerturbation::Mode::kReverse,
       sim::SchedulePerturbation::Mode::kRotate,
       sim::SchedulePerturbation::Mode::kShuffle,
       sim::SchedulePerturbation::Mode::kIdentity,
   };
-  for (int i = 1; i <= 16; ++i) {
-    sim::SchedulePerturbation perturbation;
-    perturbation.mode = kCycle[(i - 1) % 4];
-    perturbation.seed = 100 + static_cast<std::uint64_t>(i);
-
-    core::Scenario scenario = make_builder(spec).build();
-    for (std::size_t r = 0; r < scenario.cluster().size(); ++r) {
-      scenario.cluster().rack(r).simulator().queue().set_perturbation(perturbation);
+  for (bool fault : {false, true}) {
+    RunSpec spec;
+    spec.seed = 5;
+    spec.window = sim::Time::us(200);
+    spec.fault = fault;
+    const ClusterResult reference = run_once(spec, 2);
+    if (fault) {
+      EXPECT_GT(reference.spine_fail_fast, 0u) << "the fault window must actually reject traffic";
     }
-    ClusterEngine engine{scenario.cluster(), make_workload(spec)};
-    EXPECT_EQ(canonical(engine.run(2)), baseline)
-        << "perturbation " << i << " (" << perturbation.to_string() << ")";
+    const std::uint64_t baseline = canonical(reference);
+
+    for (int i = 1; i <= 16; ++i) {
+      sim::SchedulePerturbation perturbation;
+      perturbation.mode = kCycle[(i - 1) % 4];
+      perturbation.seed = 100 + static_cast<std::uint64_t>(i);
+
+      core::Scenario scenario = make_builder(spec).build();
+      for (std::size_t r = 0; r < scenario.cluster().size(); ++r) {
+        scenario.cluster().rack(r).simulator().queue().set_perturbation(perturbation);
+      }
+      ClusterEngine engine{scenario.cluster(), make_workload(spec)};
+      EXPECT_EQ(canonical(engine.run(2)), baseline)
+          << (fault ? "spine fault, " : "healthy, ") << "perturbation " << i << " ("
+          << perturbation.to_string() << ")";
+    }
   }
 }
 
