@@ -515,14 +515,18 @@ void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoteReadSteadyStateAllocs);
 
+// A 256 KiB transfer through the pooled job machinery in chunks of
+// range(0) bytes: 4 chunks of 64 KiB, or 64 chunks of 4 KiB that stream
+// over the job's held route.
 void BM_DmaSteadyStateAllocs(benchmark::State& state) {
   AttachedPair pair;
   sim::Simulator sim;
-  memsys::DmaEngine dma{sim, pair.fabric, pair.cpu, 2, 65536};
+  memsys::DmaEngine dma{sim, pair.fabric, pair.cpu, 2,
+                        static_cast<std::uint32_t>(state.range(0))};
   const auto transfer = [&] {
     memsys::DmaDescriptor d;
     d.address = pair.base;
-    d.bytes = 256 << 10;  // 4 chunks through the pooled job machinery
+    d.bytes = 256 << 10;
     bool done = false;
     dma.enqueue(d, [&done](const memsys::DmaCompletion& c) { done = c.ok; });
     sim.run();
@@ -534,7 +538,7 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
   allocs.check(state, "allocs_per_op", state.iterations());
   state.SetBytesProcessed(state.iterations() * (256 << 10));
 }
-BENCHMARK(BM_DmaSteadyStateAllocs);
+BENCHMARK(BM_DmaSteadyStateAllocs)->Arg(65536)->Arg(4096);
 
 // Far-future timers (window ends, power sweeps) pending while 256 near
 // events churn in a hold model: each iteration dispatches the earliest

@@ -12,12 +12,13 @@
 # stage re-runs the calendar-queue-vs-reference-heap oracle and the arena
 # property suite under the sanitizers and the audit layer. Then the
 # determinism harness (same-seed double run must be byte-identical) and a
-# faults stage: the fault-scenario sweep re-run under the sanitizers and
-# the audit layer, plus a scripted-fault quickstart run. A sweep stage then
-# proves the parallel SweepRunner bit-identical to a sequential pass on a
-# small grid, a parallel stage proves the conservative-lookahead coupled
-# multi-rack run digest-identical to its sequential reference (healthy and
-# under a spine fault), an obs stage schema-validates the three
+# faults stage: the fault-scenario sweep and the DMA stream differential
+# re-run under the sanitizers and the audit layer, plus a scripted-fault
+# quickstart run. A sweep stage then proves the parallel SweepRunner
+# bit-identical to a sequential pass on a small grid, a parallel stage
+# proves the conservative-lookahead coupled multi-rack run
+# digest-identical to its sequential reference (healthy and under a spine
+# fault), an obs stage schema-validates the three
 # observability artifacts (Chrome trace, OpenMetrics, dredbox-report/v1)
 # from a faulty quickstart, and the bench smoke (scripts/bench.sh --smoke)
 # finishes.
@@ -84,11 +85,11 @@ bash "$root/scripts/determinism.sh" build
 
 echo "== faults: scenario sweep under ASan/UBSan"
 (cd "$root/build-asan" && ctest --output-on-failure -j "$jobs" \
-  -R 'Fault|Retry|FailureRepair')
+  -R 'Fault|Retry|FailureRepair|DmaStream')
 
 echo "== faults: scenario sweep with DREDBOX_AUDIT=ON invariants armed"
 (cd "$root/build-audit" && ctest --output-on-failure -j "$jobs" \
-  -R 'FaultScenario|DeterminismTest.Faulty')
+  -R 'FaultScenario|DeterminismTest.Faulty|DmaStream')
 
 echo "== faults: scripted DREDBOX_FAULT_PLAN quickstart (sanitized)"
 DREDBOX_FAULT_PLAN='link-flap@1ms+2ms;congestion@2ms+1ms:magnitude=4;brick-crash@3ms+2ms' \

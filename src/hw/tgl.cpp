@@ -16,14 +16,19 @@ void TransactionGlueLogic::set_telemetry(sim::Telemetry* telemetry) {
 
 std::optional<TglRoute> TransactionGlueLogic::route(std::uint64_t addr) {
   DREDBOX_AUDIT_INVARIANT(check_invariants());
-  const RmstEntry* entry = rmst_.find(addr);
-  if (entry == nullptr) {
+  auto out = match(addr);
+  if (!out) {
     ++misses_;
     if (misses_metric_ != nullptr) misses_metric_->add();
     return std::nullopt;
   }
-  ++hits_;
-  if (hits_metric_ != nullptr) hits_metric_->add();
+  note_hit();
+  return out;
+}
+
+std::optional<TglRoute> TransactionGlueLogic::match(std::uint64_t addr) const {
+  const RmstEntry* entry = rmst_.find(addr);
+  if (entry == nullptr) return std::nullopt;
   TglRoute out{entry, entry->dest_base + (addr - entry->base)};
   DREDBOX_ENSURE(out.remote_addr >= entry->dest_base &&
                      out.remote_addr - entry->dest_base < entry->size,

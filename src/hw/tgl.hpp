@@ -39,6 +39,17 @@ class TransactionGlueLogic {
   /// any installed remote window (the access faults back to the APU).
   std::optional<TglRoute> route(std::uint64_t addr);
 
+  /// The RMST match route() makes, without counting it.
+  std::optional<TglRoute> match(std::uint64_t addr) const;
+
+  /// Counts one lookup hit, as route() does for a matched address. For a
+  /// caller that forwards onto an already-matched segment again (a DMA
+  /// chunk train on its held route).
+  void note_hit() {
+    ++hits_;
+    if (hits_metric_ != nullptr) hits_metric_->add();
+  }
+
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_counters() { hits_ = misses_ = 0; }

@@ -120,44 +120,52 @@ void DmaEngine::step(std::size_t channel, JobHandle handle, std::uint64_t offset
   const auto span = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(chunk_bytes_, job.descriptor.bytes - offset));
   const std::uint64_t addr = job.descriptor.address + offset;
-  const Transaction tx = job.descriptor.direction == TransactionKind::kWrite
-                             ? fabric_.write(compute_, addr, span, sim_.now(), job.descriptor.ctx)
-                             : fabric_.read(compute_, addr, span, sim_.now(), job.descriptor.ctx);
-  if (!tx.ok()) {
-    // Event-scheduled chunk retry: unlike the fabric's synchronous loop,
-    // waiting on the simulator timeline lets queued recovery (a fault
-    // plan's flap expiring, an orchestrator repair) land between attempts.
-    if (fabric_.retry_policy().has_value()) {
-      if (!job.backoff.has_value()) {
-        job.backoff.emplace(*fabric_.retry_policy(), sim_.now());
+  const TransactionKind kind = job.descriptor.direction;
+  // The chunk streams over the channel's held route; the full walk (and its
+  // recovery loop) takes whatever the held route cannot carry.
+  std::optional<sim::Time> landed =
+      fabric_.stream(channels_[channel].path, kind, compute_, addr, span, sim_.now());
+  if (!landed) {
+    const Transaction tx = kind == TransactionKind::kWrite
+                               ? fabric_.write(compute_, addr, span, sim_.now(), job.descriptor.ctx)
+                               : fabric_.read(compute_, addr, span, sim_.now(), job.descriptor.ctx);
+    if (!tx.ok()) {
+      // Event-scheduled chunk retry: unlike the fabric's synchronous loop,
+      // waiting on the simulator timeline lets queued recovery (a fault
+      // plan's flap expiring, an orchestrator repair) land between attempts.
+      if (fabric_.retry_policy().has_value()) {
+        if (!job.backoff.has_value()) {
+          job.backoff.emplace(*fabric_.retry_policy(), sim_.now());
+        }
+        if (const auto delay = job.backoff->next(sim_.now())) {
+          ++job.retries;
+          if (bind_telemetry() != nullptr) retries_metric_->add();
+          sim_.after(*delay, [this, channel, handle, offset, chunks] {
+            step(channel, handle, offset, chunks);
+          }, "memsys.dma.retry");
+          return;
+        }
       }
-      if (const auto delay = job.backoff->next(sim_.now())) {
-        ++job.retries;
-        if (bind_telemetry() != nullptr) retries_metric_->add();
-        sim_.after(*delay, [this, channel, handle, offset, chunks] {
-          step(channel, handle, offset, chunks);
-        }, "memsys.dma.retry");
-        return;
-      }
+      DmaCompletion failed;
+      failed.ok = false;
+      // dredbox-lint: ignore[hot-path-alloc] cold: retry-exhausted failure, not steady state
+      failed.error = "chunk at 0x" + std::to_string(addr) + " failed: " + to_string(tx.status);
+      failed.bytes = offset;
+      failed.chunks = chunks;
+      failed.retries = job.retries;
+      failed.enqueued_at = job.enqueued_at;
+      failed.completed_at = sim_.now();
+      if (bind_telemetry() != nullptr) failed_metric_->add();
+      finish(channel, handle, failed);
+      return;
     }
-    DmaCompletion failed;
-    failed.ok = false;
-    // dredbox-lint: ignore[hot-path-alloc] cold: retry-exhausted failure, not steady state
-    failed.error = "chunk at 0x" + std::to_string(addr) + " failed: " + to_string(tx.status);
-    failed.bytes = offset;
-    failed.chunks = chunks;
-    failed.retries = job.retries;
-    failed.enqueued_at = job.enqueued_at;
-    failed.completed_at = sim_.now();
-    if (bind_telemetry() != nullptr) failed_metric_->add();
-    finish(channel, handle, failed);
-    return;
+    landed = tx.completed_at;
   }
 
   // Issue the next chunk the moment this one's round trip completes; the
   // chunk landed, so the next one starts with a fresh backoff budget.
   job.backoff.reset();
-  sim_.at(tx.completed_at, [this, channel, handle, offset, span, chunks] {
+  sim_.at(*landed, [this, channel, handle, offset, span, chunks] {
     step(channel, handle, offset + span, chunks + 1);
   }, "memsys.dma.step");
 }

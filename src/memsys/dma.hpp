@@ -98,6 +98,12 @@ class DmaEngine {
   };
   struct Channel {
     bool busy = false;
+    /// The route the channel's chunk train holds: one fabric resolution
+    /// per transfer while the control plane stands still. It lives here
+    /// rather than in the pooled Job, whose arena touches every slot of a
+    /// 1024-slot chunk; a held route stays valid for the next job on the
+    /// same window.
+    RemoteMemoryFabric::StreamPath path;
   };
 
   sim::Simulator& sim_;

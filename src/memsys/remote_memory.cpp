@@ -165,6 +165,7 @@ void RemoteMemoryFabric::ride(Attachment& a, const Link& link) {
 
 std::optional<Attachment> RemoteMemoryFabric::attach(const AttachRequest& request,
                                                      sim::Time now) {
+  ++route_epoch_;
   auto result = attach_impl(request, now);
   if (telemetry_ != nullptr) {
     if (result) {
@@ -395,6 +396,7 @@ void RemoteMemoryFabric::rewire(hw::CircuitId old_id, Link fresh, sim::Time now)
 }
 
 bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
+  ++route_epoch_;
   const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return false;
 
@@ -418,6 +420,7 @@ bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
 
 std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrate_attachment(
     hw::SegmentId segment, hw::BrickId from, hw::BrickId to, sim::Time now) {
+  ++route_epoch_;
   const auto it = find_attachment(from, segment);
   if (it == attachments_.end()) return std::nullopt;
   const Attachment old = *it;
@@ -468,6 +471,7 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
 }
 
 bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
+  ++route_epoch_;
   // Only the optical substrate is subject to this fault model (fibres and
   // beam-steering cross-connects); the tray backplane is passive copper. A
   // bonded link dies as a whole; its riders keep the dead record until
@@ -481,6 +485,7 @@ bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
 
 std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
                                                      hw::SegmentId segment, sim::Time now) {
+  ++route_epoch_;
   const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium != LinkMedium::kOptical) return *it;          // nothing to repair
@@ -506,6 +511,7 @@ std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
 }
 
 void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& torn) {
+  ++route_epoch_;
   for (const auto& c : torn) {
     rack_.brick(c.a.brick).port(c.a.port.value).connected = false;
     rack_.brick(c.b.brick).port(c.b.port.value).connected = false;
@@ -518,6 +524,7 @@ void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& to
 std::optional<Attachment> RemoteMemoryFabric::failover_to_packet(hw::BrickId compute,
                                                                  hw::SegmentId segment,
                                                                  sim::Time now) {
+  ++route_epoch_;
   const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium == LinkMedium::kPacket) return *it;  // already failed over
@@ -540,6 +547,7 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
                                                                hw::SegmentId old_segment,
                                                                hw::BrickId new_membrick,
                                                                sim::Time now) {
+  ++route_epoch_;
   const auto it = find_attachment(compute, old_segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->membrick == new_membrick) return *it;  // already there
@@ -602,6 +610,7 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
 }
 
 bool RemoteMemoryFabric::corrupt_rmst(hw::BrickId compute, std::size_t ordinal) {
+  ++route_epoch_;
   auto& rmst = rack_.compute_brick(compute).tgl().rmst();
   std::size_t seen = 0;
   for (const auto& a : attachments_) {
@@ -622,6 +631,7 @@ bool RemoteMemoryFabric::corrupt_rmst(hw::BrickId compute, std::size_t ordinal) 
 }
 
 std::size_t RemoteMemoryFabric::scrub_rmst(hw::BrickId compute) {
+  ++route_epoch_;
   auto& rmst = rack_.compute_brick(compute).tgl().rmst();
   std::size_t rewritten = 0;
   for (const auto& a : attachments_) {
@@ -823,61 +833,24 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   tx.bytes = bytes;
   tx.issued_at = when;
 
-  auto& cb = rack_.compute_brick(compute);
-
   // The APU forwards the transaction to the TGL via its master ports; the
   // TGL identifies the remote segment (fully associative RMST match).
   tx.breakdown.append(kBdTglLookup, latencies_.tgl_lookup);
-  sim::Time t = when + latencies_.tgl_lookup;
+  const sim::Time t = when + latencies_.tgl_lookup;
 
-  auto route = cb.tgl().route(address);
-  if (!route) {
-    tx.status = TransactionStatus::kNoMapping;
+  Route route;
+  tx.status = resolve(compute, rack_.compute_brick(compute).tgl().route(address), route);
+  tx.destination = route.destination;
+  tx.remote_address = route.remote_address;
+  if (!tx.ok()) {
     tx.completed_at = t;
     return tx;
   }
-  tx.destination = route->entry->dest_brick;
-  tx.remote_address = route->remote_addr;
-  const hw::MemoryBrick& mb = rack_.memory_brick(tx.destination);
-
-  // A crashed dMEMBRICK never answers: the transaction dies at the TGL
-  // (the modelled equivalent of an AXI timeout back to the APU).
-  if (mb.failed()) {
-    tx.status = TransactionStatus::kBrickFailed;
-    tx.completed_at = t;
-    return tx;
-  }
-
-  // Cross-check the RMST entry against the dMEMBRICK's segment table: a
-  // corrupted entry (SEU in the PL comparators) would scatter the access
-  // over the wrong backing bytes, so it is refused instead.
-  const hw::MemorySegment* backing = mb.find_segment(route->entry->segment);
-  if (backing == nullptr || backing->owner != compute ||
-      backing->base != route->entry->dest_base) {
-    tx.status = TransactionStatus::kCorruptMapping;
-    tx.completed_at = t;
-    return tx;
-  }
-
-  // One link lookup per attempt: medium, lanes and cable occupancy all live
-  // on the pair's link. Optical liveness and propagation come from the
-  // circuit manager, which may have torn the circuit behind our back.
-  Link* link = find_link(route->entry->circuit);
-  const optics::Circuit* circuit = nullptr;
-  if (link != nullptr && link->medium == LinkMedium::kOptical) {
-    circuit = circuits_.find_ref(link->id);
-  }
-  if (link == nullptr || (link->medium == LinkMedium::kOptical && circuit == nullptr)) {
-    tx.status = TransactionStatus::kCircuitDown;
-    tx.completed_at = t;
-    return tx;
-  }
-
-  const auto tech = mb.config().technology;
 
   // Packet-substrate attachments delegate the whole round trip to the
   // packet network model (NI, on-brick switches, MAC/PHY).
-  if (link->medium == LinkMedium::kPacket) {
+  if (route.link->medium == LinkMedium::kPacket) {
+    const auto tech = route.membrick->config().technology;
     net::Packet pkt =
         kind == TransactionKind::kRead
             ? packet_net_->remote_read(compute, tx.destination, tx.remote_address, bytes, t,
@@ -889,63 +862,159 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     return tx;
   }
 
-  const LinkMedium medium = link->medium;
-  const sim::Time propagation = medium == LinkMedium::kElectrical
-                                    ? latencies_.electrical_propagation
-                                    : circuit->propagation_delay();
-  const sim::Time serdes =
-      medium == LinkMedium::kElectrical ? latencies_.electrical_serdes : latencies_.serdes;
-  const sim::ComponentId wire =
-      medium == LinkMedium::kElectrical ? kBdElectricalProp : kBdOpticalProp;
-  const std::size_t lanes = link->lane_count();
+  const StageTerms terms = stage_terms(kind, route, bytes);
+  const Priced priced = price(route, terms, t);
+  tx.breakdown.append(kBdCircuitWait, priced.circuit_wait);
+  tx.breakdown.append(kBdSerialization, terms.out_ser + terms.back_ser);
+  tx.breakdown.append(kBdSerdesTx, terms.serdes);
+  tx.breakdown.append(terms.electrical ? kBdElectricalProp : kBdOpticalProp,
+                      priced.propagation * 2);
+  tx.breakdown.append(kBdSerdesRx, terms.serdes);
+  tx.breakdown.append(kBdGlueLogic, latencies_.glue_logic);
+  tx.breakdown.append(kBdMcWait, priced.mc_wait);
+  tx.breakdown.append(kBdMemAccess, terms.mem_access);
+  tx.breakdown.append(kBdSerdesReturn, terms.serdes * 2);
+  tx.completed_at = priced.completed_at;
+  return tx;
+}
+
+TransactionStatus RemoteMemoryFabric::resolve(hw::BrickId compute,
+                                              const std::optional<hw::TglRoute>& match,
+                                              Route& route) {
+  if (!match) return TransactionStatus::kNoMapping;
+  const hw::RmstEntry& entry = *match->entry;
+  route.destination = entry.dest_brick;
+  route.remote_address = match->remote_addr;
+  route.window_base = entry.base;
+  route.window_size = entry.size;
+  route.dest_base = entry.dest_base;
+  const hw::MemoryBrick& mb = rack_.memory_brick(entry.dest_brick);
+  route.membrick = &mb;
+
+  // A crashed dMEMBRICK never answers: the transaction dies at the TGL
+  // (the modelled equivalent of an AXI timeout back to the APU).
+  if (mb.failed()) return TransactionStatus::kBrickFailed;
+
+  // Cross-check the RMST entry against the dMEMBRICK's segment table: a
+  // corrupted entry (SEU in the PL comparators) would scatter the access
+  // over the wrong backing bytes, so it is refused instead.
+  const hw::MemorySegment* backing = mb.find_segment(entry.segment);
+  if (backing == nullptr || backing->owner != compute || backing->base != entry.dest_base) {
+    return TransactionStatus::kCorruptMapping;
+  }
+
+  // One link lookup per resolve: medium, lanes and cable occupancy all
+  // live on the pair's link. Optical liveness and propagation come from
+  // the circuit manager, which may have torn the circuit behind our back.
+  route.link = find_link(entry.circuit);
+  if (route.link == nullptr) return TransactionStatus::kCircuitDown;
+  if (route.link->medium == LinkMedium::kOptical) {
+    route.circuit = circuits_.find_ref(route.link->id);
+    if (route.circuit == nullptr) return TransactionStatus::kCircuitDown;
+  }
+  return TransactionStatus::kOk;
+}
+
+RemoteMemoryFabric::StageTerms RemoteMemoryFabric::stage_terms(TransactionKind kind,
+                                                               const Route& route,
+                                                               std::uint32_t bytes) const {
+  StageTerms terms;
+  const LinkMedium medium = route.link->medium;
+  terms.electrical = medium == LinkMedium::kElectrical;
+  terms.serdes = terms.electrical ? latencies_.electrical_serdes : latencies_.serdes;
 
   // Array occupancy: first-word latency plus streaming time for the
   // payload at the controller's bandwidth.
-  const bool hmc = tech == hw::MemoryTechnology::kHmc;
+  const bool hmc = route.membrick->config().technology == hw::MemoryTechnology::kHmc;
   const double array_gbps = hmc ? latencies_.hmc_bandwidth_gbps : latencies_.ddr_bandwidth_gbps;
-  const sim::Time mem_access = (hmc ? latencies_.hmc_access : latencies_.ddr_access) +
-                               sim::Time::ns(static_cast<double>(bytes) * 8.0 / array_gbps);
+  terms.mem_access = (hmc ? latencies_.hmc_access : latencies_.ddr_access) +
+                     sim::Time::ns(static_cast<double>(bytes) * 8.0 / array_gbps);
 
   // Outbound: request (write carries payload; read is header-only). Return:
   // read carries payload back; write returns a short ack.
-  const std::uint32_t out_bytes = kind == TransactionKind::kWrite ? bytes : 0;
-  const std::uint32_t back_bytes = kind == TransactionKind::kRead ? bytes : 0;
-  const sim::Time out_ser = serialization_time(out_bytes, medium, lanes);
-  const sim::Time back_ser = serialization_time(back_bytes, medium, lanes);
-  sim::Time& busy = link->busy_until;
-  const sim::Time start = std::max(t, busy);
-  tx.breakdown.append(kBdCircuitWait, start - t);
-  tx.breakdown.append(kBdSerialization, out_ser + back_ser);
-  busy = start + out_ser;
-  t = start + out_ser;
+  const std::size_t lanes = route.link->lane_count();
+  terms.out_ser = serialization_time(kind == TransactionKind::kWrite ? bytes : 0, medium, lanes);
+  terms.back_ser = serialization_time(kind == TransactionKind::kRead ? bytes : 0, medium, lanes);
+  return terms;
+}
 
-  tx.breakdown.append(kBdSerdesTx, serdes);
-  t += serdes;
-  tx.breakdown.append(wire, propagation * 2);
-  t += propagation;
-  tx.breakdown.append(kBdSerdesRx, serdes);
-  t += serdes;
+RemoteMemoryFabric::Priced RemoteMemoryFabric::price(const Route& route, const StageTerms& terms,
+                                                     sim::Time t) {
+  Priced priced;
+  priced.propagation = terms.electrical ? latencies_.electrical_propagation
+                                        : route.circuit->propagation_delay();
+  sim::Time& busy = route.link->busy_until;
+  const sim::Time start = std::max(t, busy);
+  priced.circuit_wait = start - t;
+  busy = start + terms.out_ser;
+  t = busy + terms.serdes + priced.propagation + terms.serdes + latencies_.glue_logic;
 
   // dMEMBRICK: glue logic steers the transaction to one of the brick's
   // memory controllers (address-interleaved); a busy controller delays
   // the access, so bricks dimensioned with more controllers sustain more
   // concurrent transactions (Section II).
-  tx.breakdown.append(kBdGlueLogic, latencies_.glue_logic);
-  t += latencies_.glue_logic;
-  const std::size_t mc = static_cast<std::size_t>((tx.remote_address >> 12)) %
-                         mb.config().memory_controllers;
+  const hw::MemoryBrick& mb = *route.membrick;
+  const std::size_t mc =
+      static_cast<std::size_t>(route.remote_address >> 12) % mb.config().memory_controllers;
   sim::Time& mc_busy = controller_busy_until(mb, mc);
   const sim::Time mc_start = std::max(t, mc_busy);
-  tx.breakdown.append(kBdMcWait, mc_start - t);
-  tx.breakdown.append(kBdMemAccess, mem_access);
-  mc_busy = mc_start + mem_access;
-  t = mc_start + mem_access;
+  priced.mc_wait = mc_start - t;
+  mc_busy = mc_start + terms.mem_access;
+  priced.completed_at = mc_busy + terms.back_ser + terms.serdes * 2 + priced.propagation;
+  return priced;
+}
 
-  tx.breakdown.append(kBdSerdesReturn, serdes * 2);
-  t += back_ser + serdes * 2 + propagation;
+std::optional<sim::Time> RemoteMemoryFabric::stream(StreamPath& path, TransactionKind kind,
+                                                    hw::BrickId compute, std::uint64_t address,
+                                                    std::uint32_t bytes, sim::Time when) {
+  // Traced transactions need their spans and breakdowns: full walk.
+  if (telemetry_ != nullptr && telemetry_->tracing()) return std::nullopt;
+  Route& route = path.route;
+  const bool held = path.epoch == route_epoch_ && path.compute == compute &&
+                    path.kind == kind && path.bytes == bytes && address >= route.window_base &&
+                    address - route.window_base < route.window_size;
+  if (held) {
+    // No mutator ran since the route was resolved; only a brick crash and
+    // a circuit torn behind the fabric's back can have broken it.
+    if (route.membrick->failed()) return std::nullopt;
+    if (route.link->medium == LinkMedium::kOptical) {
+      route.circuit = circuits_.find_ref(route.link->id);
+      if (route.circuit == nullptr) return std::nullopt;
+    }
+    route.remote_address = route.dest_base + (address - route.window_base);
+    DREDBOX_AUDIT_INVARIANT(check_held_route(path, address));
+  } else {
+    path.epoch = 0;
+    hw::TransactionGlueLogic& tgl = rack_.compute_brick(compute).tgl();
+    route = Route{};
+    if (resolve(compute, tgl.match(address), route) != TransactionStatus::kOk) {
+      return std::nullopt;
+    }
+    path.epoch = route_epoch_;
+    path.compute = compute;
+    path.kind = kind;
+    path.bytes = bytes;
+    path.tgl = &tgl;
+    path.terms = stage_terms(kind, route, bytes);
+  }
+  if (route.link->medium == LinkMedium::kPacket) return std::nullopt;
 
-  tx.completed_at = t;
-  return tx;
+  path.tgl->note_hit();
+  const sim::Time done = price(route, path.terms, when + latencies_.tgl_lookup).completed_at;
+  if (telemetry_ != nullptr) {
+    transactions_metric_->add();
+    auto* latency = kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_;
+    latency->observe((done - when).as_ns());
+  }
+  return done;
+}
+
+void RemoteMemoryFabric::check_held_route(const StreamPath& path, std::uint64_t address) {
+  const hw::TransactionGlueLogic& tgl = rack_.compute_brick(path.compute).tgl();
+  Route fresh;
+  DREDBOX_INVARIANT(resolve(path.compute, tgl.match(address), fresh) == TransactionStatus::kOk &&
+                        fresh == path.route,
+                    "held DMA route disagrees with a fresh fabric resolution");
 }
 
 sim::Time& RemoteMemoryFabric::controller_busy_until(const hw::MemoryBrick& membrick,

@@ -84,7 +84,59 @@ std::string to_string(AttachError err);
 /// (read/write transactions with per-stage latency attribution) over the
 /// mainline circuit-switched interconnect.
 class RemoteMemoryFabric {
+  struct Link;
+
+  /// What resolve() found for one address: the TGL match, the serving
+  /// dMEMBRICK and the link (with its live circuit when optical). The
+  /// brick and link pointers stay valid until the route epoch moves; the
+  /// circuit pointer only until the CircuitManager tears the circuit.
+  struct Route {
+    hw::BrickId destination;
+    std::uint64_t remote_address = 0;
+    std::uint64_t window_base = 0;  // matched RMST window, compute side
+    std::uint64_t window_size = 0;
+    std::uint64_t dest_base = 0;
+    const hw::MemoryBrick* membrick = nullptr;
+    Link* link = nullptr;
+    const optics::Circuit* circuit = nullptr;
+    bool operator==(const Route&) const = default;
+  };
+
+  /// The occupancy-independent terms of one transaction over a route:
+  /// serialization each way, the serdes pair and the array access. They
+  /// depend only on kind, size, link and memory technology.
+  struct StageTerms {
+    sim::Time out_ser;
+    sim::Time back_ser;
+    sim::Time serdes;
+    sim::Time mem_access;
+    bool electrical = false;
+  };
+
+  /// The occupancy-dependent outcome of price().
+  struct Priced {
+    sim::Time circuit_wait;
+    sim::Time propagation;  // one way
+    sim::Time mc_wait;
+    sim::Time completed_at;
+  };
+
  public:
+  /// A chunk train's held route, owned by the caller (the DMA engine keeps
+  /// one per channel) and only read or written by stream(). Default state
+  /// holds nothing.
+  class StreamPath {
+   private:
+    friend class RemoteMemoryFabric;
+    std::uint64_t epoch = 0;  // route epoch it was resolved in; 0 = none
+    hw::BrickId compute;
+    TransactionKind kind = TransactionKind::kRead;
+    std::uint32_t bytes = 0;
+    hw::TransactionGlueLogic* tgl = nullptr;
+    Route route;
+    StageTerms terms;
+  };
+
   RemoteMemoryFabric(hw::Rack& rack, optics::CircuitManager& circuits,
                      const CircuitPathLatencies& latencies = {});
 
@@ -92,7 +144,10 @@ class RemoteMemoryFabric {
   /// to it when circuits are unavailable. Both bricks of a fallback pair
   /// must be registered in the network; the fabric programs the lookup
   /// tables (the Section III control-path role) on first use.
-  void set_packet_network(net::PacketNetwork* network) { packet_net_ = network; }
+  void set_packet_network(net::PacketNetwork* network) {
+    ++route_epoch_;
+    packet_net_ = network;
+  }
   std::size_t packet_links() const { return count_links(LinkMedium::kPacket); }
 
   /// Wires rack-wide telemetry in: attach/detach counters, per-access
@@ -207,6 +262,16 @@ class RemoteMemoryFabric {
   Transaction write(hw::BrickId compute, std::uint64_t address, std::uint32_t bytes,
                     sim::Time when, const sim::TraceContext& ctx = {});
 
+  /// One chunk of a train (`path` carries the train's route from chunk to
+  /// chunk). While the held route is valid the chunk is priced from it and
+  /// counts one TGL hit, one transaction and one latency sample, exactly as
+  /// read()/write() would; a stale route is re-resolved first. Returns the
+  /// completion time, or nullopt — with nothing charged or counted — when
+  /// the address does not resolve to a healthy circuit path, the link is a
+  /// packet link or tracing is on. The caller then issues read()/write().
+  std::optional<sim::Time> stream(StreamPath& path, TransactionKind kind, hw::BrickId compute,
+                                  std::uint64_t address, std::uint32_t bytes, sim::Time when);
+
   const CircuitPathLatencies& latencies() const { return latencies_; }
 
   /// Number of live electrical intra-tray links (for introspection).
@@ -278,6 +343,9 @@ class RemoteMemoryFabric {
   /// never uses.
   std::uint32_t next_electrical_id_ = 0x40000000u;
   std::uint32_t next_packet_id_ = 0x80000000u;
+  /// Bumped by every control-plane mutator; a StreamPath resolved in an
+  /// older epoch is stale.
+  std::uint64_t route_epoch_ = 1;
 
   sim::Telemetry* telemetry_ = nullptr;
   sim::metrics::Counter* attaches_metric_ = nullptr;
@@ -331,6 +399,24 @@ class RemoteMemoryFabric {
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                            std::uint32_t bytes, sim::Time when, const sim::TraceContext& ctx);
+  // resolve(), stage_terms() and price() are shared by execute_path() and
+  // stream(); they are inline (defined in remote_memory.cpp only) so that
+  // neither caller pays a call for the split.
+
+  /// Resolves `match` (the TGL's RMST match for an address of `compute`)
+  /// to the dMEMBRICK, backing segment, link and live circuit behind it.
+  /// Returns the first failure, kOk when `route` is complete. Counts
+  /// nothing; the caller charges the TGL.
+  inline TransactionStatus resolve(hw::BrickId compute,
+                                   const std::optional<hw::TglRoute>& match, Route& route);
+  inline StageTerms stage_terms(TransactionKind kind, const Route& route,
+                                std::uint32_t bytes) const;
+  /// Prices one circuit transaction entering the link at `t` (after the
+  /// TGL lookup): applies and advances the link's and the controller's
+  /// busy-until.
+  inline Priced price(const Route& route, const StageTerms& terms, sim::Time t);
+  /// Audit cross-check: a fresh resolve of `address` equals the held route.
+  void check_held_route(const StreamPath& path, std::uint64_t address);
   /// Busy-until of controller `mc` on `membrick`.
   sim::Time& controller_busy_until(const hw::MemoryBrick& membrick, std::size_t mc);
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,

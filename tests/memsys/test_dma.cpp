@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
 namespace dredbox::memsys {
 namespace {
 
@@ -304,6 +309,362 @@ TEST_F(DmaTest, Validation) {
   empty.address = attachment_.compute_base;
   EXPECT_THROW(dma.enqueue(empty, nullptr), std::invalid_argument);
 }
+
+// --- chunk trains: the streamed path against the full fabric walk ---
+
+/// DMA chunk trains pinned end to end. One compute brick reaches four
+/// single-controller dMEMBRICKs: DDR in its own tray (electrical), DDR
+/// across trays on one optical circuit, DDR across trays on a 2-lane bond
+/// and HMC across trays. Each medium carries a 256 KiB write and a 256 KiB
+/// read on two DMA channels while a 64 B read is issued on the same window
+/// every 1.5 us, so chunks and word reads queue on one link and one
+/// controller. The expected ticks were recorded when every chunk took the
+/// full fabric walk; the streamed path must reproduce them exactly.
+class DmaStreamPinTest : public ::testing::Test {
+ protected:
+  DmaStreamPinTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+    const hw::TrayId tray_a = rack_.add_tray();
+    const hw::TrayId tray_b = rack_.add_tray();
+    compute_ = rack_.add_compute_brick(tray_a).id();
+    hw::MemoryBrickConfig ddr;
+    ddr.capacity_bytes = 4ull << 30;
+    ddr.memory_controllers = 1;
+    hw::MemoryBrickConfig hmc = ddr;
+    hmc.technology = hw::MemoryTechnology::kHmc;
+    electrical_ = rack_.add_memory_brick(tray_a, ddr).id();
+    optical_ = rack_.add_memory_brick(tray_b, ddr).id();
+    bonded_ = rack_.add_memory_brick(tray_b, ddr).id();
+    hmc_ = rack_.add_memory_brick(tray_b, hmc).id();
+  }
+
+  std::uint64_t attach(hw::BrickId membrick, LinkMedium expected, std::size_t lanes = 1) {
+    AttachRequest req;
+    req.compute = compute_;
+    req.membrick = membrick;
+    req.bytes = kGiB;
+    req.lanes = lanes;
+    const auto a = fabric_.attach(req, Time::zero());
+    EXPECT_TRUE(a.has_value());
+    EXPECT_EQ(a->medium, expected);
+    EXPECT_EQ(a->lanes, lanes);
+    return a->compute_base;
+  }
+
+  /// "write=ticks;read=ticks;words=n:sum" — both transfers' completion
+  /// ticks, then the count and summed completion ticks of the word reads.
+  std::string run(std::uint64_t base) {
+    DmaEngine dma{sim_, fabric_, compute_};
+    DmaCompletion write;
+    DmaCompletion read;
+    DmaDescriptor w;
+    w.address = base;
+    w.bytes = 256 * 1024;
+    dma.enqueue(w, [&](const DmaCompletion& c) { write = c; });
+    DmaDescriptor r = w;
+    r.address = base + kMiB;
+    r.direction = TransactionKind::kRead;
+    dma.enqueue(r, [&](const DmaCompletion& c) { read = c; });
+    std::size_t words = 0;
+    std::uint64_t word_ticks = 0;
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      sim_.at(Time::ns(1500.0 * static_cast<double>(i)), [&, i] {
+        const Transaction tx = fabric_.read(compute_, base + 2 * kMiB + 64 * i, 64, sim_.now());
+        EXPECT_TRUE(tx.ok());
+        ++words;
+        word_ticks += static_cast<std::uint64_t>(tx.completed_at.ticks());
+      });
+    }
+    sim_.run();
+    EXPECT_TRUE(write.ok) << write.error;
+    EXPECT_TRUE(read.ok) << read.error;
+    EXPECT_EQ(write.chunks, 64u);
+    return "write=" + std::to_string(write.completed_at.ticks()) +
+           ";read=" + std::to_string(read.completed_at.ticks()) +
+           ";words=" + std::to_string(words) + ":" + std::to_string(word_ticks);
+  }
+
+  sim::Simulator sim_;
+  hw::Rack rack_;
+  optics::OpticalSwitch switch_;
+  optics::CircuitManager circuits_;
+  RemoteMemoryFabric fabric_;
+  hw::BrickId compute_;
+  hw::BrickId electrical_;
+  hw::BrickId optical_;
+  hw::BrickId bonded_;
+  hw::BrickId hmc_;
+};
+
+TEST_F(DmaStreamPinTest, ElectricalTrainIsPinned) {
+  EXPECT_EQ(run(attach(electrical_, LinkMedium::kElectrical)),
+            "write=160371200;read=162870600;words=100:7558661800");
+}
+
+TEST_F(DmaStreamPinTest, OpticalTrainIsPinned) {
+  EXPECT_EQ(run(attach(optical_, LinkMedium::kOptical)),
+            "write=250432000;read=254214200;words=100:7641971400");
+}
+
+TEST_F(DmaStreamPinTest, BondedTrainIsPinned) {
+  EXPECT_EQ(run(attach(bonded_, LinkMedium::kOptical, 2)),
+            "write=145369600;read=147448400;words=100:7550731200");
+}
+
+TEST_F(DmaStreamPinTest, HmcTrainIsPinned) {
+  EXPECT_EQ(run(attach(hmc_, LinkMedium::kOptical)),
+            "write=242918400;read=246527800;words=100:7629560400");
+}
+
+/// A control-plane change landing while chunk trains are in flight.
+enum class Upset : std::uint8_t {
+  kFailCircuit,       // fabric cuts the fibre; no repair
+  kSwitchPortTorn,    // a switch port dies, the fabric is told at once
+  kTornUnnoticed,     // a switch port dies, the fabric is told 20 us later
+  kBrickCrash,        // the dMEMBRICK crashes, restored 30 us later
+  kCorruptRmst,       // the RMST entry is corrupted, scrubbed 30 us later
+  kRelocate,          // the segment moves to another dMEMBRICK
+  kMigrate,           // the window moves to another dCOMPUBRICK
+  kDetach,            // the window is detached
+  kFailover,          // the link moves to the packet substrate
+  kFailRepair,        // fibre cut, repaired 30 us later
+};
+
+enum class Carrier : std::uint8_t { kElectrical, kOptical, kBonded };
+
+std::string to_string(Upset u) {
+  switch (u) {
+    case Upset::kFailCircuit: return "fail_circuit";
+    case Upset::kSwitchPortTorn: return "switch_port_torn";
+    case Upset::kTornUnnoticed: return "torn_unnoticed";
+    case Upset::kBrickCrash: return "brick_crash";
+    case Upset::kCorruptRmst: return "corrupt_rmst";
+    case Upset::kRelocate: return "relocate";
+    case Upset::kMigrate: return "migrate";
+    case Upset::kDetach: return "detach";
+    case Upset::kFailover: return "failover";
+    case Upset::kFailRepair: return "fail_repair";
+  }
+  return "unknown";
+}
+
+std::string to_string(Carrier c) {
+  switch (c) {
+    case Carrier::kElectrical: return "electrical";
+    case Carrier::kOptical: return "optical";
+    case Carrier::kBonded: return "bonded";
+  }
+  return "unknown";
+}
+
+/// Everything a run leaves behind that the two paths must agree on.
+struct TrainOutcome {
+  std::vector<DmaCompletion> completions;
+  std::uint64_t tgl_hits = 0;
+  std::uint64_t tgl_misses = 0;
+  /// memsys.* instruments: name, counter value or histogram count, and
+  /// histogram sum (0 for counters).
+  std::vector<std::tuple<std::string, std::uint64_t, double>> metrics;
+};
+
+/// One rack: a compute brick attached to a dMEMBRICK over `carrier`, a
+/// spare dMEMBRICK and a second compute brick to relocate or migrate to,
+/// and a packet substrate reaching all of them.
+struct TrainRig {
+  explicit TrainRig(Carrier carrier) : circuits{optical_switch}, fabric{rack, circuits} {
+    const hw::TrayId tray_a = rack.add_tray();
+    const hw::TrayId tray_b = rack.add_tray();
+    compute = rack.add_compute_brick(tray_a).id();
+    other_compute = rack.add_compute_brick(tray_a).id();
+    membrick = rack.add_memory_brick(carrier == Carrier::kElectrical ? tray_a : tray_b).id();
+    spare = rack.add_memory_brick(tray_b).id();
+    for (const hw::BrickId b : {compute, other_compute, membrick, spare}) packet.add_brick(b);
+    fabric.set_packet_network(&packet);
+    telemetry.metrics().enable();
+    fabric.set_telemetry(&telemetry);
+    AttachRequest req;
+    req.compute = compute;
+    req.membrick = membrick;
+    req.bytes = kGiB;
+    req.lanes = carrier == Carrier::kBonded ? 2 : 1;
+    attachment = *fabric.attach(req, Time::zero());
+  }
+
+  /// The first switch port of the attachment's primary circuit (none for
+  /// backplane links).
+  std::optional<std::size_t> switch_port() const {
+    const optics::Circuit* c = circuits.find_ref(attachment.circuit);
+    if (c == nullptr) return std::nullopt;
+    return c->switch_ports.front();
+  }
+
+  void upset(Upset u) {
+    const Time at = Time::us(150);
+    const Time later = Time::us(180);
+    const hw::SegmentId seg = attachment.segment;
+    switch (u) {
+      case Upset::kFailCircuit:
+        sim.at(at, [this] { fabric.fail_circuit(attachment.circuit); });
+        break;
+      case Upset::kSwitchPortTorn:
+        sim.at(at, [this] {
+          if (const auto port = switch_port()) {
+            fabric.on_circuits_torn(circuits.fail_switch_port(*port));
+          }
+        });
+        break;
+      case Upset::kTornUnnoticed:
+        sim.at(at, [this] {
+          if (const auto port = switch_port()) torn = circuits.fail_switch_port(*port);
+        });
+        sim.at(Time::us(170), [this] { fabric.on_circuits_torn(torn); });
+        break;
+      case Upset::kBrickCrash:
+        sim.at(at, [this] { rack.brick(membrick).fail(); });
+        sim.at(later, [this] { rack.brick(membrick).restore(); });
+        break;
+      case Upset::kCorruptRmst:
+        sim.at(at, [this] { fabric.corrupt_rmst(compute); });
+        sim.at(later, [this] { fabric.scrub_rmst(compute); });
+        break;
+      case Upset::kRelocate:
+        sim.at(at, [this, seg] { fabric.relocate_segment(compute, seg, spare, sim.now()); });
+        break;
+      case Upset::kMigrate:
+        sim.at(at, [this, seg] { fabric.migrate_attachment(seg, compute, other_compute, sim.now()); });
+        break;
+      case Upset::kDetach:
+        sim.at(at, [this, seg] { fabric.detach(compute, seg); });
+        break;
+      case Upset::kFailover:
+        sim.at(at, [this, seg] { fabric.failover_to_packet(compute, seg, sim.now()); });
+        break;
+      case Upset::kFailRepair:
+        sim.at(at, [this] { fabric.fail_circuit(attachment.circuit); });
+        sim.at(later, [this, seg] { fabric.repair(compute, seg, sim.now()); });
+        break;
+    }
+  }
+
+  /// A 1 MiB write and a 1 MiB read, plus two short transfers that end
+  /// before the upset: one whose last chunk is short and one that runs off
+  /// the end of the window. Four channels, run to completion.
+  TrainOutcome run() {
+    TrainOutcome out;
+    out.completions.resize(4);
+    DmaEngine dma{sim, fabric, compute, /*channels=*/4};
+    DmaDescriptor w;
+    w.address = attachment.compute_base;
+    w.bytes = kMiB;
+    DmaDescriptor r = w;
+    r.address = attachment.compute_base + 4 * kMiB;
+    r.direction = TransactionKind::kRead;
+    DmaDescriptor ragged = w;
+    ragged.address = attachment.compute_base + 8 * kMiB;
+    ragged.bytes = 16 * 1024 + 1000;
+    DmaDescriptor overrun = w;
+    overrun.address = attachment.compute_base + attachment.size - 8 * 1024;
+    overrun.bytes = 16 * 1024;
+    std::size_t i = 0;
+    for (const DmaDescriptor& d : {w, r, ragged, overrun}) {
+      dma.enqueue(d, [&out, i](const DmaCompletion& c) { out.completions[i] = c; });
+      ++i;
+    }
+    sim.run();
+    for (const hw::BrickId b : {compute, other_compute}) {
+      out.tgl_hits += rack.compute_brick(b).tgl().hits();
+      out.tgl_misses += rack.compute_brick(b).tgl().misses();
+    }
+    const auto& m = telemetry.metrics();
+    for (const std::string& name : m.names()) {
+      if (name.rfind("memsys.", 0) != 0) continue;
+      if (const auto* c = m.find_counter(name)) out.metrics.emplace_back(name, c->value(), 0.0);
+      if (const auto* h = m.find_histogram(name)) {
+        out.metrics.emplace_back(name, h->count(), h->sum());
+      }
+    }
+    return out;
+  }
+
+  sim::Simulator sim;
+  hw::Rack rack;
+  optics::OpticalSwitch optical_switch;
+  optics::CircuitManager circuits;
+  RemoteMemoryFabric fabric;
+  net::PacketNetwork packet;
+  sim::Telemetry telemetry;
+  hw::BrickId compute;
+  hw::BrickId other_compute;
+  hw::BrickId membrick;
+  hw::BrickId spare;
+  Attachment attachment;
+  std::vector<optics::Circuit> torn;
+};
+
+using TrainParam = std::tuple<Carrier, Upset, bool>;
+
+/// Tracing forces every chunk through the full fabric walk and is
+/// digest-neutral by contract, so a traced run is the oracle for the
+/// untraced one, whose chunks stream over their held path.
+class DmaStreamDifferentialTest : public ::testing::TestWithParam<TrainParam> {
+ protected:
+  static TrainOutcome run(bool tracing) {
+    const auto [carrier, upset, retry] = GetParam();
+    TrainRig rig{carrier};
+    if (retry) {
+      sim::RetryPolicy policy;
+      policy.initial_backoff = Time::us(5);
+      rig.fabric.set_retry_policy(policy);
+    }
+    if (tracing) rig.telemetry.tracer().enable();
+    rig.upset(upset);
+    return rig.run();
+  }
+};
+
+TEST_P(DmaStreamDifferentialTest, UntracedTrainMatchesTheTracedWalk) {
+  const TrainOutcome walked = run(/*tracing=*/true);
+  const TrainOutcome streamed = run(/*tracing=*/false);
+  ASSERT_EQ(walked.completions.size(), streamed.completions.size());
+  for (std::size_t i = 0; i < walked.completions.size(); ++i) {
+    SCOPED_TRACE("transfer " + std::to_string(i));
+    const DmaCompletion& a = walked.completions[i];
+    const DmaCompletion& b = streamed.completions[i];
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.chunks, b.chunks);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.enqueued_at, b.enqueued_at);
+    EXPECT_EQ(a.completed_at, b.completed_at);
+  }
+  EXPECT_EQ(walked.tgl_hits, streamed.tgl_hits);
+  EXPECT_EQ(walked.tgl_misses, streamed.tgl_misses);
+  EXPECT_EQ(walked.metrics, streamed.metrics);
+  // The trains moved traffic before the upset; the short transfers ended
+  // before it, one whole and one at the end of its window.
+  EXPECT_GT(streamed.completions[0].chunks + streamed.completions[1].chunks, 0u);
+  EXPECT_TRUE(streamed.completions[2].ok) << streamed.completions[2].error;
+  EXPECT_EQ(streamed.completions[2].chunks, 5u);
+  EXPECT_FALSE(streamed.completions[3].ok);
+  EXPECT_EQ(streamed.completions[3].bytes, 8u * 1024);
+  EXPECT_LT(std::max(streamed.completions[2].completed_at, streamed.completions[3].completed_at),
+            Time::us(150));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Upsets, DmaStreamDifferentialTest,
+    ::testing::Combine(::testing::Values(Carrier::kElectrical, Carrier::kOptical,
+                                         Carrier::kBonded),
+                       ::testing::Values(Upset::kFailCircuit, Upset::kSwitchPortTorn,
+                                         Upset::kTornUnnoticed, Upset::kBrickCrash,
+                                         Upset::kCorruptRmst, Upset::kRelocate,
+                                         Upset::kMigrate, Upset::kDetach, Upset::kFailover,
+                                         Upset::kFailRepair),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<TrainParam>& info) {
+      return to_string(std::get<0>(info.param)) + "_" + to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_retry" : "_failfast");
+    });
 
 }  // namespace
 }  // namespace dredbox::memsys
