@@ -1,62 +1,44 @@
 #!/usr/bin/env bash
-# Determinism harness: proves a seeded simulation is bit-reproducible.
+# Process-level determinism check: runs the quickstart example twice in
+# separate processes and byte-compares stdout plus every exported
+# observability artifact (Chrome trace JSON, OpenMetrics series,
+# dredbox-report/v1 run report). This catches nondeterminism an in-process
+# test cannot see (ASLR-dependent ordering, locale, static-init order)
+# anywhere in the export pipeline. DREDBOX_PROFILE stays unset: the kernel
+# self-profile is host wall-clock data and differs between runs.
 #
-# Two layers:
-#   1. ctest -R Determinism — the in-process double-run test
-#      (tests/integration/determinism_test.cpp): same seed => identical
-#      metrics/trace digests, different seed => divergent digests.
-#   2. Process-level: run the quickstart example twice in separate
-#      processes and byte-compare stdout PLUS every exported observability
-#      artifact — the Chrome trace JSON, the OpenMetrics series and the
-#      dredbox-report/v1 run report. Catches nondeterminism the in-process
-#      test cannot see (ASLR-dependent ordering, locale, static-init
-#      order) anywhere in the export pipeline, not just on stdout.
-#      DREDBOX_PROFILE stays unset: the kernel self-profile is host
-#      wall-clock data and legitimately differs between runs.
+# The tier-1 ctest example.quickstart.determinism runs it; by hand:
 #
-# Usage: scripts/determinism.sh [BUILD_DIR]   (default: build)
+#   scripts/determinism.sh build/examples/quickstart
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-BUILD_DIR="${1:-build}"
-
-if [[ ! -d "$BUILD_DIR" ]]; then
-  echo "determinism: $BUILD_DIR/ missing; run: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+if [[ $# -ne 1 || ! -x "$1" ]]; then
+  echo "usage: $0 QUICKSTART_BINARY" >&2
   exit 2
 fi
+quickstart="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
 
-echo "== in-process determinism test =="
-ctest --test-dir "$BUILD_DIR" -R 'Determinism' --output-on-failure
-
-QUICKSTART="$BUILD_DIR/examples/quickstart"
-if [[ -x "$QUICKSTART" ]]; then
-  echo "== process-level double run (quickstart + artifacts) =="
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  quickstart_abs="$(cd "$(dirname "$QUICKSTART")" && pwd)/$(basename "$QUICKSTART")"
-  # Relative artifact paths + a per-run cwd keep the two runs' environments
-  # (and therefore their stdout, which echoes the paths) byte-identical.
-  for run in 1 2; do
-    mkdir -p "$tmp/run$run"
-    (cd "$tmp/run$run" && \
-      DREDBOX_TRACE_FILE=trace.json \
-      DREDBOX_OPENMETRICS_FILE=series.om \
-      DREDBOX_REPORT_FILE=report.json \
-      "$quickstart_abs" > stdout.txt 2>&1)
-  done
-  status=0
-  for artifact in stdout.txt trace.json series.om report.json; do
-    if cmp -s "$tmp/run1/$artifact" "$tmp/run2/$artifact"; then
-      echo "quickstart $artifact: byte-identical ($(wc -c < "$tmp/run1/$artifact") bytes)"
-    else
-      echo "quickstart $artifact: runs DIVERGED:" >&2
-      diff "$tmp/run1/$artifact" "$tmp/run2/$artifact" | head -40 >&2
-      status=1
-    fi
-  done
-  [[ "$status" == 0 ]] || exit 1
-else
-  echo "== $QUICKSTART not built; skipping process-level check =="
-fi
-
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+# Relative artifact paths + a per-run cwd keep the two runs' environments
+# (and therefore their stdout, which echoes the paths) byte-identical.
+for run in 1 2; do
+  mkdir -p "$tmp/run$run"
+  (cd "$tmp/run$run" && \
+    DREDBOX_TRACE_FILE=trace.json \
+    DREDBOX_OPENMETRICS_FILE=series.om \
+    DREDBOX_REPORT_FILE=report.json \
+    "$quickstart" > stdout.txt 2>&1)
+done
+status=0
+for artifact in stdout.txt trace.json series.om report.json; do
+  if cmp -s "$tmp/run1/$artifact" "$tmp/run2/$artifact"; then
+    echo "quickstart $artifact: byte-identical ($(wc -c < "$tmp/run1/$artifact") bytes)"
+  else
+    echo "quickstart $artifact: runs DIVERGED:" >&2
+    diff "$tmp/run1/$artifact" "$tmp/run2/$artifact" | head -40 >&2
+    status=1
+  fi
+done
+[[ "$status" == 0 ]] || exit 1
 echo "determinism: OK"

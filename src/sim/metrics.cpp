@@ -5,10 +5,24 @@
 
 namespace dredbox::sim::metrics {
 
+Histogram::Histogram(RegistryKey, const bool* enabled, double lo, double hi, std::size_t bins)
+    : enabled_{enabled}, lo_{lo}, hi_{hi} {
+  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
+  if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
+  counts_.resize(bins, 0);
+}
+
 void Histogram::observe(double x) {
   if (!*enabled_) return;
   running_.add(x);
-  buckets_.add(x);
+  const double span = hi_ - lo_;
+  auto bin = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
+  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
+  ++counts_[static_cast<std::size_t>(bin)];
+}
+
+double Histogram::bucket_low(std::size_t i) const {
+  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }
 
 double Histogram::quantile(double q) const {
@@ -17,14 +31,14 @@ double Histogram::quantile(double q) const {
   if (q <= 0.0) return running_.min();
   if (q >= 1.0) return running_.max();
 
-  const double target = q * static_cast<double>(buckets_.total());
+  const double target = q * static_cast<double>(running_.count());
   double cumulative = 0.0;
-  for (std::size_t b = 0; b < buckets_.bin_count(); ++b) {
-    const double in_bin = static_cast<double>(buckets_.count(b));
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    const double in_bin = static_cast<double>(counts_[b]);
     if (cumulative + in_bin >= target && in_bin > 0) {
       const double frac = (target - cumulative) / in_bin;
-      const double lo = buckets_.bin_low(b);
-      const double hi = buckets_.bin_high(b);
+      const double lo = bucket_low(b);
+      const double hi = bucket_high(b);
       // Clamp the estimate to observed extremes so edge buckets (which
       // absorb out-of-range samples) cannot report impossible values.
       return std::clamp(lo + frac * (hi - lo), running_.min(), running_.max());
@@ -168,7 +182,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     }
     Histogram& mine = histogram(name, h->low(), h->high(), h->bucket_count());
     mine.running_.merge(h->running_);
-    mine.buckets_.merge(h->buckets_);
+    for (std::size_t b = 0; b < mine.counts_.size(); ++b) mine.counts_[b] += h->counts_[b];
   }
   enabled_ = was_enabled;
 }
@@ -181,11 +195,8 @@ void MetricsRegistry::reset() {
     g->written_ = false;
   }
   for (auto& [name, h] : histograms_) {
-    const double lo = h->low();
-    const double hi = h->high();
-    const std::size_t bins = h->bucket_count();
     h->running_ = RunningStats{};
-    h->buckets_ = sim::Histogram{lo, hi, bins};
+    std::fill(h->counts_.begin(), h->counts_.end(), 0);
   }
 }
 

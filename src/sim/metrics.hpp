@@ -73,9 +73,10 @@ class Gauge {
 
 /// Fixed-bucket latency/size distribution: streaming aggregates (mean,
 /// min, max via RunningStats) plus a fixed-width bucket array over
-/// [lo, hi) with clamping edge buckets (the sim::Histogram convention), so
-/// memory stays O(buckets) no matter how hot the instrumented path is.
-/// Quantiles are estimated by linear interpolation inside the bucket.
+/// [lo, hi) whose edge buckets absorb out-of-range samples, so memory stays
+/// O(buckets) no matter how hot the instrumented path is and no sample is
+/// silently dropped. Quantiles are estimated by linear interpolation
+/// inside the bucket.
 class Histogram {
  public:
   void observe(double x);
@@ -87,25 +88,28 @@ class Histogram {
   double stddev() const { return running_.stddev(); }
   double sum() const { return running_.sum(); }
 
-  double low() const { return buckets_.bin_low(0); }
-  double high() const { return buckets_.bin_high(buckets_.bin_count() - 1); }
-  std::size_t bucket_count() const { return buckets_.bin_count(); }
-  std::size_t bucket(std::size_t i) const { return buckets_.count(i); }
+  double low() const { return lo_; }
+  double high() const { return hi_; }
+  std::size_t bucket_count() const { return counts_.size(); }
+  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
 
   /// q in [0, 1]; 0 for an empty histogram. Estimated from the buckets
   /// (exact min/max are substituted at the extremes).
   double quantile(double q) const;
 
-  std::string to_string(std::size_t width = 50) const { return buckets_.to_string(width); }
-
-  Histogram(RegistryKey, const bool* enabled, double lo, double hi, std::size_t bins)
-      : enabled_{enabled}, buckets_{lo, hi, bins} {}
+  /// Throws std::invalid_argument unless lo < hi and bins > 0.
+  Histogram(RegistryKey, const bool* enabled, double lo, double hi, std::size_t bins);
 
  private:
   friend class MetricsRegistry;  // merge()/reset() touch the aggregates in place
   const bool* enabled_;
   RunningStats running_;
-  sim::Histogram buckets_;
+  double lo_;
+  double hi_;
+  std::vector<std::size_t> counts_;
+
+  double bucket_low(std::size_t i) const;
+  double bucket_high(std::size_t i) const { return bucket_low(i + 1); }
 };
 
 /// Owns every named instrument of one simulated rack. Instruments are

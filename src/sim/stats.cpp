@@ -91,42 +91,4 @@ BoxPlot SampleSet::box_plot() const {
   return b;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_{lo}, hi_{hi} {
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
-  counts_.resize(bins, 0);
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ || counts_.size() != other.counts_.size()) {
-    throw std::logic_error("Histogram::merge: bucket layouts differ");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::to_string(std::size_t width) const {
-  std::string out;
-  const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out += strformat("[%9.3g, %9.3g) %6zu |", bin_low(i), bin_high(i), counts_[i]);
-    const std::size_t bar = peak ? counts_[i] * width / peak : 0;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace dredbox::sim

@@ -80,32 +80,4 @@ class SampleSet {
   void ensure_sorted() const;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins so no sample is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  /// Folds another histogram's counts in. Throws std::logic_error when
-  /// the bucket layouts (range or bin count) differ.
-  void merge(const Histogram& other);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const { return bin_low(bin + 1); }
-
-  /// Renders as horizontal ASCII bars, one line per bin.
-  std::string to_string(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace dredbox::sim

@@ -1,8 +1,8 @@
 // Schedule-order audit at quickstart scale: the full boot -> scale-up ->
-// paced-remote-reads session (the same shape examples/quickstart.cpp and
-// scripts/check.sh exercise) must produce an identical canonical digest
+// paced-remote-reads session (the same shape examples/quickstart.cpp
+// exercises) must produce an identical canonical digest
 // under 16 seeded permutations of every same-timestamp dispatch batch —
-// healthy AND under the check.sh fault plan, whose events used to collide
+// healthy AND under the faulty-quickstart plan, whose events used to collide
 // with the 250 us read grid until FaultInjector started skewing
 // transitions by one tick. This is the gating proof for the calendar-queue
 // kernel rewrite (ROADMAP item 1): no outcome may lean on the queue's
@@ -120,7 +120,7 @@ TEST(ScheduleAuditIntegrationTest, HealthyQuickstartSurvives16Permutations) {
 }
 
 TEST(ScheduleAuditIntegrationTest, FaultyQuickstartSurvives16Permutations) {
-  // The check.sh fault plan: a 2 ms link flap from t0+1ms and a 1 ms
+  // The faulty-quickstart plan: a 2 ms link flap from t0+1ms and a 1 ms
   // congestion burst from t0+2ms — nominal instants that land exactly on
   // the 250 us read grid. FaultInjector's one-tick skew keeps the
   // transitions out of the read batches; without it this audit diverges

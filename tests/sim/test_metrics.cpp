@@ -89,6 +89,31 @@ TEST(MetricsTest, HistogramAggregatesAndBuckets) {
   h.observe(1e9);
   EXPECT_EQ(h.bucket(9), 2u);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
+  h.observe(-1e9);
+  EXPECT_EQ(h.bucket(0), 2u);
+  EXPECT_DOUBLE_EQ(h.min(), -1e9);
+}
+
+TEST(HistogramTest, BinsAndClamping) {
+  MetricsRegistry registry;
+  registry.enable();
+  auto& h = registry.histogram("test.histogram.bins", 0.0, 10.0, 5);
+  h.observe(0.5);   // bin 0
+  h.observe(9.9);   // bin 4
+  h.observe(-3.0);  // clamps to bin 0
+  h.observe(42.0);  // clamps to bin 4
+  h.observe(5.0);   // bin 2
+  EXPECT_EQ(h.bucket(0), 2u);
+  EXPECT_EQ(h.bucket(2), 1u);
+  EXPECT_EQ(h.bucket(4), 2u);
+  EXPECT_EQ(h.count(), 5u);
+}
+
+TEST(MetricsTest, HistogramRejectsBadLayout) {
+  MetricsRegistry registry;
+  EXPECT_THROW(registry.histogram("empty_range", 5.0, 5.0, 4), std::invalid_argument);
+  EXPECT_THROW(registry.histogram("inverted", 5.0, 1.0, 4), std::invalid_argument);
+  EXPECT_THROW(registry.histogram("no_bins", 0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(MetricsTest, HistogramQuantiles) {

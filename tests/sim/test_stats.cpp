@@ -231,39 +231,5 @@ TEST(SampleSetTest, CiShrinksWithMoreSamples) {
   EXPECT_LT(large.ci95_halfwidth(), small.ci95_halfwidth());
 }
 
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(HistogramTest, Validation) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, RendersOneLinePerBin) {
-  Histogram h{0.0, 4.0, 4};
-  h.add(1.0);
-  const std::string out = h.to_string();
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
-}
-
 }  // namespace
 }  // namespace dredbox::sim
