@@ -223,6 +223,9 @@ double stat_min(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
 }
 
+// A fresh queue per iteration: /10000 is the batch figure README and
+// DESIGN quote. Small batches measure construction more than queueing;
+// BM_EventQueueHold below is the steady-state bench.
 void BM_EventQueueScheduleDispatch(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -240,7 +243,6 @@ void BM_EventQueueScheduleDispatch(benchmark::State& state) {
 // real chance of landing inside clean windows (the median still reflects
 // typical load).
 BENCHMARK(BM_EventQueueScheduleDispatch)
-    ->Arg(100)
     ->Arg(10000)
     ->MinTime(0.05)
     ->Repetitions(25)
@@ -264,11 +266,37 @@ void BM_ReferenceQueueScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ReferenceQueueScheduleDispatch)
-    ->Arg(100)
     ->Arg(10000)
     ->MinTime(0.05)
     ->Repetitions(25)
     ->ComputeStatistics("min", stat_min);
+
+// The hold model: a queue kept at `pending` events, each iteration pops
+// the earliest and schedules one replacement a seeded random gap (mean
+// 1 us) past the clock. This is the steady state a simulation runs in,
+// so it measures queue mechanics with no construction in the loop.
+template <class Queue>
+void hold_bench(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::Time> gaps(1024);
+  sim::Rng rng{7};
+  for (auto& gap : gaps) gap = sim::Time::ps(rng.uniform_int(1, 2'000'000));
+  Queue q;
+  std::size_t next_gap = 0;
+  const auto draw = [&] { return gaps[next_gap++ % gaps.size()]; };
+  for (std::size_t i = 0; i < pending; ++i) q.schedule(draw(), [] {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.dispatch_one());
+    q.schedule(q.now() + draw(), [] {});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+void BM_EventQueueHold(benchmark::State& state) { hold_bench<sim::EventQueue>(state); }
+void BM_ReferenceQueueHold(benchmark::State& state) {
+  hold_bench<sim::ReferenceEventQueue>(state);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_ReferenceQueueHold)->Arg(8)->Arg(64)->Arg(256);
 
 // The event kernel's node pool in isolation: steady-state create/destroy
 // (freelist pop/push, no growth) over a working set that spans several
@@ -633,13 +661,15 @@ void BM_WorkloadEngineWindowAllocs(benchmark::State& state) {
 // store's 8192-sample capacity.
 BENCHMARK(BM_WorkloadEngineWindowAllocs)->Iterations(4000);
 
-// Barrier rounds of the partitioned kernel on a warmed 4-shard token
-// ring (each receipt forwards the token to the next shard): one run()
-// per iteration, allocations counted per round. Inbox capacity, the
-// per-run tables and the Phase-B body are all reused, so a warmed
-// kernel's rounds never touch the heap.
+// Barrier rounds of the partitioned kernel on a warmed full mesh of
+// `shards` shards with one token (each receipt forwards it to the next
+// shard): one run() per iteration, allocations and host ns counted per
+// round. Inbox capacity, the per-run tables and the Phase-B body are all
+// reused, so a warmed kernel's rounds never touch the heap. One token
+// moves per round at any shard count, so a round that costs O(touched
+// shards) costs the same at 4 and 16 shards.
 void BM_PartitionRoundAllocs(benchmark::State& state) {
-  constexpr std::size_t kShards = 4;
+  const auto shards = static_cast<std::size_t>(state.range(0));
   constexpr sim::Time kLookahead = sim::Time::ns(100);
   struct Ring {
     sim::PartitionedKernel kernel;
@@ -647,24 +677,24 @@ void BM_PartitionRoundAllocs(benchmark::State& state) {
     std::vector<std::size_t> next_link;
     void on_token(std::size_t shard) {
       sim::Simulator& sim = *sims[shard];
-      const std::size_t to = (shard + 1) % kShards;
+      const std::size_t to = (shard + 1) % sims.size();
       kernel.send(next_link[shard], sim.now() + kLookahead, [this, to] { on_token(to); },
                   "token");
     }
   } ring;
-  for (std::size_t i = 0; i < kShards; ++i) {
+  for (std::size_t i = 0; i < shards; ++i) {
     ring.sims.push_back(std::make_unique<sim::Simulator>(i + 1));
     ring.kernel.add_shard(*ring.sims.back());
   }
-  for (std::size_t i = 0; i < kShards; ++i) {
-    for (std::size_t j = 0; j < kShards; ++j) {
+  for (std::size_t i = 0; i < shards; ++i) {
+    for (std::size_t j = 0; j < shards; ++j) {
       if (i == j) continue;
       const std::size_t link = ring.kernel.connect(i, j, kLookahead);
-      if (j == (i + 1) % kShards) ring.next_link.push_back(link);
+      if (j == (i + 1) % shards) ring.next_link.push_back(link);
     }
   }
   ring.sims[0]->at(kLookahead, [&ring] { ring.on_token(0); }, "token");
-  std::vector<sim::Time> horizons(kShards, sim::Time::us(20));
+  std::vector<sim::Time> horizons(shards, sim::Time::us(20));
   ring.kernel.run(horizons);  // warm-up: inbox and table capacity settle
   AllocGate allocs;
   std::uint64_t rounds = 0;
@@ -673,9 +703,12 @@ void BM_PartitionRoundAllocs(benchmark::State& state) {
     allocs.count([&] { rounds += ring.kernel.run(horizons).rounds; });
   }
   allocs.check(state, "allocs_per_round", rounds);
+  // An inverted rate: host seconds per round, printed with an SI prefix.
+  state.counters["time_per_round"] = benchmark::Counter(
+      static_cast<double>(rounds), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
-BENCHMARK(BM_PartitionRoundAllocs);
+BENCHMARK(BM_PartitionRoundAllocs)->Arg(4)->Arg(16);
 
 // End-to-end load-session throughput: a full WorkloadEngine run (mixed
 // closed + open tenants, sync ops and DMA) per iteration, items = ops the

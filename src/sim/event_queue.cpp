@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 
 #include "sim/contract.hpp"
@@ -324,7 +325,7 @@ void EventQueue::fire_node(Node* node) {
     action();
     // dredbox-lint: ignore[wall-clock]
     const auto host_end = std::chrono::steady_clock::now();
-    ProfileCell& cell = profile_[label != nullptr ? label : "(unlabeled)"];
+    ProfileCell& cell = profile_[label];
     ++cell.dispatches;
     cell.host_ns += static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(host_end - host_begin).count());
@@ -564,9 +565,17 @@ CalendarStats EventQueue::calendar_stats() const {
 }
 
 std::vector<KernelProfileEntry> EventQueue::kernel_profile() const {
-  std::vector<KernelProfileEntry> out;
-  out.reserve(profile_.size());
+  std::map<std::string, ProfileCell> by_text;
+  // Host time only, merged into a text-keyed map: no order leaks out.
+  // dredbox-lint: ignore[unordered-iteration] -- merged by text below.
   for (const auto& [label, cell] : profile_) {
+    ProfileCell& row = by_text[label != nullptr ? label : "(unlabeled)"];
+    row.dispatches += cell.dispatches;
+    row.host_ns += cell.host_ns;
+  }
+  std::vector<KernelProfileEntry> out;
+  out.reserve(by_text.size());
+  for (const auto& [label, cell] : by_text) {
     out.push_back(KernelProfileEntry{label, cell.dispatches, cell.host_ns});
   }
   return out;

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -358,8 +358,10 @@ class EventQueue {
     std::uint64_t dispatches = 0;
     double host_ns = 0.0;
   };
-  /// Keyed by label text; std::map so exported rows are label-sorted.
-  std::map<std::string, ProfileCell> profile_;
+  /// Keyed by label pointer (labels are string literals), so a profiled
+  /// dispatch neither builds nor compares a string; kernel_profile()
+  /// merges pointers with equal text into one label-sorted row.
+  std::unordered_map<const char*, ProfileCell> profile_;
 };
 
 }  // namespace dredbox::sim

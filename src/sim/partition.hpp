@@ -40,8 +40,8 @@ struct PartitionRunStats {
 /// take each destination shard's inbox, merge its messages in
 /// (time, link, seq) order — a total order that is a pure function of
 /// send history, never of thread interleaving — and schedule them; then
-/// read each shard's next-event time h_i. Phase B, fanned across the
-/// pool: each shard i processes events strictly below
+/// bound each shard by the next-event times h_i. Phase B, fanned across
+/// the pool: each shard i processes events strictly below
 ///
 ///     safe_i = min over incoming links (j -> i) of
 ///                  reach_j + lookahead(j->i)
@@ -56,17 +56,27 @@ struct PartitionRunStats {
 /// call), and a shard whose reach exceeds its own horizon executes
 /// nothing at all this call, so it bounds nothing.
 ///
-/// Cost of a round: O(shards + messages + events dispatched) when the
-/// lookaheads are even. Phase A sorts only the inboxes that received
-/// mail and re-reads only the queue heads that can have moved (shards
-/// that ran or received mail). Each reach and cap starts from the term of the earliest source;
-/// every other source is no earlier than the second-earliest and at least
-/// the target's smallest lookahead away, so when that bound cannot beat
-/// the first term the minimum is exact. Only uneven lookaheads fall back
-/// to scanning every term. Caps are needed only for seeds (h_i within
-/// the horizon), and Phase B enters only shards with h_i <= cap_i. A
-/// shard left out would have dispatched nothing and merely moved its
-/// clock, which nothing reads before the final alignment to the horizon.
+/// Cost of a round: O(touched * log shards + runnable + messages +
+/// events dispatched) on the spine's shape, where touched counts the
+/// shards that ran or received mail. Every shard's effective queue head
+/// (h_i if within its horizon, else infinity) sits in a binary min-heap,
+/// and only touched shards are re-keyed: one that ran with the head its
+/// worker read as Phase B ended, one that got mail with the earlier of
+/// its indexed head and the first arrival. The root is the earliest seed
+/// a (reach_a = h_a), and the second-earliest head is one of its
+/// children. Every seed but a is capped below h_a + lookahead(a -> it),
+/// so the round walks only the top of the heap within that bound; a
+/// itself is always runnable. On a full mesh with one lookahead L and
+/// one horizon, each walked cap comes straight from the two heads:
+/// h_a + L - 1 for the others, and min(h2, h_a + L) + L - 1 for a.
+/// Uneven lookaheads, partial meshes and per-shard horizons still fill
+/// every reach in one O(shards) pass (each reach and cap starts from the
+/// earliest source's term and scans every term only when the
+/// second-earliest could beat it), and their walk's bound can reach the
+/// largest horizon. A shard left out of Phase B would have dispatched
+/// nothing and merely moved its clock, which nothing reads before the
+/// final alignment to the horizon. Audit builds check every round
+/// against the full scan.
 ///
 /// Determinism: the rounds — and therefore the exact points where
 /// messages enter each queue, the per-queue sequence numbers they draw,
@@ -143,11 +153,18 @@ class PartitionedKernel {
     const char* label = nullptr;
   };
 
-  /// Phase A delivery: merges and schedules every non-empty inbox.
-  /// Returns messages delivered.
-  std::uint64_t deliver_mail() DREDBOX_EXCLUDES(mail_mu_);
-  /// Rebuilds the per-run tables (link lookaheads, all-pairs distances).
-  void prepare_run();
+  /// Phase A delivery: merges and schedules every non-empty inbox and
+  /// re-keys its shard's head. Returns messages delivered.
+  std::uint64_t deliver_mail(const std::vector<Time>& horizons) DREDBOX_EXCLUDES(mail_mu_);
+  /// Rebuilds the link tables (lookaheads, all-pairs distances and their
+  /// bounds); run() calls it only after shards or links were added.
+  void prepare_tables();
+  /// Resets the per-run state and indexes every shard's head afresh.
+  void prepare_run(const std::vector<Time>& horizons);
+  /// Sets shard i's head and restores the heap order around it.
+  void set_head(std::size_t shard, Time key);
+  /// Audit: the round's caps and runnable set equal the full O(n^2) scan's.
+  void check_round(const std::vector<Time>& horizons) const;
 
   std::vector<Simulator*> shards_;
   std::vector<Link> links_;
@@ -164,28 +181,48 @@ class PartitionedKernel {
   /// Messages sent per link so far: the next send's seq.
   std::vector<std::uint64_t> link_sent_ DREDBOX_GUARDED_BY(mail_mu_);
 
-  // The pool, per-run tables and per-round scratch are kept across calls
-  // (the pool is rebuilt only when the thread count changes), so a warmed
-  // kernel runs its rounds without touching the heap.
+  // The pool, link tables and per-round scratch are kept across calls
+  // (the pool is rebuilt only when the thread count changes, the tables
+  // only when the wiring changed), so a warmed kernel runs its rounds
+  // without touching the heap.
   std::unique_ptr<WorkerPool> pool_;
+  bool tables_stale_ = true;
   /// n x n, row = source: the smallest link lookahead j -> i, and the
   /// min-plus path distance j -> i (zero on the diagonal).
   std::vector<Time> hop_;
   std::vector<Time> dist_;
   /// Per shard: its smallest in-link lookahead, and the smallest distance
   /// from any other shard — the lower bounds that settle a round's
-  /// minimums without scanning every term.
+  /// minimums without scanning every term — and its slowest out-link,
+  /// which bounds the caps the earliest seed leaves its neighbors.
   std::vector<Time> in_min_;
   std::vector<Time> near_;
-  /// Per shard: nonzero when its queue head may have moved since next_
-  /// was read (it ran, or mail landed).
-  std::vector<char> stale_;
-  std::vector<Time> next_;
+  std::vector<Time> far_out_;
+  /// The one lookahead of a full mesh (every ordered pair linked at it);
+  /// zero for any other wiring.
+  Time mesh_lookahead_ = Time::zero();
+  /// The head index: a binary min-heap of (effective head, shard) — the
+  /// queue head if within the shard's horizon, else infinity — and each
+  /// shard's slot in it. Keys live in the heap so a sift reads one array.
+  struct HeapEntry {
+    Time head;
+    std::uint32_t shard;
+  };
+  std::vector<HeapEntry> heap_;
+  std::vector<std::uint32_t> slot_;
+  Time head(std::size_t shard) const { return heap_[slot_[shard]].head; }
+  /// Per shard: what its last Phase B left, written by the worker that
+  /// ran it — the queue head at the end, and the events dispatched.
+  struct Ran {
+    Time head = Time::infinity();
+    std::size_t events = 0;
+  };
+  std::vector<Ran> ran_;
   std::vector<Time> reach_;
   std::vector<Time> caps_;
-  /// Shards whose queue head is within their horizon.
-  std::vector<std::size_t> seeds_;
   std::vector<std::size_t> runnable_;
+  /// Heap slots still to visit in a round's walk.
+  std::vector<std::size_t> walk_;
 };
 
 }  // namespace dredbox::sim

@@ -156,6 +156,25 @@ TEST(EventQueueProfilerTest, AggregatesPerLabel) {
   EXPECT_NE(table.find("fabric.read"), std::string::npos);
 }
 
+// Cells are keyed by label pointer; two distinct arrays holding the same
+// text (as one literal can be in two translation units) are one row.
+TEST(EventQueueProfilerTest, EqualTextAtDistinctPointersIsOneRow) {
+  static const char kFirst[] = "workload.closed_issue";
+  static const char kSecond[] = "workload.closed_issue";
+  ASSERT_NE(static_cast<const void*>(kFirst), static_cast<const void*>(kSecond));
+  EventQueue q;
+  q.enable_profiling();
+  q.schedule(Time::us(1), [] {}, kFirst);
+  q.schedule(Time::us(2), [] {}, kSecond);
+  q.schedule(Time::us(3), [] {}, kSecond);
+  q.run();
+
+  const auto rows = q.kernel_profile();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].label, "workload.closed_issue");
+  EXPECT_EQ(rows[0].dispatches, 3u);
+}
+
 TEST(EventQueueProfilerTest, NsPerDispatchHandlesZero) {
   KernelProfileEntry row;
   EXPECT_EQ(row.ns_per_dispatch(), 0.0);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/contract.hpp"
@@ -286,31 +287,77 @@ struct RandomTraffic {
   std::vector<std::size_t> to_;
 };
 
-/// Links every ordered pair of `mesh`'s shards, lookaheads 1..5 ns by pair.
-void wire_full_mesh(RandomTraffic& mesh, std::size_t n) {
+/// Links every ordered pair of `mesh`'s shards. With `lookahead` zero the
+/// lookaheads spread over 1..5 ns by pair; otherwise every link gets
+/// `lookahead`, the spine's shape.
+void wire_full_mesh(RandomTraffic& mesh, std::size_t n, Time lookahead) {
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
       const auto spread = static_cast<std::int64_t>((from * 7 + to * 3) % 5);
-      if (from != to) mesh.connect(from, to, Time::ns(1 + spread));
+      const Time link = lookahead > Time::zero() ? lookahead : Time::ns(1 + spread);
+      if (from != to) mesh.connect(from, to, link);
     }
   }
 }
 
-// The schedule of a 16-shard full mesh under seeded random traffic,
-// pinned to the values the per-link-channel kernel produced: the dispatch
-// order and the exact round count are a function of the caps and the
-// delivery points, so any drift in either shows up here.
+// The schedule of a 16-shard full mesh under seeded random traffic, with
+// uneven lookaheads and with one lookahead on every link. The uneven
+// values were pinned by the per-link-channel kernel, the even ones by the
+// kernel that scanned every shard each round: the dispatch order and the
+// exact round count are a function of the caps and the delivery points,
+// so any drift in either shows up here.
 TEST(PartitionedKernelTest, FullMeshScheduleIsPinned) {
-  for (std::size_t threads : {1u, 4u}) {
-    RandomTraffic mesh{16, 8};
-    wire_full_mesh(mesh, 16);
-    mesh.seed_tokens(1);
-    const PartitionRunStats stats = mesh.kernel.run(std::vector<Time>(16, Time::us(1)), threads);
-    EXPECT_EQ(mesh.fingerprint(), 10556665264365925153ull) << "threads=" << threads;
-    EXPECT_EQ(stats.rounds, 884u) << "threads=" << threads;
-    EXPECT_EQ(stats.messages, 20635u) << "threads=" << threads;
-    EXPECT_EQ(stats.dispatched, 41168u) << "threads=" << threads;
-    EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
+  struct Pinned {
+    Time lookahead;
+    std::uint64_t fingerprint;
+    std::size_t rounds;
+    std::uint64_t messages;
+    std::size_t dispatched;
+  };
+  const Pinned cases[] = {
+      {Time::zero(), 10556665264365925153ull, 884, 20635, 41168},
+      {Time::ns(3), 12567000689784214049ull, 330, 21083, 42053},
+  };
+  for (const Pinned& pinned : cases) {
+    for (std::size_t threads : {1u, 4u}) {
+      RandomTraffic mesh{16, 8};
+      wire_full_mesh(mesh, 16, pinned.lookahead);
+      mesh.seed_tokens(1);
+      const PartitionRunStats stats =
+          mesh.kernel.run(std::vector<Time>(16, Time::us(1)), threads);
+      const std::string where = "lookahead=" + pinned.lookahead.to_string() +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(mesh.fingerprint(), pinned.fingerprint) << where;
+      EXPECT_EQ(stats.rounds, pinned.rounds) << where;
+      EXPECT_EQ(stats.messages, pinned.messages) << where;
+      EXPECT_EQ(stats.dispatched, pinned.dispatched) << where;
+      EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
+    }
+  }
+}
+
+// On a full mesh at one lookahead L, every seed but the earliest is capped
+// at h1 + L - 1 tick: a head exactly there runs in the same round, one
+// tick later waits for the next. Three shards: 100 ns, 109.999 ns and
+// 119.999 ns at L = 10 ns. Round one runs the first two; the third is past
+// 109.999 ns, and in round two it is the earliest seed and runs alone.
+TEST(PartitionedKernelTest, MeshCapIsOneTickShortOfTheEarliestHeadPlusLookahead) {
+  for (std::size_t threads : {1u, 3u}) {
+    Simulator a{1}, b{2}, c{3};
+    PartitionedKernel kernel;
+    for (Simulator* sim : {&a, &b, &c}) kernel.add_shard(*sim);
+    for (std::size_t from = 0; from < 3; ++from) {
+      for (std::size_t to = 0; to < 3; ++to) {
+        if (from != to) kernel.connect(from, to, Time::ns(10));
+      }
+    }
+    a.at(Time::ns(100), [] {}, "earliest");
+    b.at(Time::ns(110) - Time::ps(1), [] {}, "one-tick-inside");
+    c.at(Time::ns(120) - Time::ps(1), [] {}, "past-the-cap");
+    const PartitionRunStats stats = kernel.run({Time::us(1), Time::us(1), Time::us(1)}, threads);
+    EXPECT_EQ(stats.rounds, 2u) << "threads=" << threads;
+    EXPECT_EQ(stats.shard_runs, 3u) << "threads=" << threads;
+    EXPECT_EQ(stats.dispatched, 3u) << "threads=" << threads;
   }
 }
 
