@@ -664,7 +664,7 @@ BENCHMARK(BM_WorkloadEngineWindowAllocs)->Iterations(4000);
 // Barrier rounds of the partitioned kernel on a warmed full mesh of
 // `shards` shards with one token (each receipt forwards it to the next
 // shard): one run() per iteration, allocations and host ns counted per
-// round. Inbox capacity, the per-run tables and the Phase-B body are all
+// round. Inbox capacity, the per-run scratch and the Phase-B body are all
 // reused, so a warmed kernel's rounds never touch the heap. One token
 // moves per round at any shard count, so a round that costs O(touched
 // shards) costs the same at 4 and 16 shards.
@@ -672,13 +672,12 @@ void BM_PartitionRoundAllocs(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   constexpr sim::Time kLookahead = sim::Time::ns(100);
   struct Ring {
-    sim::PartitionedKernel kernel;
+    sim::PartitionedKernel kernel{kLookahead};
     std::vector<std::unique_ptr<sim::Simulator>> sims;
-    std::vector<std::size_t> next_link;
     void on_token(std::size_t shard) {
       sim::Simulator& sim = *sims[shard];
       const std::size_t to = (shard + 1) % sims.size();
-      kernel.send(next_link[shard], sim.now() + kLookahead, [this, to] { on_token(to); },
+      kernel.send(shard, to, sim.now() + kernel.lookahead(), [this, to] { on_token(to); },
                   "token");
     }
   } ring;
@@ -686,21 +685,14 @@ void BM_PartitionRoundAllocs(benchmark::State& state) {
     ring.sims.push_back(std::make_unique<sim::Simulator>(i + 1));
     ring.kernel.add_shard(*ring.sims.back());
   }
-  for (std::size_t i = 0; i < shards; ++i) {
-    for (std::size_t j = 0; j < shards; ++j) {
-      if (i == j) continue;
-      const std::size_t link = ring.kernel.connect(i, j, kLookahead);
-      if (j == (i + 1) % shards) ring.next_link.push_back(link);
-    }
-  }
   ring.sims[0]->at(kLookahead, [&ring] { ring.on_token(0); }, "token");
-  std::vector<sim::Time> horizons(shards, sim::Time::us(20));
-  ring.kernel.run(horizons);  // warm-up: inbox and table capacity settle
+  sim::Time horizon = sim::Time::us(20);
+  ring.kernel.run(horizon);  // warm-up: inbox and scratch capacity settle
   AllocGate allocs;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    for (auto& horizon : horizons) horizon = horizon + sim::Time::us(20);
-    allocs.count([&] { rounds += ring.kernel.run(horizons).rounds; });
+    horizon = horizon + sim::Time::us(20);
+    allocs.count([&] { rounds += ring.kernel.run(horizon).rounds; });
   }
   allocs.check(state, "allocs_per_round", rounds);
   // An inverted rate: host seconds per round, printed with an SI prefix.

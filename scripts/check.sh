@@ -16,33 +16,27 @@
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"  # cmake --preset reads CMakePresets.json from the working directory
 jobs=$(nproc 2>/dev/null || echo 4)
 
 echo "== lint"
 bash "$root/scripts/lint.sh" --fast
 
-run_suite() {
-  build_dir=$1
-  shift
-  echo "== configure $build_dir ($*)"
-  cmake -B "$root/$build_dir" -S "$root" "$@"
-  echo "== build $build_dir"
-  cmake --build "$root/$build_dir" -j "$jobs"
-  echo "== test $build_dir"
-  ctest --test-dir "$root/$build_dir" --output-on-failure -j "$jobs"
-}
-
-run_suite build
-run_suite build-asan -DDREDBOX_SANITIZE="address;undefined" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-run_suite build-audit -DDREDBOX_AUDIT=ON
-run_suite build-tsan -DDREDBOX_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# The four test builds and the thread-safety build are the configure
+# presets in CMakePresets.json, the same ones CI's jobs use.
+for preset in release asan-ubsan audit tsan; do
+  echo "== configure $preset"
+  cmake --preset "$preset"
+  echo "== build $preset"
+  cmake --build --preset "$preset" -j "$jobs"
+  echo "== test $preset"
+  ctest --preset "$preset" -j "$jobs"
+done
 
 echo "== thread-safety: clang -Wthread-safety -Werror over the annotations"
 if command -v clang++ >/dev/null 2>&1; then
-  cmake -B "$root/build-threadsafety" -S "$root" -DDREDBOX_WERROR=ON \
-    -DCMAKE_CXX_COMPILER=clang++
-  cmake --build "$root/build-threadsafety" -j "$jobs"
+  cmake --preset thread-safety
+  cmake --build --preset thread-safety -j "$jobs"
 else
   echo "   clang++ not installed; skipping (CI's thread-safety job enforces this)"
 fi

@@ -56,6 +56,21 @@ std::uint32_t reply_bytes(std::uint32_t bytes, bool write) {
   return kHeaderBytes + (write ? 0 : bytes);
 }
 
+/// Gate run before the spine and the kernel are built, so a bad config
+/// reports every validate() finding, never a member's first complaint.
+DatacenterConfig checked(const DatacenterConfig& config) {
+  if (config.racks.empty()) {
+    throw std::invalid_argument("Cluster requires a multi-rack config (config.racks non-empty)");
+  }
+  const auto errors = config.validate();
+  if (!errors.empty()) {
+    std::string message = "invalid cluster config:";
+    for (const auto& error : errors) message += "\n  " + error;
+    throw std::invalid_argument(message);
+  }
+  return config;
+}
+
 }  // namespace
 
 /// One rack's NIC onto the spine. Owned-by-shard discipline: everything
@@ -100,7 +115,7 @@ class Cluster::RackPort final : public CrossRackPort {
     const std::uint32_t target = p.rack;
     const std::uint32_t src = rack_;
     cluster_.kernel_.send(
-        p.tx_link, now + p.link.one_way(request_bytes(bytes, write)),
+        src, target, now + p.link.one_way(request_bytes(bytes, write)),
         [cluster, target, src, handle, address, bytes, write] {
           cluster->serve(target, src, handle, address, bytes, write);
         },
@@ -115,9 +130,8 @@ class Cluster::RackPort final : public CrossRackPort {
   friend class Cluster;
 
   struct Peer {
-    std::uint32_t rack = 0;      // peer rack index
-    std::size_t tx_link = 0;     // kernel link id, this rack -> peer
-    net::InterRackLink link;     // sender-owned outbound direction
+    std::uint32_t rack = 0;   // peer rack index
+    net::InterRackLink link;  // sender-owned outbound direction
   };
 
   /// In-flight request bookkeeping, pooled so the request and reply
@@ -182,19 +196,11 @@ class Cluster::RackPort final : public CrossRackPort {
 };
 
 Cluster::Cluster(const DatacenterConfig& config)
-    : config_{config},
+    : config_{checked(config)},
       spine_{optics::SpineSwitchConfig{config.spine.ports, config.spine.switching_time,
                                        config.spine.per_port_power_w,
-                                       config.spine.insertion_loss_db}} {
-  if (config_.racks.empty()) {
-    throw std::invalid_argument("Cluster requires a multi-rack config (config.racks non-empty)");
-  }
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid cluster config:";
-    for (const auto& error : errors) message += "\n  " + error;
-    throw std::invalid_argument(message);
-  }
+                                       config.spine.insertion_loss_db}},
+      kernel_{config.spine.propagation} {
   racks_.reserve(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     racks_.push_back(std::make_unique<Datacenter>(rack_config(config_, r)));
@@ -230,7 +236,6 @@ void Cluster::wire_spine() {
       if (from == to) continue;
       RackPort::Peer peer;
       peer.rack = static_cast<std::uint32_t>(to);
-      peer.tx_link = kernel_.connect(from, to, config_.spine.propagation);
       peer.link = net::InterRackLink{link_config};
       ports_[from]->peers_.push_back(peer);
     }
@@ -302,7 +307,7 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handl
   back.link.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
   kernel_.send(
-      back.tx_link, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
+      target, src, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
       [cluster, src, handle, ok] { cluster->complete(src, handle, ok); }, "spine.reply");
 }
 
@@ -336,8 +341,7 @@ std::uint64_t Cluster::served_digest(std::size_t r) const {
 }
 
 sim::PartitionRunStats Cluster::advance_all(sim::Time until, std::size_t threads) {
-  const std::vector<sim::Time> horizons(racks_.size(), until);
-  return kernel_.run(horizons, threads);
+  return kernel_.run(until, threads);
 }
 
 double Cluster::power_draw_watts() const {

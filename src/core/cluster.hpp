@@ -30,8 +30,8 @@ struct RackLinkStats {
 /// rack's control plane, reply message back — so every byte of cross-rack
 /// traffic exercises the same full stack as intra-rack traffic.
 ///
-/// Each rack is one shard of a sim::PartitionedKernel whose per-link
-/// lookahead is the spine's propagation delay; advance_all() therefore
+/// Each rack is one shard of a sim::PartitionedKernel whose one lookahead
+/// is the spine's propagation delay; advance_all() therefore
 /// runs the coupled simulation on any number of threads with a schedule
 /// byte-identical to the single-threaded reference.
 class Cluster {
@@ -54,8 +54,6 @@ class Cluster {
 
   optics::SpineSwitch& spine() { return spine_; }
   const optics::SpineSwitch& spine() const { return spine_; }
-
-  sim::PartitionedKernel& kernel() { return kernel_; }
 
   /// Rack r's NIC onto the spine; the workload layer installs its
   /// completion handler here and issues cross-rack traffic through it.

@@ -27,66 +27,58 @@ struct PartitionRunStats {
   /// an event at or below its cap. Shards with nothing runnable in a
   /// round are not entered, so this over `rounds` is the mean fan-out.
   std::size_t shard_runs = 0;
+  /// Workers that ran: the requested count clamped to [1, shards].
   std::size_t threads = 1;
 };
 
 /// Conservative-lookahead parallel event kernel (the CMB scheme in its
-/// barrier-round form). Each shard is a full Simulator — its own
-/// EventQueue, clock and RNG — and shards exchange events only through
-/// timestamped links whose delivery lag is bounded below by the link's
-/// lookahead (physically: the inter-rack propagation delay).
+/// barrier-round form) over the optical spine's shape: N shards, every
+/// ordered pair linked at one lookahead L (physically: the inter-rack
+/// propagation delay), all run to one horizon. Each shard is a full
+/// Simulator — its own EventQueue, clock and RNG — and shards exchange
+/// events only through send(), which lands no earlier than L past the
+/// sender's clock.
 ///
-/// run() alternates two phases. Phase A, on the coordinator thread:
-/// take each destination shard's inbox, merge its messages in
-/// (time, link, seq) order — a total order that is a pure function of
-/// send history, never of thread interleaving — and schedule them; then
-/// bound each shard by the next-event times h_i. Phase B, fanned across
-/// the pool: each shard i processes events strictly below
+/// run() alternates two phases. Phase A, on the coordinator thread: take
+/// each destination shard's inbox, merge its messages in (time, source
+/// shard, send order) — a total order that is a pure function of send
+/// history, never of thread interleaving — and schedule them; then bound
+/// each shard by the queue heads h_i (within the horizon, else infinity).
+/// Phase B, fanned across the pool: each shard i processes events up to
 ///
-///     safe_i = min over incoming links (j -> i) of
-///                  reach_j + lookahead(j->i)
+///     cap_i = min over j != i of (reach_j + L) - 1 tick,
+///     reach_j = min(h_j, min over k != j of h_k + L),
 ///
-/// where reach_j = min over all shards k of (h_k + dist(k, j)) is the
-/// earliest time shard j could possibly execute ANYTHING — its own queue
-/// head, or an event induced by a message along any path (dist is the
-/// min-plus shortest lookahead distance). The transitive form matters:
-/// an empty-queue shard is not silent, because a message can wake it and
-/// make it send; only the path distances bound how soon. Queue heads
-/// past their shard's horizon are no seed (those events don't run this
-/// call), and a shard whose reach exceeds its own horizon executes
-/// nothing at all this call, so it bounds nothing.
+/// clipped to the horizon. reach_j is the earliest time shard j could
+/// execute anything: its own head, or an event a message from any other
+/// shard induces. An empty shard is not silent, because mail can wake it
+/// and make it send. With a the earliest seed (head h1) and h2 the
+/// second-earliest head, that leaves two caps: h1 + L - 1 tick for every
+/// shard but a, and min(h2, h1 + L) + L - 1 tick for a. A lone shard is
+/// capped at the horizon.
 ///
-/// Cost of a round: O(touched * log shards + runnable + messages +
-/// events dispatched) on the spine's shape, where touched counts the
-/// shards that ran or received mail. Every shard's effective queue head
-/// (h_i if within its horizon, else infinity) sits in a binary min-heap,
-/// and only touched shards are re-keyed: one that ran with the head its
-/// worker read as Phase B ended, one that got mail with the earlier of
-/// its indexed head and the first arrival. The root is the earliest seed
-/// a (reach_a = h_a), and the second-earliest head is one of its
-/// children. Every seed but a is capped below h_a + lookahead(a -> it),
-/// so the round walks only the top of the heap within that bound; a
-/// itself is always runnable. On a full mesh with one lookahead L and
-/// one horizon, each walked cap comes straight from the two heads:
-/// h_a + L - 1 for the others, and min(h2, h_a + L) + L - 1 for a.
-/// Uneven lookaheads, partial meshes and per-shard horizons still fill
-/// every reach in one O(shards) pass (each reach and cap starts from the
-/// earliest source's term and scans every term only when the
-/// second-earliest could beat it), and their walk's bound can reach the
-/// largest horizon. A shard left out of Phase B would have dispatched
-/// nothing and merely moved its clock, which nothing reads before the
-/// final alignment to the horizon. Audit builds check every round
-/// against the full scan.
+/// Cost of a round: O(touched * log shards + runnable + messages + events
+/// dispatched), where touched counts the shards that ran or received mail.
+/// Every shard's head sits in a binary min-heap, and only touched shards
+/// are re-keyed: one that ran with the head its worker read as Phase B
+/// ended, one that got mail with the earlier of its indexed head and the
+/// first arrival. The root is a and h2 is one of its children. No seed
+/// past h1 + L - 1 tick can run, and every seed within it can, so the
+/// round walks only the top of the heap within that bound. A shard left
+/// out of Phase B would have dispatched nothing and merely moved its
+/// clock, which nothing reads before the final alignment to the horizon.
+/// Audit builds check every round against the full O(n^2) scan above.
 ///
 /// Determinism: the rounds — and therefore the exact points where
 /// messages enter each queue, the per-queue sequence numbers they draw,
-/// and every tie-break — are a function of (shard states, horizons)
-/// only. threads=1 executes the same rounds on one thread, so the
-/// parallel schedule is byte-identical to the sequential reference by
+/// and every tie-break — are a function of (shard states, horizon) only.
+/// threads=1 executes the same rounds on one thread, so the parallel
+/// schedule is byte-identical to the sequential reference by
 /// construction, which the digest tests then verify end to end.
 class PartitionedKernel {
  public:
-  PartitionedKernel();
+  /// Throws std::invalid_argument unless `lookahead` is strictly positive.
+  explicit PartitionedKernel(Time lookahead);
   ~PartitionedKernel();
   PartitionedKernel(const PartitionedKernel&) = delete;
   PartitionedKernel& operator=(const PartitionedKernel&) = delete;
@@ -95,18 +87,13 @@ class PartitionedKernel {
   /// kernel. All shards must be added before the first run().
   std::size_t add_shard(Simulator& sim) DREDBOX_EXCLUDES(mail_mu_);
 
-  /// Connects `from` -> `to` with a strictly positive lookahead (the
-  /// link's minimum delivery lag). Returns the link id used by send().
-  std::size_t connect(std::size_t from, std::size_t to, Time lookahead)
-      DREDBOX_EXCLUDES(mail_mu_);
-
-  /// Sender-side: deliver `action` into the link's destination shard at
-  /// `when`. Must be called from the sending shard's execution context
-  /// (one of its events, or wiring code outside run()) with
-  /// `when >= sender.now() + lookahead` — the contract the conservative
-  /// horizon computation rests on, checked on every send.
-  void send(std::size_t link, Time when, InplaceAction action, const char* label = nullptr)
-      DREDBOX_EXCLUDES(mail_mu_);
+  /// Sender-side: deliver `action` into shard `to` at `when`. Must be
+  /// called from shard `from`'s execution context (one of its events, or
+  /// wiring code outside run()) with `when >= now(from) + lookahead()` —
+  /// the contract the caps rest on, checked on every send. Throws
+  /// std::invalid_argument on an out-of-range or self pair.
+  void send(std::size_t from, std::size_t to, Time when, InplaceAction action,
+            const char* label = nullptr) DREDBOX_EXCLUDES(mail_mu_);
 
   /// Ran on the executing thread right before a shard's parallel phase
   /// in every round that enters it (the shard index is the argument; a
@@ -118,56 +105,43 @@ class PartitionedKernel {
   }
 
   std::size_t shards() const { return shards_.size(); }
-  std::size_t links() const { return links_.size(); }
-  Time lookahead(std::size_t link) const;
+  Time lookahead() const { return lookahead_; }
 
-  /// Advances shard i to horizons[i] (all its events with t <= horizon
+  /// Advances every shard to `horizon` (all its events with t <= horizon
   /// dispatched, clock left at the horizon) in conservative rounds on
   /// `threads` workers. threads=1 is the sequential reference schedule.
-  ///
-  /// May be called again with non-decreasing horizons, but note the
-  /// finished-shard rule: a shard whose horizon passed is treated as
-  /// silent, so a later call must not extend one shard's horizon past
-  /// traffic a neighbor already advanced beyond. The cluster runner
-  /// always passes one uniform horizon, which is trivially safe.
-  PartitionRunStats run(const std::vector<Time>& horizons, std::size_t threads = 1)
-      DREDBOX_EXCLUDES(mail_mu_);
+  /// May be called again with a later horizon.
+  PartitionRunStats run(Time horizon, std::size_t threads = 1) DREDBOX_EXCLUDES(mail_mu_);
 
  private:
-  struct Link {
-    std::size_t from;
-    std::size_t to;
-    Time lookahead;
-  };
   /// One timestamped event crossing a partition boundary: deliver
   /// `action` into the destination shard's queue at `when`. `seq` is the
-  /// per-link send order, the tie-break that keeps FIFO-within-timestamp
-  /// intact when two messages of one link land on the same tick; `link`
-  /// is the second key, so two links landing on one tick merge in a
-  /// fixed order.
+  /// message's place in its inbox, so among one source's messages it is
+  /// their send order: the tie-break that keeps FIFO-within-timestamp
+  /// intact across the cut. `from` is the second key, so two sources
+  /// landing on one tick merge in a fixed order.
   struct Message {
     Time when;
-    std::uint32_t link = 0;
-    std::uint64_t seq = 0;
+    std::uint32_t from = 0;
+    std::uint32_t seq = 0;
     InplaceAction action;
     const char* label = nullptr;
   };
 
   /// Phase A delivery: merges and schedules every non-empty inbox and
   /// re-keys its shard's head. Returns messages delivered.
-  std::uint64_t deliver_mail(const std::vector<Time>& horizons) DREDBOX_EXCLUDES(mail_mu_);
-  /// Rebuilds the link tables (lookaheads, all-pairs distances and their
-  /// bounds); run() calls it only after shards or links were added.
-  void prepare_tables();
+  std::uint64_t deliver_mail(Time horizon) DREDBOX_EXCLUDES(mail_mu_);
   /// Resets the per-run state and indexes every shard's head afresh.
-  void prepare_run(const std::vector<Time>& horizons);
+  void prepare_run(Time horizon);
   /// Sets shard i's head and restores the heap order around it.
   void set_head(std::size_t shard, Time key);
   /// Audit: the round's caps and runnable set equal the full O(n^2) scan's.
-  void check_round(const std::vector<Time>& horizons) const;
+  void check_round(Time horizon) const;
+  /// The cap the current round gives shard i.
+  Time cap(std::size_t shard) const { return shard == root_ ? root_cap_ : cap_; }
 
+  const Time lookahead_;
   std::vector<Simulator*> shards_;
-  std::vector<Link> links_;
   std::function<void(std::size_t)> prologue_;
 
   /// The mail: senders run concurrently in Phase B and only the
@@ -178,32 +152,14 @@ class PartitionedKernel {
   std::vector<std::vector<Message>> inbox_ DREDBOX_GUARDED_BY(mail_mu_);
   /// Destinations whose inbox went non-empty since the last delivery.
   std::vector<std::size_t> mailed_ DREDBOX_GUARDED_BY(mail_mu_);
-  /// Messages sent per link so far: the next send's seq.
-  std::vector<std::uint64_t> link_sent_ DREDBOX_GUARDED_BY(mail_mu_);
 
-  // The pool, link tables and per-round scratch are kept across calls
-  // (the pool is rebuilt only when the thread count changes, the tables
-  // only when the wiring changed), so a warmed kernel runs its rounds
-  // without touching the heap.
+  // The pool and per-round scratch are kept across calls (the pool is
+  // rebuilt only when the thread count changes), so a warmed kernel runs
+  // its rounds without touching the heap.
   std::unique_ptr<WorkerPool> pool_;
-  bool tables_stale_ = true;
-  /// n x n, row = source: the smallest link lookahead j -> i, and the
-  /// min-plus path distance j -> i (zero on the diagonal).
-  std::vector<Time> hop_;
-  std::vector<Time> dist_;
-  /// Per shard: its smallest in-link lookahead, and the smallest distance
-  /// from any other shard — the lower bounds that settle a round's
-  /// minimums without scanning every term — and its slowest out-link,
-  /// which bounds the caps the earliest seed leaves its neighbors.
-  std::vector<Time> in_min_;
-  std::vector<Time> near_;
-  std::vector<Time> far_out_;
-  /// The one lookahead of a full mesh (every ordered pair linked at it);
-  /// zero for any other wiring.
-  Time mesh_lookahead_ = Time::zero();
   /// The head index: a binary min-heap of (effective head, shard) — the
-  /// queue head if within the shard's horizon, else infinity — and each
-  /// shard's slot in it. Keys live in the heap so a sift reads one array.
+  /// queue head if within the horizon, else infinity — and each shard's
+  /// slot in it. Keys live in the heap so a sift reads one array.
   struct HeapEntry {
     Time head;
     std::uint32_t shard;
@@ -218,8 +174,10 @@ class PartitionedKernel {
     std::size_t events = 0;
   };
   std::vector<Ran> ran_;
-  std::vector<Time> reach_;
-  std::vector<Time> caps_;
+  /// The current round: the earliest seed, its cap, every other cap.
+  std::size_t root_ = 0;
+  Time root_cap_;
+  Time cap_;
   std::vector<std::size_t> runnable_;
   /// Heap slots still to visit in a round's walk.
   std::vector<std::size_t> walk_;

@@ -92,13 +92,14 @@ ClusterResult ClusterEngine::run(std::size_t threads) {
     if (engine) engine->begin_window(t0);
   }
   // threads=1 is the sequential reference schedule every parallel run
-  // must reproduce byte-for-byte.
-  result.threads = std::max<std::size_t>(1, threads == 0 ? cluster_.config().partitions : threads);
+  // must reproduce byte-for-byte. The kernel runs at most one worker per
+  // rack, and the result reports the workers that ran.
+  const std::size_t requested = threads == 0 ? cluster_.config().partitions : threads;
   const auto start = std::chrono::steady_clock::now();  // dredbox-lint: ignore[wall-clock] measures host-side parallel speedup
-  result.kernel =
-      cluster_.advance_all(t0 + config_.duration + config_.drain_grace, result.threads);
+  result.kernel = cluster_.advance_all(t0 + config_.duration + config_.drain_grace, requested);
   const auto stop = std::chrono::steady_clock::now();  // dredbox-lint: ignore[wall-clock] measures host-side parallel speedup
   result.wall_seconds = std::chrono::duration<double>(stop - start).count();
+  result.threads = result.kernel.threads;
 
   // Phase 3 — reduce. The combined digest covers each source rack's op
   // stream, each target rack's served schedule and the spine counters,

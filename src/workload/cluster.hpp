@@ -35,6 +35,7 @@ struct ClusterResult {
   /// the host wall-clock it took (the scaling experiment's speedup inputs).
   sim::PartitionRunStats kernel;
   double wall_seconds = 0.0;
+  /// Workers that ran the window: the request clamped to [1, racks].
   std::size_t threads = 1;
   double duration_s = 0.0;
 

@@ -88,7 +88,14 @@ TEST(ClusterConfigTest, MultiRackFieldsLeaveSingleRackDigestAlone) {
 TEST(ClusterConfigTest, ConstructorRejectsInvalidConfigs) {
   DatacenterConfig config = cluster_config(2);
   config.spine.propagation = sim::Time::zero();
-  EXPECT_THROW(Cluster{config}, std::invalid_argument);
+  // validate()'s dotted-field list comes first, ahead of any member's
+  // own complaint about the same value.
+  try {
+    Cluster cluster{config};
+    ADD_FAILURE() << "a zero spine propagation must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("spine.propagation"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ClusterBuilderTest, BuilderAssemblesAMultiRackScenario) {

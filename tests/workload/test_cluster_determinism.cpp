@@ -95,6 +95,16 @@ TEST(ClusterDeterminismTest, SingleRackClusterIsDegenerate) {
   EXPECT_GT(reference.completed, 0u);
 }
 
+// The kernel runs at most one worker per rack; the result reports the
+// workers that ran, not the request.
+TEST(ClusterDeterminismTest, ThreadsReportTheWorkersThatRan) {
+  RunSpec spec;
+  spec.window = sim::Time::us(50);
+  const ClusterResult result = run_once(spec, 4);
+  EXPECT_EQ(result.kernel.threads, 2u);
+  EXPECT_EQ(result.threads, 2u);
+}
+
 TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
   RunSpec spec;
   spec.racks = 4;
