@@ -543,6 +543,38 @@ void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoteReadSteadyStateAllocs);
 
+// The same window as BM_RemoteReadSteadyStateAllocs, issued the way a VM
+// window issues its ops: 64 B reads and writes alternate, each kind over
+// its own held route (RemoteMemoryFabric::stream), as the workload engine
+// and the rack gateways price them. 0 allocs/op.
+void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
+  core::Datacenter dc{two_tray_config()};
+  dc.metrics().enable();
+  const auto vm = dc.boot_vm("bench-guest", /*vcpus=*/2, /*memory=*/2ull << 30);
+  const auto up = dc.scale_up(vm.vm, vm.compute, 2ull << 30);
+  benchmark::DoNotOptimize(up.ok);
+  const auto attachment = dc.fabric().attachments_of(vm.compute).front();
+  memsys::RemoteMemoryFabric::StreamPath held[2];
+  std::uint64_t offset = 0;
+  std::uint64_t walked = 0;  // ops the held route declined
+  const auto op = [&] {
+    const std::size_t kind = (offset >> 6) & 1;
+    const auto landed = dc.fabric().stream(
+        held[kind], static_cast<memsys::TransactionKind>(kind), vm.compute,
+        attachment.compute_base + (offset & 0xFFC0), 64, dc.simulator().now());
+    offset += 64;
+    if (!landed) ++walked;
+    return landed;
+  };
+  for (int i = 0; i < 256; ++i) benchmark::DoNotOptimize(op());  // warm-up
+  AllocGate allocs;
+  for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(op()); });
+  allocs.check(state, "allocs_per_op", state.iterations());
+  if (walked != 0) state.SkipWithError("the held route declined an op; nothing was measured");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RemoteReadHeldSteadyStateAllocs);
+
 // A 256 KiB transfer through the pooled job machinery in chunks of
 // range(0) bytes: 4 chunks of 64 KiB, or 64 chunks of 4 KiB that stream
 // over the job's held route.

@@ -291,23 +291,38 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handl
   ++port.rx_;
   Datacenter& dc = *racks_[target];
   const sim::Time now = dc.simulator().now();
-  const Gateway& gw = gateways_[target];
-  const memsys::Transaction tx = write ? dc.fabric().write(gw.compute, address, bytes, now)
-                                       : dc.fabric().read(gw.compute, address, bytes, now);
+  Gateway& gw = gateways_[target];
+  // The request rides the gateway's held route for its kind; the full walk
+  // takes whatever the held route cannot carry.
+  const memsys::TransactionKind kind =
+      write ? memsys::TransactionKind::kWrite : memsys::TransactionKind::kRead;
+  memsys::RemoteMemoryFabric& fabric = dc.fabric();
+  memsys::TransactionStatus status = memsys::TransactionStatus::kOk;
+  sim::Time completed_at;
+  if (const auto landed =
+          fabric.stream(gw.held[static_cast<std::size_t>(kind)], kind, gw.compute, address,
+                        bytes, now)) {
+    completed_at = *landed;
+  } else {
+    const memsys::Transaction tx = write ? fabric.write(gw.compute, address, bytes, now)
+                                         : fabric.read(gw.compute, address, bytes, now);
+    status = tx.status;
+    completed_at = tx.completed_at;
+  }
   port.served_.update(write ? "w" : "r")
       .update(src)
       .update(address)
-      .update(static_cast<std::uint64_t>(tx.status))
-      .update(static_cast<std::uint64_t>(tx.completed_at.ticks()));
+      .update(static_cast<std::uint64_t>(status))
+      .update(static_cast<std::uint64_t>(completed_at.ticks()));
   // The reply rides the transaction already admitted at request time, so
   // it is sent regardless of the link's current health (in-flight light
   // lands; only new requests fail fast).
   RackPort::Peer& back = port.peers_[port.peer_of(src)];
-  const bool ok = tx.ok();
+  const bool ok = status == memsys::TransactionStatus::kOk;
   back.link.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
   kernel_.send(
-      target, src, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
+      target, src, completed_at + back.link.one_way(reply_bytes(bytes, write)),
       [cluster, src, handle, ok] { cluster->complete(src, handle, ok); }, "spine.reply");
 }
 

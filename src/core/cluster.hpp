@@ -117,6 +117,10 @@ class Cluster {
     hw::BrickId compute;
     std::uint64_t base = 0;
     std::uint64_t size = 0;
+    /// Held fabric routes of the window, one per transaction kind (indexed
+    /// by memsys::TransactionKind). Only serve() on this gateway's own rack
+    /// touches them, so they follow that rack's shard.
+    memsys::RemoteMemoryFabric::StreamPath held[2];
   };
 
   DatacenterConfig config_;

@@ -178,12 +178,16 @@ ScenarioBuilder& ScenarioBuilder::configure(const std::function<void(DatacenterC
   return *this;
 }
 
+std::optional<sim::FaultPlan> ScenarioBuilder::resolved_fault_plan() const {
+  if (fault_plan_env_) return sim::fault_plan_from_env();
+  if (fault_spec_) return sim::FaultPlan::parse(*fault_spec_);
+  return fault_plan_;
+}
+
 Scenario ScenarioBuilder::build() const {
   // Resolve the fault plan first: a bad spec should fail the build before
   // a rack is assembled.
-  std::optional<sim::FaultPlan> plan = fault_plan_;
-  if (fault_spec_) plan = sim::FaultPlan::parse(*fault_spec_);
-  if (fault_plan_env_) plan = sim::fault_plan_from_env();
+  std::optional<sim::FaultPlan> plan = resolved_fault_plan();
 
   Scenario scenario;
   const bool profiling =

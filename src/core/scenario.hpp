@@ -164,6 +164,12 @@ class ScenarioBuilder {
   Scenario build() const;
 
  private:
+  /// The fault plan build() injects: the environment's when
+  /// fault_plan_from_env() was called, else the parsed spec string, else
+  /// the plan object (each setter clears the other two). A bad spec or
+  /// environment value throws here, before any rack is assembled.
+  std::optional<sim::FaultPlan> resolved_fault_plan() const;
+
   DatacenterConfig config_;
   bool enable_telemetry_ = false;
   bool enable_tracing_ = false;

@@ -1014,7 +1014,7 @@ void RemoteMemoryFabric::check_held_route(const StreamPath& path, std::uint64_t 
   Route fresh;
   DREDBOX_INVARIANT(resolve(path.compute, tgl.match(address), fresh) == TransactionStatus::kOk &&
                         fresh == path.route,
-                    "held DMA route disagrees with a fresh fabric resolution");
+                    "held route disagrees with a fresh fabric resolution");
 }
 
 sim::Time& RemoteMemoryFabric::controller_busy_until(const hw::MemoryBrick& membrick,

@@ -122,9 +122,10 @@ class RemoteMemoryFabric {
   };
 
  public:
-  /// A chunk train's held route, owned by the caller (the DMA engine keeps
-  /// one per channel) and only read or written by stream(). Default state
-  /// holds nothing.
+  /// A caller's held route (DMA channel, VM window, rack gateway), owned by
+  /// the caller and only read or written by stream(). A path holds one
+  /// transaction kind and size, so a caller issuing both reads and writes
+  /// keeps one path per kind. Default state holds nothing.
   class StreamPath {
    private:
     friend class RemoteMemoryFabric;
@@ -262,9 +263,11 @@ class RemoteMemoryFabric {
   Transaction write(hw::BrickId compute, std::uint64_t address, std::uint32_t bytes,
                     sim::Time when, const sim::TraceContext& ctx = {});
 
-  /// One chunk of a train (`path` carries the train's route from chunk to
-  /// chunk). While the held route is valid the chunk is priced from it and
-  /// counts one TGL hit, one transaction and one latency sample, exactly as
+  /// One transaction over a caller's held route (`path` carries it from
+  /// transaction to transaction: a DMA chunk train, a VM window's reads or
+  /// writes, a rack gateway's served requests). While the held route is
+  /// valid the transaction is priced from it and counts one TGL hit, one
+  /// transaction and one latency sample, exactly as a successful
   /// read()/write() would; a stale route is re-resolved first. Returns the
   /// completion time, or nullopt — with nothing charged or counted — when
   /// the address does not resolve to a healthy circuit path, the link is a

@@ -554,7 +554,10 @@ CalendarStats EventQueue::calendar_stats() const {
   CalendarStats stats;
   stats.window_start_ps = win_start_;
   stats.window_last_ps = win_last_;
-  stats.bucket_width_ps = static_cast<std::int64_t>(1) << bucket_shift_;
+  // A day of 2^63 ticks (a lone Time::infinity() timer can set one) does
+  // not fit the signed tick type: report it saturated, never negative.
+  stats.bucket_width_ps =
+      bucket_shift_ >= 63 ? INT64_MAX : static_cast<std::int64_t>(1) << bucket_shift_;
   stats.buckets = buckets_.size();
   stats.cursor = cursor_;
   stats.in_overflow = overflow_count_;

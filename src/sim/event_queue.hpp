@@ -106,7 +106,7 @@ struct KernelProfileEntry {
 struct CalendarStats {
   std::int64_t window_start_ps = 0;   // first tick covered by bucket 0
   std::int64_t window_last_ps = 0;    // last tick covered by the window (inclusive)
-  std::int64_t bucket_width_ps = 0;   // calendar day length (power of two)
+  std::int64_t bucket_width_ps = 0;   // day length (power of two; INT64_MAX for 2^63)
   std::size_t buckets = 0;            // bucket count (power of two)
   std::size_t cursor = 0;             // next bucket index to be serviced
   std::size_t in_overflow = 0;        // nodes parked on the ladder rung

@@ -302,24 +302,39 @@ void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
 
   const std::uint64_t address =
       driver.window_base + aligned_offset(rng, driver.window_size, driver.spec.op_bytes);
-  memsys::Transaction tx;
+  const memsys::TransactionKind tx_kind =
+      kind == 0 ? memsys::TransactionKind::kRead : memsys::TransactionKind::kWrite;
   if (kind == 0) {
     ++result_.reads;
-    tx = dc_.fabric().read(driver.compute, address, driver.spec.op_bytes, now, ctx);
   } else {
     ++result_.writes;
-    tx = dc_.fabric().write(driver.compute, address, driver.spec.op_bytes, now, ctx);
   }
-  record_sync_op(tx);
-  if (ctx.valid()) {
-    sim::Span span{telemetry.tracer(), sim::TraceCategory::kApplication,
-                   kind == 0 ? "op read" : "op write", now};
-    span.context(ctx);
-    span.arg("vm", driver.vm.to_string()).arg("status", memsys::to_string(tx.status));
-    span.end(tx.completed_at);
+  // The op rides the window's held route for its kind; the full walk (its
+  // recovery loop and trace spans included) takes whatever the held route
+  // cannot carry.
+  memsys::RemoteMemoryFabric& fabric = dc_.fabric();
+  sim::Time completed_at;
+  memsys::RemoteMemoryFabric::StreamPath& held = driver.held[static_cast<std::size_t>(tx_kind)];
+  if (const auto landed =
+          fabric.stream(held, tx_kind, driver.compute, address, driver.spec.op_bytes, now)) {
+    completed_at = *landed;
+    record_sync_op(tx_kind, address, memsys::TransactionStatus::kOk, completed_at - now, 0);
+  } else {
+    const memsys::Transaction tx =
+        kind == 0 ? fabric.read(driver.compute, address, driver.spec.op_bytes, now, ctx)
+                  : fabric.write(driver.compute, address, driver.spec.op_bytes, now, ctx);
+    record_sync_op(tx.kind, tx.address, tx.status, tx.round_trip(), tx.retries);
+    if (ctx.valid()) {
+      sim::Span span{telemetry.tracer(), sim::TraceCategory::kApplication,
+                     kind == 0 ? "op read" : "op write", now};
+      span.context(ctx);
+      span.arg("vm", driver.vm.to_string()).arg("status", memsys::to_string(tx.status));
+      span.end(tx.completed_at);
+    }
+    completed_at = tx.completed_at;
   }
   if (closed_loop) {
-    const sim::Time done = tx.completed_at > now ? tx.completed_at : now;
+    const sim::Time done = completed_at > now ? completed_at : now;
     const sim::Time next = done + driver.clock.next_gap(done);
     if (next < end_) {
       sim.at(next, [this, d = &driver] { closed_issue(*d); }, "workload.closed_issue");
@@ -370,18 +385,20 @@ void WorkloadEngine::complete_cross(const core::CrossCompletion& done) {
   }
 }
 
-void WorkloadEngine::record_sync_op(const memsys::Transaction& tx) {
-  result_.retries += tx.retries;
-  if (tx.ok()) {
+void WorkloadEngine::record_sync_op(memsys::TransactionKind kind, std::uint64_t address,
+                                    memsys::TransactionStatus status, sim::Time round_trip,
+                                    std::uint32_t retries) {
+  result_.retries += retries;
+  if (status == memsys::TransactionStatus::kOk) {
     ++result_.completed;
-    result_.latency_us.add(tx.round_trip().as_us());
+    result_.latency_us.add(round_trip.as_us());
   } else {
     ++result_.failed;
   }
-  digest_.update(tx.kind == memsys::TransactionKind::kRead ? "r" : "w")
-      .update(tx.address)
-      .update(static_cast<std::uint64_t>(tx.status))
-      .update(static_cast<std::uint64_t>(tx.round_trip().ticks()));
+  digest_.update(kind == memsys::TransactionKind::kRead ? "r" : "w")
+      .update(address)
+      .update(static_cast<std::uint64_t>(status))
+      .update(static_cast<std::uint64_t>(round_trip.ticks()));
 }
 
 void WorkloadEngine::record_dma(VmDriver& driver, const memsys::DmaCompletion& done) {

@@ -158,6 +158,10 @@ class WorkloadEngine {
     std::uint32_t index = 0;
     /// Resolved cross-rack fraction (0 when no port is installed).
     double cross_share = 0.0;
+    /// The window's held fabric routes, one per transaction kind (indexed
+    /// by memsys::TransactionKind): reads and writes each keep their own
+    /// stage terms, so alternating kinds never re-derives them.
+    memsys::RemoteMemoryFabric::StreamPath held[2];
 
     VmDriver(const TenantSpec& s, ArrivalClock c) : spec{s}, clock{std::move(c)} {}
   };
@@ -206,7 +210,11 @@ class WorkloadEngine {
   void issue_cross(VmDriver& driver, bool closed_loop, bool write);
   /// Cross-rack completion handler (runs on this rack's event queue).
   void complete_cross(const core::CrossCompletion& done);
-  void record_sync_op(const memsys::Transaction& tx);
+  /// Folds one read/write into the totals and the digest (kind, address,
+  /// status, round-trip ticks), whichever path priced it.
+  void record_sync_op(memsys::TransactionKind kind, std::uint64_t address,
+                      memsys::TransactionStatus status, sim::Time round_trip,
+                      std::uint32_t retries);
   void record_dma(VmDriver& driver, const memsys::DmaCompletion& done);
 };
 

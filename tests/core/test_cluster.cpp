@@ -335,6 +335,53 @@ TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {
   EXPECT_EQ(rig.cluster.link_stats(1).rx_messages, 4u);
 }
 
+/// What a stream of interleaved cross-rack reads and writes from rack 0
+/// left behind: rack 1's served digest and rack 0's completions.
+struct ServedStream {
+  std::uint64_t served_digest = 0;
+  std::vector<CrossCompletion> done;
+};
+
+/// 64 requests 2 us apart into rack 1's gateway window, with the gateway's
+/// RMST entry corrupted at 50 us and scrubbed at 80 us. Tracing on rack 1
+/// forces every request it serves through the full fabric walk.
+ServedStream serve_stream(bool trace_target) {
+  TwoRacks rig;
+  Datacenter& target = rig.cluster.rack(1);
+  if (trace_target) target.tracer().enable();
+  const hw::BrickId gateway = target.fabric().all_attachments().front().compute;
+  target.simulator().at(rig.start + sim::Time::us(50),
+                        [&target, gateway] { target.fabric().corrupt_rmst(gateway); });
+  target.simulator().at(rig.start + sim::Time::us(80),
+                        [&target, gateway] { target.fabric().scrub_rmst(gateway); });
+  ServedStream out;
+  CrossRackPort& port = rig.cluster.port(0);
+  port.set_handler([&out](const CrossCompletion& c) { out.done.push_back(c); });
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    rig.cluster.rack(0).simulator().at(rig.start + sim::Time::us(2 * i), [&port, i] {
+      port.issue(0, std::uint64_t{i} * 65 * 64, 64, /*write=*/i % 2 == 1, i,
+                 /*closed_loop=*/false);
+    });
+  }
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  out.served_digest = rig.cluster.served_digest(1);
+  return out;
+}
+
+TEST(ClusterTest, GatewayServesTheSameUntracedAsTraced) {
+  const ServedStream walked = serve_stream(/*trace_target=*/true);
+  const ServedStream held = serve_stream(/*trace_target=*/false);
+  EXPECT_NE(held.served_digest, 0u);
+  EXPECT_EQ(walked.served_digest, held.served_digest);
+  ASSERT_EQ(held.done.size(), 64u);
+  ASSERT_EQ(walked.done.size(), held.done.size());
+  for (std::size_t i = 0; i < held.done.size(); ++i) {
+    EXPECT_EQ(walked.done[i].token, held.done[i].token) << "completion " << i;
+    EXPECT_EQ(walked.done[i].ok, held.done[i].ok) << "completion " << i;
+    EXPECT_EQ(walked.done[i].completed_at, held.done[i].completed_at) << "completion " << i;
+  }
+}
+
 TEST(ClusterTest, GatewayWindowRejectsOutOfRangeOffsets) {
   TwoRacks rig;
   const std::uint64_t window = rig.cluster.gateway_window_bytes(1);

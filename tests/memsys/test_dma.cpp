@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -456,9 +457,26 @@ std::string to_string(Carrier c) {
   return "unknown";
 }
 
+/// One synchronous read or write, whichever path priced it.
+struct SyncOp {
+  TransactionStatus status = TransactionStatus::kOk;
+  Time issued_at;
+  Time completed_at;
+  std::uint32_t retries = 0;
+  bool operator==(const SyncOp&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SyncOp& op) {
+  return os << to_string(op.status) << " " << op.issued_at.ticks() << "->"
+            << op.completed_at.ticks() << " retries " << op.retries;
+}
+
 /// Everything a run leaves behind that the two paths must agree on.
 struct TrainOutcome {
   std::vector<DmaCompletion> completions;
+  std::vector<SyncOp> ops;
+  /// Sync ops stream() priced from a held route (the rest walked).
+  std::size_t held_ops = 0;
   std::uint64_t tgl_hits = 0;
   std::uint64_t tgl_misses = 0;
   /// memsys.* instruments: name, counter value or histogram count, and
@@ -570,6 +588,45 @@ struct TrainRig {
       ++i;
     }
     sim.run();
+    collect(out);
+    return out;
+  }
+
+  /// 64 B reads and writes alternating every 2 us across the upset on one
+  /// window, each kind over its own held path, as a VM window or a rack
+  /// gateway issues them: stream() first, the full walk when it declines.
+  TrainOutcome run_sync() {
+    constexpr int kOps = 200;
+    TrainOutcome out;
+    out.ops.reserve(kOps);
+    RemoteMemoryFabric::StreamPath held[2];
+    for (int i = 0; i < kOps; ++i) {
+      sim.at(Time::us(2 * i), [this, &out, &held, i] {
+        const TransactionKind kind = i % 2 == 0 ? TransactionKind::kRead : TransactionKind::kWrite;
+        // Strides of 65 words cross 4 KiB pages, so the ops spread over
+        // the dMEMBRICK's memory controllers.
+        const std::uint64_t address =
+            attachment.compute_base + static_cast<std::uint64_t>(i) * 65 * 64;
+        const Time now = sim.now();
+        if (const auto landed = fabric.stream(held[static_cast<std::size_t>(kind)], kind,
+                                              compute, address, 64, now)) {
+          out.ops.push_back(SyncOp{TransactionStatus::kOk, now, *landed, 0});
+          ++out.held_ops;
+          return;
+        }
+        const Transaction tx = kind == TransactionKind::kRead
+                                   ? fabric.read(compute, address, 64, now)
+                                   : fabric.write(compute, address, 64, now);
+        out.ops.push_back(SyncOp{tx.status, tx.issued_at, tx.completed_at, tx.retries});
+      });
+    }
+    sim.run();
+    collect(out);
+    return out;
+  }
+
+  /// Adds the TGL counts and the memsys.* instruments to `out`.
+  void collect(TrainOutcome& out) const {
     for (const hw::BrickId b : {compute, other_compute}) {
       out.tgl_hits += rack.compute_brick(b).tgl().hits();
       out.tgl_misses += rack.compute_brick(b).tgl().misses();
@@ -582,7 +639,6 @@ struct TrainRig {
         out.metrics.emplace_back(name, h->count(), h->sum());
       }
     }
-    return out;
   }
 
   sim::Simulator sim;
@@ -602,23 +658,39 @@ struct TrainRig {
 
 using TrainParam = std::tuple<Carrier, Upset, bool>;
 
+/// A rig for the param's carrier with its upset scheduled, run to the end:
+/// the chunk trains, or with `sync` the synchronous op stream.
+TrainOutcome run_rig(const TrainParam& param, bool tracing, bool sync) {
+  const auto [carrier, upset, retry] = param;
+  TrainRig rig{carrier};
+  if (retry) {
+    sim::RetryPolicy policy;
+    policy.initial_backoff = Time::us(5);
+    rig.fabric.set_retry_policy(policy);
+  }
+  if (tracing) rig.telemetry.tracer().enable();
+  rig.upset(upset);
+  return sync ? rig.run_sync() : rig.run();
+}
+
+const auto kTrainParams = ::testing::Combine(
+    ::testing::Values(Carrier::kElectrical, Carrier::kOptical, Carrier::kBonded),
+    ::testing::Values(Upset::kFailCircuit, Upset::kSwitchPortTorn, Upset::kTornUnnoticed,
+                      Upset::kBrickCrash, Upset::kCorruptRmst, Upset::kRelocate,
+                      Upset::kMigrate, Upset::kDetach, Upset::kFailover, Upset::kFailRepair),
+    ::testing::Bool());
+
+std::string train_param_name(const ::testing::TestParamInfo<TrainParam>& info) {
+  return to_string(std::get<0>(info.param)) + "_" + to_string(std::get<1>(info.param)) +
+         (std::get<2>(info.param) ? "_retry" : "_failfast");
+}
+
 /// Tracing forces every chunk through the full fabric walk and is
 /// digest-neutral by contract, so a traced run is the oracle for the
 /// untraced one, whose chunks stream over their held path.
 class DmaStreamDifferentialTest : public ::testing::TestWithParam<TrainParam> {
  protected:
-  static TrainOutcome run(bool tracing) {
-    const auto [carrier, upset, retry] = GetParam();
-    TrainRig rig{carrier};
-    if (retry) {
-      sim::RetryPolicy policy;
-      policy.initial_backoff = Time::us(5);
-      rig.fabric.set_retry_policy(policy);
-    }
-    if (tracing) rig.telemetry.tracer().enable();
-    rig.upset(upset);
-    return rig.run();
-  }
+  static TrainOutcome run(bool tracing) { return run_rig(GetParam(), tracing, /*sync=*/false); }
 };
 
 TEST_P(DmaStreamDifferentialTest, UntracedTrainMatchesTheTracedWalk) {
@@ -651,20 +723,32 @@ TEST_P(DmaStreamDifferentialTest, UntracedTrainMatchesTheTracedWalk) {
             Time::us(150));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Upsets, DmaStreamDifferentialTest,
-    ::testing::Combine(::testing::Values(Carrier::kElectrical, Carrier::kOptical,
-                                         Carrier::kBonded),
-                       ::testing::Values(Upset::kFailCircuit, Upset::kSwitchPortTorn,
-                                         Upset::kTornUnnoticed, Upset::kBrickCrash,
-                                         Upset::kCorruptRmst, Upset::kRelocate,
-                                         Upset::kMigrate, Upset::kDetach, Upset::kFailover,
-                                         Upset::kFailRepair),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<TrainParam>& info) {
-      return to_string(std::get<0>(info.param)) + "_" + to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_retry" : "_failfast");
-    });
+INSTANTIATE_TEST_SUITE_P(Upsets, DmaStreamDifferentialTest, kTrainParams, train_param_name);
+
+/// The same oracle for synchronous ops: each kind rides its own held path
+/// untraced, and must leave exactly what the traced walk leaves.
+class SyncHeldRouteDifferentialTest : public ::testing::TestWithParam<TrainParam> {
+ protected:
+  static TrainOutcome run(bool tracing) { return run_rig(GetParam(), tracing, /*sync=*/true); }
+};
+
+TEST_P(SyncHeldRouteDifferentialTest, UntracedOpsMatchTheTracedWalk) {
+  const TrainOutcome walked = run(/*tracing=*/true);
+  const TrainOutcome held = run(/*tracing=*/false);
+  ASSERT_EQ(walked.ops.size(), held.ops.size());
+  for (std::size_t i = 0; i < walked.ops.size(); ++i) {
+    EXPECT_EQ(walked.ops[i], held.ops[i]) << "op " << i;
+  }
+  EXPECT_EQ(walked.tgl_hits, held.tgl_hits);
+  EXPECT_EQ(walked.tgl_misses, held.tgl_misses);
+  EXPECT_EQ(walked.metrics, held.metrics);
+  // Tracing forces every op through the walk; untraced, the ops before
+  // the upset (75 of them, at 0-148 us) ride their held routes.
+  EXPECT_EQ(walked.held_ops, 0u);
+  EXPECT_GE(held.held_ops, 75u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Upsets, SyncHeldRouteDifferentialTest, kTrainParams, train_param_name);
 
 }  // namespace
 }  // namespace dredbox::memsys

@@ -41,10 +41,13 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// base + delta clamped to the int64 range. Each bound is tested only on
+/// the side `delta` can cross it, so the test itself cannot overflow.
 std::int64_t saturating_add(std::int64_t base, std::int64_t delta) {
-  if (base > std::numeric_limits<std::int64_t>::max() - delta) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  if (delta > 0 && base > kMax - delta) return kMax;
+  if (delta < 0 && base < kMin - delta) return kMin;
   return base + delta;
 }
 
@@ -146,11 +149,13 @@ class DifferentialHarness {
     if (roll < 10) return Time::ps(now);  // tie with the firing instant
     if (roll < 25) {
       // Straddle a bucket boundary: one tick either side of the next
-      // day's first tick.
+      // day's first tick. Once now() sits at Time::infinity() the boundary
+      // saturates there too, and the tick before it is clamped to now().
       const std::int64_t boundary =
           saturating_add(now - ((now - stats.window_start_ps) % stats.bucket_width_ps),
                          stats.bucket_width_ps);
-      return Time::ps(saturating_add(boundary, static_cast<std::int64_t>(roll % 3) - 1));
+      return Time::ps(
+          std::max(saturating_add(boundary, static_cast<std::int64_t>(roll % 3) - 1), now));
     }
     if (roll < 35) {
       // Ladder spill: just past the window end (overflow rung), and
