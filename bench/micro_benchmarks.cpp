@@ -298,6 +298,31 @@ void BM_ReferenceQueueHold(benchmark::State& state) {
 BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(64)->Arg(256);
 BENCHMARK(BM_ReferenceQueueHold)->Arg(8)->Arg(64)->Arg(256);
 
+// The hold model of BM_EventQueueHold with the same gaps, but each action
+// re-arms its own event instead of the loop scheduling a replacement: the
+// queue keeps the same `pending` nodes for the whole run and never builds,
+// moves or frees one. The gap to BM_EventQueueHold is what a
+// self-rescheduling chain saves per step. 0 allocs/op.
+void BM_EventQueueRearmHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::Time> gaps(1024);
+  sim::Rng rng{7};
+  for (auto& gap : gaps) gap = sim::Time::ps(rng.uniform_int(1, 2'000'000));
+  sim::EventQueue q;
+  std::size_t next_gap = 0;
+  const auto draw = [&] { return gaps[next_gap++ % gaps.size()]; };
+  for (std::size_t i = 0; i < pending; ++i) {
+    q.schedule(draw(), [&q, &draw] { q.rearm(q.now() + draw()); });
+  }
+  const auto hop = [&q] { benchmark::DoNotOptimize(q.dispatch_one()); };
+  for (int i = 0; i < 1 << 16; ++i) hop();  // warm-up: the drain reaches its working size
+  AllocGate allocs;
+  for (auto _ : state) allocs.count(hop);
+  allocs.check(state, "allocs_per_op", state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueRearmHold)->Arg(8)->Arg(64)->Arg(256);
+
 // The event kernel's node pool in isolation: steady-state create/destroy
 // (freelist pop/push, no growth) over a working set that spans several
 // chunks. Complements BM_EventQueueScheduleDispatch by separating allocator
@@ -322,12 +347,11 @@ void BM_ArenaAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaAllocFree);
 
-// Same schedule/dispatch load with the schedule auditor's batch path armed
-// (kIdentity = collect + FIFO dispatch, no reordering). Compare against
-// BM_EventQueueScheduleDispatch: the gap is the price of a perturbed audit
-// run, and the *absence* of movement in BM_EventQueueScheduleDispatch
-// across PRs pins the auditor-off hot path at zero added cost (the armed
-// check is one branch).
+// A schedule/dispatch load with the schedule auditor's batch path armed
+// (kIdentity = collect + FIFO dispatch, no reordering), on four-way
+// timestamp ties: the price of a perturbed audit run. Its ties make it a
+// different load from BM_EventQueueScheduleDispatch, so the pair does not
+// measure what the disarmed check costs the unperturbed path.
 void BM_EventQueuePerturbedDispatch(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -54,9 +54,12 @@ void DmaEngine::enqueue(const DmaDescriptor& descriptor, Callback callback) {
 void DmaEngine::pump() {
   for (std::size_t c = 0; c < channels_.size() && queue_head_ < queue_.size(); ++c) {
     if (channels_[c].busy) continue;
-    const JobHandle handle = queue_[queue_head_++];
-    channels_[c].busy = true;
-    step(c, handle, 0, 0);
+    Channel& channel = channels_[c];
+    channel.busy = true;
+    channel.job = queue_[queue_head_++];
+    channel.offset = 0;
+    channel.chunks = 0;
+    step(c, /*own_event=*/false);
   }
   if (queue_head_ == queue_.size() && queue_head_ != 0) {
     queue_.clear();  // rewind; capacity is kept, so steady state is alloc-free
@@ -83,8 +86,20 @@ void DmaEngine::finish(std::size_t channel, JobHandle handle, const DmaCompletio
   pump();
 }
 
-void DmaEngine::step(std::size_t channel, JobHandle handle, std::uint64_t offset,
-                     std::size_t chunks) {
+void DmaEngine::continue_train(std::size_t channel, bool own_event, sim::Time when,
+                               const char* label) {
+  if (own_event) {
+    sim_.rearm(when, label);
+  } else {
+    sim_.at(when, [this, channel] { step(channel, /*own_event=*/true); }, label);
+  }
+}
+
+void DmaEngine::step(std::size_t channel, bool own_event) {
+  Channel& train = channels_[channel];
+  const JobHandle handle = train.job;
+  const std::uint64_t offset = train.offset;
+  const std::size_t chunks = train.chunks;
   Job& job = job_ref(handle);
   if (offset >= job.descriptor.bytes) {
     DmaCompletion done;
@@ -124,7 +139,7 @@ void DmaEngine::step(std::size_t channel, JobHandle handle, std::uint64_t offset
   // The chunk streams over the channel's held route; the full walk (and its
   // recovery loop) takes whatever the held route cannot carry.
   std::optional<sim::Time> landed =
-      fabric_.stream(channels_[channel].path, kind, compute_, addr, span, sim_.now());
+      fabric_.stream(train.path, kind, compute_, addr, span, sim_.now());
   if (!landed) {
     const Transaction tx = kind == TransactionKind::kWrite
                                ? fabric_.write(compute_, addr, span, sim_.now(), job.descriptor.ctx)
@@ -140,9 +155,7 @@ void DmaEngine::step(std::size_t channel, JobHandle handle, std::uint64_t offset
         if (const auto delay = job.backoff->next(sim_.now())) {
           ++job.retries;
           if (bind_telemetry() != nullptr) retries_metric_->add();
-          sim_.after(*delay, [this, channel, handle, offset, chunks] {
-            step(channel, handle, offset, chunks);
-          }, "memsys.dma.retry");
+          continue_train(channel, own_event, sim_.now() + *delay, "memsys.dma.retry");
           return;
         }
       }
@@ -165,9 +178,9 @@ void DmaEngine::step(std::size_t channel, JobHandle handle, std::uint64_t offset
   // Issue the next chunk the moment this one's round trip completes; the
   // chunk landed, so the next one starts with a fresh backoff budget.
   job.backoff.reset();
-  sim_.at(*landed, [this, channel, handle, offset, span, chunks] {
-    step(channel, handle, offset + span, chunks + 1);
-  }, "memsys.dma.step");
+  train.offset = offset + span;
+  train.chunks = chunks + 1;
+  continue_train(channel, own_event, *landed, "memsys.dma.step");
 }
 // dredbox-lint: hot-path-end
 

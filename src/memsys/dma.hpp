@@ -48,12 +48,17 @@ struct DmaCompletion {
 /// Multiple engines drain the queue concurrently, so bulk traffic
 /// overlaps the way the hardware's dual engines allow.
 ///
-/// Jobs are pooled through sim::IndexedArena (ISSUE 9c): the scheduled
-/// chunk events carry a (slot, generation) handle instead of moving the
-/// whole Job through the event queue, so steady-state transfers allocate
-/// nothing and an abandoned transfer (fault-exhausted retries) reclaims
-/// its slot with a generation bump — a stale handle to the slot's next
-/// tenant is an invariant violation, not a silent misfire.
+/// Jobs are pooled through sim::IndexedArena: a busy channel holds a
+/// (slot, generation) handle to its job, so steady-state transfers
+/// allocate nothing and an abandoned transfer (fault-exhausted retries)
+/// reclaims its slot with a generation bump — a stale handle to the
+/// slot's next tenant is an invariant violation, not a silent misfire.
+///
+/// A channel's chunk train is one event for the whole transfer. The
+/// train's cursor (job handle, offset, chunks landed) lives in the
+/// Channel; the chunk event captures only the engine and the channel
+/// index, and each step re-arms it (sim::EventQueue::rearm) at the next
+/// chunk's issue time — or the retry's — instead of scheduling a new one.
 class DmaEngine {
  public:
   /// Completion callbacks ride the same inline-storage budget as event
@@ -98,6 +103,11 @@ class DmaEngine {
   };
   struct Channel {
     bool busy = false;
+    /// The train's cursor: the job in flight, the offset of its next
+    /// chunk, and the chunks landed so far. Valid while busy.
+    JobHandle job;
+    std::uint64_t offset = 0;
+    std::size_t chunks = 0;
     /// The route the channel's chunk train holds: one fabric resolution
     /// per transfer while the control plane stands still. It lives here
     /// rather than in the pooled Job, whose arena touches every slot of a
@@ -138,7 +148,13 @@ class DmaEngine {
   /// the moved-out callback (after the slot is reclaimed, so a reentrant
   /// enqueue from the callback can reuse it immediately).
   void finish(std::size_t channel, JobHandle handle, const DmaCompletion& done);
-  void step(std::size_t channel, JobHandle handle, std::uint64_t offset, std::size_t chunks);
+  /// Issues the channel's next chunk (or completes its transfer) and
+  /// schedules the train's continuation. `own_event` says the call is the
+  /// train's chunk event firing, which then re-arms itself; pump() starts
+  /// a train with a freshly scheduled event.
+  void step(std::size_t channel, bool own_event);
+  /// Continues channel `channel`'s train at `when` under `label`.
+  void continue_train(std::size_t channel, bool own_event, sim::Time when, const char* label);
   /// Returns the fabric's current telemetry (null when uninstrumented),
   /// rebinding the cached counter handles when it changed.
   sim::Telemetry* bind_telemetry();

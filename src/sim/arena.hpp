@@ -84,9 +84,18 @@ class IndexedArena {
     DREDBOX_INVARIANT(block.live, "IndexedArena::destroy of a dead slot");
     object_of(block)->~T();
     block.live = false;
-    block.generation = block.generation == UINT32_MAX ? 1 : block.generation + 1;
+    bump(block);
     free_.push_back(slot);
     --live_;
+  }
+
+  /// Bumps the generation of a live `slot` without destroying its object,
+  /// so every handle minted so far goes stale while the object stays put
+  /// (the event queue retires a firing node's handle this way).
+  void bump_generation(std::uint32_t slot) {
+    Block& block = block_ref(slot);
+    DREDBOX_REQUIRE(block.live, "IndexedArena::bump_generation of a dead slot");
+    bump(block);
   }
 
   /// The live object in `slot`, or nullptr when the slot is out of range
@@ -155,6 +164,10 @@ class IndexedArena {
     std::uint32_t generation = 1;
     bool live = false;
   };
+
+  static void bump(Block& block) {
+    block.generation = block.generation == UINT32_MAX ? 1 : block.generation + 1;
+  }
 
   static T* object_of(Block& block) {
     return std::launder(reinterpret_cast<T*>(block.storage));

@@ -79,7 +79,7 @@ EventQueue::EventQueue()
 // dredbox-lint: hot-path-begin — schedule/insert/dispatch are the event
 // kernel's per-event path; nodes come from the arena and actions live in
 // InplaceAction storage, so steady state never touches the heap.
-EventId EventQueue::schedule(Time when, Action action, const char* label) {
+EventId EventQueue::schedule(Time when, Action&& action, const char* label) {
   if (when < now_) {
     throw std::invalid_argument("EventQueue::schedule: time " + when.to_string() +
                                 " precedes current time " + now_.to_string());
@@ -89,9 +89,30 @@ EventId EventQueue::schedule(Time when, Action action, const char* label) {
   insert_node(node);
   ++pending_count_;
   DREDBOX_AUDIT_INVARIANT(check_invariants());
-  // slot+1 keeps every issued handle non-zero (slot 0 is a valid slot,
-  // EventId{0} is the reserved null handle).
-  return EventId{((static_cast<std::uint64_t>(slot) + 1) << 32) | arena_.generation(slot)};
+  return handle_of(slot);
+}
+
+EventId EventQueue::rearm(Time when, const char* label) {
+  if (firing_ == nullptr || rearmed_) {
+    throw std::logic_error(
+        "EventQueue::rearm: only a running action may re-arm its own event, and only once");
+  }
+  if (when < now_) {
+    throw std::invalid_argument("EventQueue::rearm: time " + when.to_string() +
+                                " precedes current time " + now_.to_string());
+  }
+  // Everything schedule() would do for a fresh event at this point, on the
+  // node that is already there: same sequence draw, same placement.
+  Node* node = firing_;
+  node->when = when;
+  node->seq = next_seq_++;
+  node->label = label;
+  rearmed_ = true;
+  requeued_ = true;
+  insert_node(node);
+  ++pending_count_;
+  DREDBOX_AUDIT_INVARIANT(check_invariants());
+  return handle_of(node->slot);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -306,23 +327,41 @@ void EventQueue::free_node(Node* node) const { arena_.destroy(node->slot); }
 
 void EventQueue::reclaim_cancelled(Node* node) const {
   --cancelled_count_;
+  if (node == firing_) {
+    // The running action re-armed its node, cancelled the re-arm, and is
+    // still executing inside it: the node leaves the queue, and fire_node
+    // frees it once the action returns.
+    requeued_ = false;
+    return;
+  }
   free_node(node);
 }
 
 void EventQueue::fire_node(Node* node) {
   now_ = node->when;
   const char* label = node->label;
-  Action action = std::move(node->action);
-  // Free before running: the action may schedule, cancel, or even reset
-  // the queue, and must never observe its own node as live.
-  free_node(node);
+  // The fired handle goes stale here, as if the node were freed: a cancel
+  // aimed at it misses, and a re-arm hands out a fresh one.
+  arena_.bump_generation(node->slot);
+  firing_ = node;
+  rearmed_ = false;
+  requeued_ = false;
+  // Frees the node once its action is done, however it ends, unless the
+  // action re-armed it and the re-arm is still queued.
+  struct Release {
+    EventQueue& queue;
+    ~Release() {
+      if (!queue.requeued_) queue.free_node(queue.firing_);
+      queue.firing_ = nullptr;
+    }
+  } release{*this};
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   if (profiling_) {
     // Host-clock attribution for the self-profile only: the measurement
     // never reaches simulation state, digests, or scheduling decisions.
     // dredbox-lint: ignore[wall-clock]
     const auto host_begin = std::chrono::steady_clock::now();
-    action();
+    node->action();
     // dredbox-lint: ignore[wall-clock]
     const auto host_end = std::chrono::steady_clock::now();
     ProfileCell& cell = profile_[label];
@@ -331,10 +370,11 @@ void EventQueue::fire_node(Node* node) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(host_end - host_begin).count());
     return;
   }
-  action();
+  node->action();
 }
 
 bool EventQueue::dispatch_one() {
+  refuse_inside_action("dispatch_one");
   if (perturb_.enabled()) return dispatch_one_perturbed();
   ensure_drain();
   if (drain_.empty()) return false;
@@ -486,6 +526,7 @@ std::size_t EventQueue::dispatch_batch(Time until) {
 }
 
 std::size_t EventQueue::run_until(Time until) {
+  refuse_inside_action("run_until");
   std::size_t dispatched = 0;
   for (;;) {
     if (perturb_.enabled()) {
@@ -505,6 +546,7 @@ std::size_t EventQueue::run_until(Time until) {
 }
 
 std::size_t EventQueue::run() {
+  refuse_inside_action("run");
   std::size_t dispatched = 0;
   for (;;) {
     if (perturb_.enabled()) {
@@ -520,7 +562,15 @@ std::size_t EventQueue::run() {
 }
 // dredbox-lint: hot-path-end
 
+void EventQueue::throw_inside_action(const char* what) const {
+  throw std::logic_error(std::string("EventQueue::") + what +
+                         ": called from inside a running action");
+}
+
 void EventQueue::reset() {
+  // The running action lives in its node: the sweep below would destroy
+  // it mid-call.
+  refuse_inside_action("reset");
   // Destroys every node — bucketed, drained, overflowed, and the
   // undispatched batch tail — in one arena sweep (chunks are retained for
   // the next run; geometry returns to the initial window).
@@ -678,6 +728,9 @@ void EventQueue::check_invariants() const {
     DREDBOX_INVARIANT(node->when.ticks() > win_last_, "overflow node inside the window");
   }
   for (std::size_t i = batch_pos_; i < batch_.size(); ++i) check_node(batch_[i], "batch");
+  // The firing node, unless its re-arm is queued, is live in the arena
+  // and linked nowhere.
+  const std::size_t firing = firing_ != nullptr && !requeued_ ? 1 : 0;
 
   // --- counts agree with each other and with the arena ---
   DREDBOX_INVARIANT(live == pending_count_,
@@ -686,9 +739,10 @@ void EventQueue::check_invariants() const {
   DREDBOX_INVARIANT(cancelled == cancelled_count_,
                     "reachable cancelled nodes " + std::to_string(cancelled) +
                         " != cancelled count " + std::to_string(cancelled_count_));
-  DREDBOX_INVARIANT(arena_.live() == live + cancelled,
+  DREDBOX_INVARIANT(arena_.live() == live + cancelled + firing,
                     "arena holds " + std::to_string(arena_.live()) + " nodes but " +
-                        std::to_string(live + cancelled) + " are reachable");
+                        std::to_string(live + cancelled) + " are reachable and " +
+                        std::to_string(firing) + " is firing");
   arena_.check_invariants();
 }
 

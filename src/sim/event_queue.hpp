@@ -141,6 +141,14 @@ struct CalendarStats {
 /// Cancellation is O(1): the handle's slot+generation resolve to the
 /// node, which is flagged and reclaimed lazily when its bucket is
 /// serviced (or its rung re-spanned).
+///
+/// Event lifetime: schedule() relocates the action once, into its node.
+/// Dispatch runs the action in place — the node stays arena-live, in no
+/// bucket, drain, rung or batch, while it runs — and retires the node's
+/// handle before the action starts. When the action returns (or throws)
+/// the node is freed, unless the action called rearm(): a self-
+/// rescheduling chain (a DMA chunk train, a VM's issue loop) is then one
+/// node for its whole life instead of one build, move and free per step.
 class EventQueue {
  public:
   /// Inline-storage callable (sim/inplace_action.hpp): scheduling an event
@@ -155,7 +163,16 @@ class EventQueue {
   /// the timestamp of the event currently being dispatched. `label`, when
   /// given, must be a string with static storage duration (a literal);
   /// it names the event type in the kernel self-profile.
-  EventId schedule(Time when, Action action, const char* label = nullptr);
+  EventId schedule(Time when, Action&& action, const char* label = nullptr);
+
+  /// Puts the event whose action is running back into the queue at
+  /// `when`, under `label`, with the action it has. Legal only from inside
+  /// that action and only once per dispatch (std::logic_error otherwise).
+  /// The sequence number is drawn here and the event counts as pending at
+  /// once, so the dispatch order is exactly that of schedule()-ing a fresh
+  /// event at the same point. The returned handle is new: the handle the
+  /// event was scheduled under went stale when it fired.
+  EventId rearm(Time when, const char* label = nullptr);
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was cancelled before, or never existed.
@@ -169,7 +186,9 @@ class EventQueue {
   /// Timestamp of the earliest pending event; Time::infinity() when empty.
   Time next_time() const;
 
-  /// Pops and runs the earliest event. Returns false when the queue is empty.
+  /// Pops and runs the earliest event. Returns false when the queue is
+  /// empty. Like run() and run_until(), it refuses to run from inside an
+  /// action (std::logic_error): the running node could fire again.
   bool dispatch_one();
 
   /// Current simulation time (timestamp of the last dispatched event).
@@ -183,11 +202,14 @@ class EventQueue {
   /// Runs all events to quiescence. Returns the number dispatched.
   std::size_t run();
 
-  /// Drops every pending event and resets time to zero.
+  /// Drops every pending event and resets time to zero. Not from inside
+  /// an action (std::logic_error): the running action lives in its node,
+  /// and the queue stays as it was.
   void reset();
 
   /// Deep consistency audit: every node is reachable exactly once from a
-  /// bucket, the drain, the overflow rung or the perturbation batch;
+  /// bucket, the drain, the overflow rung or the perturbation batch, save
+  /// the one node whose action is running and is not queued by a re-arm;
   /// counts agree with the arena; nothing precedes now(); buckets match
   /// their time ranges; the drain is sorted. Throws ContractViolation on
   /// the first broken invariant. Wired into every mutation when built
@@ -210,8 +232,9 @@ class EventQueue {
   /// not be called while a collected batch is mid-dispatch (throws
   /// std::logic_error) — arm before running the scenario. Resets the
   /// batch counter and any captured record. Off by default: the
-  /// unperturbed dispatch path costs one branch (see
-  /// BM_EventQueueScheduleDispatch, which pins the overhead at zero).
+  /// unperturbed dispatch path tests the armed mode once per call. No
+  /// bench compares an armed queue with a disarmed one;
+  /// BM_EventQueuePerturbedDispatch measures the armed path alone.
   void set_perturbation(const SchedulePerturbation& perturbation);
   const SchedulePerturbation& perturbation() const { return perturb_; }
 
@@ -235,7 +258,7 @@ class EventQueue {
   /// One scheduled event. Pool-allocated; chained intrusively through a
   /// day bucket or the overflow rung until its day is serviced.
   struct Node {
-    Node(Time w, std::uint64_t s, Action a, const char* l)
+    Node(Time w, std::uint64_t s, Action&& a, const char* l)
         : when{w}, seq{s}, action{std::move(a)}, label{l} {}
 
     Time when;
@@ -291,13 +314,27 @@ class EventQueue {
   /// Destroys a node and returns its block to the pool.
   void free_node(Node* node) const;
   /// free_node for a node that was cancelled (keeps the count honest).
+  /// The running action's own node, re-armed then cancelled, is only
+  /// dropped from the queue; fire_node frees it when the action returns.
   void reclaim_cancelled(Node* node) const;
 
-  /// Pops `node` (already unlinked, still pending) and runs its action
-  /// with profiling attribution; shared by both dispatch paths. The node
-  /// is freed *before* the action runs — the action may schedule, cancel,
-  /// or even reset the queue.
+  /// Fires `node` (already unlinked and uncounted): retires its handle,
+  /// runs its action in place with profiling attribution, then frees it
+  /// unless the action re-armed it — also when the action throws. Shared
+  /// by both dispatch paths. The action may schedule and cancel, but not
+  /// reset or dispatch the queue (std::logic_error).
   void fire_node(Node* node);
+  /// Throws std::logic_error when an action is running; `what` names the
+  /// refused call.
+  void refuse_inside_action(const char* what) const {
+    if (firing_ != nullptr) [[unlikely]] throw_inside_action(what);
+  }
+  [[noreturn]] void throw_inside_action(const char* what) const;
+  EventId handle_of(std::uint32_t slot) const {
+    // slot+1 keeps every issued handle non-zero (slot 0 is a valid slot,
+    // EventId{0} is the reserved null handle).
+    return EventId{((static_cast<std::uint64_t>(slot) + 1) << 32) | arena_.generation(slot)};
+  }
 
   /// Dispatches every event tied at the earliest pending timestamp (when
   /// it is <= `until`) in one pass over the sorted drain tail, without
@@ -344,6 +381,13 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   Time now_ = Time::zero();
   bool profiling_ = false;
+  // The node whose action is running (null between dispatches), whether
+  // that action called rearm(), and whether the re-armed node is still
+  // queued (a cancelled re-arm reclaimed mid-action leaves it). Unless it
+  // is queued, the node is arena-live yet in no bucket, drain, rung or batch.
+  Node* firing_ = nullptr;
+  bool rearmed_ = false;
+  mutable bool requeued_ = false;
 
   SchedulePerturbation perturb_;
   // The same-timestamp batch currently being drained, in dispatch order;

@@ -19,13 +19,16 @@ class Simulator {
 
   /// `label` (a string literal, optional) names the event type in the
   /// kernel self-profile; see EventQueue::schedule.
-  EventId at(Time when, EventQueue::Action action, const char* label = nullptr) {
+  EventId at(Time when, EventQueue::Action&& action, const char* label = nullptr) {
     return queue_.schedule(when, std::move(action), label);
   }
 
-  EventId after(Time delay, EventQueue::Action action, const char* label = nullptr) {
+  EventId after(Time delay, EventQueue::Action&& action, const char* label = nullptr) {
     return queue_.schedule(queue_.now() + delay, std::move(action), label);
   }
+
+  /// Re-arms the event whose action is running; see EventQueue::rearm.
+  EventId rearm(Time when, const char* label = nullptr) { return queue_.rearm(when, label); }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -176,12 +176,11 @@ void WorkloadEngine::start_streams(sim::Time t0) {
     std::size_t j = i + 1;
     while (j < issues.size() && issues[j].when == issues[i].when) ++j;
     if (j == i + 1) {
-      VmDriver* driver = issues[i].driver;
+      VmDriver& driver = *issues[i].driver;
       if (issues[i].closed_loop) {
-        sim.at(issues[i].when, [this, driver] { closed_issue(*driver); },
-               "workload.closed_issue");
+        schedule_closed_issue(issues[i].when, driver);
       } else {
-        sim.at(issues[i].when, [this, driver] { open_arrival(*driver); },
+        sim.at(issues[i].when, [this, d = &driver] { open_arrival(*d, /*own_event=*/true); },
                "workload.open_arrival");
       }
     } else {
@@ -191,9 +190,9 @@ void WorkloadEngine::start_streams(sim::Time t0) {
       sim.at(issues[i].when, [this, batch] {
         for (const InitialIssue& issue : start_batches_[batch]) {
           if (issue.closed_loop) {
-            closed_issue(*issue.driver);
+            closed_issue(*issue.driver, /*own_event=*/false);
           } else {
-            open_arrival(*issue.driver);
+            open_arrival(*issue.driver, /*own_event=*/false);
           }
         }
       }, "workload.start_batch");
@@ -218,7 +217,12 @@ void WorkloadEngine::schedule_power_samples(sim::Time t0) {
 // dredbox-lint: hot-path-begin — the per-op issue/record loop: every
 // offered op runs one of these; steady state must not touch the heap
 // (trace spans are gated on ctx.valid(), which is off on measured runs).
-void WorkloadEngine::open_arrival(VmDriver& driver) {
+void WorkloadEngine::schedule_closed_issue(sim::Time when, VmDriver& driver) {
+  dc_.simulator().at(when, [this, d = &driver] { closed_issue(*d, /*own_event=*/true); },
+                     "workload.closed_issue");
+}
+
+void WorkloadEngine::open_arrival(VmDriver& driver, bool own_event) {
   auto& sim = dc_.simulator();
   const sim::Time now = sim.now();
   if (now >= end_) return;
@@ -226,17 +230,31 @@ void WorkloadEngine::open_arrival(VmDriver& driver) {
   // request turns out to be.
   const sim::Time next = now + driver.clock.next_gap(now);
   if (next < end_) {
-    sim.at(next, [this, d = &driver] { open_arrival(*d); }, "workload.open_arrival");
+    if (own_event) {
+      sim.rearm(next, "workload.open_arrival");
+    } else {
+      sim.at(next, [this, d = &driver] { open_arrival(*d, /*own_event=*/true); },
+             "workload.open_arrival");
+    }
   }
   perform_op(driver, /*closed_loop=*/false);
 }
 
-void WorkloadEngine::closed_issue(VmDriver& driver) {
-  if (dc_.simulator().now() >= end_) return;
-  perform_op(driver, /*closed_loop=*/true);
+void WorkloadEngine::closed_issue(VmDriver& driver, bool own_event) {
+  auto& sim = dc_.simulator();
+  if (sim.now() >= end_) return;
+  // A read or write chains the VM's next issue here; a DMA or cross-rack
+  // op chains it off its completion, which schedules a fresh event.
+  const std::optional<sim::Time> next = perform_op(driver, /*closed_loop=*/true);
+  if (!next || *next >= end_) return;
+  if (own_event) {
+    sim.rearm(*next, "workload.closed_issue");
+  } else {
+    schedule_closed_issue(*next, driver);
+  }
 }
 
-void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
+std::optional<sim::Time> WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
   auto& sim = dc_.simulator();
   auto& rng = driver.clock.rng();
   const sim::Time now = sim.now();
@@ -259,7 +277,7 @@ void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
   // port) keep a byte-identical op stream and digest.
   if (kind != 2 && driver.cross_share > 0.0 && rng.chance(driver.cross_share)) {
     issue_cross(driver, closed_loop, /*write=*/kind == 1);
-    return;
+    return std::nullopt;
   }
 
   if (kind == 2) {
@@ -291,13 +309,10 @@ void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
           }
           if (closed_loop) {
             const sim::Time next = done.completed_at + d->clock.next_gap(done.completed_at);
-            if (next < end_) {
-              dc_.simulator().at(next, [this, d] { closed_issue(*d); },
-                                 "workload.closed_issue");
-            }
+            if (next < end_) schedule_closed_issue(next, *d);
           }
         });
-    return;
+    return std::nullopt;
   }
 
   const std::uint64_t address =
@@ -333,13 +348,9 @@ void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
     }
     completed_at = tx.completed_at;
   }
-  if (closed_loop) {
-    const sim::Time done = completed_at > now ? completed_at : now;
-    const sim::Time next = done + driver.clock.next_gap(done);
-    if (next < end_) {
-      sim.at(next, [this, d = &driver] { closed_issue(*d); }, "workload.closed_issue");
-    }
-  }
+  if (!closed_loop) return std::nullopt;
+  const sim::Time done = completed_at > now ? completed_at : now;
+  return done + driver.clock.next_gap(done);
 }
 
 void WorkloadEngine::issue_cross(VmDriver& driver, bool closed_loop, bool write) {
@@ -378,10 +389,7 @@ void WorkloadEngine::complete_cross(const core::CrossCompletion& done) {
       .update(static_cast<std::uint64_t>(done.round_trip().ticks()));
   if (done.closed_loop) {
     const sim::Time next = done.completed_at + driver.clock.next_gap(done.completed_at);
-    if (next < end_) {
-      dc_.simulator().at(next, [this, d = &driver] { closed_issue(*d); },
-                         "workload.closed_issue");
-    }
+    if (next < end_) schedule_closed_issue(next, driver);
   }
 }
 

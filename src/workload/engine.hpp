@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -201,11 +202,18 @@ class WorkloadEngine {
   void boot_tenants();
   void start_streams(sim::Time t0);
   void schedule_power_samples(sim::Time t0);
-  void open_arrival(VmDriver& driver);
-  void closed_issue(VmDriver& driver);
-  /// Issues one request at the current simulated time; closed-loop callers
-  /// get their next issue chained off the completion.
-  void perform_op(VmDriver& driver, bool closed_loop);
+  /// A VM's issue loops. `own_event` says the call is the loop's own
+  /// event firing, which then re-arms itself for the next issue; the start
+  /// batch calls them with false and they schedule a fresh event.
+  void open_arrival(VmDriver& driver, bool own_event);
+  void closed_issue(VmDriver& driver, bool own_event);
+  /// Schedules a fresh `workload.closed_issue` event for `driver`.
+  void schedule_closed_issue(sim::Time when, VmDriver& driver);
+  /// Issues one request at the current simulated time. A closed-loop read
+  /// or write returns the VM's next issue time for closed_issue() to
+  /// chain; DMA and cross-rack ops chain theirs off the completion and,
+  /// like open-loop ops, return nullopt.
+  std::optional<sim::Time> perform_op(VmDriver& driver, bool closed_loop);
   /// Issues one read/write against a peer rack's gateway window.
   void issue_cross(VmDriver& driver, bool closed_loop, bool write);
   /// Cross-rack completion handler (runs on this rack's event queue).

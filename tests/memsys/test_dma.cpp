@@ -750,5 +750,43 @@ TEST_P(SyncHeldRouteDifferentialTest, UntracedOpsMatchTheTracedWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Upsets, SyncHeldRouteDifferentialTest, kTrainParams, train_param_name);
 
+/// A train is one event re-armed step by step, and a retry re-arms it
+/// under the retry's label. The kernel profile must still count every
+/// chunk continuation under memsys.dma.step — the chunks after a retry
+/// included — and every retry under memsys.dma.retry.
+TEST(DmaTrainProfileTest, ChunksAfterARetryCountAsSteps) {
+  for (const Upset upset : {Upset::kFailRepair, Upset::kBrickCrash, Upset::kCorruptRmst}) {
+    SCOPED_TRACE(to_string(upset));
+    TrainRig rig{Carrier::kOptical};
+    sim::RetryPolicy policy;
+    policy.initial_backoff = Time::us(5);
+    rig.fabric.set_retry_policy(policy);
+    rig.upset(upset);
+    rig.sim.queue().enable_profiling();
+    const TrainOutcome out = rig.run();
+    std::uint64_t chunks = 0;
+    std::uint64_t retries = 0;
+    for (const DmaCompletion& c : out.completions) {
+      chunks += c.chunks;
+      retries += c.retries;
+    }
+    std::uint64_t step_events = 0;
+    std::uint64_t retry_events = 0;
+    for (const sim::KernelProfileEntry& row : rig.sim.queue().kernel_profile()) {
+      if (row.label == "memsys.dma.step") step_events = row.dispatches;
+      if (row.label == "memsys.dma.retry") retry_events = row.dispatches;
+    }
+    // Every landed chunk continues its train with one step event (the
+    // last one completes the transfer); every scheduled retry fires once.
+    EXPECT_EQ(step_events, chunks);
+    EXPECT_EQ(retry_events, retries);
+    if (upset == Upset::kFailRepair) {
+      EXPECT_GT(retries, 0u) << "the upset must send a chunk through a retry";
+      EXPECT_TRUE(out.completions[0].ok && out.completions[1].ok)
+          << "the trains must land chunks after the retry";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dredbox::memsys

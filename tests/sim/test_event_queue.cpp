@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -487,6 +489,270 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
   }
   EXPECT_EQ(q.run(), 1000u);
   EXPECT_TRUE(monotone);
+}
+
+// --- event lifetime: in-place dispatch and re-arm ----------------------
+//
+// A fired node runs its action in place and is freed when the action
+// returns, unless the action re-armed it. These pin the contract's edges:
+// where rearm() is legal, that it orders exactly like a fresh schedule,
+// that the fired handle is stale, and that a throwing action leaks no node.
+
+TEST(EventQueueRearmTest, RearmOutsideDispatchThrows) {
+  EventQueue q;
+  EXPECT_THROW(q.rearm(Time::ns(5)), std::logic_error);
+  q.schedule(Time::ns(1), [] {});
+  q.run();
+  EXPECT_THROW(q.rearm(Time::ns(5)), std::logic_error) << "after dispatch, too";
+  EXPECT_TRUE(q.empty());
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, SecondRearmInOneActionThrows) {
+  EventQueue q;
+  bool second_refused = false;
+  int fired = 0;
+  q.schedule(Time::ns(1), [&] {
+    if (++fired > 1) return;
+    q.rearm(Time::ns(2));
+    try {
+      q.rearm(Time::ns(3));
+    } catch (const std::logic_error&) {
+      second_refused = true;
+    }
+  });
+  EXPECT_EQ(q.run(), 2u);
+  EXPECT_TRUE(second_refused);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.now(), Time::ns(2));
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, RearmIntoThePastThrows) {
+  EventQueue q;
+  bool refused = false;
+  q.schedule(Time::ns(10), [&] {
+    try {
+      q.rearm(Time::ns(9));
+    } catch (const std::invalid_argument&) {
+      refused = true;
+    }
+  });
+  q.run();
+  EXPECT_TRUE(refused);
+  EXPECT_TRUE(q.empty());
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, RearmOrdersLikeAFreshSchedule) {
+  // Two identical scenarios, one re-arming and one scheduling afresh at
+  // the same program point: the dispatch streams must be equal, ties with
+  // events scheduled before and after the re-arm included.
+  const auto scenario = [](bool rearm) {
+    EventQueue q;
+    std::vector<std::pair<int, std::int64_t>> log;
+    int steps = 0;
+    std::function<void()> chain = [&] {
+      const Time next = q.now() + Time::ns(3);
+      log.emplace_back(0, q.now().ticks());
+      q.schedule(next, [&] { log.emplace_back(1, q.now().ticks()); });
+      if (++steps < 5) {
+        if (rearm) {
+          q.rearm(next);
+        } else {
+          q.schedule(next, [&] { chain(); });
+        }
+      }
+      q.schedule(next, [&] { log.emplace_back(2, q.now().ticks()); });
+    };
+    q.schedule(Time::ns(1), [&] { chain(); });
+    q.run();
+    return log;
+  };
+  const auto fresh = scenario(false);
+  EXPECT_EQ(fresh.size(), 15u);
+  EXPECT_EQ(scenario(true), fresh);
+}
+
+TEST(EventQueueRearmTest, FiredHandleCancelsNothingAndTheNewOneCancels) {
+  EventQueue q;
+  int fired = 0;
+  EventId original;
+  EventId rearmed;
+  bool stale_cancel = true;
+  original = q.schedule(Time::ns(1), [&] {
+    ++fired;
+    stale_cancel = q.cancel(original);  // the running event's own handle
+    rearmed = q.rearm(Time::ns(5));
+  });
+  EXPECT_EQ(q.dispatch_one(), true);
+  EXPECT_FALSE(stale_cancel) << "a fired event's handle must be stale inside its action";
+  EXPECT_NE(rearmed, original);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.cancel(original)) << "a handle from before the re-arm cancels nothing";
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_TRUE(q.cancel(rearmed));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.run(), 0u);
+  EXPECT_EQ(fired, 1);
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, CancelledRearmOutlivesItsReclaimUntilTheActionReturns) {
+  // An action that re-arms, cancels the re-arm and then makes the queue
+  // reclaim it (next_time() services the open day) still runs in that
+  // node: its captures must stay alive until it returns. Under ASan a
+  // node freed mid-action is a use-after-free on the captured string.
+  for (const bool perturbed : {false, true}) {
+    EventQueue q;
+    if (perturbed) {
+      SchedulePerturbation identity;
+      identity.mode = SchedulePerturbation::Mode::kIdentity;
+      q.set_perturbation(identity);
+    }
+    struct Seen {
+      EventQueue* q;
+      int fires = 0;
+      bool cancelled = false;
+      Time next = Time::zero();
+      std::string text;
+      bool second_rearm_refused = false;
+    } seen{&q};
+    q.schedule(Time::ns(1), [&seen, text = std::string(64, 'x')] {
+      ++seen.fires;
+      seen.cancelled = seen.q->cancel(seen.q->rearm(seen.q->now()));
+      seen.next = seen.q->next_time();
+      seen.text = text;
+      try {
+        seen.q->rearm(seen.q->now());
+      } catch (const std::logic_error&) {
+        seen.second_rearm_refused = true;
+      }
+    });
+    EXPECT_EQ(q.run(), 1u) << "perturbed=" << perturbed;
+    EXPECT_EQ(seen.fires, 1);
+    EXPECT_TRUE(seen.cancelled);
+    EXPECT_EQ(seen.next, Time::infinity());
+    EXPECT_EQ(seen.text, std::string(64, 'x'));
+    EXPECT_TRUE(seen.second_rearm_refused);
+    EXPECT_TRUE(q.empty());
+    q.check_invariants();
+    q.schedule(Time::ns(2), [] {});
+    EXPECT_EQ(q.run(), 1u);
+    q.check_invariants();
+  }
+}
+
+TEST(EventQueueRearmTest, RearmCarriesTheNewLabelIntoTheProfile) {
+  EventQueue q;
+  q.enable_profiling();
+  int fired = 0;
+  q.schedule(Time::ns(1), [&] {
+    if (++fired < 4) q.rearm(q.now() + Time::ns(1), "step");
+  }, "retry");
+  EXPECT_EQ(q.run(), 4u);
+  const auto rows = q.kernel_profile();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].label, "retry");
+  EXPECT_EQ(rows[0].dispatches, 1u);
+  EXPECT_EQ(rows[1].label, "step");
+  EXPECT_EQ(rows[1].dispatches, 3u);
+}
+
+TEST(EventQueueRearmTest, ResetInsideAnActionThrowsAndTheQueueStaysUsable) {
+  EventQueue q;
+  bool refused = false;
+  q.schedule(Time::ns(1), [&] {
+    try {
+      q.reset();
+    } catch (const std::logic_error&) {
+      refused = true;
+    }
+  });
+  int later = 0;
+  q.schedule(Time::ns(2), [&] { ++later; });
+  EXPECT_EQ(q.run(), 2u);
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(later, 1);
+  q.check_invariants();
+  q.schedule(Time::ns(3), [&] { ++later; });
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_EQ(later, 2);
+  q.reset();  // between dispatches it still works
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.now(), Time::zero());
+}
+
+TEST(EventQueueRearmTest, DispatchInsideAnActionThrows) {
+  EventQueue q;
+  int refusals = 0;
+  q.schedule(Time::ns(1), [&] {
+    for (const auto& nested : std::vector<std::function<void()>>{
+             [&] { q.dispatch_one(); }, [&] { q.run(); }, [&] { q.run_until(Time::ns(9)); }}) {
+      try {
+        nested();
+      } catch (const std::logic_error&) {
+        ++refusals;
+      }
+    }
+  });
+  q.schedule(Time::ns(2), [] {});
+  EXPECT_EQ(q.run(), 2u);
+  EXPECT_EQ(refusals, 3);
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, ThrowingActionLeavesNoNodeBehind) {
+  // check_invariants() requires the arena's live count to equal the
+  // reachable nodes: pending() here, with nothing cancelled.
+  EventQueue q;
+  q.schedule(Time::ns(1), [] { throw std::runtime_error("plain"); });
+  q.schedule(Time::ns(2), [&] {
+    q.schedule(Time::ns(7), [] {});
+    throw std::runtime_error("after a schedule");
+  });
+  bool rearmed = false;
+  q.schedule(Time::ns(3), [&] {
+    if (!rearmed) {
+      rearmed = true;
+      q.rearm(Time::ns(6));
+    }
+    throw std::runtime_error("after a re-arm");
+  });
+  q.schedule(Time::ns(4), [] {});
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(q.dispatch_one(), std::runtime_error);
+    q.check_invariants();
+  }
+  // Left: the 4 ns event, the event scheduled at 7 ns and the re-armed one
+  // at 6 ns — which throws again when it fires.
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_TRUE(q.dispatch_one());
+  EXPECT_THROW(q.dispatch_one(), std::runtime_error);
+  q.check_invariants();
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_TRUE(q.empty());
+  q.check_invariants();
+}
+
+TEST(EventQueueRearmTest, RearmAtNowJoinsTheBackOfAPerturbedTie) {
+  // A re-armed chain through a tie batch: the identity perturbation
+  // collects batches, and a re-arm at now() joins the back of the tie.
+  EventQueue q;
+  SchedulePerturbation identity;
+  identity.mode = SchedulePerturbation::Mode::kIdentity;
+  q.set_perturbation(identity);
+  std::vector<int> order;
+  int hops = 0;
+  q.schedule(Time::ns(5), [&] {
+    order.push_back(0);
+    if (++hops < 3) q.rearm(q.now());
+  });
+  q.schedule(Time::ns(5), [&] { order.push_back(1); });
+  EXPECT_EQ(q.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 0}));
+  q.check_invariants();
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // driven through one seeded, randomized operation sequence — schedule
 // (ties, boundary-straddling times, far-future rung times, Time::infinity
 // epoch times, far timers pending beside near-term churn), cancel (live,
-// fired, stale), reschedule-to-back-of-tie, dispatch_one, run_until, and
-// cascaded scheduling from inside actions —
+// fired, stale), reschedule-to-back-of-tie, dispatch_one, run_until,
+// cascaded scheduling from inside actions, and re-arms (a fired action
+// puts its own event back, which the reference heap models as a fresh
+// event with the same tag) —
 // and must agree, after every single operation, on the dispatch stream
 // (tag, timestamp), now(), pending(), empty(), and next_time().
 //
@@ -22,8 +24,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <map>
+#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +71,12 @@ struct Driver {
   /// Tags still cancellable (erased on fire and on cancel attempt); used
   /// only to pick reschedule candidates.
   std::map<std::uint64_t, bool> live;
+  /// Asked once per fired event without a child: when to re-arm it, or
+  /// nullopt to let it go. Unset means never.
+  std::function<std::optional<Time>(std::uint64_t tag)> rearm_at;
+  /// Handles superseded by a re-arm (calendar only): each must cancel
+  /// nothing, at any later point.
+  std::vector<Id> superseded;
 
   void do_schedule(Time when, std::uint64_t tag) {
     // Fired events may deterministically spawn a child: tag-derived, so
@@ -76,9 +88,26 @@ struct Driver {
         const std::uint64_t child = tag * 2 + 1'000'000'001ull;
         const std::int64_t delta = static_cast<std::int64_t>((tag % 5) * 250);
         do_schedule(Time::ps(saturating_add(queue.now().ticks(), delta)), child);
+      } else if (rearm_at) {
+        if (const std::optional<Time> when = rearm_at(tag)) rearm(*when, tag);
       }
     });
     live[tag] = true;
+  }
+
+  /// The calendar queue re-arms the firing node; the reference heap, which
+  /// has no re-arm, schedules a fresh event with the same tag — the order
+  /// rearm() promises to reproduce.
+  void rearm(Time when, std::uint64_t tag) {
+    if constexpr (std::is_same_v<Queue, EventQueue>) {
+      const Id before = issued[tag];
+      issued[tag] = queue.rearm(when);
+      live[tag] = true;
+      EXPECT_FALSE(queue.cancel(before)) << "the fired handle of tag " << tag;
+      superseded.push_back(before);
+    } else {
+      do_schedule(when, tag);
+    }
   }
 
   // Forwards the cancel to the queue whenever the tag was ever issued —
@@ -105,11 +134,39 @@ enum class Stream { kPlain, kTieHeavy, kFarTimer };
 
 class DifferentialHarness {
  public:
-  explicit DifferentialHarness(std::uint64_t seed) : rng_{seed} {}
+  /// Share (percent) of the fired events without a child that re-arm
+  /// themselves at an adversarial time.
+  static constexpr std::uint64_t kRearmPercent = 30;
+
+  explicit DifferentialHarness(std::uint64_t seed)
+      : rng_{seed}, rearm_rng_{seed ^ 0x5bd1e995u} {
+    // The calendar side decides at each fire and records the decision; the
+    // reference side fires the same tags in the same order (each op runs
+    // the calendar first) and replays it.
+    calendar_.rearm_at = [this](std::uint64_t tag) {
+      std::optional<Time> when;
+      if (splitmix64(rearm_rng_) % 100 < kRearmPercent) {
+        when = pick_time(stream_, rearm_rng_);
+        ++rearms_;
+      }
+      rearm_plan_.emplace_back(tag, when);
+      return when;
+    };
+    reference_.rearm_at = [this](std::uint64_t tag) -> std::optional<Time> {
+      if (rearm_plan_.empty() || rearm_plan_.front().first != tag) {
+        ADD_FAILURE() << "reference fired tag " << tag << " out of the calendar's order";
+        return std::nullopt;
+      }
+      const std::optional<Time> when = rearm_plan_.front().second;
+      rearm_plan_.pop_front();
+      return when;
+    };
+  }
 
   void run_ops(std::size_t op_count, Stream stream) {
+    stream_ = stream;
     if (stream == Stream::kFarTimer) {
-      for (int i = 0; i < 3; ++i) schedule_both(far_time());
+      for (int i = 0; i < 3; ++i) schedule_both(far_time(rng_));
     }
     for (std::size_t op = 0; op < op_count; ++op) {
       step(stream);
@@ -126,21 +183,26 @@ class DifferentialHarness {
     EXPECT_FALSE(calendar_.queue.cancel(EventId{999}));
     EXPECT_TRUE(calendar_.queue.empty());
     EXPECT_EQ(calendar_.log.size(), reference_.log.size());
+    EXPECT_TRUE(rearm_plan_.empty()) << "the reference did not replay every fire";
+    for (const EventId before : calendar_.superseded) {
+      EXPECT_FALSE(calendar_.queue.cancel(before)) << "a pre-re-arm handle cancelled something";
+    }
     calendar_.queue.check_invariants();
   }
 
   EventQueue& calendar_queue() { return calendar_.queue; }
+  std::uint64_t rearms() const { return rearms_; }
 
  private:
   /// Picks an adversarial schedule time. Classes deliberately target the
   /// calendar geometry: exact ties, now() itself, both sides of a bucket
   /// boundary, just-inside / just-past the window (ladder spill), and the
   /// INT64_MAX epoch; the same literal time feeds both queues.
-  Time pick_time(Stream stream) {
+  Time pick_time(Stream stream, std::uint64_t& rng) {
     const auto stats = calendar_.queue.calendar_stats();
     const std::int64_t now = calendar_.queue.now().ticks();
-    const std::uint64_t roll = splitmix64(rng_) % 100;
-    if (stream == Stream::kFarTimer && roll < 5) return far_time();
+    const std::uint64_t roll = splitmix64(rng) % 100;
+    if (stream == Stream::kFarTimer && roll < 5) return far_time(rng);
     const bool tie_heavy = stream == Stream::kTieHeavy;
     if (tie_heavy && roll < 40 && !last_scheduled_.is_infinite() &&
         last_scheduled_ >= calendar_.queue.now()) {
@@ -170,14 +232,14 @@ class DifferentialHarness {
     if (roll < 37) return Time::infinity();  // epoch-boundary: INT64_MAX
     // Plain near-future time inside (or shortly past) the current window.
     const std::int64_t delta =
-        static_cast<std::int64_t>(splitmix64(rng_) % 2'000'000);  // <= 2 us
+        static_cast<std::int64_t>(splitmix64(rng) % 2'000'000);  // <= 2 us
     return Time::ps(saturating_add(now, delta));
   }
 
   /// 1-2 s past now(): far beyond any window the near-term churn spans.
-  Time far_time() {
+  Time far_time(std::uint64_t& rng) {
     const std::int64_t offset =
-        1'000'000'000'000 + static_cast<std::int64_t>(splitmix64(rng_) % 1'000'000'000'000);
+        1'000'000'000'000 + static_cast<std::int64_t>(splitmix64(rng) % 1'000'000'000'000);
     return Time::ps(saturating_add(calendar_.queue.now().ticks(), offset));
   }
 
@@ -191,7 +253,7 @@ class DifferentialHarness {
   void step(Stream stream) {
     const std::uint64_t roll = splitmix64(rng_) % 100;
     if (roll < 45 || calendar_.queue.pending() == 0) {
-      schedule_both(pick_time(stream));
+      schedule_both(pick_time(stream, rng_));
       return;
     }
     if (roll < 60) {
@@ -199,6 +261,13 @@ class DifferentialHarness {
       // never-issued tags (both queues must agree the handle is dead).
       const std::uint64_t tag = splitmix64(rng_) % next_tag_;
       EXPECT_EQ(calendar_.do_cancel(tag), reference_.do_cancel(tag)) << "cancel of tag " << tag;
+      // A handle superseded by a re-arm stays dead while the re-armed
+      // event is pending and after its slot is recycled.
+      if (!calendar_.superseded.empty()) {
+        const EventId before =
+            calendar_.superseded[splitmix64(rng_) % calendar_.superseded.size()];
+        EXPECT_FALSE(calendar_.queue.cancel(before)) << "a pre-re-arm handle cancelled something";
+      }
       return;
     }
     if (roll < 70) {
@@ -207,7 +276,7 @@ class DifferentialHarness {
       auto it = calendar_.live.lower_bound(splitmix64(rng_) % next_tag_);
       if (it == calendar_.live.end()) return;
       const std::uint64_t tag = it->first;
-      const Time when = pick_time(stream);
+      const Time when = pick_time(stream, rng_);
       const bool a = calendar_.do_cancel(tag);
       const bool b = reference_.do_cancel(tag);
       EXPECT_EQ(a, b);
@@ -219,16 +288,19 @@ class DifferentialHarness {
       }
       return;
     }
+    // The calendar queue dispatches first in every op: the reference
+    // replays the re-arm decisions its fires recorded.
     if (roll < 90) {
-      EXPECT_EQ(calendar_.queue.dispatch_one(), reference_.queue.dispatch_one());
+      const bool fired = calendar_.queue.dispatch_one();
+      EXPECT_EQ(fired, reference_.queue.dispatch_one());
       return;
     }
     // run_until a shared horizon (sometimes zero-width, sometimes far).
     const std::int64_t horizon =
         saturating_add(calendar_.queue.now().ticks(),
                        static_cast<std::int64_t>(splitmix64(rng_) % 3'000'000));
-    EXPECT_EQ(calendar_.queue.run_until(Time::ps(horizon)),
-              reference_.queue.run_until(Time::ps(horizon)));
+    const std::size_t dispatched = calendar_.queue.run_until(Time::ps(horizon));
+    EXPECT_EQ(dispatched, reference_.queue.run_until(Time::ps(horizon)));
   }
 
   testing::AssertionResult compare() {
@@ -271,6 +343,13 @@ class DifferentialHarness {
   CalendarDriver calendar_;
   ReferenceDriver reference_;
   std::uint64_t rng_;
+  // The re-arm decisions draw from their own stream, so the op stream
+  // does not shift with how many events fired.
+  std::uint64_t rearm_rng_;
+  Stream stream_ = Stream::kPlain;
+  /// (tag, re-arm time) per calendar fire, awaiting the reference's replay.
+  std::deque<std::pair<std::uint64_t, std::optional<Time>>> rearm_plan_;
+  std::uint64_t rearms_ = 0;
   std::uint64_t next_tag_ = 1;
   Time last_scheduled_ = Time::infinity();
 };
@@ -282,11 +361,13 @@ class EventQueueDifferentialTest : public testing::TestWithParam<std::uint64_t> 
 TEST_P(EventQueueDifferentialTest, DispatchStreamMatchesReferenceHeap) {
   DifferentialHarness harness{GetParam() * 0x9e3779b97f4a7c15ull + 1};
   harness.run_ops(3500, Stream::kPlain);
+  EXPECT_GT(harness.rearms(), 0u);
 }
 
 TEST_P(EventQueueDifferentialTest, TieHeavyStreamMatchesReferenceHeap) {
   DifferentialHarness harness{GetParam() * 0xbf58476d1ce4e5b9ull + 7};
   harness.run_ops(1500, Stream::kTieHeavy);
+  EXPECT_GT(harness.rearms(), 0u);
 }
 
 // The batch-collection path (armed kIdentity perturbation) must be
@@ -299,6 +380,7 @@ TEST_P(EventQueueDifferentialTest, IdentityPerturbationMatchesReferenceHeap) {
   identity.mode = SchedulePerturbation::Mode::kIdentity;
   harness.calendar_queue().set_perturbation(identity);
   harness.run_ops(1200, Stream::kTieHeavy);
+  EXPECT_GT(harness.rearms(), 0u);
   EXPECT_GT(harness.calendar_queue().batches_collected(), 0u)
       << "tie-heavy stream collected no multi-event batches; the variant "
          "did not exercise the batch path";
@@ -310,6 +392,7 @@ TEST_P(EventQueueDifferentialTest, IdentityPerturbationMatchesReferenceHeap) {
 TEST_P(EventQueueDifferentialTest, FarTimerStreamMatchesReferenceHeap) {
   DifferentialHarness harness{GetParam() * 0xd1b54a32d192ed03ull + 29};
   harness.run_ops(2500, Stream::kFarTimer);
+  EXPECT_GT(harness.rearms(), 0u);
   EXPECT_GT(harness.calendar_queue().calendar_stats().rebuilds, 0u)
       << "the far-timer stream never re-spanned the window";
 }

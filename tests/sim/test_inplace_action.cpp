@@ -15,6 +15,8 @@
 #include <string>
 #include <utility>
 
+#include "sim/simulator.hpp"
+
 namespace dredbox::sim {
 namespace {
 
@@ -133,6 +135,65 @@ TEST(InplaceFunctionTest, SelfMoveAssignmentIsSafe) {
   action = std::move(alias);
   action();
   EXPECT_EQ(calls, 1);
+}
+
+/// Counts moves into a live object and destructions of live objects (a
+/// moved-from shell's destructor is not a destruction of the callable).
+struct MoveCounter {
+  int* moves;
+  int* destroys;
+  bool live = true;
+
+  MoveCounter(int* m, int* d) : moves{m}, destroys{d} {}
+  MoveCounter(MoveCounter&& other) noexcept
+      : moves{other.moves}, destroys{other.destroys}, live{other.live} {
+    ++*moves;
+    other.live = false;
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() {
+    if (live) ++*destroys;
+  }
+  void operator()() const {}
+};
+
+TEST(InplaceFunctionTest, ScheduledCaptureIsRelocatedOnceAndDestroyedOnce) {
+  // Simulator::at -> EventQueue::schedule -> event node pass the action by
+  // rvalue reference, and dispatch runs it in place: from the caller's
+  // InplaceAction to its destruction after firing, the capture is moved
+  // at most once (into its node) and destroyed exactly once.
+  Simulator sim;
+  int moves = 0;
+  int destroys = 0;
+  InplaceAction action{MoveCounter{&moves, &destroys}};
+  moves = 0;
+  sim.at(Time::ns(1), std::move(action));
+  EXPECT_LE(moves, 1);
+  EXPECT_EQ(destroys, 0);
+  sim.run();
+  EXPECT_LE(moves, 1) << "dispatch must run the action in place, not move it out";
+  EXPECT_EQ(destroys, 1);
+
+  // A re-armed action is neither moved nor destroyed until its last fire.
+  int fires = 0;
+  moves = 0;
+  destroys = 0;
+  struct Rearming {
+    Simulator* sim;
+    int* fires;
+    MoveCounter counter;
+    void operator()() {
+      if (++*fires < 3) sim->rearm(sim->now() + Time::ns(1));
+    }
+  };
+  sim.after(Time::ns(1), Rearming{&sim, &fires, MoveCounter{&moves, &destroys}});
+  moves = 0;
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(moves, 0);
+  EXPECT_EQ(destroys, 1);
 }
 
 }  // namespace
