@@ -79,6 +79,18 @@ void operator delete[](void* p, AlignT, const NothrowT&) noexcept { std::free(p)
 // into the exit status (google-benchmark itself exits 0 on a failed bench).
 static bool g_alloc_gate_failed = false;
 
+namespace dredbox::memsys {
+
+/// White-box access: how many transactions the fabric priced from a held
+/// route rather than walked.
+struct FabricTestAccess {
+  static std::uint64_t held_transactions(const RemoteMemoryFabric& fabric) {
+    return fabric.held_transactions_;
+  }
+};
+
+}  // namespace dredbox::memsys
+
 namespace {
 
 using namespace dredbox;
@@ -568,9 +580,9 @@ void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
 BENCHMARK(BM_RemoteReadSteadyStateAllocs);
 
 // The same window as BM_RemoteReadSteadyStateAllocs, issued the way a VM
-// window issues its ops: 64 B reads and writes alternate, each kind over
-// its own held route (RemoteMemoryFabric::stream), as the workload engine
-// and the rack gateways price them. 0 allocs/op.
+// window issues its ops: 64 B reads and writes alternate over one held
+// route (RemoteMemoryFabric::transact), as the workload engine and the
+// rack gateways price them. 0 allocs/op.
 void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
   core::Datacenter dc{two_tray_config()};
   dc.metrics().enable();
@@ -578,30 +590,32 @@ void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
   const auto up = dc.scale_up(vm.vm, vm.compute, 2ull << 30);
   benchmark::DoNotOptimize(up.ok);
   const auto attachment = dc.fabric().attachments_of(vm.compute).front();
-  memsys::RemoteMemoryFabric::StreamPath held[2];
+  memsys::RemoteMemoryFabric::HeldRoute held;
   std::uint64_t offset = 0;
-  std::uint64_t walked = 0;  // ops the held route declined
+  std::uint64_t ops = 0;
   const auto op = [&] {
-    const std::size_t kind = (offset >> 6) & 1;
-    const auto landed = dc.fabric().stream(
-        held[kind], static_cast<memsys::TransactionKind>(kind), vm.compute,
-        attachment.compute_base + (offset & 0xFFC0), 64, dc.simulator().now());
+    const auto kind = static_cast<memsys::TransactionKind>((offset >> 6) & 1);
+    const auto tx = dc.fabric().transact(held, kind, vm.compute,
+                                         attachment.compute_base + (offset & 0xFFC0), 64,
+                                         dc.simulator().now());
     offset += 64;
-    if (!landed) ++walked;
-    return landed;
+    ++ops;
+    return tx.completed_at;
   };
   for (int i = 0; i < 256; ++i) benchmark::DoNotOptimize(op());  // warm-up
   AllocGate allocs;
   for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(op()); });
   allocs.check(state, "allocs_per_op", state.iterations());
+  // Ops the held route declined (and the fabric walked).
+  const std::uint64_t walked = ops - memsys::FabricTestAccess::held_transactions(dc.fabric());
   if (walked != 0) state.SkipWithError("the held route declined an op; nothing was measured");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RemoteReadHeldSteadyStateAllocs);
 
-// A 256 KiB transfer through the pooled job machinery in chunks of
-// range(0) bytes: 4 chunks of 64 KiB, or 64 chunks of 4 KiB that stream
-// over the job's held route.
+// A 256 KiB transfer through a DMA channel that owns its job, in chunks of
+// range(0) bytes: 4 chunks of 64 KiB, or 64 chunks of 4 KiB that ride the
+// channel's held route.
 void BM_DmaSteadyStateAllocs(benchmark::State& state) {
   AttachedPair pair;
   sim::Simulator sim;

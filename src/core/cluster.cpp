@@ -88,6 +88,8 @@ class Cluster::RackPort final : public CrossRackPort {
     return cluster_.gateways_.at(peers_.at(peer).rack).size;
   }
 
+  // dredbox-lint: hot-path-begin — issue() runs once per cross-rack op and
+  // must stay allocation-free.
   void issue(std::size_t peer, std::uint64_t offset, std::uint32_t bytes, bool write,
              std::uint32_t token, bool closed_loop) override {
     Peer& p = peers_.at(peer);
@@ -121,6 +123,7 @@ class Cluster::RackPort final : public CrossRackPort {
         },
         "spine.request");
   }
+  // dredbox-lint: hot-path-end
 
   void set_handler(sim::InplaceFunction<void(const CrossCompletion&)> handler) override {
     handler_ = std::move(handler);
@@ -285,6 +288,9 @@ void Cluster::arm_spine_faults(sim::Time base) {
   }
 }
 
+// dredbox-lint: hot-path-begin — serve() and complete() run once per
+// cross-rack op, on the target and the source rack; steady state must not
+// allocate.
 void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handle,
                     std::uint64_t address, std::uint32_t bytes, bool write) {
   RackPort& port = *ports_[target];
@@ -292,37 +298,26 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handl
   Datacenter& dc = *racks_[target];
   const sim::Time now = dc.simulator().now();
   Gateway& gw = gateways_[target];
-  // The request rides the gateway's held route for its kind; the full walk
-  // takes whatever the held route cannot carry.
+  // The request rides the gateway's held route; the fabric walks whatever
+  // the held route cannot carry.
   const memsys::TransactionKind kind =
       write ? memsys::TransactionKind::kWrite : memsys::TransactionKind::kRead;
-  memsys::RemoteMemoryFabric& fabric = dc.fabric();
-  memsys::TransactionStatus status = memsys::TransactionStatus::kOk;
-  sim::Time completed_at;
-  if (const auto landed =
-          fabric.stream(gw.held[static_cast<std::size_t>(kind)], kind, gw.compute, address,
-                        bytes, now)) {
-    completed_at = *landed;
-  } else {
-    const memsys::Transaction tx = write ? fabric.write(gw.compute, address, bytes, now)
-                                         : fabric.read(gw.compute, address, bytes, now);
-    status = tx.status;
-    completed_at = tx.completed_at;
-  }
+  const memsys::RemoteMemoryFabric::Outcome tx =
+      dc.fabric().transact(gw.held, kind, gw.compute, address, bytes, now);
   port.served_.update(write ? "w" : "r")
       .update(src)
       .update(address)
-      .update(static_cast<std::uint64_t>(status))
-      .update(static_cast<std::uint64_t>(completed_at.ticks()));
+      .update(static_cast<std::uint64_t>(tx.status))
+      .update(static_cast<std::uint64_t>(tx.completed_at.ticks()));
   // The reply rides the transaction already admitted at request time, so
   // it is sent regardless of the link's current health (in-flight light
   // lands; only new requests fail fast).
   RackPort::Peer& back = port.peers_[port.peer_of(src)];
-  const bool ok = status == memsys::TransactionStatus::kOk;
+  const bool ok = tx.ok();
   back.link.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
   kernel_.send(
-      target, src, completed_at + back.link.one_way(reply_bytes(bytes, write)),
+      target, src, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
       [cluster, src, handle, ok] { cluster->complete(src, handle, ok); }, "spine.reply");
 }
 
@@ -334,6 +329,7 @@ void Cluster::complete(std::uint32_t src, PendingHandle handle, bool ok) {
                              racks_[src]->simulator().now()};
   port.handler_(completion);
 }
+// dredbox-lint: hot-path-end
 
 CrossRackPort& Cluster::port(std::size_t r) { return *ports_.at(r); }
 

@@ -94,7 +94,8 @@ class Cluster {
 
   /// Names one in-flight request on its source rack: the pending slot and
   /// the slot's generation when the request took it. Request and reply
-  /// messages carry it, as DMA chunk events carry their JobHandle.
+  /// messages carry it, so a duplicated or late reply is refused rather
+  /// than completing the slot's next tenant.
   struct PendingHandle {
     std::uint32_t slot = 0;
     std::uint32_t generation = 0;
@@ -117,10 +118,9 @@ class Cluster {
     hw::BrickId compute;
     std::uint64_t base = 0;
     std::uint64_t size = 0;
-    /// Held fabric routes of the window, one per transaction kind (indexed
-    /// by memsys::TransactionKind). Only serve() on this gateway's own rack
-    /// touches them, so they follow that rack's shard.
-    memsys::RemoteMemoryFabric::StreamPath held[2];
+    /// Held fabric routes of the window. Only serve() on this gateway's own
+    /// rack touches them, so they follow that rack's shard.
+    memsys::RemoteMemoryFabric::HeldRoute held;
   };
 
   DatacenterConfig config_;

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/contract.hpp"
+#include "sim/format.hpp"
 #include "sim/span.hpp"
 
 namespace dredbox::memsys {
@@ -45,9 +45,7 @@ void DmaEngine::enqueue(const DmaDescriptor& descriptor, Callback callback) {
   if (descriptor.bytes == 0) {
     throw std::invalid_argument("DmaEngine::enqueue: zero-byte transfer");
   }
-  const auto [job, slot] = jobs_.create(Job{descriptor, std::move(callback), sim_.now()});
-  (void)job;
-  queue_.push_back(JobHandle{slot, jobs_.generation(slot)});
+  queue_.push_back(Job{descriptor, std::move(callback), sim_.now(), std::nullopt, 0});
   pump();
 }
 
@@ -56,7 +54,7 @@ void DmaEngine::pump() {
     if (channels_[c].busy) continue;
     Channel& channel = channels_[c];
     channel.busy = true;
-    channel.job = queue_[queue_head_++];
+    channel.job = std::move(queue_[queue_head_++]);
     channel.offset = 0;
     channel.chunks = 0;
     step(c, /*own_event=*/false);
@@ -67,20 +65,11 @@ void DmaEngine::pump() {
   }
 }
 
-DmaEngine::Job& DmaEngine::job_ref(JobHandle handle) {
-  Job* job = jobs_.get(handle.slot);
-  DREDBOX_INVARIANT(job != nullptr && jobs_.generation(handle.slot) == handle.generation,
-                    "DmaEngine: stale job handle fired — a scheduled chunk event "
-                    "outlived its pooled job");
-  return *job;
-}
-
-void DmaEngine::finish(std::size_t channel, JobHandle handle, const DmaCompletion& done) {
-  // Reclaim the slot before delivering the completion: the callback may
-  // reentrantly enqueue (closed-loop workloads do) and is entitled to
-  // reuse the slot; the moved-out callback survives the destroy.
-  Callback callback = std::move(job_ref(handle).callback);
-  jobs_.destroy(handle.slot);
+void DmaEngine::finish(std::size_t channel, const DmaCompletion& done) {
+  // Free the channel before delivering the completion: the callback may
+  // reentrantly enqueue (closed-loop workloads do), and the moved-out
+  // callback survives the channel taking its next job.
+  Callback callback = std::move(channels_[channel].job.callback);
   channels_[channel].busy = false;
   if (callback) callback(done);
   pump();
@@ -97,10 +86,9 @@ void DmaEngine::continue_train(std::size_t channel, bool own_event, sim::Time wh
 
 void DmaEngine::step(std::size_t channel, bool own_event) {
   Channel& train = channels_[channel];
-  const JobHandle handle = train.job;
   const std::uint64_t offset = train.offset;
   const std::size_t chunks = train.chunks;
-  Job& job = job_ref(handle);
+  Job& job = train.job;
   if (offset >= job.descriptor.bytes) {
     DmaCompletion done;
     done.ok = true;
@@ -112,7 +100,7 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
     ++completed_;
     // Transfer-grained telemetry (inherited from the fabric; the per-chunk
     // transactions already land in the memsys.* histograms). Reads the job,
-    // so it runs before finish() reclaims the slot.
+    // so it runs before finish() frees the channel.
     if (sim::Telemetry* telemetry = bind_telemetry(); telemetry != nullptr) {
       transfers_metric_->add();
       bytes_metric_->add(done.bytes);
@@ -128,7 +116,7 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
         span.end(done.completed_at);
       }
     }
-    finish(channel, handle, done);
+    finish(channel, done);
     return;
   }
 
@@ -136,43 +124,39 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
       std::min<std::uint64_t>(chunk_bytes_, job.descriptor.bytes - offset));
   const std::uint64_t addr = job.descriptor.address + offset;
   const TransactionKind kind = job.descriptor.direction;
-  // The chunk streams over the channel's held route; the full walk (and its
-  // recovery loop) takes whatever the held route cannot carry.
-  std::optional<sim::Time> landed =
-      fabric_.stream(train.path, kind, compute_, addr, span, sim_.now());
-  if (!landed) {
-    const Transaction tx = kind == TransactionKind::kWrite
-                               ? fabric_.write(compute_, addr, span, sim_.now(), job.descriptor.ctx)
-                               : fabric_.read(compute_, addr, span, sim_.now(), job.descriptor.ctx);
-    if (!tx.ok()) {
-      // Event-scheduled chunk retry: unlike the fabric's synchronous loop,
-      // waiting on the simulator timeline lets queued recovery (a fault
-      // plan's flap expiring, an orchestrator repair) land between attempts.
-      if (fabric_.retry_policy().has_value()) {
-        if (!job.backoff.has_value()) {
-          job.backoff.emplace(*fabric_.retry_policy(), sim_.now());
-        }
-        if (const auto delay = job.backoff->next(sim_.now())) {
-          ++job.retries;
-          if (bind_telemetry() != nullptr) retries_metric_->add();
-          continue_train(channel, own_event, sim_.now() + *delay, "memsys.dma.retry");
-          return;
-        }
+  // The chunk rides the channel's held route; the fabric walks (with its
+  // recovery loop) whatever the held route cannot carry.
+  const RemoteMemoryFabric::Outcome tx =
+      fabric_.transact(train.held, kind, compute_, addr, span, sim_.now(), job.descriptor.ctx);
+  if (!tx.ok()) {
+    // Event-scheduled chunk retry: unlike the fabric's synchronous loop,
+    // waiting on the simulator timeline lets queued recovery (a fault
+    // plan's flap expiring, an orchestrator repair) land between attempts.
+    if (fabric_.retry_policy().has_value()) {
+      if (!job.backoff.has_value()) {
+        job.backoff.emplace(*fabric_.retry_policy(), sim_.now());
       }
-      DmaCompletion failed;
-      failed.ok = false;
-      // dredbox-lint: ignore[hot-path-alloc] cold: retry-exhausted failure, not steady state
-      failed.error = "chunk at 0x" + std::to_string(addr) + " failed: " + to_string(tx.status);
-      failed.bytes = offset;
-      failed.chunks = chunks;
-      failed.retries = job.retries;
-      failed.enqueued_at = job.enqueued_at;
-      failed.completed_at = sim_.now();
-      if (bind_telemetry() != nullptr) failed_metric_->add();
-      finish(channel, handle, failed);
-      return;
+      if (const auto delay = job.backoff->next(sim_.now())) {
+        ++job.retries;
+        if (bind_telemetry() != nullptr) retries_metric_->add();
+        continue_train(channel, own_event, sim_.now() + *delay, "memsys.dma.retry");
+        return;
+      }
     }
-    landed = tx.completed_at;
+    DmaCompletion failed;
+    failed.ok = false;
+    // dredbox-lint: ignore[hot-path-alloc] cold: retry-exhausted failure, not steady state
+    failed.error = sim::strformat("chunk at 0x%llx failed: %s",
+                                  static_cast<unsigned long long>(addr),
+                                  to_string(tx.status).c_str());
+    failed.bytes = offset;
+    failed.chunks = chunks;
+    failed.retries = job.retries;
+    failed.enqueued_at = job.enqueued_at;
+    failed.completed_at = sim_.now();
+    if (bind_telemetry() != nullptr) failed_metric_->add();
+    finish(channel, failed);
+    return;
   }
 
   // Issue the next chunk the moment this one's round trip completes; the
@@ -180,7 +164,7 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
   job.backoff.reset();
   train.offset = offset + span;
   train.chunks = chunks + 1;
-  continue_train(channel, own_event, *landed, "memsys.dma.step");
+  continue_train(channel, own_event, tx.completed_at, "memsys.dma.step");
 }
 // dredbox-lint: hot-path-end
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "memsys/remote_memory.hpp"
-#include "sim/arena.hpp"
 #include "sim/inplace_action.hpp"
 #include "sim/retry.hpp"
 #include "sim/simulator.hpp"
@@ -48,17 +47,14 @@ struct DmaCompletion {
 /// Multiple engines drain the queue concurrently, so bulk traffic
 /// overlaps the way the hardware's dual engines allow.
 ///
-/// Jobs are pooled through sim::IndexedArena: a busy channel holds a
-/// (slot, generation) handle to its job, so steady-state transfers
-/// allocate nothing and an abandoned transfer (fault-exhausted retries)
-/// reclaims its slot with a generation bump — a stale handle to the
-/// slot's next tenant is an invariant violation, not a silent misfire.
-///
-/// A channel's chunk train is one event for the whole transfer. The
-/// train's cursor (job handle, offset, chunks landed) lives in the
-/// Channel; the chunk event captures only the engine and the channel
-/// index, and each step re-arms it (sim::EventQueue::rearm) at the next
-/// chunk's issue time — or the retry's — instead of scheduling a new one.
+/// A channel owns its transfer: the in-flight Job sits in the Channel by
+/// value, beside the train's cursor (next offset, chunks landed) and its
+/// held routes, and waiting jobs sit by value in a FIFO over a recycled
+/// vector, so steady-state transfers allocate nothing. A channel's chunk
+/// train is one event for the whole transfer; it captures only the engine
+/// and the channel index, and each step re-arms it (sim::EventQueue::rearm)
+/// at the next chunk's issue time — or the retry's — instead of
+/// scheduling a new one.
 class DmaEngine {
  public:
   /// Completion callbacks ride the same inline-storage budget as event
@@ -78,13 +74,6 @@ class DmaEngine {
   std::size_t in_flight() const;
   std::uint64_t completed_transfers() const { return completed_; }
 
-  /// Jobs currently pooled (queued + in flight). Test hook for the
-  /// fault-abandonment suite: after a failed transfer's callback fires,
-  /// its slot must be reclaimed, i.e. this drops back to zero.
-  std::size_t jobs_live() const { return jobs_.live(); }
-  /// Current generation of a job slot (test hook; see IndexedArena).
-  std::uint32_t job_generation(std::uint32_t slot) const { return jobs_.generation(slot); }
-
  private:
   struct Job {
     DmaDescriptor descriptor;
@@ -95,25 +84,17 @@ class DmaEngine {
     std::optional<sim::BackoffSchedule> backoff;
     std::size_t retries = 0;
   };
-  /// Generation-checked handle to a pooled Job — what the queue and the
-  /// scheduled chunk events carry instead of the Job itself.
-  struct JobHandle {
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
-  };
   struct Channel {
     bool busy = false;
     /// The train's cursor: the job in flight, the offset of its next
     /// chunk, and the chunks landed so far. Valid while busy.
-    JobHandle job;
+    Job job;
     std::uint64_t offset = 0;
     std::size_t chunks = 0;
-    /// The route the channel's chunk train holds: one fabric resolution
-    /// per transfer while the control plane stands still. It lives here
-    /// rather than in the pooled Job, whose arena touches every slot of a
-    /// 1024-slot chunk; a held route stays valid for the next job on the
-    /// same window.
-    RemoteMemoryFabric::StreamPath path;
+    /// The routes the channel's chunk trains hold: one fabric resolution
+    /// per transfer while the control plane stands still, still valid for
+    /// the next job on the same window.
+    RemoteMemoryFabric::HeldRoute held;
   };
 
   sim::Simulator& sim_;
@@ -121,12 +102,11 @@ class DmaEngine {
   hw::BrickId compute_;
   std::uint32_t chunk_bytes_;
   std::vector<Channel> channels_;
-  sim::IndexedArena<Job> jobs_;
   /// FIFO over a recycled vector: pop advances queue_head_, and the
   /// vector rewinds (clear, keep capacity) once drained. A std::deque
   /// here allocates a fresh node block every ~64 push/pop cycles as the
   /// cursor walks forward, which breaks the 0-allocs/op steady state.
-  std::vector<JobHandle> queue_;
+  std::vector<Job> queue_;
   std::size_t queue_head_ = 0;
   std::uint64_t completed_ = 0;
 
@@ -140,14 +120,10 @@ class DmaEngine {
   sim::metrics::Counter* failed_metric_ = nullptr;
 
   void pump();
-  /// Resolves a handle to its live Job; a dangling or stale-generation
-  /// handle is an invariant violation (the engine never leaves one in
-  /// flight past the job's destruction).
-  Job& job_ref(JobHandle handle);
-  /// Destroys the pooled job, frees its channel, and delivers `done` to
-  /// the moved-out callback (after the slot is reclaimed, so a reentrant
-  /// enqueue from the callback can reuse it immediately).
-  void finish(std::size_t channel, JobHandle handle, const DmaCompletion& done);
+  /// Frees the channel and delivers `done` to its job's moved-out
+  /// callback, then refills the channels (the callback may reentrantly
+  /// enqueue, as closed-loop workloads do).
+  void finish(std::size_t channel, const DmaCompletion& done);
   /// Issues the channel's next chunk (or completes its transfer) and
   /// schedules the train's continuation. `own_event` says the call is the
   /// train's chunk event firing, which then re-arms itself; pump() starts

@@ -964,14 +964,12 @@ RemoteMemoryFabric::Priced RemoteMemoryFabric::price(const Route& route, const S
   return priced;
 }
 
-std::optional<sim::Time> RemoteMemoryFabric::stream(StreamPath& path, TransactionKind kind,
+std::optional<sim::Time> RemoteMemoryFabric::stream(HeldRoute::Slot& slot, TransactionKind kind,
                                                     hw::BrickId compute, std::uint64_t address,
                                                     std::uint32_t bytes, sim::Time when) {
-  // Traced transactions need their spans and breakdowns: full walk.
-  if (telemetry_ != nullptr && telemetry_->tracing()) return std::nullopt;
-  Route& route = path.route;
-  const bool held = path.epoch == route_epoch_ && path.compute == compute &&
-                    path.kind == kind && path.bytes == bytes && address >= route.window_base &&
+  Route& route = slot.route;
+  const bool held = slot.epoch == route_epoch_ && slot.compute == compute &&
+                    slot.bytes == bytes && address >= route.window_base &&
                     address - route.window_base < route.window_size;
   if (held) {
     // No mutator ran since the route was resolved; only a brick crash and
@@ -982,25 +980,24 @@ std::optional<sim::Time> RemoteMemoryFabric::stream(StreamPath& path, Transactio
       if (route.circuit == nullptr) return std::nullopt;
     }
     route.remote_address = route.dest_base + (address - route.window_base);
-    DREDBOX_AUDIT_INVARIANT(check_held_route(path, address));
+    DREDBOX_AUDIT_INVARIANT(check_held_route(slot, address));
   } else {
-    path.epoch = 0;
+    slot.epoch = 0;
     hw::TransactionGlueLogic& tgl = rack_.compute_brick(compute).tgl();
     route = Route{};
     if (resolve(compute, tgl.match(address), route) != TransactionStatus::kOk) {
       return std::nullopt;
     }
-    path.epoch = route_epoch_;
-    path.compute = compute;
-    path.kind = kind;
-    path.bytes = bytes;
-    path.tgl = &tgl;
-    path.terms = stage_terms(kind, route, bytes);
+    slot.epoch = route_epoch_;
+    slot.compute = compute;
+    slot.bytes = bytes;
+    slot.tgl = &tgl;
+    slot.terms = stage_terms(kind, route, bytes);
   }
   if (route.link->medium == LinkMedium::kPacket) return std::nullopt;
 
-  path.tgl->note_hit();
-  const sim::Time done = price(route, path.terms, when + latencies_.tgl_lookup).completed_at;
+  slot.tgl->note_hit();
+  const sim::Time done = price(route, slot.terms, when + latencies_.tgl_lookup).completed_at;
   if (telemetry_ != nullptr) {
     transactions_metric_->add();
     auto* latency = kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_;
@@ -1009,11 +1006,30 @@ std::optional<sim::Time> RemoteMemoryFabric::stream(StreamPath& path, Transactio
   return done;
 }
 
-void RemoteMemoryFabric::check_held_route(const StreamPath& path, std::uint64_t address) {
-  const hw::TransactionGlueLogic& tgl = rack_.compute_brick(path.compute).tgl();
+RemoteMemoryFabric::Outcome RemoteMemoryFabric::transact(HeldRoute& held, TransactionKind kind,
+                                                         hw::BrickId compute,
+                                                         std::uint64_t address,
+                                                         std::uint32_t bytes, sim::Time when,
+                                                         const sim::TraceContext& ctx) {
+  // Traced transactions need their spans and breakdowns: full walk.
+  const bool traced = ctx.valid() || (telemetry_ != nullptr && telemetry_->tracing());
+  if (!traced) {
+    if (const auto done =
+            stream(held.slots[static_cast<std::size_t>(kind)], kind, compute, address, bytes,
+                   when)) {
+      ++held_transactions_;
+      return Outcome{*done, 0, TransactionStatus::kOk};
+    }
+  }
+  const Transaction tx = execute(kind, compute, address, bytes, when, ctx);
+  return Outcome{tx.completed_at, tx.retries, tx.status};
+}
+
+void RemoteMemoryFabric::check_held_route(const HeldRoute::Slot& slot, std::uint64_t address) {
+  const hw::TransactionGlueLogic& tgl = rack_.compute_brick(slot.compute).tgl();
   Route fresh;
-  DREDBOX_INVARIANT(resolve(path.compute, tgl.match(address), fresh) == TransactionStatus::kOk &&
-                        fresh == path.route,
+  DREDBOX_INVARIANT(resolve(slot.compute, tgl.match(address), fresh) == TransactionStatus::kOk &&
+                        fresh == slot.route,
                     "held route disagrees with a fresh fabric resolution");
 }
 

@@ -85,6 +85,9 @@ std::string to_string(AttachError err);
 /// mainline circuit-switched interconnect.
 class RemoteMemoryFabric {
   struct Link;
+  /// White-box access for the held-route oracles: which transactions the
+  /// held route carried.
+  friend struct FabricTestAccess;
 
   /// What resolve() found for one address: the TGL match, the serving
   /// dMEMBRICK and the link (with its live circuit when optical). The
@@ -122,20 +125,30 @@ class RemoteMemoryFabric {
   };
 
  public:
-  /// A caller's held route (DMA channel, VM window, rack gateway), owned by
-  /// the caller and only read or written by stream(). A path holds one
-  /// transaction kind and size, so a caller issuing both reads and writes
-  /// keeps one path per kind. Default state holds nothing.
-  class StreamPath {
+  /// A caller's held routes (DMA channel, VM window, rack gateway), owned by
+  /// the caller and only read or written by transact(): one slot per
+  /// transaction kind, each holding one size. Default state holds nothing.
+  class HeldRoute {
    private:
     friend class RemoteMemoryFabric;
-    std::uint64_t epoch = 0;  // route epoch it was resolved in; 0 = none
-    hw::BrickId compute;
-    TransactionKind kind = TransactionKind::kRead;
-    std::uint32_t bytes = 0;
-    hw::TransactionGlueLogic* tgl = nullptr;
-    Route route;
-    StageTerms terms;
+    struct Slot {
+      std::uint64_t epoch = 0;  // route epoch it was resolved in; 0 = none
+      hw::BrickId compute;
+      std::uint32_t bytes = 0;
+      hw::TransactionGlueLogic* tgl = nullptr;
+      Route route;
+      StageTerms terms;
+    };
+    Slot slots[2];  // indexed by TransactionKind
+  };
+
+  /// What a synchronous transaction left the caller: how it ended, when,
+  /// and the recovery attempts it took.
+  struct Outcome {
+    sim::Time completed_at;
+    std::uint32_t retries = 0;
+    TransactionStatus status = TransactionStatus::kOk;
+    bool ok() const { return status == TransactionStatus::kOk; }
   };
 
   RemoteMemoryFabric(hw::Rack& rack, optics::CircuitManager& circuits,
@@ -263,17 +276,19 @@ class RemoteMemoryFabric {
   Transaction write(hw::BrickId compute, std::uint64_t address, std::uint32_t bytes,
                     sim::Time when, const sim::TraceContext& ctx = {});
 
-  /// One transaction over a caller's held route (`path` carries it from
-  /// transaction to transaction: a DMA chunk train, a VM window's reads or
-  /// writes, a rack gateway's served requests). While the held route is
-  /// valid the transaction is priced from it and counts one TGL hit, one
-  /// transaction and one latency sample, exactly as a successful
-  /// read()/write() would; a stale route is re-resolved first. Returns the
-  /// completion time, or nullopt — with nothing charged or counted — when
-  /// the address does not resolve to a healthy circuit path, the link is a
-  /// packet link or tracing is on. The caller then issues read()/write().
-  std::optional<sim::Time> stream(StreamPath& path, TransactionKind kind, hw::BrickId compute,
-                                  std::uint64_t address, std::uint32_t bytes, sim::Time when);
+  /// One transaction issued by a caller that holds its routes (`held`
+  /// carries them from transaction to transaction: a DMA chunk train, a VM
+  /// window's reads and writes, a rack gateway's served requests). While
+  /// the held route for `kind` is valid the transaction is priced from it
+  /// and counts one TGL hit, one transaction and one latency sample,
+  /// exactly as a successful read()/write() would; a stale route is
+  /// re-resolved first. Otherwise — the address does not resolve to a
+  /// healthy circuit path, the link is a packet link, tracing is on or
+  /// `ctx` is valid — it takes the full walk of read()/write(), recovery
+  /// loop and spans included.
+  Outcome transact(HeldRoute& held, TransactionKind kind, hw::BrickId compute,
+                   std::uint64_t address, std::uint32_t bytes, sim::Time when,
+                   const sim::TraceContext& ctx = {});
 
   const CircuitPathLatencies& latencies() const { return latencies_; }
 
@@ -346,9 +361,11 @@ class RemoteMemoryFabric {
   /// never uses.
   std::uint32_t next_electrical_id_ = 0x40000000u;
   std::uint32_t next_packet_id_ = 0x80000000u;
-  /// Bumped by every control-plane mutator; a StreamPath resolved in an
+  /// Bumped by every control-plane mutator; a held route resolved in an
   /// older epoch is stale.
   std::uint64_t route_epoch_ = 1;
+  /// Transactions transact() priced from a held route rather than walked.
+  std::uint64_t held_transactions_ = 0;
 
   sim::Telemetry* telemetry_ = nullptr;
   sim::metrics::Counter* attaches_metric_ = nullptr;
@@ -406,6 +423,16 @@ class RemoteMemoryFabric {
   // stream(); they are inline (defined in remote_memory.cpp only) so that
   // neither caller pays a call for the split.
 
+  /// transact()'s held path: prices the transaction from `slot` (re-resolved
+  /// first when stale) and returns its completion time, or nullopt — with
+  /// nothing charged or counted — when the address does not resolve to a
+  /// healthy circuit path or the link is a packet link. Not inline: inlined
+  /// into transact(), it made `BM_DmaSteadyStateAllocs/4096` ~8% slower
+  /// (GCC 12, -O3, x86-64).
+  std::optional<sim::Time> stream(HeldRoute::Slot& slot, TransactionKind kind,
+                                  hw::BrickId compute, std::uint64_t address,
+                                  std::uint32_t bytes, sim::Time when);
+
   /// Resolves `match` (the TGL's RMST match for an address of `compute`)
   /// to the dMEMBRICK, backing segment, link and live circuit behind it.
   /// Returns the first failure, kOk when `route` is complete. Counts
@@ -419,7 +446,7 @@ class RemoteMemoryFabric {
   /// busy-until.
   inline Priced price(const Route& route, const StageTerms& terms, sim::Time t);
   /// Audit cross-check: a fresh resolve of `address` equals the held route.
-  void check_held_route(const StreamPath& path, std::uint64_t address);
+  void check_held_route(const HeldRoute::Slot& slot, std::uint64_t address);
   /// Busy-until of controller `mc` on `membrick`.
   sim::Time& controller_busy_until(const hw::MemoryBrick& membrick, std::size_t mc);
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,

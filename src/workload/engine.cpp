@@ -324,32 +324,20 @@ std::optional<sim::Time> WorkloadEngine::perform_op(VmDriver& driver, bool close
   } else {
     ++result_.writes;
   }
-  // The op rides the window's held route for its kind; the full walk (its
-  // recovery loop and trace spans included) takes whatever the held route
-  // cannot carry.
-  memsys::RemoteMemoryFabric& fabric = dc_.fabric();
-  sim::Time completed_at;
-  memsys::RemoteMemoryFabric::StreamPath& held = driver.held[static_cast<std::size_t>(tx_kind)];
-  if (const auto landed =
-          fabric.stream(held, tx_kind, driver.compute, address, driver.spec.op_bytes, now)) {
-    completed_at = *landed;
-    record_sync_op(tx_kind, address, memsys::TransactionStatus::kOk, completed_at - now, 0);
-  } else {
-    const memsys::Transaction tx =
-        kind == 0 ? fabric.read(driver.compute, address, driver.spec.op_bytes, now, ctx)
-                  : fabric.write(driver.compute, address, driver.spec.op_bytes, now, ctx);
-    record_sync_op(tx.kind, tx.address, tx.status, tx.round_trip(), tx.retries);
-    if (ctx.valid()) {
-      sim::Span span{telemetry.tracer(), sim::TraceCategory::kApplication,
-                     kind == 0 ? "op read" : "op write", now};
-      span.context(ctx);
-      span.arg("vm", driver.vm.to_string()).arg("status", memsys::to_string(tx.status));
-      span.end(tx.completed_at);
-    }
-    completed_at = tx.completed_at;
+  // The op rides the window's held route; the fabric walks (its recovery
+  // loop and trace spans included) whatever the held route cannot carry.
+  const memsys::RemoteMemoryFabric::Outcome tx = dc_.fabric().transact(
+      driver.held, tx_kind, driver.compute, address, driver.spec.op_bytes, now, ctx);
+  record_sync_op(tx_kind, address, tx.status, tx.completed_at - now, tx.retries);
+  if (ctx.valid()) {
+    sim::Span span{telemetry.tracer(), sim::TraceCategory::kApplication,
+                   kind == 0 ? "op read" : "op write", now};
+    span.context(ctx);
+    span.arg("vm", driver.vm.to_string()).arg("status", memsys::to_string(tx.status));
+    span.end(tx.completed_at);
   }
   if (!closed_loop) return std::nullopt;
-  const sim::Time done = completed_at > now ? completed_at : now;
+  const sim::Time done = tx.completed_at > now ? tx.completed_at : now;
   return done + driver.clock.next_gap(done);
 }
 

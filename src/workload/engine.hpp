@@ -159,10 +159,9 @@ class WorkloadEngine {
     std::uint32_t index = 0;
     /// Resolved cross-rack fraction (0 when no port is installed).
     double cross_share = 0.0;
-    /// The window's held fabric routes, one per transaction kind (indexed
-    /// by memsys::TransactionKind): reads and writes each keep their own
-    /// stage terms, so alternating kinds never re-derives them.
-    memsys::RemoteMemoryFabric::StreamPath held[2];
+    /// The window's held fabric routes: reads and writes each keep their
+    /// own stage terms, so alternating kinds never re-derives them.
+    memsys::RemoteMemoryFabric::HeldRoute held;
 
     VmDriver(const TenantSpec& s, ArrivalClock c) : spec{s}, clock{std::move(c)} {}
   };

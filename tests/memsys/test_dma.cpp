@@ -9,6 +9,15 @@
 #include <vector>
 
 namespace dredbox::memsys {
+
+/// White-box access for the held-route oracle: how many transactions the
+/// fabric priced from a held route rather than walked.
+struct FabricTestAccess {
+  static std::uint64_t held_transactions(const RemoteMemoryFabric& fabric) {
+    return fabric.held_transactions_;
+  }
+};
+
 namespace {
 
 using sim::Time;
@@ -147,6 +156,7 @@ TEST_F(DmaTest, UnmappedAddressFailsCleanly) {
   sim_.run();
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("no-mapping"), std::string::npos);
+  EXPECT_NE(result.error.find("0xdead0000"), std::string::npos) << result.error;
   EXPECT_EQ(result.bytes, 0u);
   EXPECT_EQ(dma.in_flight(), 0u);  // channel released for the next job
 }
@@ -167,139 +177,187 @@ TEST_F(DmaTest, FailedCircuitSurfacesMidTransfer) {
   EXPECT_LT(result.bytes, 1 * kMiB);        // but not all
 }
 
-// --- pooled-job lifecycle under faults (ISSUE 9c/9 satellite) ---
+// --- job lifecycle under faults ---
 //
-// Jobs live in a sim::IndexedArena and the scheduled chunk events carry
-// (slot, generation) handles. These tests prove the fault-abandonment
-// story: whether a transfer completes, fails fast, or dies mid-flight
-// with retries exhausted, its slot is reclaimed (jobs_live back to 0),
-// the generation is bumped (stale handles are distinguishable from the
-// slot's next tenant), and nothing dangles.
+// A channel owns its in-flight job and the FIFO owns the waiting ones.
+// Whether a transfer completes, fails fast, or dies mid-flight with
+// retries exhausted, its callback fires exactly once, its channel is
+// freed before the callback runs, and the next transfer succeeds. (A
+// "slot" or "pooled job" in the test names is the channel and the job it
+// owns.)
 
 TEST_F(DmaTest, CompletedTransferReclaimsItsPooledJob) {
   DmaEngine dma{sim_, fabric_, compute_};
-  EXPECT_EQ(dma.jobs_live(), 0u);
   DmaDescriptor d;
   d.address = attachment_.compute_base;
   d.bytes = 64 * 1024;
-  bool done = false;
-  dma.enqueue(d, [&](const DmaCompletion& c) { done = c.ok; });
-  EXPECT_EQ(dma.jobs_live(), 1u);
-  const std::uint32_t generation_in_flight = dma.job_generation(0);
-  EXPECT_NE(generation_in_flight, 0u);
+  int completions = 0;
+  dma.enqueue(d, [&](const DmaCompletion& c) { completions += c.ok ? 1 : 100; });
+  EXPECT_EQ(dma.in_flight(), 1u);
   sim_.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(dma.jobs_live(), 0u);
-  EXPECT_EQ(dma.job_generation(0), generation_in_flight + 1)
-      << "destroy must bump the generation so stale handles miss";
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(dma.in_flight(), 0u);
+  EXPECT_EQ(dma.queued(), 0u);
+  bool ok_again = false;
+  d.address += kMiB;
+  dma.enqueue(d, [&](const DmaCompletion& c) { ok_again = c.ok; });
+  sim_.run();
+  EXPECT_TRUE(ok_again);
+  EXPECT_EQ(completions, 1) << "a finished job's callback never fires again";
 }
 
 TEST_F(DmaTest, BrickCrashMidFlightAbandonsTheJobAndReclaimsItsSlot) {
   DmaEngine dma{sim_, fabric_, compute_};
   DmaCompletion result;
-  bool delivered = false;
+  int delivered = 0;
   DmaDescriptor d;
   d.address = attachment_.compute_base;
   d.bytes = 1 * kMiB;
   dma.enqueue(d, [&](const DmaCompletion& c) {
     result = c;
-    delivered = true;
+    ++delivered;
   });
-  const std::uint32_t generation_in_flight = dma.job_generation(0);
   // Crash the serving dMEMBRICK ~50 us into the transfer: the next chunk's
   // fabric transaction dies with kBrickFailed (not retryable from the data
   // plane), so the engine must abandon the job.
   sim_.after(Time::us(50), [&] { rack_.brick(membrick_).fail(); });
   sim_.run();
-  ASSERT_TRUE(delivered) << "an abandoned transfer still delivers its failure";
+  ASSERT_EQ(delivered, 1) << "an abandoned transfer delivers its failure once";
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("brick-failed"), std::string::npos) << result.error;
   EXPECT_GT(result.bytes, 0u);
   EXPECT_LT(result.bytes, 1 * kMiB);
-  EXPECT_EQ(dma.jobs_live(), 0u) << "abandonment must reclaim the pooled slot";
-  EXPECT_EQ(dma.job_generation(0), generation_in_flight + 1);
   EXPECT_EQ(dma.in_flight(), 0u) << "the channel is free for the next job";
+  EXPECT_EQ(dma.queued(), 0u);
+  rack_.brick(membrick_).restore();
+  bool ok_again = false;
+  d.bytes = 64 * 1024;
+  dma.enqueue(d, [&](const DmaCompletion& c) { ok_again = c.ok; });
+  sim_.run();
+  EXPECT_TRUE(ok_again);
+  EXPECT_EQ(delivered, 1);
 }
 
 TEST_F(DmaTest, RetryExhaustionUnderPersistentFaultReclaimsEverything) {
-  // With a retry policy set, a mid-flight circuit failure sends the chunk
-  // through scheduled backoff retries; the circuit never heals (no policy
-  // on the fabric repairs it here — the engine's own retries re-execute
-  // against the still-down circuit, and the fabric's synchronous loop
-  // re-provisions). Use a brick crash instead, which no layer can retry
-  // around, after arming a policy: the job must still be reclaimed once
-  // the policy's attempts exhaust or the failure is recognized as fatal.
+  // With a retry policy set, a mid-flight brick crash — which no layer can
+  // retry around — sends the chunk through scheduled backoff retries until
+  // the policy's attempts exhaust or the failure is recognized as fatal;
+  // the job must still be abandoned and its channel freed.
   sim::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff = Time::us(5);
   fabric_.set_retry_policy(policy);
   DmaEngine dma{sim_, fabric_, compute_};
   DmaCompletion result;
+  int delivered = 0;
   DmaDescriptor d;
   d.address = attachment_.compute_base;
   d.bytes = 1 * kMiB;
-  dma.enqueue(d, [&](const DmaCompletion& c) { result = c; });
+  dma.enqueue(d, [&](const DmaCompletion& c) {
+    result = c;
+    ++delivered;
+  });
   sim_.after(Time::us(50), [&] { rack_.brick(membrick_).fail(); });
   sim_.run();
+  EXPECT_EQ(delivered, 1);
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(dma.jobs_live(), 0u);
   EXPECT_EQ(dma.in_flight(), 0u);
-  // A fresh transfer reuses the reclaimed slot 0 under a new generation.
+  EXPECT_EQ(dma.queued(), 0u);
+  // A fresh transfer takes the freed channel and lands.
   rack_.brick(membrick_).restore();
   bool ok_again = false;
   DmaDescriptor retry_d;
   retry_d.address = attachment_.compute_base;
   retry_d.bytes = 64 * 1024;
   dma.enqueue(retry_d, [&](const DmaCompletion& c) { ok_again = c.ok; });
-  EXPECT_EQ(dma.jobs_live(), 1u);
+  EXPECT_EQ(dma.in_flight(), 1u);
   sim_.run();
   EXPECT_TRUE(ok_again);
-  EXPECT_EQ(dma.jobs_live(), 0u);
+  EXPECT_EQ(dma.in_flight(), 0u);
+  EXPECT_EQ(delivered, 1);
 }
 
 TEST_F(DmaTest, QueuedAndInFlightJobsAreAllPooledAndAllReclaimed) {
   DmaEngine dma{sim_, fabric_, compute_, /*channels=*/1, 4096};
-  int completions = 0;
+  std::vector<int> completions(4, 0);
   for (int i = 0; i < 4; ++i) {
     DmaDescriptor d;
     d.address = attachment_.compute_base + static_cast<std::uint64_t>(i) * kMiB;
     d.bytes = 64 * 1024;
-    dma.enqueue(d, [&completions](const DmaCompletion& c) {
-      if (c.ok) ++completions;
+    dma.enqueue(d, [&completions, i](const DmaCompletion& c) {
+      if (c.ok) ++completions[static_cast<std::size_t>(i)];
     });
   }
-  EXPECT_EQ(dma.jobs_live(), 4u);  // 1 in flight + 3 queued, all pooled
+  EXPECT_EQ(dma.in_flight(), 1u);
+  EXPECT_EQ(dma.queued(), 3u);
   sim_.run();
-  EXPECT_EQ(completions, 4);
-  EXPECT_EQ(dma.jobs_live(), 0u);
+  EXPECT_EQ(completions, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(dma.in_flight(), 0u);
+  EXPECT_EQ(dma.queued(), 0u);
 }
 
 TEST_F(DmaTest, ReentrantEnqueueFromCompletionReusesTheReclaimedSlot) {
-  // finish() destroys the pooled job BEFORE invoking the callback, so a
-  // closed-loop callback that immediately enqueues may legally land in
-  // the very slot its own job vacated — under a bumped generation.
-  DmaEngine dma{sim_, fabric_, compute_};
-  std::uint32_t first_generation = 0;
-  std::uint32_t chained_generation = 0;
-  bool chained_done = false;
+  // finish() frees the channel BEFORE invoking the callback, so a
+  // closed-loop callback that immediately enqueues starts its transfer on
+  // the channel its own job vacated.
+  DmaEngine dma{sim_, fabric_, compute_, /*channels=*/1, 4096};
+  int chained_done = 0;
   DmaDescriptor d;
   d.address = attachment_.compute_base;
   d.bytes = 64 * 1024;
   dma.enqueue(d, [&](const DmaCompletion& c) {
     ASSERT_TRUE(c.ok);
-    EXPECT_EQ(dma.jobs_live(), 0u) << "slot reclaimed before the callback runs";
+    EXPECT_EQ(dma.in_flight(), 0u) << "channel freed before the callback runs";
     DmaDescriptor chained;
     chained.address = attachment_.compute_base + kMiB;
     chained.bytes = 64 * 1024;
-    dma.enqueue(chained, [&](const DmaCompletion& cc) { chained_done = cc.ok; });
-    chained_generation = dma.job_generation(0);
+    dma.enqueue(chained, [&](const DmaCompletion& cc) { chained_done += cc.ok ? 1 : 100; });
+    EXPECT_EQ(dma.in_flight(), 1u) << "the chained job took the freed channel";
+    EXPECT_EQ(dma.queued(), 0u);
   });
-  first_generation = dma.job_generation(0);
   sim_.run();
-  EXPECT_TRUE(chained_done);
-  EXPECT_EQ(chained_generation, first_generation + 1)
-      << "the reentrant enqueue reused slot 0 under the next generation";
-  EXPECT_EQ(dma.jobs_live(), 0u);
+  EXPECT_EQ(chained_done, 1);
+  EXPECT_EQ(dma.in_flight(), 0u);
+  EXPECT_EQ(dma.queued(), 0u);
+}
+
+TEST_F(DmaTest, JobFailingInsidePumpReentersPumpFromItsCallback) {
+  // One channel, no retry policy. Job 0 is unmapped, so it fails inside
+  // the pump() its own enqueue runs; its callback queues job 1 (which
+  // takes the freed channel), job 2 (unmapped) and job 3. When job 1
+  // lands, job 2 fails inside that pump(), and its callback queues job 4
+  // from inside it — behind job 3.
+  constexpr std::uint64_t kUnmapped = 0xDEAD0000;
+  DmaEngine dma{sim_, fabric_, compute_, /*channels=*/1, 4096};
+  std::vector<std::pair<int, bool>> fired;  // (job, ok) in callback order
+  const auto at = [](std::uint64_t address) {
+    DmaDescriptor d;
+    d.address = address;
+    d.bytes = 64 * 1024;
+    return d;
+  };
+  const auto record = [&fired](int job) {
+    return [&fired, job](const DmaCompletion& c) { fired.emplace_back(job, c.ok); };
+  };
+  const std::uint64_t base = attachment_.compute_base;
+  dma.enqueue(at(kUnmapped), [&](const DmaCompletion& c) {
+    fired.emplace_back(0, c.ok);
+    EXPECT_EQ(dma.in_flight(), 0u);
+    dma.enqueue(at(base), record(1));
+    dma.enqueue(at(kUnmapped), [&](const DmaCompletion& c2) {
+      fired.emplace_back(2, c2.ok);
+      dma.enqueue(at(base + 2 * kMiB), record(4));
+    });
+    dma.enqueue(at(base + kMiB), record(3));
+  });
+  EXPECT_EQ(fired, (std::vector<std::pair<int, bool>>{{0, false}}));
+  EXPECT_EQ(dma.in_flight(), 1u);
+  EXPECT_EQ(dma.queued(), 2u);
+  sim_.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, bool>>{
+                       {0, false}, {1, true}, {2, false}, {3, true}, {4, true}}));
+  EXPECT_EQ(dma.in_flight(), 0u);
+  EXPECT_EQ(dma.queued(), 0u);
 }
 
 TEST_F(DmaTest, Validation) {
@@ -475,7 +533,7 @@ std::ostream& operator<<(std::ostream& os, const SyncOp& op) {
 struct TrainOutcome {
   std::vector<DmaCompletion> completions;
   std::vector<SyncOp> ops;
-  /// Sync ops stream() priced from a held route (the rest walked).
+  /// Sync ops the fabric priced from a held route (the rest walked).
   std::size_t held_ops = 0;
   std::uint64_t tgl_hits = 0;
   std::uint64_t tgl_misses = 0;
@@ -593,13 +651,13 @@ struct TrainRig {
   }
 
   /// 64 B reads and writes alternating every 2 us across the upset on one
-  /// window, each kind over its own held path, as a VM window or a rack
-  /// gateway issues them: stream() first, the full walk when it declines.
+  /// window, over one held route, as a VM window or a rack gateway issues
+  /// them.
   TrainOutcome run_sync() {
     constexpr int kOps = 200;
     TrainOutcome out;
     out.ops.reserve(kOps);
-    RemoteMemoryFabric::StreamPath held[2];
+    RemoteMemoryFabric::HeldRoute held;
     for (int i = 0; i < kOps; ++i) {
       sim.at(Time::us(2 * i), [this, &out, &held, i] {
         const TransactionKind kind = i % 2 == 0 ? TransactionKind::kRead : TransactionKind::kWrite;
@@ -608,19 +666,12 @@ struct TrainRig {
         const std::uint64_t address =
             attachment.compute_base + static_cast<std::uint64_t>(i) * 65 * 64;
         const Time now = sim.now();
-        if (const auto landed = fabric.stream(held[static_cast<std::size_t>(kind)], kind,
-                                              compute, address, 64, now)) {
-          out.ops.push_back(SyncOp{TransactionStatus::kOk, now, *landed, 0});
-          ++out.held_ops;
-          return;
-        }
-        const Transaction tx = kind == TransactionKind::kRead
-                                   ? fabric.read(compute, address, 64, now)
-                                   : fabric.write(compute, address, 64, now);
-        out.ops.push_back(SyncOp{tx.status, tx.issued_at, tx.completed_at, tx.retries});
+        const auto tx = fabric.transact(held, kind, compute, address, 64, now);
+        out.ops.push_back(SyncOp{tx.status, now, tx.completed_at, tx.retries});
       });
     }
     sim.run();
+    out.held_ops = FabricTestAccess::held_transactions(fabric);
     collect(out);
     return out;
   }
