@@ -359,18 +359,21 @@ void BM_ArenaAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaAllocFree);
 
-// A schedule/dispatch load with the schedule auditor's batch path armed
-// (kIdentity = collect + FIFO dispatch, no reordering), on four-way
-// timestamp ties: the price of a perturbed audit run. Its ties make it a
-// different load from BM_EventQueueScheduleDispatch, so the pair does not
-// measure what the disarmed check costs the unperturbed path.
+// What arming the schedule auditor costs: one four-way-tie schedule and
+// dispatch load, run disarmed (second argument 0) and with the identity
+// perturbation armed (1, count each tie group, keep FIFO order). Both go
+// through the queue's one dispatch loop, so the pair's difference is the
+// armed step taken as each tie group opens.
 void BM_EventQueuePerturbedDispatch(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
+  const bool armed = state.range(1) != 0;
   for (auto _ : state) {
     sim::EventQueue q;
-    sim::SchedulePerturbation perturbation;
-    perturbation.mode = sim::SchedulePerturbation::Mode::kIdentity;
-    q.set_perturbation(perturbation);
+    if (armed) {
+      sim::SchedulePerturbation perturbation;
+      perturbation.mode = sim::SchedulePerturbation::Mode::kIdentity;
+      q.set_perturbation(perturbation);
+    }
     for (int i = 0; i < batch; ++i) {
       // Four-way timestamp ties so batches actually form.
       q.schedule(sim::Time::ns(((i / 4) * 7919) % 100000), [] {});
@@ -380,8 +383,10 @@ void BM_EventQueuePerturbedDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueuePerturbedDispatch)
-    ->Arg(100)
-    ->Arg(10000)
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
     ->MinTime(0.05)
     ->Repetitions(25)
     ->ComputeStatistics("min", stat_min);

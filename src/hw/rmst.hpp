@@ -19,8 +19,8 @@ struct RmstEntry {
   std::uint64_t size = 0;   // bytes; entries identify *large* segments
   BrickId dest_brick;       // hosting dMEMBRICK
   std::uint64_t dest_base = 0;  // offset within the dMEMBRICK's pool
-  PortId out_port;          // outgoing GTH port on the compute brick
-  CircuitId circuit;        // circuit set up by orchestration
+  PortId out_port{};        // outgoing GTH port on the compute brick
+  CircuitId circuit{};      // circuit set up by orchestration
 
   bool contains(std::uint64_t addr) const { return addr >= base && addr - base < size; }
 };

@@ -375,49 +375,37 @@ void EventQueue::fire_node(Node* node) {
 
 bool EventQueue::dispatch_one() {
   refuse_inside_action("dispatch_one");
-  if (perturb_.enabled()) return dispatch_one_perturbed();
-  ensure_drain();
-  if (drain_.empty()) return false;
-  Node* node = drain_.back().node;
-  drain_.pop_back();
-  --pending_count_;
-  fire_node(node);
-  return true;
+  return dispatch_batch(Time::infinity(), 1) != 0;
 }
 
 Time EventQueue::next_time() const {
-  if (perturb_.enabled()) {
-    skip_cancelled_batch();
-    if (batch_pos_ < batch_.size()) return batch_[batch_pos_]->when;
-  }
   ensure_drain();
   if (drain_.empty()) return Time::infinity();
   return drain_.back().when;
 }
 
-void EventQueue::skip_cancelled_batch() const {
-  while (batch_pos_ < batch_.size() && batch_[batch_pos_]->cancelled) {
-    reclaim_cancelled(batch_[batch_pos_]);
-    ++batch_pos_;
-  }
+std::uint64_t EventQueue::open_perturbed_group() {
+  // A group dispatch_one() or a throwing action left part-fired resumes as
+  // it was permuted, uncounted.
+  if (in_perturbed_group(drain_.back())) return group_end_seq_;
+  group_when_ = drain_.back().when;
+  group_end_seq_ = next_seq_;
+  permute_group();
+  return group_end_seq_;
 }
 
-void EventQueue::collect_batch() {
-  const Time when = drain_.back().when;
-  while (!drain_.empty() && drain_.back().when == when) {
-    Node* node = drain_.back().node;
-    drain_.pop_back();
-    if (node->cancelled) {
-      reclaim_cancelled(node);
-      continue;
-    }
-    batch_.push_back(node);
+void EventQueue::permute_group() {
+  // The group's live entries in FIFO order: the drain is descending, so
+  // FIFO runs from its tail toward its front. Cancelled entries keep their slots
+  // and are skipped at fire time, as an earlier member's cancel would be.
+  std::vector<std::size_t> slots;
+  for (std::size_t i = drain_.size(); i > 0 && drain_[i - 1].when == group_when_; --i) {
+    if (!drain_[i - 1].node->cancelled) slots.push_back(i - 1);
   }
-  if (batch_.size() < 2) return;  // a singleton cannot be reordered
+  if (slots.size() < 2) return;  // a singleton cannot be reordered
 
-  // Same-timestamp drain pops surface in seq order, so batch_ is FIFO here.
   const std::uint64_t index = batches_collected_++;
-  std::vector<std::size_t> order(batch_.size());
+  std::vector<std::size_t> order(slots.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (index >= perturb_.first_batch && index < perturb_.last_batch) {
     switch (perturb_.mode) {
@@ -447,99 +435,81 @@ void EventQueue::collect_batch() {
         break;
     }
   }
+  std::vector<Node*> fifo(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) fifo[i] = drain_[slots[i]].node;
   if (perturb_.capture_batch && *perturb_.capture_batch == index) {
     ScheduleBatchRecord record;
     record.index = index;
-    record.when = when;
-    record.fifo_labels.reserve(batch_.size());
-    for (const Node* node : batch_) {
+    record.when = group_when_;
+    record.fifo_labels.reserve(fifo.size());
+    for (const Node* node : fifo) {
       record.fifo_labels.emplace_back(node->label != nullptr ? node->label : "(unlabeled)");
     }
     record.dispatch_order = order;
     captured_ = std::move(record);
   }
-  std::vector<Node*> permuted;
-  permuted.reserve(batch_.size());
-  for (std::size_t fifo_pos : order) permuted.push_back(batch_[fifo_pos]);
-  batch_ = std::move(permuted);
-}
-
-bool EventQueue::dispatch_one_perturbed() {
-  skip_cancelled_batch();
-  if (batch_pos_ >= batch_.size()) {
-    batch_.clear();
-    batch_pos_ = 0;
-    ensure_drain();
-    if (drain_.empty()) return false;
-    collect_batch();
+  // The k-th slot fires k-th: it takes FIFO entry order[k]'s node, and the
+  // node takes the slot's sequence number, so the drain stays sorted and
+  // every entry's key still matches its node.
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    DrainEntry& entry = drain_[slots[k]];
+    entry.node = fifo[order[k]];
+    entry.node->seq = entry.seq;
   }
-  // Pop before firing: the action may mutate the queue (schedule, cancel,
-  // even reset), so nothing may run through a reference into batch_.
-  Node* node = batch_[batch_pos_++];
-  --pending_count_;
-  fire_node(node);
-  return true;
 }
 
 void EventQueue::set_perturbation(const SchedulePerturbation& perturbation) {
-  skip_cancelled_batch();
-  if (batch_pos_ < batch_.size()) {
-    throw std::logic_error(
-        "EventQueue::set_perturbation: a same-timestamp batch is mid-dispatch; "
-        "arm or disarm perturbations only between runs");
+  if (perturb_.enabled()) {
+    ensure_drain();
+    if (!drain_.empty() && in_perturbed_group(drain_.back())) {
+      throw std::logic_error(
+          "EventQueue::set_perturbation: a same-timestamp batch is mid-dispatch; "
+          "arm or disarm perturbations only between runs");
+    }
   }
-  batch_.clear();
-  batch_pos_ = 0;
   perturb_ = perturbation;
   batches_collected_ = 0;
   captured_.reset();
 }
 
-std::size_t EventQueue::dispatch_batch(Time until) {
-  // Batched same-timestamp dispatch (ISSUE 9d): the drain is sorted, so
-  // every event tied at the earliest timestamp sits contiguously at its
-  // tail. Service the whole tie group in one pass — the way the schedule
-  // auditor's collect_batch() already gathers ties — without re-probing
-  // the calendar (ensure_drain) between events. Ordering is unchanged:
-  // the pops walk the identical FIFO (when, seq) sequence dispatch_one()
-  // would, so digests cannot move. Actions may mutate the queue freely;
-  // a same-timestamp event scheduled mid-batch binary-inserts into its
-  // FIFO position in the open drain and is picked up by the tail checks,
-  // and a reset() empties the drain, ending the batch.
+std::size_t EventQueue::dispatch_batch(Time until, std::size_t limit) {
+  // The drain is sorted, so every event tied at the earliest timestamp
+  // sits contiguously at its tail: serve the whole tie group in one pass,
+  // without re-probing the calendar (ensure_drain) between events. The
+  // group is what was pending at its timestamp when it opened; an event
+  // scheduled mid-group (a sequence number from end_seq on) binary-inserts
+  // behind it, at its FIFO place, and opens the next group. Actions may
+  // schedule and cancel freely; cancelled entries are skipped at the tail.
   ensure_drain();
   if (drain_.empty() || drain_.back().when > until) return 0;
-  std::size_t dispatched = 0;
   const Time when = drain_.back().when;
-  do {
+  std::uint64_t end_seq = next_seq_;
+  if (perturb_.enabled()) [[unlikely]] end_seq = open_perturbed_group();
+  std::size_t dispatched = 0;
+  for (;;) {
     Node* node = drain_.back().node;
     drain_.pop_back();
     --pending_count_;
     fire_node(node);
-    ++dispatched;
+    if (++dispatched == limit) return dispatched;
     while (!drain_.empty() && drain_.back().node->cancelled) {
       Node* dead = drain_.back().node;
       drain_.pop_back();
       reclaim_cancelled(dead);
     }
-  } while (!drain_.empty() && drain_.back().when == when);
-  return dispatched;
+    if (drain_.empty() || drain_.back().when != when || drain_.back().seq >= end_seq) {
+      return dispatched;
+    }
+  }
 }
 
 std::size_t EventQueue::run_until(Time until) {
   refuse_inside_action("run_until");
   std::size_t dispatched = 0;
   for (;;) {
-    if (perturb_.enabled()) {
-      // The perturbed path owns its own batch machinery; keep the
-      // per-event probe so an armed perturbation is honoured exactly.
-      if (next_time() > until) break;
-      if (!dispatch_one()) break;
-      ++dispatched;
-      continue;
-    }
-    const std::size_t batch = dispatch_batch(until);
-    if (batch == 0) break;
-    dispatched += batch;
+    const std::size_t group = dispatch_batch(until, SIZE_MAX);
+    if (group == 0) break;
+    dispatched += group;
   }
   if (now_ < until && !until.is_infinite()) now_ = until;
   return dispatched;
@@ -549,14 +519,9 @@ std::size_t EventQueue::run() {
   refuse_inside_action("run");
   std::size_t dispatched = 0;
   for (;;) {
-    if (perturb_.enabled()) {
-      if (!dispatch_one()) break;
-      ++dispatched;
-      continue;
-    }
-    const std::size_t batch = dispatch_batch(Time::infinity());
-    if (batch == 0) break;
-    dispatched += batch;
+    const std::size_t group = dispatch_batch(Time::infinity(), SIZE_MAX);
+    if (group == 0) break;
+    dispatched += group;
   }
   return dispatched;
 }
@@ -571,9 +536,9 @@ void EventQueue::reset() {
   // The running action lives in its node: the sweep below would destroy
   // it mid-call.
   refuse_inside_action("reset");
-  // Destroys every node — bucketed, drained, overflowed, and the
-  // undispatched batch tail — in one arena sweep (chunks are retained for
-  // the next run; geometry returns to the initial window).
+  // Destroys every node — bucketed, drained and overflowed — in one arena
+  // sweep (chunks are retained for the next run; geometry returns to the
+  // initial window).
   arena_.clear();
   buckets_.assign(kInitialBuckets, nullptr);
   occupancy_.assign(kInitialBuckets / 64, 0);
@@ -592,9 +557,7 @@ void EventQueue::reset() {
   now_ = Time::zero();
   profile_.clear();
   // The armed perturbation survives a reset (it is harness configuration,
-  // not simulation state); the batch in flight and its accounting do not.
-  batch_.clear();
-  batch_pos_ = 0;
+  // not simulation state); its batch accounting does not.
   batches_collected_ = 0;
   captured_.reset();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
@@ -679,7 +642,7 @@ void EventQueue::check_invariants() const {
   }
 
   // --- reachability sweep: every arena-live node is linked exactly once
-  // from a day bucket, the drain, the overflow rung, or the batch tail ---
+  // from a day bucket, the drain or the overflow rung ---
   std::size_t live = 0;
   std::size_t cancelled = 0;
   const auto check_node = [&](const Node* node, const char* where) {
@@ -727,7 +690,6 @@ void EventQueue::check_invariants() const {
     check_node(node, "overflow");
     DREDBOX_INVARIANT(node->when.ticks() > win_last_, "overflow node inside the window");
   }
-  for (std::size_t i = batch_pos_; i < batch_.size(); ++i) check_node(batch_[i], "batch");
   // The firing node, unless its re-arm is queued, is live in the arena
   // and linked nowhere.
   const std::size_t firing = firing_ != nullptr && !requeued_ ? 1 : 0;

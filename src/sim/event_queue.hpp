@@ -27,17 +27,17 @@ struct EventId {
 /// The queue's documented contract is FIFO-within-timestamp, but no code
 /// in this repository may *rely* on that incidental order for its
 /// simulation outcome: same-timestamp events must be independent (or
-/// ordered through explicit timestamps). A perturbation makes the queue
-/// collect each group of >= 2 events sharing the earliest pending
-/// timestamp into a "batch" and dispatch the batch in a permuted order; a
-/// scenario whose canonical digest survives every permutation provably
-/// does not depend on tie order. kIdentity exercises the batch-collection
-/// machinery without reordering (the batch path itself must be
+/// ordered through explicit timestamps). Every run dispatches through one
+/// loop that serves the events tied at the earliest pending timestamp as a
+/// group; an armed perturbation permutes each group of >= 2 live events
+/// once, in place, as the group opens. A scenario whose canonical digest
+/// survives every permutation provably does not depend on tie order.
+/// kIdentity counts the groups without reordering them (it must be
 /// digest-neutral) and is how the auditor counts batches for bisection.
 struct SchedulePerturbation {
   enum class Mode : std::uint8_t {
-    kNone,          // normal FIFO dispatch, no batch collection
-    kIdentity,      // collect batches, dispatch in FIFO order
+    kNone,          // normal FIFO dispatch, no batch counting
+    kIdentity,      // count batches, dispatch in FIFO order
     kReverse,       // dispatch each batch back-to-front
     kRotate,        // rotate each batch left by one
     kShuffle,       // seeded Fisher-Yates per batch
@@ -49,8 +49,8 @@ struct SchedulePerturbation {
   /// from (seed, batch index), so shuffles are run-order independent.
   std::uint64_t seed = 1;
   /// Only batches with index in [first_batch, last_batch) are permuted
-  /// (all are still collected and counted). The auditor's bisection
-  /// narrows this window to isolate the first order-sensitive batch.
+  /// (all are still counted). The auditor's bisection narrows this window
+  /// to isolate the first order-sensitive batch.
   std::uint64_t first_batch = 0;
   std::uint64_t last_batch = UINT64_MAX;
   /// FIFO position swapped with its successor under kSwapAdjacent
@@ -65,8 +65,8 @@ struct SchedulePerturbation {
   std::string to_string() const;
 };
 
-/// Composition of one same-timestamp batch the queue collected while a
-/// perturbation was active; captured on request (capture_batch) so the
+/// Composition of one same-timestamp batch the queue opened while a
+/// perturbation was armed; captured on request (capture_batch) so the
 /// auditor can name the events of an order-sensitive batch.
 struct ScheduleBatchRecord {
   std::uint64_t index = 0;
@@ -144,7 +144,7 @@ struct CalendarStats {
 ///
 /// Event lifetime: schedule() relocates the action once, into its node.
 /// Dispatch runs the action in place — the node stays arena-live, in no
-/// bucket, drain, rung or batch, while it runs — and retires the node's
+/// bucket, drain or rung, while it runs — and retires the node's
 /// handle before the action starts. When the action returns (or throws)
 /// the node is freed, unless the action called rearm(): a self-
 /// rescheduling chain (a DMA chunk train, a VM's issue loop) is then one
@@ -208,8 +208,8 @@ class EventQueue {
   void reset();
 
   /// Deep consistency audit: every node is reachable exactly once from a
-  /// bucket, the drain, the overflow rung or the perturbation batch, save
-  /// the one node whose action is running and is not queued by a re-arm;
+  /// bucket, the drain or the overflow rung, save the one node whose
+  /// action is running and is not queued by a re-arm;
   /// counts agree with the arena; nothing precedes now(); buckets match
   /// their time ranges; the drain is sorted. Throws ContractViolation on
   /// the first broken invariant. Wired into every mutation when built
@@ -229,21 +229,21 @@ class EventQueue {
   bool profiling_enabled() const { return profiling_; }
 
   /// Arms (or, with Mode::kNone, disarms) a schedule perturbation. Must
-  /// not be called while a collected batch is mid-dispatch (throws
+  /// not be called while an armed tie group is part-dispatched (throws
   /// std::logic_error) — arm before running the scenario. Resets the
-  /// batch counter and any captured record. Off by default: the
-  /// unperturbed dispatch path tests the armed mode once per call. No
-  /// bench compares an armed queue with a disarmed one;
-  /// BM_EventQueuePerturbedDispatch measures the armed path alone.
+  /// batch counter and any captured record. Off by default; armed or not,
+  /// events dispatch through the same loop, and arming adds one step as
+  /// each tie group opens. BM_EventQueuePerturbedDispatch measures that
+  /// step against the disarmed loop on the same load.
   void set_perturbation(const SchedulePerturbation& perturbation);
   const SchedulePerturbation& perturbation() const { return perturb_; }
 
-  /// Multi-event same-timestamp batches collected since the perturbation
-  /// was armed (singleton "batches" cannot be reordered and don't count).
+  /// Multi-event same-timestamp groups opened since the perturbation was
+  /// armed (singleton groups cannot be reordered and don't count).
   std::uint64_t batches_collected() const { return batches_collected_; }
 
   /// The batch requested via SchedulePerturbation::capture_batch, once it
-  /// has been collected; nullopt before then (or when capture is unset).
+  /// has opened; nullopt before then (or when capture is unset).
   const std::optional<ScheduleBatchRecord>& captured_batch() const { return captured_; }
 
   /// The accumulated self-profile, one row per distinct label (unlabeled
@@ -320,9 +320,9 @@ class EventQueue {
 
   /// Fires `node` (already unlinked and uncounted): retires its handle,
   /// runs its action in place with profiling attribution, then frees it
-  /// unless the action re-armed it — also when the action throws. Shared
-  /// by both dispatch paths. The action may schedule and cancel, but not
-  /// reset or dispatch the queue (std::logic_error).
+  /// unless the action re-armed it — also when the action throws. The
+  /// action may schedule and cancel, but not reset or dispatch the queue
+  /// (std::logic_error).
   void fire_node(Node* node);
   /// Throws std::logic_error when an action is running; `what` names the
   /// refused call.
@@ -336,26 +336,23 @@ class EventQueue {
     return EventId{((static_cast<std::uint64_t>(slot) + 1) << 32) | arena_.generation(slot)};
   }
 
-  /// Dispatches every event tied at the earliest pending timestamp (when
-  /// it is <= `until`) in one pass over the sorted drain tail, without
-  /// re-probing the calendar between events — the run loops' batched
-  /// fast path (unperturbed only). Returns the number dispatched; 0 means
-  /// the queue is empty or the next event is after `until`.
-  std::size_t dispatch_batch(Time until);
-
-  // --- perturbation machinery (inert while perturb_.mode == kNone) ---
-
-  /// Skips batch entries cancelled after collection (an earlier event in
-  /// the batch may cancel a later one — that contract survives
-  /// perturbation because cancellation is checked at fire time).
-  void skip_cancelled_batch() const;
-  /// Collects every pending event sharing the earliest timestamp into
-  /// batch_, applies the armed permutation, and updates the batch
-  /// accounting. Requires a non-empty drain with a live tail.
-  void collect_batch();
-  /// Dispatch path while a perturbation is armed. set_perturbation refuses
-  /// to disarm mid-batch, so the unperturbed path never sees batch_ state.
-  bool dispatch_one_perturbed();
+  /// The one dispatch loop, behind run(), run_until() and dispatch_one():
+  /// fires the tie group at the earliest pending timestamp (when it is <=
+  /// `until`), at most `limit` events of it, in one pass over the sorted
+  /// drain tail. Returns the number dispatched; 0 means the queue is empty
+  /// or the next event is after `until`.
+  std::size_t dispatch_batch(Time until, std::size_t limit);
+  /// Armed only: opens the tie group at the drain tail, or resumes the one
+  /// dispatch_one() or a throwing action left part-fired, and returns the
+  /// group's first later sequence number.
+  std::uint64_t open_perturbed_group();
+  /// True when `entry` is what is left of the last group opened while armed.
+  bool in_perturbed_group(const DrainEntry& entry) const {
+    return entry.when == group_when_ && entry.seq < group_end_seq_;
+  }
+  /// Applies the armed permutation to the just-opened group's live
+  /// entries, in place, and does the batch accounting.
+  void permute_group();
 
   mutable IndexedArena<Node> arena_;
   mutable std::vector<Node*> buckets_;   // unsorted intrusive day chains
@@ -384,17 +381,17 @@ class EventQueue {
   // The node whose action is running (null between dispatches), whether
   // that action called rearm(), and whether the re-armed node is still
   // queued (a cancelled re-arm reclaimed mid-action leaves it). Unless it
-  // is queued, the node is arena-live yet in no bucket, drain, rung or batch.
+  // is queued, the node is arena-live yet in no bucket, drain or rung.
   Node* firing_ = nullptr;
   bool rearmed_ = false;
   mutable bool requeued_ = false;
 
   SchedulePerturbation perturb_;
-  // The same-timestamp batch currently being drained, in dispatch order;
-  // entries before batch_pos_ already fired or were reclaimed. Nodes stay
-  // arena-live while batched so they remain cancellable.
-  mutable std::vector<Node*> batch_;
-  mutable std::size_t batch_pos_ = 0;
+  // The last tie group opened while armed: its timestamp and the first
+  // sequence number issued after it opened. Entries at that timestamp with
+  // a lower sequence are what is left of that group.
+  Time group_when_ = Time::zero();
+  std::uint64_t group_end_seq_ = 0;
   std::uint64_t batches_collected_ = 0;
   std::optional<ScheduleBatchRecord> captured_;
 

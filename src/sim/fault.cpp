@@ -148,7 +148,10 @@ std::optional<FaultKind> fault_kind_from_string(std::string_view name) {
 
 std::string FaultEvent::to_string() const {
   std::string out = dredbox::sim::to_string(kind) + "@" + render_time(at);
-  if (duration > Time::zero()) out += "+" + render_time(duration);
+  if (duration > Time::zero()) {
+    out += "+";
+    out += render_time(duration);
+  }
   std::string keys;
   auto append = [&keys](const std::string& kv) {
     if (!keys.empty()) keys += ",";

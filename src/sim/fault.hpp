@@ -53,7 +53,7 @@ struct FaultEvent {
   double magnitude = 0.0;
   /// For flaps/bursts/stalls/crashes: how long until auto-recovery;
   /// Time::zero() means the fault persists until explicitly recovered.
-  Time duration;
+  Time duration{};
 
   /// Round-trips through FaultPlan::parse().
   std::string to_string() const;

@@ -43,7 +43,10 @@ std::string ScheduleAuditReport::to_string() const {
       "schedule audit: %zu permutations over %llu same-timestamp batches, %zu runs — %s",
       permutations, static_cast<unsigned long long>(batches), runs,
       ok() ? "tie-order independent" : "ORDER-DEPENDENT");
-  for (const auto& divergence : divergences) out += "\n" + divergence.to_string();
+  for (const auto& divergence : divergences) {
+    out += "\n";
+    out += divergence.to_string();
+  }
   return out;
 }
 
@@ -51,14 +54,14 @@ ScheduleAuditReport ScheduleAuditor::audit(const RunFn& run) const {
   if (!run) throw std::invalid_argument("ScheduleAuditor::audit: scenario callback must be callable");
   ScheduleAuditReport report;
 
-  // Baseline: plain FIFO dispatch, no batch collection.
+  // Baseline: disarmed FIFO dispatch, no batch counting.
   const AuditObservation baseline = run(SchedulePerturbation{});
   ++report.runs;
   report.baseline_digest = baseline.digest;
 
-  // Identity: the batch-collection machinery itself must be digest-neutral
-  // (same order, different plumbing). Also yields the batch count that
-  // bounds the bisection.
+  // Identity: the same dispatch loop with the perturbation step armed but
+  // reordering nothing, so it must be digest-neutral. Also yields the
+  // batch count that bounds the bisection.
   SchedulePerturbation identity;
   identity.mode = SchedulePerturbation::Mode::kIdentity;
   const AuditObservation neutral = run(identity);

@@ -76,7 +76,7 @@ struct ScheduleDivergence {
 
 struct ScheduleAuditReport {
   std::uint64_t baseline_digest = 0;
-  /// Multi-event same-timestamp batches the identity run collected: how
+  /// Multi-event same-timestamp batches the identity run counted: how
   /// many reorderable points the scenario actually has. Zero means the
   /// audit was vacuous — no two events ever shared a timestamp.
   std::uint64_t batches = 0;

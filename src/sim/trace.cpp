@@ -125,10 +125,23 @@ std::vector<TraceEvent> Tracer::filter(TraceCategory category) const {
 std::string Tracer::to_string() const {
   std::string out;
   for (const TraceEvent& e : events()) {
-    out += "[" + e.when.to_string() + "] " + dredbox::sim::to_string(e.category) + ": " +
-           e.message;
-    if (e.span && e.duration > Time::zero()) out += " (took " + e.duration.to_string() + ")";
-    for (const auto& [key, value] : e.args) out += " " + key + "=" + value;
+    out += "[";
+    out += e.when.to_string();
+    out += "] ";
+    out += dredbox::sim::to_string(e.category);
+    out += ": ";
+    out += e.message;
+    if (e.span && e.duration > Time::zero()) {
+      out += " (took ";
+      out += e.duration.to_string();
+      out += ")";
+    }
+    for (const auto& [key, value] : e.args) {
+      out += " ";
+      out += key;
+      out += "=";
+      out += value;
+    }
     out += "\n";
   }
   return out;

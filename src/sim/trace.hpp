@@ -54,7 +54,7 @@ struct TraceEvent {
   Time duration = Time::zero();
   bool span = false;
   std::vector<std::pair<std::string, std::string>> args;
-  TraceContext ctx;
+  TraceContext ctx{};
 
   Time end() const { return when + duration; }
 };

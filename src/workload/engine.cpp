@@ -150,54 +150,22 @@ void WorkloadEngine::boot_tenants() {
 
 void WorkloadEngine::start_streams(sim::Time t0) {
   auto& sim = dc_.simulator();
-  // Collect every initial issue first, then coalesce ties: issues that
-  // land on the same tick become ONE scheduled event dispatching the
-  // whole group in FIFO order — the same tie-batching the schedule
-  // auditor applies at the kernel (ISSUE 9d). Order is unchanged (the
-  // kernel would fire tied events in this exact insertion order), so the
-  // op stream and digest cannot move; the queue just carries one node
-  // per distinct start tick instead of one per VM window.
-  std::vector<InitialIssue> issues;
+  // One event per initial issue, in driver order, so issues that land on
+  // the same tick fire in that order. Each event then carries its issue
+  // loop, re-arming itself for the loop's next issue.
   for (auto& owned : drivers_) {
     VmDriver* driver = owned.get();
     if (driver->spec.loop == LoopMode::kOpen) {
       const sim::Time first = t0 + driver->clock.next_gap(t0);
-      if (first < end_) issues.push_back(InitialIssue{first, driver, /*closed_loop=*/false});
+      if (first < end_) {
+        sim.at(first, [this, driver] { open_arrival(*driver); }, "workload.open_arrival");
+      }
     } else {
       for (std::size_t window = 0; window < driver->spec.outstanding; ++window) {
         const sim::Time first = t0 + driver->clock.next_gap(t0);
-        if (first < end_) issues.push_back(InitialIssue{first, driver, /*closed_loop=*/true});
+        if (first < end_) schedule_closed_issue(first, *driver);
       }
     }
-  }
-  std::stable_sort(issues.begin(), issues.end(),
-                   [](const InitialIssue& a, const InitialIssue& b) { return a.when < b.when; });
-  for (std::size_t i = 0; i < issues.size();) {
-    std::size_t j = i + 1;
-    while (j < issues.size() && issues[j].when == issues[i].when) ++j;
-    if (j == i + 1) {
-      VmDriver& driver = *issues[i].driver;
-      if (issues[i].closed_loop) {
-        schedule_closed_issue(issues[i].when, driver);
-      } else {
-        sim.at(issues[i].when, [this, d = &driver] { open_arrival(*d, /*own_event=*/true); },
-               "workload.open_arrival");
-      }
-    } else {
-      start_batches_.emplace_back(issues.begin() + static_cast<std::ptrdiff_t>(i),
-                                  issues.begin() + static_cast<std::ptrdiff_t>(j));
-      const std::size_t batch = start_batches_.size() - 1;
-      sim.at(issues[i].when, [this, batch] {
-        for (const InitialIssue& issue : start_batches_[batch]) {
-          if (issue.closed_loop) {
-            closed_issue(*issue.driver, /*own_event=*/false);
-          } else {
-            open_arrival(*issue.driver, /*own_event=*/false);
-          }
-        }
-      }, "workload.start_batch");
-    }
-    i = j;
   }
 }
 
@@ -218,40 +186,27 @@ void WorkloadEngine::schedule_power_samples(sim::Time t0) {
 // offered op runs one of these; steady state must not touch the heap
 // (trace spans are gated on ctx.valid(), which is off on measured runs).
 void WorkloadEngine::schedule_closed_issue(sim::Time when, VmDriver& driver) {
-  dc_.simulator().at(when, [this, d = &driver] { closed_issue(*d, /*own_event=*/true); },
-                     "workload.closed_issue");
+  dc_.simulator().at(when, [this, d = &driver] { closed_issue(*d); }, "workload.closed_issue");
 }
 
-void WorkloadEngine::open_arrival(VmDriver& driver, bool own_event) {
+void WorkloadEngine::open_arrival(VmDriver& driver) {
   auto& sim = dc_.simulator();
   const sim::Time now = sim.now();
   if (now >= end_) return;
   // Chain the next arrival first so pacing is independent of what this
   // request turns out to be.
   const sim::Time next = now + driver.clock.next_gap(now);
-  if (next < end_) {
-    if (own_event) {
-      sim.rearm(next, "workload.open_arrival");
-    } else {
-      sim.at(next, [this, d = &driver] { open_arrival(*d, /*own_event=*/true); },
-             "workload.open_arrival");
-    }
-  }
+  if (next < end_) sim.rearm(next, "workload.open_arrival");
   perform_op(driver, /*closed_loop=*/false);
 }
 
-void WorkloadEngine::closed_issue(VmDriver& driver, bool own_event) {
+void WorkloadEngine::closed_issue(VmDriver& driver) {
   auto& sim = dc_.simulator();
   if (sim.now() >= end_) return;
   // A read or write chains the VM's next issue here; a DMA or cross-rack
   // op chains it off its completion, which schedules a fresh event.
   const std::optional<sim::Time> next = perform_op(driver, /*closed_loop=*/true);
-  if (!next || *next >= end_) return;
-  if (own_event) {
-    sim.rearm(*next, "workload.closed_issue");
-  } else {
-    schedule_closed_issue(*next, driver);
-  }
+  if (next && *next < end_) sim.rearm(*next, "workload.closed_issue");
 }
 
 std::optional<sim::Time> WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {

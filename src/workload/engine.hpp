@@ -166,21 +166,9 @@ class WorkloadEngine {
     VmDriver(const TenantSpec& s, ArrivalClock c) : spec{s}, clock{std::move(c)} {}
   };
 
-  /// One initial request issue, used by start_streams to coalesce
-  /// same-timestamp issues into a single scheduled event (ISSUE 9d).
-  struct InitialIssue {
-    sim::Time when;
-    VmDriver* driver;
-    bool closed_loop;
-  };
-
   core::Datacenter& dc_;
   WorkloadConfig config_;
   std::vector<std::unique_ptr<VmDriver>> drivers_;
-  /// Same-timestamp groups of initial issues; each scheduled start event
-  /// captures an index into this vector, keeping the capture inside the
-  /// InplaceAction budget regardless of group size.
-  std::vector<std::vector<InitialIssue>> start_batches_;
   /// One DMA engine per dCOMPUBRICK, shared by all co-located tenants
   /// (never iterated — lookup only, so no ordering nondeterminism).
   std::unordered_map<hw::BrickId, std::unique_ptr<memsys::DmaEngine>> dma_engines_;
@@ -201,11 +189,10 @@ class WorkloadEngine {
   void boot_tenants();
   void start_streams(sim::Time t0);
   void schedule_power_samples(sim::Time t0);
-  /// A VM's issue loops. `own_event` says the call is the loop's own
-  /// event firing, which then re-arms itself for the next issue; the start
-  /// batch calls them with false and they schedule a fresh event.
-  void open_arrival(VmDriver& driver, bool own_event);
-  void closed_issue(VmDriver& driver, bool own_event);
+  /// A VM's issue loops, each run from its own event, which re-arms
+  /// itself for the loop's next issue.
+  void open_arrival(VmDriver& driver);
+  void closed_issue(VmDriver& driver);
   /// Schedules a fresh `workload.closed_issue` event for `driver`.
   void schedule_closed_issue(sim::Time when, VmDriver& driver);
   /// Issues one request at the current simulated time. A closed-loop read

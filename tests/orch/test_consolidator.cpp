@@ -141,7 +141,9 @@ TEST_F(ConsolidatorTest, MovesCarryDisaggregatedMemory) {
   for (hw::BrickId cb : computes_) total_attached += fabric_.attached_bytes(cb);
   EXPECT_EQ(total_attached, 2 * kGiB);
   for (const auto& move : report.moves) {
-    if (move.from == computes_[0]) EXPECT_EQ(move.repointed_bytes, 2 * kGiB);
+    if (move.from == computes_[0]) {
+      EXPECT_EQ(move.repointed_bytes, 2 * kGiB);
+    }
   }
 }
 

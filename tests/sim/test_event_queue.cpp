@@ -615,7 +615,7 @@ TEST(EventQueueRearmTest, CancelledRearmOutlivesItsReclaimUntilTheActionReturns)
       int fires = 0;
       bool cancelled = false;
       Time next = Time::zero();
-      std::string text;
+      std::string text{};
       bool second_rearm_refused = false;
     } seen{&q};
     q.schedule(Time::ns(1), [&seen, text = std::string(64, 'x')] {
@@ -737,22 +737,32 @@ TEST(EventQueueRearmTest, ThrowingActionLeavesNoNodeBehind) {
 }
 
 TEST(EventQueueRearmTest, RearmAtNowJoinsTheBackOfAPerturbedTie) {
-  // A re-armed chain through a tie batch: the identity perturbation
-  // collects batches, and a re-arm at now() joins the back of the tie.
-  EventQueue q;
-  SchedulePerturbation identity;
-  identity.mode = SchedulePerturbation::Mode::kIdentity;
-  q.set_perturbation(identity);
-  std::vector<int> order;
-  int hops = 0;
-  q.schedule(Time::ns(5), [&] {
-    order.push_back(0);
-    if (++hops < 3) q.rearm(q.now());
-  });
-  q.schedule(Time::ns(5), [&] { order.push_back(1); });
-  EXPECT_EQ(q.run(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 0}));
-  q.check_invariants();
+  // A re-armed chain through a tie batch: the perturbation permutes the
+  // batch as it opens, and a re-arm at now() joins the back of the tie,
+  // after the whole batch, however that batch was permuted.
+  const struct {
+    SchedulePerturbation::Mode mode;
+    std::vector<int> order;
+  } cases[] = {
+      {SchedulePerturbation::Mode::kIdentity, {0, 1, 0, 0}},
+      {SchedulePerturbation::Mode::kReverse, {1, 0, 0, 0}},
+  };
+  for (const auto& c : cases) {
+    EventQueue q;
+    SchedulePerturbation perturbation;
+    perturbation.mode = c.mode;
+    q.set_perturbation(perturbation);
+    std::vector<int> order;
+    int hops = 0;
+    q.schedule(Time::ns(5), [&] {
+      order.push_back(0);
+      if (++hops < 3) q.rearm(q.now());
+    });
+    q.schedule(Time::ns(5), [&] { order.push_back(1); });
+    EXPECT_EQ(q.run(), 4u) << perturbation.to_string();
+    EXPECT_EQ(order, c.order) << perturbation.to_string();
+    q.check_invariants();
+  }
 }
 
 }  // namespace

@@ -185,6 +185,53 @@ TEST(SchedulePerturbationTest, CancellationInsideBatchIsHonoured) {
   q.check_invariants();
 }
 
+TEST(SchedulePerturbationTest, CancellationInsideReversedBatchIsHonoured) {
+  // Reversal moves nodes between drain slots. A cancel made before the
+  // batch opens and one made by an earlier member of the reversed batch
+  // must both still land on their events.
+  EventQueue q;
+  SchedulePerturbation p;
+  p.mode = SchedulePerturbation::Mode::kReverse;
+  q.set_perturbation(p);
+  std::vector<int> order;
+  std::vector<EventId> ids = schedule_tie(q, Time::ns(10), 4, order);
+  q.schedule(Time::ns(10), [&] {
+    order.push_back(4);
+    EXPECT_TRUE(q.cancel(ids[2]));
+  }, "e4");
+  q.schedule(Time::ns(9), [&] { EXPECT_TRUE(q.cancel(ids[1])); });
+  q.run();
+  // Live batch {0, 2, 3, 4} reversed; 4 fires first and cancels 2.
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 0}));
+  EXPECT_EQ(q.batches_collected(), 1u);
+  EXPECT_TRUE(q.empty());
+  q.check_invariants();
+}
+
+TEST(SchedulePerturbationTest, ThrowMidBatchLeavesTheRestToTheNextRun) {
+  // The first event of a reversed batch throws out of run(). The next
+  // run() finishes that same batch in its permuted order: the batch is
+  // neither counted nor permuted a second time.
+  EventQueue q;
+  SchedulePerturbation p;
+  p.mode = SchedulePerturbation::Mode::kReverse;
+  q.set_perturbation(p);
+  std::vector<int> order;
+  schedule_tie(q, Time::ns(10), 3, order);
+  q.schedule(Time::ns(10), [&] {
+    order.push_back(3);
+    throw std::runtime_error("boom");
+  }, "e3");
+  EXPECT_THROW(q.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{3}));
+  EXPECT_EQ(q.batches_collected(), 1u);
+  q.check_invariants();
+  EXPECT_EQ(q.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+  EXPECT_EQ(q.batches_collected(), 1u);
+  q.check_invariants();
+}
+
 TEST(SchedulePerturbationTest, EventsScheduledMidBatchFormNextGeneration) {
   EventQueue q;
   SchedulePerturbation p;

@@ -330,6 +330,75 @@ TEST(WorkloadEngine, EveryOfferedOpIsAccountedExactlyOnceAtTheHorizon) {
   }
 }
 
+TEST(WorkloadEngine, ArmedIdentityQueueChangesNeitherDigestNorDispatches) {
+  // VM issue loops and DMA chunk trains re-arm their own events. With an
+  // identity perturbation armed, every dispatch still runs the same events
+  // in the same order: the digest and each label's dispatch count match a
+  // disarmed run, and every initial issue is its own event.
+  workload::WorkloadConfig config;
+  workload::TenantSpec closed = small_tenant();
+  closed.name = "rw";
+  closed.outstanding = 2;
+  closed.mix = {0.7, 0.3, 0.0};
+  workload::TenantSpec bursty = small_tenant();
+  bursty.name = "dma";
+  bursty.loop = workload::LoopMode::kOpen;
+  bursty.arrivals = workload::ArrivalProcess::kMmpp;
+  bursty.rate_hz = 5000.0;
+  bursty.mix = {0.0, 0.0, 1.0};
+  bursty.dma_bytes = 256ull << 10;
+  config.tenants.push_back(closed);
+  config.tenants.push_back(bursty);
+  config.duration = sim::Time::ms(3);
+  // Power samples and metric ticks share one grid, so the armed run has
+  // tie groups to count.
+  config.power_samples = 8;
+  config.sample_period = config.duration / 8;
+
+  struct Run {
+    workload::WorkloadResult result;
+    std::vector<sim::KernelProfileEntry> profile;
+    std::uint64_t batches = 0;
+  };
+  auto run = [&](bool armed) {
+    auto rack = make_rack(5);
+    sim::EventQueue& queue = rack.datacenter().simulator().queue();
+    queue.enable_profiling();
+    if (armed) {
+      sim::SchedulePerturbation identity;
+      identity.mode = sim::SchedulePerturbation::Mode::kIdentity;
+      queue.set_perturbation(identity);
+    }
+    workload::WorkloadEngine engine{rack.datacenter(), config};
+    Run out{engine.run(), queue.kernel_profile(), queue.batches_collected()};
+    return out;
+  };
+  const Run plain = run(false);
+  const Run armed = run(true);
+
+  EXPECT_GT(plain.result.reads + plain.result.writes, 0u);
+  EXPECT_GT(plain.result.dmas, 0u);
+  EXPECT_GT(armed.batches, 0u);
+  EXPECT_EQ(armed.result.digest, plain.result.digest);
+  EXPECT_EQ(armed.result.offered, plain.result.offered);
+  EXPECT_EQ(armed.result.completed, plain.result.completed);
+
+  ASSERT_EQ(armed.profile.size(), plain.profile.size());
+  for (std::size_t i = 0; i < plain.profile.size(); ++i) {
+    EXPECT_EQ(armed.profile[i].label, plain.profile[i].label);
+    EXPECT_EQ(armed.profile[i].dispatches, plain.profile[i].dispatches)
+        << plain.profile[i].label;
+  }
+  const auto has_row = [&](const std::string& label) {
+    return std::any_of(plain.profile.begin(), plain.profile.end(),
+                       [&](const sim::KernelProfileEntry& row) { return row.label == label; });
+  };
+  EXPECT_TRUE(has_row("workload.closed_issue"));
+  EXPECT_TRUE(has_row("workload.open_arrival"));
+  EXPECT_TRUE(has_row("memsys.dma.step"));
+  EXPECT_FALSE(has_row("workload.start_batch"));
+}
+
 TEST(WorkloadEngine, OpMixShiftsTrafficShape) {
   workload::WorkloadConfig config;
   workload::TenantSpec spec = small_tenant();
