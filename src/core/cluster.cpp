@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/interrack_link.hpp"
 #include "sim/arena.hpp"
 #include "sim/contract.hpp"
 #include "sim/digest.hpp"
@@ -56,6 +55,18 @@ std::uint32_t reply_bytes(std::uint32_t bytes, bool write) {
   return kHeaderBytes + (write ? 0 : bytes);
 }
 
+/// One-way latency of a `bytes` message through the spine: propagation
+/// plus serialization at the line rate (bits * 1000 / gbps picoseconds).
+sim::Time one_way(const SpineSpec& spine, std::uint32_t bytes) {
+  const double ps = static_cast<double>(bytes) * 8.0 * 1000.0 / spine.bandwidth_gbps;
+  return spine.propagation + sim::Time::ps(static_cast<std::int64_t>(ps));
+}
+
+/// Static power of the spine: one lit port per rack.
+double spine_watts(const SpineSpec& spine, std::size_t racks) {
+  return static_cast<double>(racks) * spine.per_port_power_w;
+}
+
 /// Gate run before the spine and the kernel are built, so a bad config
 /// reports every validate() finding, never a member's first complaint.
 DatacenterConfig checked(const DatacenterConfig& config) {
@@ -98,26 +109,24 @@ class Cluster::RackPort final : public CrossRackPort {
     sim::Simulator& sim = cluster_.racks_[rack_]->simulator();
     const sim::Time now = sim.now();
     const std::uint64_t address = gw.base + offset;
-    if (!p.link.up()) {
+    // The completion as issued: a fail-fast delivers it as is; otherwise it
+    // waits in the pending arena for complete() to fill in the outcome.
+    const CrossCompletion issued{token, address, write, closed_loop, false, now, now};
+    if (!p.up) {
       // Fail fast at the sending NIC, as an event so the completion is
       // never synchronous with issue() (same contract as the success path).
-      p.link.on_fail_fast();
+      ++p.fail_fast;
       RackPort* self = this;
-      sim.at(
-          now,
-          [self, token, address, write, closed_loop, now] {
-            self->handler_(CrossCompletion{token, address, write, closed_loop, false, now, now});
-          },
-          "spine.fail_fast");
+      sim.at(now, [self, issued] { self->handler_(issued); }, "spine.fail_fast");
       return;
     }
-    const PendingHandle handle = alloc_pending(Pending{token, address, closed_loop, write, now});
-    p.link.on_send(request_bytes(bytes, write));
+    const PendingHandle handle = alloc_pending(issued);
+    p.on_send(request_bytes(bytes, write));
     Cluster* cluster = &cluster_;
     const std::uint32_t target = p.rack;
     const std::uint32_t src = rack_;
     cluster_.kernel_.send(
-        src, target, now + p.link.one_way(request_bytes(bytes, write)),
+        src, target, now + one_way(cluster_.config_.spine, request_bytes(bytes, write)),
         [cluster, target, src, handle, address, bytes, write] {
           cluster->serve(target, src, handle, address, bytes, write);
         },
@@ -132,24 +141,30 @@ class Cluster::RackPort final : public CrossRackPort {
  private:
   friend class Cluster;
 
+  /// One outbound direction of this rack's spine uplink, owned by the
+  /// *sending* rack's shard: `up` is flipped only by that shard's own fault
+  /// events and read only on its send path, and the counters are charged
+  /// only by its sends, so no locking is needed. A down direction refuses
+  /// new requests at the sender; light already launched always lands.
   struct Peer {
-    std::uint32_t rack = 0;   // peer rack index
-    net::InterRackLink link;  // sender-owned outbound direction
+    std::uint32_t rack = 0;  // peer rack index
+    bool up = true;
+    std::uint64_t tx_messages = 0;
+    std::uint64_t tx_bytes = 0;
+    /// Requests refused because this direction was down.
+    std::uint64_t fail_fast = 0;
+
+    void on_send(std::uint32_t bytes) {
+      ++tx_messages;
+      tx_bytes += bytes;
+    }
   };
 
-  /// In-flight request bookkeeping, pooled so the request and reply
-  /// messages carry an 8-byte (slot, generation) handle instead of the
-  /// whole record.
-  struct Pending {
-    std::uint32_t token = 0;
-    std::uint64_t address = 0;
-    bool closed_loop = false;
-    bool write = false;
-    sim::Time issued_at;
-  };
-
-  PendingHandle alloc_pending(const Pending& p) {
-    const std::uint32_t slot = pending_.create(p).second;
+  /// Pools in-flight requests' completions-to-be (`ok` and `completed_at`
+  /// are filled in by complete()), so the request and reply messages carry
+  /// an 8-byte (slot, generation) handle instead of the whole record.
+  PendingHandle alloc_pending(const CrossCompletion& c) {
+    const std::uint32_t slot = pending_.create(c).second;
     return PendingHandle{slot, pending_.generation(slot)};
   }
 
@@ -157,14 +172,14 @@ class Cluster::RackPort final : public CrossRackPort {
   /// generation, so a duplicated or late reply for a slot that has since
   /// been retired (and perhaps reissued) is refused instead of completing
   /// the slot's next tenant or freeing the slot twice.
-  Pending take_pending(PendingHandle handle) {
-    const Pending* p = pending_.get(handle.slot);
+  CrossCompletion take_pending(PendingHandle handle) {
+    const CrossCompletion* p = pending_.get(handle.slot);
     DREDBOX_INVARIANT(p != nullptr && pending_.generation(handle.slot) == handle.generation,
                       "Cluster: stale cross-rack reply for pending slot " +
                           std::to_string(handle.slot) + " generation " +
                           std::to_string(handle.generation) + " — the request was already "
                           "completed");
-    const Pending out = *p;
+    const CrossCompletion out = *p;
     pending_.destroy(handle.slot);
     return out;
   }
@@ -182,16 +197,16 @@ class Cluster::RackPort final : public CrossRackPort {
     DREDBOX_INVARIANT(down < cluster_.racks_.size(),
                       "spine fault targets a rack that does not exist");
     if (down == rack_) {
-      for (auto& peer : peers_) peer.link.set_up(up);
+      for (auto& peer : peers_) peer.up = up;
     } else {
-      peers_[peer_of(static_cast<std::uint32_t>(down))].link.set_up(up);
+      peers_[peer_of(static_cast<std::uint32_t>(down))].up = up;
     }
   }
 
   Cluster& cluster_;
   const std::uint32_t rack_;
   std::vector<Peer> peers_;
-  sim::IndexedArena<Pending> pending_;
+  sim::IndexedArena<CrossCompletion> pending_;
   /// Target-side state (written only from this rack's serve events).
   std::uint64_t rx_ = 0;
   sim::Digest served_;
@@ -199,11 +214,7 @@ class Cluster::RackPort final : public CrossRackPort {
 };
 
 Cluster::Cluster(const DatacenterConfig& config)
-    : config_{checked(config)},
-      spine_{optics::SpineSwitchConfig{config.spine.ports, config.spine.switching_time,
-                                       config.spine.per_port_power_w,
-                                       config.spine.insertion_loss_db}},
-      kernel_{config.spine.propagation} {
+    : config_{checked(config)}, kernel_{config.spine.propagation} {
   racks_.reserve(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     racks_.push_back(std::make_unique<Datacenter>(rack_config(config_, r)));
@@ -218,7 +229,6 @@ Cluster::~Cluster() = default;
 void Cluster::wire_spine() {
   const std::size_t n = racks_.size();
   for (std::size_t r = 0; r < n; ++r) {
-    spine_.attach_rack(static_cast<std::uint32_t>(r));
     kernel_.add_shard(racks_[r]->simulator());
     ports_.push_back(std::make_unique<RackPort>(*this, static_cast<std::uint32_t>(r)));
     RackPort* port = ports_.back().get();
@@ -228,19 +238,9 @@ void Cluster::wire_spine() {
         sim::FaultKind::kSpineLinkDown,
         [port](const sim::FaultEvent& e) { port->set_uplink(e.target, true); });
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) spine_.provision(static_cast<std::uint32_t>(a),
-                                                            static_cast<std::uint32_t>(b));
-  }
-  const net::InterRackLinkConfig link_config{config_.spine.propagation,
-                                             config_.spine.bandwidth_gbps};
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
-      if (from == to) continue;
-      RackPort::Peer peer;
-      peer.rack = static_cast<std::uint32_t>(to);
-      peer.link = net::InterRackLink{link_config};
-      ports_[from]->peers_.push_back(peer);
+      if (from != to) ports_[from]->peers_.push_back({static_cast<std::uint32_t>(to)});
     }
   }
 }
@@ -314,19 +314,18 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, PendingHandle handl
   // lands; only new requests fail fast).
   RackPort::Peer& back = port.peers_[port.peer_of(src)];
   const bool ok = tx.ok();
-  back.link.on_send(reply_bytes(bytes, write));
+  back.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
   kernel_.send(
-      target, src, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
+      target, src, tx.completed_at + one_way(config_.spine, reply_bytes(bytes, write)),
       [cluster, src, handle, ok] { cluster->complete(src, handle, ok); }, "spine.reply");
 }
 
 void Cluster::complete(std::uint32_t src, PendingHandle handle, bool ok) {
   RackPort& port = *ports_[src];
-  const RackPort::Pending pending = port.take_pending(handle);
-  CrossCompletion completion{pending.token,       pending.address, pending.write,
-                             pending.closed_loop, ok,              pending.issued_at,
-                             racks_[src]->simulator().now()};
+  CrossCompletion completion = port.take_pending(handle);
+  completion.ok = ok;
+  completion.completed_at = racks_[src]->simulator().now();
   port.handler_(completion);
 }
 // dredbox-lint: hot-path-end
@@ -339,9 +338,9 @@ RackLinkStats Cluster::link_stats(std::size_t r) const {
   RackLinkStats stats;
   const RackPort& port = *ports_.at(r);
   for (const auto& peer : port.peers_) {
-    stats.tx_messages += peer.link.tx_messages();
-    stats.tx_bytes += peer.link.tx_bytes();
-    stats.fail_fast += peer.link.fail_fast();
+    stats.tx_messages += peer.tx_messages;
+    stats.tx_bytes += peer.tx_bytes;
+    stats.fail_fast += peer.fail_fast;
   }
   stats.rx_messages = port.rx_;
   return stats;
@@ -356,15 +355,17 @@ sim::PartitionRunStats Cluster::advance_all(sim::Time until, std::size_t threads
 }
 
 double Cluster::power_draw_watts() const {
-  double watts = spine_.power_draw_watts();
+  double watts = spine_watts(config_.spine, racks_.size());
   for (const auto& rack : racks_) watts += rack->power_draw_watts();
   return watts;
 }
 
 std::string Cluster::describe() const {
-  std::string out = sim::strformat("Cluster: %zu racks over an optical spine\n", racks_.size());
-  out += spine_.describe();
-  for (std::size_t r = 0; r < racks_.size(); ++r) {
+  const std::size_t n = racks_.size();
+  std::string out = sim::strformat("Cluster: %zu racks over an optical spine\n", n);
+  out += sim::strformat("spine switch: %zu/%zu ports lit, %zu rack-pair circuits, %.1f W\n", n,
+                        config_.spine.ports, n * (n - 1) / 2, spine_watts(config_.spine, n));
+  for (std::size_t r = 0; r < n; ++r) {
     out += sim::strformat("rack %zu: gateway window %llu MiB at 0x%llx\n", r,
                           static_cast<unsigned long long>(gateways_[r].size >> 20),
                           static_cast<unsigned long long>(gateways_[r].base));

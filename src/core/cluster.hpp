@@ -8,7 +8,6 @@
 
 #include "core/cross_port.hpp"
 #include "core/datacenter.hpp"
-#include "optics/spine.hpp"
 #include "sim/partition.hpp"
 
 namespace dredbox::core {
@@ -29,6 +28,10 @@ struct RackLinkStats {
 /// rack's own remote-memory fabric through a gateway VM booted via that
 /// rack's control plane, reply message back — so every byte of cross-rack
 /// traffic exercises the same full stack as intra-rack traffic.
+///
+/// Every rack pair gets a spine circuit at wiring, so the spine's ports
+/// lit, circuits and power are closed forms of size(); its only
+/// time-varying state is each rack's sender-owned outbound directions.
 ///
 /// Each rack is one shard of a sim::PartitionedKernel whose one lookahead
 /// is the spine's propagation delay; advance_all() therefore
@@ -51,9 +54,6 @@ class Cluster {
   std::size_t size() const { return racks_.size(); }
   Datacenter& rack(std::size_t r) { return *racks_.at(r); }
   const Datacenter& rack(std::size_t r) const { return *racks_.at(r); }
-
-  optics::SpineSwitch& spine() { return spine_; }
-  const optics::SpineSwitch& spine() const { return spine_; }
 
   /// Rack r's NIC onto the spine; the workload layer installs its
   /// completion handler here and issues cross-rack traffic through it.
@@ -82,7 +82,7 @@ class Cluster {
   /// `threads` workers (threads=1 is the sequential reference schedule).
   sim::PartitionRunStats advance_all(sim::Time until, std::size_t threads = 1);
 
-  /// Total spine + racks instantaneous power.
+  /// Total instantaneous power: the racks plus one lit spine port each.
   double power_draw_watts() const;
 
   std::string describe() const;
@@ -125,7 +125,6 @@ class Cluster {
 
   DatacenterConfig config_;
   std::vector<std::unique_ptr<Datacenter>> racks_;
-  optics::SpineSwitch spine_;
   sim::PartitionedKernel kernel_;
   std::vector<Gateway> gateways_;
   std::vector<std::unique_ptr<RackPort>> ports_;

@@ -213,12 +213,8 @@ std::vector<std::string> DatacenterConfig::validate() const {
             "kernel's conservative lookahead)");
     require(errors, spine.bandwidth_gbps > 0.0,
             "spine.bandwidth_gbps: must be positive");
-    require(errors, spine.switching_time >= sim::Time::zero(),
-            "spine.switching_time: cannot be negative");
     require(errors, spine.per_port_power_w >= 0.0,
             "spine.per_port_power_w: cannot be negative");
-    require(errors, spine.insertion_loss_db >= 0.0,
-            "spine.insertion_loss_db: cannot be negative");
     require(errors, spine.gateway_bytes >= (1u << 20),
             "spine.gateway_bytes: each rack's cross-rack window needs at least 1 MiB");
     require(errors, spine.cross_share >= 0.0 && spine.cross_share <= 1.0,
@@ -301,9 +297,7 @@ std::uint64_t DatacenterConfig::digest() const {
     d.update("spine").update(static_cast<std::uint64_t>(spine.ports));
     fold_time(spine.propagation);
     fold_double(spine.bandwidth_gbps);
-    fold_time(spine.switching_time);
     fold_double(spine.per_port_power_w);
-    fold_double(spine.insertion_loss_db);
     d.update(spine.gateway_bytes);
     fold_double(spine.cross_share);
     d.update(static_cast<std::uint64_t>(spine.faults.size()));

@@ -50,10 +50,8 @@ struct SpineSpec {
   /// partitioned kernel's conservative lookahead, so strictly positive.
   sim::Time propagation = sim::Time::ns(500);
   double bandwidth_gbps = 100.0;
-  /// Circuit setup charged per rack pair at wiring.
-  sim::Time switching_time = sim::Time::us(25);
+  /// Static power of each lit port (one per rack).
   double per_port_power_w = 1.5;
-  double insertion_loss_db = 1.5;
   /// Disaggregated window each rack exports to its peers (served by a
   /// gateway VM booted at wiring through the rack's own control plane).
   /// Must be hotplug-block aligned — 1 GiB granularity by default.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -114,7 +115,16 @@ TEST(ClusterBuilderTest, BuilderAssemblesAMultiRackScenario) {
   EXPECT_EQ(cluster.config().spine.faults.events()[0].kind, sim::FaultKind::kSpineLinkDown);
   EXPECT_EQ(cluster.config().spine.faults.events()[0].target, 1u);
   EXPECT_GT(cluster.power_draw_watts(), 0.0);
-  EXPECT_FALSE(cluster.describe().empty());
+
+  // A header line, the spine line, then one line per rack.
+  std::istringstream text{cluster.describe()};
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2 + cluster.size()) << cluster.describe();
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    const std::string prefix = "rack " + std::to_string(r) + ":";
+    EXPECT_EQ(lines[2 + r].rfind(prefix, 0), 0u) << lines[2 + r];
+  }
 }
 
 TEST(ClusterBuilderTest, SingleRackScenariosStaySingleRack) {
@@ -173,9 +183,10 @@ sim::Time align_racks(Cluster& cluster) {
 /// Builds a 2-rack cluster aligned to a common start, so raw port traffic
 /// can flow.
 struct TwoRacks {
-  TwoRacks() : scenario{make()}, cluster{scenario.cluster()}, start{align_racks(cluster)} {}
-  static Scenario make() {
-    return ScenarioBuilder{}.add_racks(2, RackSpec{1, 2, 2, 0}).build();
+  explicit TwoRacks(const SpineSpec& spine = {})
+      : scenario{make(spine)}, cluster{scenario.cluster()}, start{align_racks(cluster)} {}
+  static Scenario make(const SpineSpec& spine) {
+    return ScenarioBuilder{}.add_racks(2, RackSpec{1, 2, 2, 0}).spine(spine).build();
   }
   Scenario scenario;
   Cluster& cluster;
@@ -213,6 +224,39 @@ TEST(ClusterTest, CrossReadRoundTripCrossesTheSpineTwice) {
   EXPECT_EQ(dst.rx_messages, 2u);
   EXPECT_EQ(src.fail_fast, 0u);
   EXPECT_NE(rig.cluster.served_digest(1), 0u);
+}
+
+/// Round trip of one 64-byte cross-rack request from rack 0 over a spine
+/// of `gbps` line rate.
+sim::Time round_trip_at(double gbps, bool write) {
+  SpineSpec spine;
+  spine.bandwidth_gbps = gbps;
+  TwoRacks rig{spine};
+  std::vector<CrossCompletion> done;
+  rig.cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
+  rig.cluster.port(0).issue(0, 4096, 64, write, /*token=*/1, /*closed_loop=*/false);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  EXPECT_EQ(done.size(), 1u);
+  EXPECT_TRUE(!done.empty() && done[0].ok);
+  return done.empty() ? sim::Time::zero() : done[0].round_trip();
+}
+
+TEST(ClusterTest, SpineSerializationChargesEveryByteOnTheWire) {
+  // Either way 128 bytes cross the spine: two 32-byte headers plus the
+  // 64-byte payload. Halving the line rate from 100 to 50 Gbps adds
+  // 80 ps per byte: 128 * 80 = 10240 ps, the fabric service unchanged.
+  for (bool write : {false, true}) {
+    EXPECT_EQ(round_trip_at(50.0, write) - round_trip_at(100.0, write), sim::Time::ps(10240))
+        << (write ? "write" : "read");
+  }
+}
+
+TEST(ClusterTest, SpinePowerIsOneLitPortPerRack) {
+  TwoRacks rig;
+  const double racks = rig.cluster.rack(0).power_draw_watts() +
+                       rig.cluster.rack(1).power_draw_watts();
+  EXPECT_DOUBLE_EQ(rig.cluster.power_draw_watts(),
+                   racks + 2 * rig.cluster.config().spine.per_port_power_w);
 }
 
 TEST(ClusterTest, DownLinkFailsFastAtTheSender) {

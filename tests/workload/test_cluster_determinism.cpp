@@ -59,6 +59,12 @@ ClusterResult run_once(const RunSpec& spec, std::size_t threads) {
   return engine.run(threads);
 }
 
+/// Once a run has drained, every admitted cross-rack request crossed the
+/// spine twice (request, reply); a fail-fast request never left its rack.
+void expect_spine_messages_conserved(const ClusterResult& result, const std::string& what) {
+  EXPECT_EQ(result.spine_tx_messages, 2 * (result.cross_ops - result.spine_fail_fast)) << what;
+}
+
 TEST(ClusterDeterminismTest, ParallelDigestsMatchSequentialAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RunSpec spec;
@@ -66,6 +72,7 @@ TEST(ClusterDeterminismTest, ParallelDigestsMatchSequentialAcrossSeeds) {
     const ClusterResult reference = run_once(spec, 1);
     EXPECT_GT(reference.completed, 0u) << "seed " << seed;
     EXPECT_GT(reference.cross_ops, 0u) << "seed " << seed;
+    expect_spine_messages_conserved(reference, "seed " + std::to_string(seed));
     for (std::size_t threads : {2u, 4u}) {
       const ClusterResult parallel = run_once(spec, threads);
       EXPECT_EQ(parallel.digest, reference.digest)
@@ -113,6 +120,7 @@ TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
   spec.window = sim::Time::us(200);
   const ClusterResult reference = run_once(spec, 1);
   EXPECT_GT(reference.cross_ops, 0u);
+  expect_spine_messages_conserved(reference, "4 racks");
   for (std::size_t threads : {2u, 4u}) {
     EXPECT_EQ(run_once(spec, threads).digest, reference.digest) << "threads " << threads;
   }
@@ -125,6 +133,7 @@ TEST(ClusterDeterminismTest, MidWindowSpineFaultStaysDeterministic) {
   const ClusterResult reference = run_once(spec, 1);
   EXPECT_GT(reference.spine_fail_fast, 0u)
       << "the fault window must actually reject traffic";
+  expect_spine_messages_conserved(reference, "spine fault");
   for (std::size_t threads : {2u, 4u}) {
     const ClusterResult parallel = run_once(spec, threads);
     EXPECT_EQ(parallel.digest, reference.digest) << "threads " << threads;
@@ -177,7 +186,13 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
     spec.seed = 5;
     spec.window = sim::Time::us(200);
     spec.fault = fault;
-    const ClusterResult reference = run_once(spec, 2);
+    // The power and time-series samplers tick on the same grid, so every
+    // sample instant is a tie group for the perturbation to permute.
+    WorkloadConfig workload = make_workload(spec);
+    workload.power_samples = 4;
+    workload.sample_period = spec.window / 4;
+    core::Scenario reference_scenario = make_builder(spec).build();
+    const ClusterResult reference = ClusterEngine{reference_scenario.cluster(), workload}.run(2);
     if (fault) {
       EXPECT_GT(reference.spine_fail_fast, 0u) << "the fault window must actually reject traffic";
     }
@@ -192,10 +207,16 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
       for (std::size_t r = 0; r < scenario.cluster().size(); ++r) {
         scenario.cluster().rack(r).simulator().queue().set_perturbation(perturbation);
       }
-      ClusterEngine engine{scenario.cluster(), make_workload(spec)};
-      EXPECT_EQ(canonical(engine.run(2)), baseline)
-          << (fault ? "spine fault, " : "healthy, ") << "perturbation " << i << " ("
-          << perturbation.to_string() << ")";
+      ClusterEngine engine{scenario.cluster(), workload};
+      const std::string what = std::string{fault ? "spine fault, " : "healthy, "} +
+                               "perturbation " + std::to_string(i) + " (" +
+                               perturbation.to_string() + ")";
+      EXPECT_EQ(canonical(engine.run(2)), baseline) << what;
+      std::uint64_t groups = 0;
+      for (std::size_t r = 0; r < scenario.cluster().size(); ++r) {
+        groups += scenario.cluster().rack(r).simulator().queue().batches_collected();
+      }
+      EXPECT_GT(groups, 0u) << what << ": no tie group formed, so nothing was permuted";
     }
   }
 }
