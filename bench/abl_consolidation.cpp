@@ -14,8 +14,8 @@ void abl_consolidation(Report& report) {
 
   ManagedRack fab;
   hw::Rack& rack = fab.rack;
-  orch::MigrationEngine engine{rack, fab.fabric, fab.sdm};
-  orch::PowerManager power{rack};
+  orch::MigrationEngine engine{rack, fab.fabric, fab.sdm, fab.telemetry};
+  orch::PowerManager power{rack, fab.telemetry};
 
   std::vector<hw::BrickId> computes;
   hw::ComputeBrickConfig cc;

@@ -15,7 +15,8 @@ namespace {
 /// Time for `burst` back-to-back 4 KiB reads from one compute brick using
 /// `links` parallel links on the dMEMBRICK side.
 double burst_completion_us(std::size_t links, int burst) {
-  net::PacketNetwork network;
+  sim::Telemetry telemetry;
+  net::PacketNetwork network{telemetry};
   const hw::BrickId cpu{1}, mem{2};
   network.add_brick(cpu, links);
   network.add_brick(mem, links);
@@ -45,7 +46,8 @@ void abl_link_partitioning(Report& report) {
 
   std::printf("Mode B: partitioning (two dCOMPUBRICKs on one dMEMBRICK)\n");
   // Shared: both bricks' traffic multiplexes over the same single link.
-  net::PacketNetwork shared;
+  sim::Telemetry telemetry;
+  net::PacketNetwork shared{telemetry};
   const hw::BrickId cpu1{1}, cpu2{2}, mem{3};
   shared.add_brick(cpu1, 1);
   shared.add_brick(cpu2, 1);
@@ -62,7 +64,7 @@ void abl_link_partitioning(Report& report) {
 
   // Partitioned: the orchestrator assigns each brick its own link (its own
   // egress port on the dMEMBRICK switch).
-  net::PacketNetwork split;
+  net::PacketNetwork split{telemetry};
   split.add_brick(cpu1, 1);
   split.add_brick(cpu2, 1);
   split.add_brick(mem, 2);

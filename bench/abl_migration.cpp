@@ -13,7 +13,7 @@ namespace dredbox::repro {
 namespace {
 
 struct Testbed : ManagedRack {
-  orch::MigrationEngine engine{rack, fabric, sdm};
+  orch::MigrationEngine engine{rack, fabric, sdm, telemetry};
   std::vector<hw::BrickId> computes;
 
   Testbed() {

@@ -20,8 +20,9 @@ void abl_near_data(Report& report) {
   const hw::BrickId cpu = rack.add_compute_brick(tray).id();
   rack.add_accelerator_brick(tray);
   const hw::BrickId membrick = rack.add_memory_brick(tray).id();
+  sim::Telemetry telemetry;
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
+  optics::CircuitManager circuits{sw, telemetry};
   orch::AcceleratorManager mgr{rack};
 
   hw::Bitstream kernel;

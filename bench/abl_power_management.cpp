@@ -38,7 +38,7 @@ RunOutcome run(bool managed) {
     orch::PowerPolicyConfig policy;
     policy.idle_timeout = sim::Time::sec(300);
     policy.keep_compute_bricks_on = true;
-    pm = std::make_unique<orch::PowerManager>(dc.rack(), policy);
+    pm = std::make_unique<orch::PowerManager>(dc.rack(), dc.telemetry(), policy);
     dc.sdm().set_power_manager(pm.get());
   }
 

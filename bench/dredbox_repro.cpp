@@ -52,7 +52,9 @@ bool Report::check(const std::string& claim, const std::string& section, double 
 }
 
 PacketPair::PacketPair(hw::BrickId cpu_id, hw::BrickId mem_id, optics::FecScheme fec)
-    : cpu{cpu_id}, mem{mem_id}, network{net::PacketPathLatencies{}, optics::FecModel{fec}} {
+    : cpu{cpu_id},
+      mem{mem_id},
+      network{telemetry, net::PacketPathLatencies{}, optics::FecModel{fec}} {
   network.add_brick(cpu);
   network.add_brick(mem);
   network.connect(cpu, mem, 10.0);
@@ -78,7 +80,7 @@ memsys::Attachment CircuitRack::attach(hw::BrickId compute, hw::BrickId membrick
 
 hw::BrickId ManagedRack::add_compute(hw::TrayId tray, const hw::ComputeBrickConfig& config) {
   auto& brick = rack.add_compute_brick(tray, config);
-  stacks.push_back(std::make_unique<Stack>(brick));
+  stacks.push_back(std::make_unique<Stack>(brick, telemetry));
   sdm.register_agent(stacks.back()->agent);
   return brick.id();
 }

@@ -146,10 +146,11 @@ core::DatacenterConfig two_tray_config() {
 // A compute brick and an 8 GiB memory brick on two trays, joined by a
 // 1 GiB attachment: the fabric the DMA and chunk-write benches walk.
 struct AttachedPair {
+  sim::Telemetry telemetry;
   hw::Rack rack;
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  optics::CircuitManager circuits{sw, telemetry};
+  memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
   hw::BrickId cpu;
   std::uint64_t base = 0;  // compute-side base address of the attachment
 
@@ -172,7 +173,7 @@ void BM_RmstLookup(benchmark::State& state) {
   const hw::Rmst rmst = make_rmst(entries);
   std::uint64_t addr = kRmstBase + (entries / 2 << 30) + 64;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rmst.lookup(addr));
+    benchmark::DoNotOptimize(rmst.find(addr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -405,7 +406,8 @@ void BM_MemoryBrickAllocRelease(benchmark::State& state) {
 BENCHMARK(BM_MemoryBrickAllocRelease);
 
 void BM_PacketRoundTripEvaluation(benchmark::State& state) {
-  net::PacketNetwork network;
+  sim::Telemetry telemetry;
+  net::PacketNetwork network{telemetry};
   const hw::BrickId cpu{1}, mem{2};
   network.add_brick(cpu);
   network.add_brick(mem);
@@ -425,9 +427,10 @@ void BM_FabricAttachDetach(benchmark::State& state) {
   const hw::TrayId tray_b = rack.add_tray();
   const hw::BrickId cpu = rack.add_compute_brick(tray_a).id();
   const hw::BrickId mem = rack.add_memory_brick(tray_b).id();
+  sim::Telemetry telemetry;
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  optics::CircuitManager circuits{sw, telemetry};
+  memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
   memsys::AttachRequest req;
   req.compute = cpu;
   req.membrick = mem;

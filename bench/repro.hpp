@@ -69,6 +69,7 @@ struct PacketPair {
 
   hw::BrickId cpu;
   hw::BrickId mem;
+  sim::Telemetry telemetry;
   net::PacketNetwork network;
 };
 
@@ -85,10 +86,11 @@ struct CircuitRack {
   memsys::Attachment attach(hw::BrickId compute, hw::BrickId membrick,
                             std::uint64_t bytes = kGiB, std::size_t lanes = 1);
 
+  sim::Telemetry telemetry;
   hw::Rack rack;
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
+  optics::CircuitManager circuits{sw, telemetry};
+  memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
   const hw::TrayId tray_a = rack.add_tray();
   const hw::TrayId tray_b = rack.add_tray();
 };
@@ -97,8 +99,8 @@ struct CircuitRack {
 /// add_compute() run the bare-metal OS, hypervisor and SDM agent stack.
 struct ManagedRack : CircuitRack {
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     orch::SdmAgent agent;
@@ -106,7 +108,7 @@ struct ManagedRack : CircuitRack {
 
   hw::BrickId add_compute(hw::TrayId tray, const hw::ComputeBrickConfig& config);
 
-  orch::SdmController sdm{rack, fabric, circuits};
+  orch::SdmController sdm{rack, fabric, circuits, telemetry};
   std::vector<std::unique_ptr<Stack>> stacks;
 };
 

@@ -100,8 +100,8 @@ int main() {
   for (hw::BrickId cb : dc.compute_bricks()) {
     for (const auto& a : dc.fabric().attachments_of(cb)) {
       if (a.medium != memsys::LinkMedium::kOptical) continue;
-      const auto circuit = dc.circuits().find(a.circuit);
-      if (!circuit) continue;
+      const optics::Circuit* circuit = dc.circuits().find(a.circuit);
+      if (circuit == nullptr) continue;
       const auto budget = dc.circuits().budget(*circuit, /*from_a=*/true);
       const double margin = budget.received_dbm() - rx.required_power_dbm(1e-12);
       std::printf("  circuit %s (brick %s <-> %s): rx %.2f dBm, BER %.1e, margin %.1f dB\n",

@@ -73,12 +73,7 @@ DatacenterConfig checked(const DatacenterConfig& config) {
   if (config.racks.empty()) {
     throw std::invalid_argument("Cluster requires a multi-rack config (config.racks non-empty)");
   }
-  const auto errors = config.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid cluster config:";
-    for (const auto& error : errors) message += "\n  " + error;
-    throw std::invalid_argument(message);
-  }
+  sim::throw_if_invalid("cluster config", config.validate());
   return config;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/contract.hpp"
 #include "sim/digest.hpp"
 #include "sim/format.hpp"
 
@@ -316,12 +317,7 @@ namespace {
 /// Gate run before any hardware is assembled: every validate() finding is
 /// reported at once, so a caller fixing a config sees the whole list.
 DatacenterConfig checked(const DatacenterConfig& config) {
-  const auto errors = config.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid DatacenterConfig:";
-    for (const auto& e : errors) message += "\n  - " + e;
-    throw std::invalid_argument(message);
-  }
+  sim::throw_if_invalid("DatacenterConfig", config.validate());
   return config;
 }
 
@@ -331,15 +327,16 @@ Datacenter::Datacenter(const DatacenterConfig& config)
     : config_{checked(config)},
       sim_{config.seed},
       switch_{config.optical_switch},
-      circuits_{switch_},
-      fabric_{rack_, circuits_, config.circuit_path},
-      packet_net_{config.packet_path},
-      sdm_{rack_, fabric_, circuits_, config.sdm},
+      circuits_{switch_, telemetry_},
+      fabric_{rack_, circuits_, telemetry_, config.circuit_path},
+      packet_net_{telemetry_, config.packet_path},
+      sdm_{rack_, fabric_, circuits_, telemetry_, config.sdm},
       openstack_{sdm_},
-      migration_{rack_, fabric_, sdm_, config.migration},
+      migration_{rack_, fabric_, sdm_, telemetry_, config.migration},
       oom_guard_{sdm_, config.oom_guard},
       accel_mgr_{rack_, config.accelerators},
-      power_mgr_{rack_, config.power_policy} {
+      power_mgr_{rack_, telemetry_, config.power_policy},
+      injector_{sim_, telemetry_} {
   if (config.enable_power_management) {
     sdm_.set_power_manager(&power_mgr_);
   }
@@ -347,31 +344,22 @@ Datacenter::Datacenter(const DatacenterConfig& config)
   fabric_.set_retry_policy(config.fabric_retry);
   sdm_.set_prefer_optical(config.prefer_optical_attach);
 
-  // Wire the shared telemetry bundle into every layer. Each subsystem
-  // caches its instrument pointers now, so instrumented hot paths never
-  // do a registry lookup (and cost one branch while telemetry is off).
-  // Trace-id minting rides its own splitmix64 stream seeded from the run
-  // seed: deterministic span identities without touching the sim Rng.
+  // Every instrumented layer bound its instruments to telemetry_ when it
+  // was constructed, so instrumented hot paths never do a registry lookup
+  // (and cost one branch while telemetry is off). Trace-id minting rides
+  // its own splitmix64 stream seeded from the run seed: deterministic span
+  // identities without touching the sim Rng.
   telemetry_.tracer().seed_trace_ids(config.seed);
-
-  circuits_.set_telemetry(&telemetry_);
-  fabric_.set_telemetry(&telemetry_);
-  packet_net_.set_telemetry(&telemetry_);
-  sdm_.set_telemetry(&telemetry_);
-  migration_.set_telemetry(&telemetry_);
-  power_mgr_.set_telemetry(&telemetry_);
 
   for (std::size_t t = 0; t < config.trays; ++t) {
     const hw::TrayId tray = rack_.add_tray();
     for (std::size_t i = 0; i < config.compute_bricks_per_tray; ++i) {
       auto& brick = rack_.add_compute_brick(tray, config.compute);
-      brick.tgl().set_telemetry(&telemetry_);
       auto& stack = stacks_[brick.id()];
       stack.os = std::make_unique<os::BareMetalOs>(brick, os::MemoryHotplug::kDefaultBlockBytes,
                                                    config.hotplug);
       stack.hypervisor =
-          std::make_unique<hyp::Hypervisor>(brick, *stack.os, config.hypervisor);
-      stack.hypervisor->set_telemetry(&telemetry_);
+          std::make_unique<hyp::Hypervisor>(brick, *stack.os, telemetry_, config.hypervisor);
       stack.agent = std::make_unique<orch::SdmAgent>(*stack.hypervisor, *stack.os);
       sdm_.register_agent(*stack.agent);
       mbos_.emplace(brick.id(), std::make_unique<optics::MidBoardOptics>(config.mbo, sim_.rng()));
@@ -397,7 +385,6 @@ Datacenter::Datacenter(const DatacenterConfig& config)
     }
   }
 
-  injector_.set_telemetry(&telemetry_);
   wire_fault_handlers();
 }
 
@@ -407,7 +394,7 @@ void Datacenter::repair_all_down() {
   // theirs healthy already.
   for (const auto& a : fabric_.all_attachments()) {
     if (a.medium != memsys::LinkMedium::kOptical) continue;
-    if (circuits_.find(a.circuit).has_value()) continue;
+    if (circuits_.find(a.circuit) != nullptr) continue;
     fabric_.repair(a.compute, a.segment, sim_.now());
   }
 }
@@ -423,7 +410,7 @@ void Datacenter::wire_fault_handlers() {
     if (e.target == 0) {
       victim = hw::CircuitId{};
       for (const auto& a : fabric_.all_attachments()) {
-        if (a.medium == memsys::LinkMedium::kOptical && circuits_.find(a.circuit)) {
+        if (a.medium == memsys::LinkMedium::kOptical && circuits_.find(a.circuit) != nullptr) {
           victim = a.circuit;
           break;
         }

@@ -274,8 +274,8 @@ class Datacenter {
 
  private:
   DatacenterConfig config_;
-  /// Declared before every subsystem: each holds cached instrument
-  /// pointers into this registry, so it must outlive them all.
+  /// Declared before every subsystem: each binds instrument references
+  /// into this registry at construction, so it must outlive them all.
   sim::Telemetry telemetry_;
   sim::Simulator sim_;
   hw::Rack rack_;
@@ -289,7 +289,7 @@ class Datacenter {
   orch::OomGuard oom_guard_;
   orch::AcceleratorManager accel_mgr_;
   orch::PowerManager power_mgr_;
-  sim::FaultInjector injector_{sim_};
+  sim::FaultInjector injector_;
 
   /// Maps every FaultKind onto its owning subsystem (ctor-time).
   void wire_fault_handlers();

@@ -62,11 +62,12 @@ ScenarioBuilder& ScenarioBuilder::add_racks(std::size_t n, const RackSpec& rack)
 }
 
 ScenarioBuilder& ScenarioBuilder::spine(const SpineSpec& spec) {
-  // Preserve any faults/share already declared through the dedicated
+  // Keep the faults and share already declared through the dedicated
   // setters unless the caller's spec carries its own.
-  auto faults = std::move(config_.spine.faults);
-  config_.spine = spec;
-  if (config_.spine.faults.empty()) config_.spine.faults = std::move(faults);
+  SpineSpec merged = spec;
+  if (merged.faults.empty()) merged.faults = config_.spine.faults;
+  if (merged.cross_share == 0.0) merged.cross_share = config_.spine.cross_share;
+  config_.spine = std::move(merged);
   return *this;
 }
 

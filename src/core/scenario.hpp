@@ -98,7 +98,8 @@ class ScenarioBuilder {
   /// Appends `n` identical racks in one call.
   ScenarioBuilder& add_racks(std::size_t n, const RackSpec& rack = {});
   /// Inter-rack spine parameters (propagation doubles as the partitioned
-  /// kernel's conservative lookahead).
+  /// kernel's conservative lookahead). Faults and a cross-rack share
+  /// declared earlier survive unless `spec` sets its own.
   ScenarioBuilder& spine(const SpineSpec& spec);
   /// Default worker-thread count for parallel cluster runs (1 = the
   /// sequential reference schedule).

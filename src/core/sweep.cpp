@@ -4,6 +4,7 @@
 #include <chrono>  // dredbox-lint: ignore[wall-clock] sweep speedup is a host-side quantity
 #include <stdexcept>
 
+#include "sim/contract.hpp"
 #include "sim/format.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace_export.hpp"
@@ -189,12 +190,7 @@ bool digests_match(const SweepReport& a, const SweepReport& b) {
 SweepRunner::SweepRunner(SweepGrid grid, CellBody body)
     : grid_{std::move(grid)}, body_{std::move(body)} {
   if (!body_) throw std::invalid_argument("SweepRunner: cell body must be callable");
-  const auto errors = grid_.errors();
-  if (!errors.empty()) {
-    std::string message = "invalid SweepGrid:";
-    for (const auto& e : errors) message += "\n  - " + e;
-    throw std::invalid_argument(message);
-  }
+  sim::throw_if_invalid("SweepGrid", grid_.errors());
 }
 
 CellResult SweepRunner::run_cell(const SweepCell& cell) const {

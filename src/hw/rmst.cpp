@@ -96,11 +96,6 @@ const RmstEntry* Rmst::find(std::uint64_t addr) const {
   return &e;
 }
 
-std::optional<RmstEntry> Rmst::lookup(std::uint64_t addr) const {
-  if (const RmstEntry* e = find(addr)) return *e;
-  return std::nullopt;
-}
-
 std::optional<RmstEntry> Rmst::find_segment(SegmentId segment) const {
   for (const auto& e : entries_) {
     if (e.segment == segment) return e;

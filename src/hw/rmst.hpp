@@ -80,10 +80,6 @@ class Rmst {
   /// the next mutation, or nullptr when no window covers `addr`.
   const RmstEntry* find(std::uint64_t addr) const;
 
-  /// Copying convenience wrapper over find(), for call sites that hold
-  /// the result across mutations.
-  std::optional<RmstEntry> lookup(std::uint64_t addr) const;
-
   std::optional<RmstEntry> find_segment(SegmentId segment) const;
 
   const std::vector<RmstEntry>& entries() const { return entries_; }

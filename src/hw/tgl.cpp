@@ -4,22 +4,11 @@
 
 namespace dredbox::hw {
 
-void TransactionGlueLogic::set_telemetry(sim::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    hits_metric_ = nullptr;
-    misses_metric_ = nullptr;
-    return;
-  }
-  hits_metric_ = &telemetry->metrics().counter("hw.tgl.lookup_hits");
-  misses_metric_ = &telemetry->metrics().counter("hw.tgl.lookup_misses");
-}
-
 std::optional<TglRoute> TransactionGlueLogic::route(std::uint64_t addr) {
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   auto out = match(addr);
   if (!out) {
     ++misses_;
-    if (misses_metric_ != nullptr) misses_metric_->add();
     return std::nullopt;
   }
   note_hit();

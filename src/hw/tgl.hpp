@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "hw/rmst.hpp"
-#include "sim/metrics.hpp"
 
 namespace dredbox::hw {
 
@@ -30,11 +29,6 @@ class TransactionGlueLogic {
   Rmst& rmst() { return rmst_; }
   const Rmst& rmst() const { return rmst_; }
 
-  /// Wires rack-wide telemetry in: every route() outcome also lands in
-  /// the shared "hw.tgl.*" counters (all TGLs aggregate into one rack
-  /// view; the per-brick hits()/misses() stay available for local debug).
-  void set_telemetry(sim::Telemetry* telemetry);
-
   /// Routes a brick-physical address. nullopt => address does not fall in
   /// any installed remote window (the access faults back to the APU).
   std::optional<TglRoute> route(std::uint64_t addr);
@@ -45,10 +39,7 @@ class TransactionGlueLogic {
   /// Counts one lookup hit, as route() does for a matched address. For a
   /// caller that forwards onto an already-matched segment again (a DMA
   /// chunk train on its held route).
-  void note_hit() {
-    ++hits_;
-    if (hits_metric_ != nullptr) hits_metric_->add();
-  }
+  void note_hit() { ++hits_; }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -63,8 +54,6 @@ class TransactionGlueLogic {
   Rmst rmst_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  sim::metrics::Counter* hits_metric_ = nullptr;
-  sim::metrics::Counter* misses_metric_ = nullptr;
 };
 
 }  // namespace dredbox::hw

@@ -7,36 +7,27 @@
 
 namespace dredbox::hyp {
 
-Hypervisor::Hypervisor(hw::ComputeBrick& brick, os::BareMetalOs& os,
+Hypervisor::Hypervisor(hw::ComputeBrick& brick, os::BareMetalOs& os, sim::Telemetry& telemetry,
                        const HypervisorTiming& timing)
-    : brick_{brick}, os_{os}, timing_{timing} {
+    : brick_{brick},
+      os_{os},
+      timing_{timing},
+      telemetry_{telemetry},
+      created_metric_{telemetry.metrics().counter("hyp.vms.created")},
+      destroyed_metric_{telemetry.metrics().counter("hyp.vms.destroyed")},
+      dimms_added_metric_{telemetry.metrics().counter("hyp.dimms.hotplugged")},
+      dimms_removed_metric_{telemetry.metrics().counter("hyp.dimms.removed")},
+      balloon_reclaims_metric_{telemetry.metrics().counter("hyp.balloon.reclaims")},
+      balloon_returns_metric_{telemetry.metrics().counter("hyp.balloon.returns")},
+      running_metric_{telemetry.metrics().gauge("hyp.vms.running")},
+      committed_metric_{telemetry.metrics().gauge("hyp.memory.committed_bytes")},
+      degraded_metric_{telemetry.metrics().gauge("hyp.vms.degraded")} {
   if (os.brick() != brick.id()) {
     throw std::invalid_argument("Hypervisor: OS instance belongs to a different brick");
   }
 }
 
 hw::BrickId Hypervisor::brick() const { return brick_.id(); }
-
-void Hypervisor::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    created_metric_ = destroyed_metric_ = nullptr;
-    dimms_added_metric_ = dimms_removed_metric_ = nullptr;
-    balloon_reclaims_metric_ = balloon_returns_metric_ = nullptr;
-    running_metric_ = committed_metric_ = degraded_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  created_metric_ = &m.counter("hyp.vms.created");
-  destroyed_metric_ = &m.counter("hyp.vms.destroyed");
-  dimms_added_metric_ = &m.counter("hyp.dimms.hotplugged");
-  dimms_removed_metric_ = &m.counter("hyp.dimms.removed");
-  balloon_reclaims_metric_ = &m.counter("hyp.balloon.reclaims");
-  balloon_returns_metric_ = &m.counter("hyp.balloon.returns");
-  running_metric_ = &m.gauge("hyp.vms.running");
-  committed_metric_ = &m.gauge("hyp.memory.committed_bytes");
-  degraded_metric_ = &m.gauge("hyp.vms.degraded");
-}
 
 std::size_t Hypervisor::rebind_dimm_backing(hw::SegmentId from, hw::SegmentId to) {
   std::size_t rebound = 0;
@@ -59,7 +50,7 @@ void Hypervisor::note_backing_lost(hw::SegmentId segment) {
     if (std::find(lost.begin(), lost.end(), segment) == lost.end()) lost.push_back(segment);
     if (!vm->degraded()) {
       vm->set_degraded(true);
-      if (degraded_metric_ != nullptr) degraded_metric_->add(1.0);
+      degraded_metric_.add(1.0);
     }
   }
 }
@@ -79,7 +70,7 @@ void Hypervisor::refresh_degraded(VirtualMachine& vm) {
   const bool still_degraded = lost != lost_backings_.end() && !lost->second.empty();
   if (vm.degraded() && !still_degraded) {
     vm.set_degraded(false);
-    if (degraded_metric_ != nullptr) degraded_metric_->add(-1.0);
+    degraded_metric_.add(-1.0);
   }
 }
 
@@ -105,7 +96,7 @@ std::uint64_t Hypervisor::available_bytes() const {
 sim::Time Hypervisor::balloon_reclaim(hw::VmId vm_id, std::uint64_t size) {
   VirtualMachine& guest = vm(vm_id);
   guest.balloon_inflate(size);  // throws if the guest cannot give it back
-  if (balloon_reclaims_metric_ != nullptr) balloon_reclaims_metric_->add();
+  balloon_reclaims_metric_.add();
   const double gib = static_cast<double>(size) / static_cast<double>(1ull << 30);
   return sim::scale(timing_.balloon_per_gib, gib);
 }
@@ -121,7 +112,7 @@ sim::Time Hypervisor::balloon_return(hw::VmId vm_id, std::uint64_t size) {
         "attach remote memory first");
   }
   guest.balloon_deflate(size);
-  if (balloon_returns_metric_ != nullptr) balloon_returns_metric_->add();
+  balloon_returns_metric_.add();
   const double gib = static_cast<double>(size) / static_cast<double>(1ull << 30);
   return sim::scale(timing_.balloon_per_gib, gib);
 }
@@ -135,11 +126,9 @@ std::optional<hw::VmId> Hypervisor::create_vm(std::size_t vcpus, std::uint64_t b
   auto vm = std::make_unique<VirtualMachine>(id, vcpus, boot_memory);
   vm->set_running();
   vms_.emplace(id, std::move(vm));
-  if (created_metric_ != nullptr) {
-    created_metric_->add();
-    running_metric_->add(1.0);
-    committed_metric_->add(static_cast<double>(boot_memory));
-  }
+  created_metric_.add();
+  running_metric_.add(1.0);
+  committed_metric_.add(static_cast<double>(boot_memory));
   return id;
 }
 
@@ -149,11 +138,9 @@ bool Hypervisor::destroy_vm(hw::VmId id) {
   VirtualMachine& vm = *it->second;
   brick_.release_cores(vm.vcpus());
   committed_bytes_ -= vm.installed_bytes();
-  if (destroyed_metric_ != nullptr) {
-    destroyed_metric_->add();
-    running_metric_->add(-1.0);
-    committed_metric_->add(-static_cast<double>(vm.installed_bytes()));
-  }
+  destroyed_metric_.add();
+  running_metric_.add(-1.0);
+  committed_metric_.add(-static_cast<double>(vm.installed_bytes()));
   vm.terminate();
   vms_.erase(it);
   return true;
@@ -200,19 +187,17 @@ sim::Time Hypervisor::expand_vm_memory(hw::VmId vm_id, std::uint64_t size,
   const double gib = static_cast<double>(size) / static_cast<double>(1ull << 30);
   const sim::Time latency =
       timing_.dimm_insert_fixed + sim::scale(timing_.guest_online_per_gib, gib);
-  if (dimms_added_metric_ != nullptr) {
-    dimms_added_metric_->add();
-    committed_metric_->add(static_cast<double>(size));
-    if (telemetry_->tracing()) {
-      sim::Span span{telemetry_->tracer(), sim::TraceCategory::kHypervisor,
-                     "DIMM add + guest online", now};
-      span.context(ctx.valid() ? telemetry_->tracer().child_of(ctx)
-                               : telemetry_->tracer().begin_trace());
-      span.arg("vm", vm_id.to_string())
-          .arg("bytes", std::to_string(size))
-          .arg("brick", brick_.id().to_string());
-      span.end(now + latency);
-    }
+  dimms_added_metric_.add();
+  committed_metric_.add(static_cast<double>(size));
+  if (telemetry_.tracing()) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kHypervisor, "DIMM add + guest online",
+                   now};
+    span.context(ctx.valid() ? telemetry_.tracer().child_of(ctx)
+                             : telemetry_.tracer().begin_trace());
+    span.arg("vm", vm_id.to_string())
+        .arg("bytes", std::to_string(size))
+        .arg("brick", brick_.id().to_string());
+    span.end(now + latency);
   }
   return latency;
 }
@@ -222,10 +207,8 @@ sim::Time Hypervisor::shrink_vm_memory(hw::VmId vm_id, hw::SegmentId segment) {
   const std::uint64_t removed = guest.remove_dimm(segment);
   if (removed == 0) return sim::Time::zero();
   committed_bytes_ -= removed;
-  if (dimms_removed_metric_ != nullptr) {
-    dimms_removed_metric_->add();
-    committed_metric_->add(-static_cast<double>(removed));
-  }
+  dimms_removed_metric_.add();
+  committed_metric_.add(-static_cast<double>(removed));
   const double gib = static_cast<double>(removed) / static_cast<double>(1ull << 30);
   return timing_.dimm_insert_fixed + sim::scale(timing_.balloon_per_gib, gib);
 }

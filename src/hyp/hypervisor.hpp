@@ -30,7 +30,11 @@ struct HypervisorTiming {
 /// supports runtime guest memory expansion (DIMM hotplug) and ballooning.
 class Hypervisor {
  public:
-  Hypervisor(hw::ComputeBrick& brick, os::BareMetalOs& os,
+  /// Binds the VM lifecycle counters, the aggregate running-VM and
+  /// committed-byte gauges (deltas, so every brick's hypervisor folds into
+  /// one rack view), balloon/DIMM event counters and a kHypervisor span per
+  /// guest expansion.
+  Hypervisor(hw::ComputeBrick& brick, os::BareMetalOs& os, sim::Telemetry& telemetry,
              const HypervisorTiming& timing = {});
 
   hw::BrickId brick() const;
@@ -104,12 +108,6 @@ class Hypervisor {
 
   const HypervisorTiming& timing() const { return timing_; }
 
-  /// Wires rack-wide telemetry in: VM lifecycle counters, the aggregate
-  /// running-VM and committed-byte gauges (deltas, so every brick's
-  /// hypervisor folds into one rack view), balloon/DIMM event counters
-  /// and a kHypervisor span per guest expansion. Null detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
-
  private:
   hw::ComputeBrick& brick_;
   os::BareMetalOs& os_;
@@ -120,16 +118,16 @@ class Hypervisor {
   std::uint64_t committed_bytes_ = 0;
   std::uint32_t next_vm_ = 1;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* created_metric_ = nullptr;
-  sim::metrics::Counter* destroyed_metric_ = nullptr;
-  sim::metrics::Counter* dimms_added_metric_ = nullptr;
-  sim::metrics::Counter* dimms_removed_metric_ = nullptr;
-  sim::metrics::Counter* balloon_reclaims_metric_ = nullptr;
-  sim::metrics::Counter* balloon_returns_metric_ = nullptr;
-  sim::metrics::Gauge* running_metric_ = nullptr;
-  sim::metrics::Gauge* committed_metric_ = nullptr;
-  sim::metrics::Gauge* degraded_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& created_metric_;
+  sim::metrics::Counter& destroyed_metric_;
+  sim::metrics::Counter& dimms_added_metric_;
+  sim::metrics::Counter& dimms_removed_metric_;
+  sim::metrics::Counter& balloon_reclaims_metric_;
+  sim::metrics::Counter& balloon_returns_metric_;
+  sim::metrics::Gauge& running_metric_;
+  sim::metrics::Gauge& committed_metric_;
+  sim::metrics::Gauge& degraded_metric_;
 
   /// Tracks segments whose backing is currently lost, per VM, so restore /
   /// rebind can tell when a VM's last lost DIMM is healed.

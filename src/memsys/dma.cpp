@@ -11,26 +11,17 @@ namespace dredbox::memsys {
 
 DmaEngine::DmaEngine(sim::Simulator& sim, RemoteMemoryFabric& fabric, hw::BrickId compute,
                      std::size_t channels, std::uint32_t chunk_bytes)
-    : sim_{sim}, fabric_{fabric}, compute_{compute}, chunk_bytes_{chunk_bytes} {
+    : sim_{sim},
+      fabric_{fabric},
+      compute_{compute},
+      chunk_bytes_{chunk_bytes},
+      transfers_metric_{fabric.telemetry().metrics().counter("memsys.dma.transfers")},
+      bytes_metric_{fabric.telemetry().metrics().counter("memsys.dma.bytes")},
+      retries_metric_{fabric.telemetry().metrics().counter("memsys.dma.retries")},
+      failed_metric_{fabric.telemetry().metrics().counter("memsys.dma.failed_transfers")} {
   if (channels == 0) throw std::invalid_argument("DmaEngine: needs at least one channel");
   if (chunk_bytes == 0) throw std::invalid_argument("DmaEngine: chunk size must be positive");
   channels_.resize(channels);
-}
-
-sim::Telemetry* DmaEngine::bind_telemetry() {
-  sim::Telemetry* telemetry = fabric_.telemetry();
-  if (telemetry == wired_telemetry_) return telemetry;
-  wired_telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    transfers_metric_ = bytes_metric_ = retries_metric_ = failed_metric_ = nullptr;
-    return nullptr;
-  }
-  auto& m = telemetry->metrics();
-  transfers_metric_ = &m.counter("memsys.dma.transfers");
-  bytes_metric_ = &m.counter("memsys.dma.bytes");
-  retries_metric_ = &m.counter("memsys.dma.retries");
-  failed_metric_ = &m.counter("memsys.dma.failed_transfers");
-  return telemetry;
 }
 
 std::size_t DmaEngine::in_flight() const {
@@ -98,23 +89,22 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
     done.enqueued_at = job.enqueued_at;
     done.completed_at = sim_.now();
     ++completed_;
-    // Transfer-grained telemetry (inherited from the fabric; the per-chunk
-    // transactions already land in the memsys.* histograms). Reads the job,
-    // so it runs before finish() frees the channel.
-    if (sim::Telemetry* telemetry = bind_telemetry(); telemetry != nullptr) {
-      transfers_metric_->add();
-      bytes_metric_->add(done.bytes);
-      if (telemetry->tracing()) {  // cold: tracing is opt-in, off on measured runs
-        sim::Span span{telemetry->tracer(), sim::TraceCategory::kFabric, "dma transfer",
-                       done.enqueued_at};
-        span.context(telemetry->tracer().child_of(job.descriptor.ctx));
-        span.arg("bytes", std::to_string(done.bytes))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-            .arg("chunks", std::to_string(done.chunks))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-            .arg("direction", to_string(job.descriptor.direction));
-        // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-        if (done.retries > 0) span.arg("retries", std::to_string(done.retries));
-        span.end(done.completed_at);
-      }
+    // Transfer-grained telemetry (the per-chunk transactions already land
+    // in the memsys.* histograms). Reads the job, so it runs before
+    // finish() frees the channel.
+    transfers_metric_.add();
+    bytes_metric_.add(done.bytes);
+    if (sim::Telemetry& telemetry = fabric_.telemetry(); telemetry.tracing()) {
+      // Cold: tracing is opt-in, off on measured runs.
+      sim::Span span{telemetry.tracer(), sim::TraceCategory::kFabric, "dma transfer",
+                     done.enqueued_at};
+      span.context(telemetry.tracer().child_of(job.descriptor.ctx));
+      span.arg("bytes", std::to_string(done.bytes))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+          .arg("chunks", std::to_string(done.chunks))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+          .arg("direction", to_string(job.descriptor.direction));
+      // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+      if (done.retries > 0) span.arg("retries", std::to_string(done.retries));
+      span.end(done.completed_at);
     }
     finish(channel, done);
     return;
@@ -138,7 +128,7 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
       }
       if (const auto delay = job.backoff->next(sim_.now())) {
         ++job.retries;
-        if (bind_telemetry() != nullptr) retries_metric_->add();
+        retries_metric_.add();
         continue_train(channel, own_event, sim_.now() + *delay, "memsys.dma.retry");
         return;
       }
@@ -154,7 +144,7 @@ void DmaEngine::step(std::size_t channel, bool own_event) {
     failed.retries = job.retries;
     failed.enqueued_at = job.enqueued_at;
     failed.completed_at = sim_.now();
-    if (bind_telemetry() != nullptr) failed_metric_->add();
+    failed_metric_.add();
     finish(channel, failed);
     return;
   }

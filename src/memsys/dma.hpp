@@ -110,14 +110,12 @@ class DmaEngine {
   std::size_t queue_head_ = 0;
   std::uint64_t completed_ = 0;
 
-  /// Cached instrument handles, re-resolved only when the fabric's
-  /// telemetry bundle changes — the per-transfer/per-retry path must not
-  /// pay a name lookup in the registry map.
-  sim::Telemetry* wired_telemetry_ = nullptr;
-  sim::metrics::Counter* transfers_metric_ = nullptr;
-  sim::metrics::Counter* bytes_metric_ = nullptr;
-  sim::metrics::Counter* retries_metric_ = nullptr;
-  sim::metrics::Counter* failed_metric_ = nullptr;
+  /// Instruments bound once from the fabric's telemetry, so the
+  /// per-transfer/per-retry path never pays a name lookup.
+  sim::metrics::Counter& transfers_metric_;
+  sim::metrics::Counter& bytes_metric_;
+  sim::metrics::Counter& retries_metric_;
+  sim::metrics::Counter& failed_metric_;
 
   void pump();
   /// Frees the channel and delivers `done` to its job's moved-out
@@ -131,9 +129,6 @@ class DmaEngine {
   void step(std::size_t channel, bool own_event);
   /// Continues channel `channel`'s train at `when` under `label`.
   void continue_train(std::size_t channel, bool own_event, sim::Time when, const char* label);
-  /// Returns the fabric's current telemetry (null when uninstrumented),
-  /// rebinding the cached counter handles when it changed.
-  sim::Telemetry* bind_telemetry();
 };
 
 }  // namespace dredbox::memsys

@@ -79,42 +79,35 @@ std::string to_string(AttachError err) {
 }
 
 RemoteMemoryFabric::RemoteMemoryFabric(hw::Rack& rack, optics::CircuitManager& circuits,
+                                       sim::Telemetry& telemetry,
                                        const CircuitPathLatencies& latencies)
-    : rack_{rack}, circuits_{circuits}, latencies_{latencies} {}
-
-void RemoteMemoryFabric::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    attaches_metric_ = attach_failures_metric_ = detaches_metric_ = nullptr;
-    transactions_metric_ = failed_tx_metric_ = nullptr;
-    read_latency_metric_ = write_latency_metric_ = nullptr;
-    rmst_entries_metric_ = rmst_mapped_metric_ = nullptr;
-    retries_metric_ = retry_exhausted_metric_ = reprovisions_metric_ = nullptr;
-    packet_failovers_metric_ = rmst_scrubs_metric_ = rmst_corruptions_metric_ = nullptr;
-    relocations_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  attaches_metric_ = &m.counter("memsys.fabric.attaches");
-  attach_failures_metric_ = &m.counter("memsys.fabric.attach_failures");
-  detaches_metric_ = &m.counter("memsys.fabric.detaches");
-  transactions_metric_ = &m.counter("memsys.fabric.transactions");
-  failed_tx_metric_ = &m.counter("memsys.fabric.failed_transactions");
-  // Round trips sit in the hundreds of ns (electrical / optical) up to a
-  // few us (packet fallback); RunningStats inside the histogram keeps the
-  // exact mean/min/max for out-of-range samples.
-  read_latency_metric_ = &m.histogram("memsys.read.latency_ns", 0.0, 10000.0, 50);
-  write_latency_metric_ = &m.histogram("memsys.write.latency_ns", 0.0, 10000.0, 50);
-  rmst_entries_metric_ = &m.gauge("hw.rmst.entries");
-  rmst_mapped_metric_ = &m.gauge("hw.rmst.mapped_bytes");
-  retries_metric_ = &m.counter("memsys.fabric.retries");
-  retry_exhausted_metric_ = &m.counter("memsys.fabric.retry_exhausted");
-  reprovisions_metric_ = &m.counter("memsys.fabric.reprovisions");
-  packet_failovers_metric_ = &m.counter("memsys.fabric.packet_failovers");
-  rmst_scrubs_metric_ = &m.counter("memsys.fabric.rmst_scrubs");
-  rmst_corruptions_metric_ = &m.counter("memsys.fabric.rmst_corruptions");
-  relocations_metric_ = &m.counter("memsys.fabric.relocations");
-}
+    : rack_{rack},
+      circuits_{circuits},
+      latencies_{latencies},
+      telemetry_{telemetry},
+      attaches_metric_{telemetry.metrics().counter("memsys.fabric.attaches")},
+      attach_failures_metric_{telemetry.metrics().counter("memsys.fabric.attach_failures")},
+      detaches_metric_{telemetry.metrics().counter("memsys.fabric.detaches")},
+      transactions_metric_{telemetry.metrics().counter("memsys.fabric.transactions")},
+      failed_tx_metric_{telemetry.metrics().counter("memsys.fabric.failed_transactions")},
+      // Round trips sit in the hundreds of ns (electrical / optical) up to a
+      // few us (packet fallback); RunningStats inside the histogram keeps
+      // the exact mean/min/max for out-of-range samples.
+      read_latency_metric_{
+          telemetry.metrics().histogram("memsys.read.latency_ns", 0.0, 10000.0, 50)},
+      write_latency_metric_{
+          telemetry.metrics().histogram("memsys.write.latency_ns", 0.0, 10000.0, 50)},
+      rmst_entries_metric_{telemetry.metrics().gauge("hw.rmst.entries")},
+      rmst_mapped_metric_{telemetry.metrics().gauge("hw.rmst.mapped_bytes")},
+      retries_metric_{telemetry.metrics().counter("memsys.fabric.retries")},
+      retry_exhausted_metric_{telemetry.metrics().counter("memsys.fabric.retry_exhausted")},
+      reprovisions_metric_{telemetry.metrics().counter("memsys.fabric.reprovisions")},
+      packet_failovers_metric_{telemetry.metrics().counter("memsys.fabric.packet_failovers")},
+      rmst_scrubs_metric_{telemetry.metrics().counter("memsys.fabric.rmst_scrubs")},
+      rmst_corruptions_metric_{telemetry.metrics().counter("memsys.fabric.rmst_corruptions")},
+      relocations_metric_{telemetry.metrics().counter("memsys.fabric.relocations")},
+      tgl_hits_metric_{telemetry.metrics().counter("hw.tgl.lookup_hits")},
+      tgl_misses_metric_{telemetry.metrics().counter("hw.tgl.lookup_misses")} {}
 
 bool RemoteMemoryFabric::same_tray(hw::BrickId a, hw::BrickId b) const {
   return rack_.brick(a).tray() == rack_.brick(b).tray();
@@ -167,22 +160,20 @@ std::optional<Attachment> RemoteMemoryFabric::attach(const AttachRequest& reques
                                                      sim::Time now) {
   ++route_epoch_;
   auto result = attach_impl(request, now);
-  if (telemetry_ != nullptr) {
-    if (result) {
-      attaches_metric_->add();
-      rmst_entries_metric_->add(1.0);
-      rmst_mapped_metric_->add(static_cast<double>(result->size));
-      if (telemetry_->tracing()) {
-        sim::Span span{telemetry_->tracer(), sim::TraceCategory::kFabric, "attach", now};
-        span.arg("compute", std::to_string(request.compute.value))
-            .arg("membrick", std::to_string(request.membrick.value))
-            .arg("bytes", std::to_string(result->size))
-            .arg("medium", to_string(result->medium));
-        span.end(now);
-      }
-    } else {
-      attach_failures_metric_->add();
+  if (result) {
+    attaches_metric_.add();
+    rmst_entries_metric_.add(1.0);
+    rmst_mapped_metric_.add(static_cast<double>(result->size));
+    if (telemetry_.tracing()) {
+      sim::Span span{telemetry_.tracer(), sim::TraceCategory::kFabric, "attach", now};
+      span.arg("compute", std::to_string(request.compute.value))
+          .arg("membrick", std::to_string(request.membrick.value))
+          .arg("bytes", std::to_string(result->size))
+          .arg("medium", to_string(result->medium));
+      span.end(now);
     }
+  } else {
+    attach_failures_metric_.add();
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return result;
@@ -352,7 +343,7 @@ bool RemoteMemoryFabric::tear_lanes(const Link& link) {
   for (const Lane& lane : link.lanes) {
     // A circuit torn behind the fabric's back released its ports with it
     // (on_circuits_torn); they may already serve another link.
-    if (lane.circuit.valid() && circuits_.find_ref(lane.circuit) == nullptr) continue;
+    if (lane.circuit.valid() && circuits_.find(lane.circuit) == nullptr) continue;
     rack_.brick(link.compute).port(lane.compute_port.value).connected = false;
     rack_.brick(link.membrick).port(lane.membrick_port.value).connected = false;
     if (lane.circuit.valid()) circuits_.teardown(lane.circuit);
@@ -407,11 +398,9 @@ bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
   cb.tgl().rmst().remove(segment);
   rack_.memory_brick(removed.membrick).release(segment);
 
-  if (telemetry_ != nullptr) {
-    detaches_metric_->add();
-    rmst_entries_metric_->add(-1.0);
-    rmst_mapped_metric_->add(-static_cast<double>(removed.size));
-  }
+  detaches_metric_.add();
+  rmst_entries_metric_.add(-1.0);
+  rmst_mapped_metric_.add(-static_cast<double>(removed.size));
 
   release_if_unused(removed.circuit);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
@@ -488,8 +477,8 @@ std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
   ++route_epoch_;
   const auto it = find_attachment(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
-  if (it->medium != LinkMedium::kOptical) return *it;          // nothing to repair
-  if (circuits_.find_ref(it->circuit) != nullptr) return *it;  // circuit is healthy
+  if (it->medium != LinkMedium::kOptical) return *it;      // nothing to repair
+  if (circuits_.find(it->circuit) != nullptr) return *it;  // circuit is healthy
 
   // Rebuild the exact pre-failure link: same hop count, same fibre run,
   // re-bonding up to the original lane count (degrading gracefully to
@@ -538,7 +527,7 @@ std::optional<Attachment> RemoteMemoryFabric::failover_to_packet(hw::BrickId com
   fresh.busy_until = sim::Time{};
   program_packet(fresh);
   rewire(it->circuit, std::move(fresh), now);
-  if (packet_failovers_metric_ != nullptr) packet_failovers_metric_->add();
+  packet_failovers_metric_.add();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return *it;
 }
@@ -602,7 +591,7 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
   // Release the old backing bytes and the old link when last rider.
   rack_.memory_brick(old.membrick).release(old_segment);
   release_if_unused(old.circuit);
-  if (relocations_metric_ != nullptr) relocations_metric_->add();
+  relocations_metric_.add();
   DREDBOX_ENSURE(result.compute_base == old.compute_base && result.size == old.size,
                  "relocation changed the compute-side window");
   DREDBOX_AUDIT_INVARIANT(check_invariants());
@@ -624,7 +613,7 @@ bool RemoteMemoryFabric::corrupt_rmst(hw::BrickId compute, std::size_t ordinal) 
     mangled.dest_base ^= 0x5a5a000ull;
     rmst.remove(a.segment);
     rmst.insert(mangled);
-    if (rmst_corruptions_metric_ != nullptr) rmst_corruptions_metric_->add();
+    rmst_corruptions_metric_.add();
     return true;
   }
   return false;
@@ -651,7 +640,7 @@ std::size_t RemoteMemoryFabric::scrub_rmst(hw::BrickId compute) {
     rmst.insert(fixed);
     ++rewritten;
   }
-  if (rewritten > 0 && rmst_scrubs_metric_ != nullptr) rmst_scrubs_metric_->add();
+  if (rewritten > 0) rmst_scrubs_metric_.add();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return rewritten;
 }
@@ -711,9 +700,9 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
   // Minting never draws from the simulation Rng, so tracing on/off leaves
   // the op stream and digests untouched.
   sim::TraceContext ctx;
-  const bool tracing = telemetry_ != nullptr && telemetry_->tracing();
+  const bool tracing = telemetry_.tracing();
   if (tracing) {
-    auto& tracer = telemetry_->tracer();
+    auto& tracer = telemetry_.tracer();
     ctx = parent.valid() ? tracer.child_of(parent) : tracer.begin_trace();
   }
 
@@ -738,15 +727,14 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
 
       const auto delay = schedule.next(t);
       if (!delay) {
-        if (retry_exhausted_metric_ != nullptr) retry_exhausted_metric_->add();
+        retry_exhausted_metric_.add();
         break;
       }
       accumulated.charge(kBdRetryBackoff, *delay);
       if (tracing) {
-        telemetry_->tracer().record_span(t, t + *delay, sim::TraceCategory::kFabric,
-                                         "retry backoff",
-                                         {{"status", to_string(tx.status)}},
-                                         telemetry_->tracer().child_of(ctx));
+        telemetry_.tracer().record_span(t, t + *delay, sim::TraceCategory::kFabric,
+                                        "retry backoff", {{"status", to_string(tx.status)}},
+                                        telemetry_.tracer().child_of(ctx));
       }
       t += *delay;
 
@@ -755,25 +743,23 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
           tx.status == TransactionStatus::kNoMapping) {
         scrub_rmst(compute);
         if (tracing) {
-          telemetry_->tracer().record_span(t, t, sim::TraceCategory::kFabric, "RMST scrub", {},
-                                           telemetry_->tracer().child_of(ctx));
+          telemetry_.tracer().record_span(t, t, sim::TraceCategory::kFabric, "RMST scrub", {},
+                                          telemetry_.tracer().child_of(ctx));
         }
       } else if (tx.status == TransactionStatus::kCircuitDown) {
         if (repair(compute, a->segment, t).has_value()) {
           accumulated.charge(kBdReprovision, circuits_.setup_time());
           if (tracing) {
-            telemetry_->tracer().record_span(t, t + circuits_.setup_time(),
-                                             sim::TraceCategory::kFabric,
-                                             "circuit re-provision", {},
-                                             telemetry_->tracer().child_of(ctx));
+            telemetry_.tracer().record_span(t, t + circuits_.setup_time(),
+                                            sim::TraceCategory::kFabric, "circuit re-provision",
+                                            {}, telemetry_.tracer().child_of(ctx));
           }
           t += circuits_.setup_time();
-          if (reprovisions_metric_ != nullptr) reprovisions_metric_->add();
+          reprovisions_metric_.add();
         } else if (failover_to_packet(compute, a->segment, t).has_value()) {
           if (tracing) {
-            telemetry_->tracer().record_span(t, t, sim::TraceCategory::kFabric,
-                                             "packet failover", {},
-                                             telemetry_->tracer().child_of(ctx));
+            telemetry_.tracer().record_span(t, t, sim::TraceCategory::kFabric, "packet failover",
+                                            {}, telemetry_.tracer().child_of(ctx));
           }
         } else {
           recovered = false;  // no optical spare, no packet path: give up
@@ -782,7 +768,7 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
       if (!recovered) break;
 
       ++retries;
-      if (retries_metric_ != nullptr) retries_metric_->add();
+      retries_metric_.add();
       Transaction attempt = execute_path(kind, compute, address, bytes, t, ctx);
       accumulated.merge(attempt.breakdown);
       tx = attempt;
@@ -794,28 +780,26 @@ Transaction RemoteMemoryFabric::execute(TransactionKind kind, hw::BrickId comput
     tx.retries = retries;
   }
 
-  if (telemetry_ != nullptr) {
-    transactions_metric_->add();
-    if (tx.ok()) {
-      auto* latency = kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_;
-      latency->observe(tx.round_trip().as_ns());
-    } else {
-      failed_tx_metric_->add();
+  transactions_metric_.add();
+  if (tx.ok()) {
+    (kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_)
+        .observe(tx.round_trip().as_ns());
+  } else {
+    failed_tx_metric_.add();
+  }
+  if (tracing) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kFabric,
+                   kind == TransactionKind::kRead ? "remote read" : "remote write", tx.issued_at};
+    span.context(ctx);
+    span.arg("bytes", std::to_string(tx.bytes)).arg("status", to_string(tx.status));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+    // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+    if (tx.retries > 0) span.arg("retries", std::to_string(tx.retries));
+    // Per-op critical-path breakdown, keyed on the span itself so a
+    // report reader sees where this transaction's round trip went.
+    for (const auto& [component, amount] : tx.breakdown.components()) {
+      span.arg(std::string{"bd."}.append(component), sim::strformat("%.3f", amount.as_ns()));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
     }
-    if (telemetry_->tracing()) {
-      sim::Span span{telemetry_->tracer(), sim::TraceCategory::kFabric,
-                     kind == TransactionKind::kRead ? "remote read" : "remote write", tx.issued_at};
-      span.context(ctx);
-      span.arg("bytes", std::to_string(tx.bytes)).arg("status", to_string(tx.status));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-      // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-      if (tx.retries > 0) span.arg("retries", std::to_string(tx.retries));
-      // Per-op critical-path breakdown, keyed on the span itself so a
-      // report reader sees where this transaction's round trip went.
-      for (const auto& [component, amount] : tx.breakdown.components()) {
-        span.arg(std::string{"bd."}.append(component), sim::strformat("%.3f", amount.as_ns()));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-      }
-      span.end(tx.completed_at);
-    }
+    span.end(tx.completed_at);
   }
   tx.ctx = ctx;
   return tx;
@@ -839,7 +823,9 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   const sim::Time t = when + latencies_.tgl_lookup;
 
   Route route;
-  tx.status = resolve(compute, rack_.compute_brick(compute).tgl().route(address), route);
+  const auto matched = rack_.compute_brick(compute).tgl().route(address);
+  (matched ? tgl_hits_metric_ : tgl_misses_metric_).add();
+  tx.status = resolve(compute, matched, route);
   tx.destination = route.destination;
   tx.remote_address = route.remote_address;
   if (!tx.ok()) {
@@ -909,7 +895,7 @@ TransactionStatus RemoteMemoryFabric::resolve(hw::BrickId compute,
   route.link = find_link(entry.circuit);
   if (route.link == nullptr) return TransactionStatus::kCircuitDown;
   if (route.link->medium == LinkMedium::kOptical) {
-    route.circuit = circuits_.find_ref(route.link->id);
+    route.circuit = circuits_.find(route.link->id);
     if (route.circuit == nullptr) return TransactionStatus::kCircuitDown;
   }
   return TransactionStatus::kOk;
@@ -976,7 +962,7 @@ std::optional<sim::Time> RemoteMemoryFabric::stream(HeldRoute::Slot& slot, Trans
     // a circuit torn behind the fabric's back can have broken it.
     if (route.membrick->failed()) return std::nullopt;
     if (route.link->medium == LinkMedium::kOptical) {
-      route.circuit = circuits_.find_ref(route.link->id);
+      route.circuit = circuits_.find(route.link->id);
       if (route.circuit == nullptr) return std::nullopt;
     }
     route.remote_address = route.dest_base + (address - route.window_base);
@@ -997,12 +983,11 @@ std::optional<sim::Time> RemoteMemoryFabric::stream(HeldRoute::Slot& slot, Trans
   if (route.link->medium == LinkMedium::kPacket) return std::nullopt;
 
   slot.tgl->note_hit();
+  tgl_hits_metric_.add();
   const sim::Time done = price(route, slot.terms, when + latencies_.tgl_lookup).completed_at;
-  if (telemetry_ != nullptr) {
-    transactions_metric_->add();
-    auto* latency = kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_;
-    latency->observe((done - when).as_ns());
-  }
+  transactions_metric_.add();
+  (kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_)
+      .observe((done - when).as_ns());
   return done;
 }
 
@@ -1012,7 +997,7 @@ RemoteMemoryFabric::Outcome RemoteMemoryFabric::transact(HeldRoute& held, Transa
                                                          std::uint32_t bytes, sim::Time when,
                                                          const sim::TraceContext& ctx) {
   // Traced transactions need their spans and breakdowns: full walk.
-  const bool traced = ctx.valid() || (telemetry_ != nullptr && telemetry_->tracing());
+  const bool traced = ctx.valid() || telemetry_.tracing();
   if (!traced) {
     if (const auto done =
             stream(held.slots[static_cast<std::size_t>(kind)], kind, compute, address, bytes,
@@ -1119,7 +1104,7 @@ void RemoteMemoryFabric::check_invariants() const {
     for (const Lane& lane : link.lanes) {
       DREDBOX_INVARIANT(lane.circuit.valid() == (link.medium == LinkMedium::kOptical),
                         "link " + link.id.to_string() + " mixes backplane and optical lanes");
-      if (lane.circuit.valid() && circuits_.find_ref(lane.circuit) == nullptr) continue;
+      if (lane.circuit.valid() && circuits_.find(lane.circuit) == nullptr) continue;
       DREDBOX_INVARIANT(rack_.brick(link.compute).port(lane.compute_port.value).connected &&
                             rack_.brick(link.membrick).port(lane.membrick_port.value).connected,
                         "link " + link.id.to_string() +

@@ -151,8 +151,12 @@ class RemoteMemoryFabric {
     bool ok() const { return status == TransactionStatus::kOk; }
   };
 
+  /// Binds the attach/detach counters, the per-access round-trip
+  /// histograms ("memsys.read.latency_ns" — the Fig. 8 quantity), the
+  /// rack-wide TGL lookup counters, RMST occupancy gauges and kFabric trace
+  /// spans, so the data-plane hot path never does a name lookup.
   RemoteMemoryFabric(hw::Rack& rack, optics::CircuitManager& circuits,
-                     const CircuitPathLatencies& latencies = {});
+                     sim::Telemetry& telemetry, const CircuitPathLatencies& latencies = {});
 
   /// Attaches the exploratory packet substrate so attach() can fall back
   /// to it when circuits are unavailable. Both bricks of a fallback pair
@@ -164,15 +168,9 @@ class RemoteMemoryFabric {
   }
   std::size_t packet_links() const { return count_links(LinkMedium::kPacket); }
 
-  /// Wires rack-wide telemetry in: attach/detach counters, per-access
-  /// round-trip histograms ("memsys.read.latency_ns" — the Fig. 8
-  /// quantity), RMST occupancy gauges and kFabric trace spans. Null
-  /// detaches telemetry again. Instrument pointers are cached here so the
-  /// data-plane hot path never does a name lookup.
-  void set_telemetry(sim::Telemetry* telemetry);
-  /// The wired telemetry bundle (null when uninstrumented). Components
-  /// layered on top of the fabric (e.g. the DMA engine) inherit it.
-  sim::Telemetry* telemetry() const { return telemetry_; }
+  /// The fabric's telemetry bundle. Components layered on top of the
+  /// fabric (e.g. the DMA engine) record into it too.
+  sim::Telemetry& telemetry() const { return telemetry_; }
 
   // --- control plane ---
   std::optional<Attachment> attach(const AttachRequest& request, sim::Time now);
@@ -367,23 +365,27 @@ class RemoteMemoryFabric {
   /// Transactions transact() priced from a held route rather than walked.
   std::uint64_t held_transactions_ = 0;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* attaches_metric_ = nullptr;
-  sim::metrics::Counter* attach_failures_metric_ = nullptr;
-  sim::metrics::Counter* detaches_metric_ = nullptr;
-  sim::metrics::Counter* transactions_metric_ = nullptr;
-  sim::metrics::Counter* failed_tx_metric_ = nullptr;
-  sim::metrics::Histogram* read_latency_metric_ = nullptr;
-  sim::metrics::Histogram* write_latency_metric_ = nullptr;
-  sim::metrics::Gauge* rmst_entries_metric_ = nullptr;
-  sim::metrics::Gauge* rmst_mapped_metric_ = nullptr;
-  sim::metrics::Counter* retries_metric_ = nullptr;
-  sim::metrics::Counter* retry_exhausted_metric_ = nullptr;
-  sim::metrics::Counter* reprovisions_metric_ = nullptr;
-  sim::metrics::Counter* packet_failovers_metric_ = nullptr;
-  sim::metrics::Counter* rmst_scrubs_metric_ = nullptr;
-  sim::metrics::Counter* rmst_corruptions_metric_ = nullptr;
-  sim::metrics::Counter* relocations_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& attaches_metric_;
+  sim::metrics::Counter& attach_failures_metric_;
+  sim::metrics::Counter& detaches_metric_;
+  sim::metrics::Counter& transactions_metric_;
+  sim::metrics::Counter& failed_tx_metric_;
+  sim::metrics::Histogram& read_latency_metric_;
+  sim::metrics::Histogram& write_latency_metric_;
+  sim::metrics::Gauge& rmst_entries_metric_;
+  sim::metrics::Gauge& rmst_mapped_metric_;
+  sim::metrics::Counter& retries_metric_;
+  sim::metrics::Counter& retry_exhausted_metric_;
+  sim::metrics::Counter& reprovisions_metric_;
+  sim::metrics::Counter& packet_failovers_metric_;
+  sim::metrics::Counter& rmst_scrubs_metric_;
+  sim::metrics::Counter& rmst_corruptions_metric_;
+  sim::metrics::Counter& relocations_metric_;
+  /// Every compute brick's TGL lookups, folded into one rack view (each
+  /// TGL keeps its own hits()/misses()).
+  sim::metrics::Counter& tgl_hits_metric_;
+  sim::metrics::Counter& tgl_misses_metric_;
 
   std::optional<Attachment> attach_impl(const AttachRequest& request, sim::Time now);
   /// The pair's link, wired on demand: the existing link when there is

@@ -42,26 +42,21 @@ std::string to_string(PacketType type) {
   return "<unknown packet type>";
 }
 
-PacketNetwork::PacketNetwork(const PacketPathLatencies& latencies, optics::FecModel fec)
-    : latencies_{latencies}, mac_phy_{latencies}, fec_{fec} {}
-
-void PacketNetwork::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    packets_metric_ = retransmissions_metric_ = nullptr;
-    latency_metric_ = queueing_metric_ = nullptr;
-    congestion_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  packets_metric_ = &m.counter("net.packets.sent");
-  retransmissions_metric_ = &m.counter("net.packets.retransmitted");
-  // Packet round trips land in the single-digit-us range (Fig. 8's packet
-  // column); queueing is sub-us unless an output port is congested.
-  latency_metric_ = &m.histogram("net.packet.latency_ns", 0.0, 20000.0, 50);
-  queueing_metric_ = &m.histogram("net.switch.queueing_ns", 0.0, 2000.0, 40);
-  congestion_metric_ = &m.gauge("net.packet.congestion_factor");
-  congestion_metric_->set(congestion_factor_);
+PacketNetwork::PacketNetwork(sim::Telemetry& telemetry, const PacketPathLatencies& latencies,
+                             optics::FecModel fec)
+    : latencies_{latencies},
+      mac_phy_{latencies},
+      fec_{fec},
+      telemetry_{telemetry},
+      packets_metric_{telemetry.metrics().counter("net.packets.sent")},
+      retransmissions_metric_{telemetry.metrics().counter("net.packets.retransmitted")},
+      // Packet round trips land in the single-digit-us range (Fig. 8's
+      // packet column); queueing is sub-us unless an output port is
+      // congested.
+      latency_metric_{telemetry.metrics().histogram("net.packet.latency_ns", 0.0, 20000.0, 50)},
+      queueing_metric_{telemetry.metrics().histogram("net.switch.queueing_ns", 0.0, 2000.0, 40)},
+      congestion_metric_{telemetry.metrics().gauge("net.packet.congestion_factor")} {
+  congestion_metric_.set(congestion_factor_);
 }
 
 void PacketNetwork::set_congestion_factor(double factor) {
@@ -69,7 +64,7 @@ void PacketNetwork::set_congestion_factor(double factor) {
     throw std::invalid_argument("PacketNetwork::set_congestion_factor: factor below 1");
   }
   congestion_factor_ = factor;
-  if (congestion_metric_ != nullptr) congestion_metric_->set(factor);
+  congestion_metric_.set(factor);
 }
 
 void PacketNetwork::set_loss_retransmissions(double per_packet) {
@@ -158,7 +153,7 @@ sim::Time PacketNetwork::traverse(hw::BrickId src, hw::BrickId dst, std::uint32_
   }
   const sim::Time switch_cost = from_compute ? latencies_.compubrick_switch
                                              : latencies_.membrick_switch;
-  if (queueing_metric_ != nullptr) queueing_metric_->observe(fwd->queueing.as_ns());
+  queueing_metric_.observe(fwd->queueing.as_ns());
   breakdown.charge(switch_label, switch_cost + fwd->queueing);
   breakdown.charge(kBdSerialization, serialization);
   t = fwd->departure;
@@ -194,7 +189,7 @@ sim::Time PacketNetwork::traverse(hw::BrickId src, hw::BrickId dst, std::uint32_
     const sim::Time penalty = sim::scale(serialization + prop, loss_retransmissions_);
     breakdown.charge(kBdLossRetrans, penalty);
     t += penalty;
-    if (retransmissions_metric_ != nullptr) retransmissions_metric_->add();
+    retransmissions_metric_.add();
   }
 
   // MAC + PHY on the receive side.
@@ -207,17 +202,33 @@ sim::Time PacketNetwork::traverse(hw::BrickId src, hw::BrickId dst, std::uint32_
 Packet PacketNetwork::remote_read(hw::BrickId src, hw::BrickId dst, std::uint64_t address,
                                   std::uint32_t payload_bytes, sim::Time when,
                                   hw::MemoryTechnology tech, const sim::TraceContext& ctx) {
+  // Header-only request out, payload back.
+  return round_trip(PacketType::kMemReadResp, src, dst, address, payload_bytes, /*bytes_out=*/0,
+                    /*bytes_back=*/payload_bytes, when, tech, ctx);
+}
+
+Packet PacketNetwork::remote_write(hw::BrickId src, hw::BrickId dst, std::uint64_t address,
+                                   std::uint32_t payload_bytes, sim::Time when,
+                                   hw::MemoryTechnology tech, const sim::TraceContext& ctx) {
+  // Request carries the payload; a short acknowledgement comes back.
+  return round_trip(PacketType::kMemWriteAck, src, dst, address, payload_bytes,
+                    /*bytes_out=*/payload_bytes, /*bytes_back=*/0, when, tech, ctx);
+}
+
+Packet PacketNetwork::round_trip(PacketType delivered, hw::BrickId src, hw::BrickId dst,
+                                 std::uint64_t address, std::uint32_t payload_bytes,
+                                 std::uint32_t bytes_out, std::uint32_t bytes_back,
+                                 sim::Time when, hw::MemoryTechnology tech,
+                                 const sim::TraceContext& ctx) {
   Packet pkt;
   pkt.id = next_packet_++;
-  pkt.type = PacketType::kMemReadReq;
   pkt.src = src;
   pkt.dst = dst;
   pkt.address = address;
   pkt.payload_bytes = payload_bytes;
   pkt.injected_at = when;
 
-  // Request: header-only packet to the dMEMBRICK.
-  sim::Time t = traverse(src, dst, /*bytes=*/0, when, /*from_compute=*/true, pkt.breakdown);
+  sim::Time t = traverse(src, dst, bytes_out, when, /*from_compute=*/true, pkt.breakdown);
 
   // dMEMBRICK glue logic forwards to the local memory controller
   // (Section II, ingress direction) and the array is accessed.
@@ -226,62 +237,24 @@ Packet PacketNetwork::remote_read(hw::BrickId src, hw::BrickId dst, std::uint64_
   pkt.breakdown.charge(kBdMemAccess, memory_access_time(tech));
   t += memory_access_time(tech);
 
-  // Response: payload travels back through the local switch (egress).
-  t = traverse(dst, src, payload_bytes, t, /*from_compute=*/false, pkt.breakdown);
+  // The reply travels back through the local switch (egress).
+  t = traverse(dst, src, bytes_back, t, /*from_compute=*/false, pkt.breakdown);
 
   pkt.delivered_at = t;
-  pkt.type = PacketType::kMemReadResp;
-  if (packets_metric_ != nullptr) {
-    packets_metric_->add();
-    latency_metric_->observe((pkt.delivered_at - pkt.injected_at).as_ns());
+  pkt.type = delivered;
+  packets_metric_.add();
+  latency_metric_.observe((pkt.delivered_at - pkt.injected_at).as_ns());
+  if (telemetry_.tracing()) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kFabric, "packet round trip",
+                   pkt.injected_at};
+    span.context(telemetry_.tracer().child_of(ctx));
+    span.arg("type", to_string(pkt.type))
+        .arg("bytes", std::to_string(pkt.payload_bytes))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+        .arg("src", std::to_string(pkt.src.value))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+        .arg("dst", std::to_string(pkt.dst.value));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
+    span.end(pkt.delivered_at);
   }
-  record_packet_span(pkt, ctx);
   return pkt;
-}
-
-Packet PacketNetwork::remote_write(hw::BrickId src, hw::BrickId dst, std::uint64_t address,
-                                   std::uint32_t payload_bytes, sim::Time when,
-                                   hw::MemoryTechnology tech, const sim::TraceContext& ctx) {
-  Packet pkt;
-  pkt.id = next_packet_++;
-  pkt.type = PacketType::kMemWriteReq;
-  pkt.src = src;
-  pkt.dst = dst;
-  pkt.address = address;
-  pkt.payload_bytes = payload_bytes;
-  pkt.injected_at = when;
-
-  // Request carries the payload.
-  sim::Time t = traverse(src, dst, payload_bytes, when, /*from_compute=*/true, pkt.breakdown);
-
-  pkt.breakdown.charge(kBdGlueLogic, latencies_.glue_logic);
-  t += latencies_.glue_logic;
-  pkt.breakdown.charge(kBdMemAccess, memory_access_time(tech));
-  t += memory_access_time(tech);
-
-  // Short acknowledgement back.
-  t = traverse(dst, src, /*bytes=*/0, t, /*from_compute=*/false, pkt.breakdown);
-
-  pkt.delivered_at = t;
-  pkt.type = PacketType::kMemWriteAck;
-  if (packets_metric_ != nullptr) {
-    packets_metric_->add();
-    latency_metric_->observe((pkt.delivered_at - pkt.injected_at).as_ns());
-  }
-  record_packet_span(pkt, ctx);
-  return pkt;
-}
-
-void PacketNetwork::record_packet_span(const Packet& pkt, const sim::TraceContext& ctx) {
-  if (telemetry_ == nullptr || !telemetry_->tracing()) return;
-  sim::Span span{telemetry_->tracer(), sim::TraceCategory::kFabric, "packet round trip",
-                 pkt.injected_at};
-  span.context(telemetry_->tracer().child_of(ctx));
-  span.arg("type", to_string(pkt.type))
-      .arg("bytes", std::to_string(pkt.payload_bytes))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-      .arg("src", std::to_string(pkt.src.value))  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-      .arg("dst", std::to_string(pkt.dst.value));  // dredbox-lint: ignore[hot-path-alloc] tracing-gated
-  span.end(pkt.delivered_at);
 }
 // dredbox-lint: hot-path-end
 

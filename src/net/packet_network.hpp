@@ -28,7 +28,10 @@ namespace dredbox::net {
 /// Breakdown — this is exactly the instrumentation behind Fig. 8.
 class PacketNetwork {
  public:
-  explicit PacketNetwork(const PacketPathLatencies& latencies = {},
+  /// Binds the packet counter, the end-to-end round-trip latency
+  /// histogram and the on-brick switch queueing-delay histogram (the
+  /// congestion signal of the exploratory packet mode).
+  explicit PacketNetwork(sim::Telemetry& telemetry, const PacketPathLatencies& latencies = {},
                          optics::FecModel fec = optics::FecModel{});
 
   const PacketPathLatencies& latencies() const { return latencies_; }
@@ -85,12 +88,6 @@ class PacketNetwork {
   void set_loss_retransmissions(double per_packet);
   double loss_retransmissions() const { return loss_retransmissions_; }
 
-  /// Wires rack-wide telemetry in: packet counter, end-to-end round-trip
-  /// latency histogram and the on-brick switch queueing-delay histogram
-  /// (the congestion signal of the exploratory packet mode). Null
-  /// detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
-
  private:
   PacketPathLatencies latencies_;
   MacPhy mac_phy_;
@@ -101,12 +98,12 @@ class PacketNetwork {
   double congestion_factor_ = 1.0;
   double loss_retransmissions_ = 0.0;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* packets_metric_ = nullptr;
-  sim::metrics::Counter* retransmissions_metric_ = nullptr;
-  sim::metrics::Histogram* latency_metric_ = nullptr;
-  sim::metrics::Histogram* queueing_metric_ = nullptr;
-  sim::metrics::Gauge* congestion_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& packets_metric_;
+  sim::metrics::Counter& retransmissions_metric_;
+  sim::metrics::Histogram& latency_metric_;
+  sim::metrics::Histogram& queueing_metric_;
+  sim::metrics::Gauge& congestion_metric_;
 
   sim::Time propagation(hw::BrickId a, hw::BrickId b) const;
 
@@ -118,9 +115,14 @@ class PacketNetwork {
 
   sim::Time memory_access_time(hw::MemoryTechnology tech) const;
 
-  /// Records the delivered packet as a span nested under `ctx` (no-op when
-  /// telemetry is detached or tracing is disabled).
-  void record_packet_span(const Packet& pkt, const sim::TraceContext& ctx);
+  /// One round trip: `bytes_out` to the dMEMBRICK, its glue logic and
+  /// memory access, `bytes_back` to `src`. The packet leaves as `delivered`
+  /// and is counted, observed and (when tracing) recorded as a span nested
+  /// under `ctx`.
+  Packet round_trip(PacketType delivered, hw::BrickId src, hw::BrickId dst,
+                    std::uint64_t address, std::uint32_t payload_bytes, std::uint32_t bytes_out,
+                    std::uint32_t bytes_back, sim::Time when, hw::MemoryTechnology tech,
+                    const sim::TraceContext& ctx);
 };
 
 }  // namespace dredbox::net

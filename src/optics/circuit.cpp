@@ -9,21 +9,19 @@
 
 namespace dredbox::optics {
 
-void CircuitManager::set_telemetry(sim::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    established_metric_ = rejected_metric_ = torn_down_metric_ = nullptr;
-    active_metric_ = ports_in_use_metric_ = nullptr;
-    hops_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  established_metric_ = &m.counter("optics.circuits.established");
-  rejected_metric_ = &m.counter("optics.circuits.rejected");
-  torn_down_metric_ = &m.counter("optics.circuits.torn_down");
-  active_metric_ = &m.gauge("optics.circuits.active");
-  ports_in_use_metric_ = &m.gauge("optics.switch.ports_in_use");
-  // The Fig. 7 testbed patches six to eight hops; one bin per hop count.
-  hops_metric_ = &m.histogram("optics.circuit.hops", 0.0, 8.0, 8);
+CircuitManager::CircuitManager(OpticalSwitch& sw, sim::Telemetry& telemetry)
+    : switch_{sw},
+      established_metric_{telemetry.metrics().counter("optics.circuits.established")},
+      rejected_metric_{telemetry.metrics().counter("optics.circuits.rejected")},
+      torn_down_metric_{telemetry.metrics().counter("optics.circuits.torn_down")},
+      active_metric_{telemetry.metrics().gauge("optics.circuits.active")},
+      ports_in_use_metric_{telemetry.metrics().gauge("optics.switch.ports_in_use")},
+      // The Fig. 7 testbed patches six to eight hops; one bin per hop count.
+      hops_metric_{telemetry.metrics().histogram("optics.circuit.hops", 0.0, 8.0, 8)} {}
+
+void CircuitManager::set_occupancy() {
+  active_metric_.set(static_cast<double>(circuits_.size()));
+  ports_in_use_metric_.set(static_cast<double>(switch_.ports_in_use()));
 }
 
 std::optional<Circuit> CircuitManager::establish(const CircuitRequest& request) {
@@ -31,7 +29,7 @@ std::optional<Circuit> CircuitManager::establish(const CircuitRequest& request) 
   const std::size_t needed = 2 * request.hops;
   auto ports = switch_.find_free_ports(needed);
   if (ports.empty()) {
-    if (rejected_metric_ != nullptr) rejected_metric_->add();
+    rejected_metric_.add();
     return std::nullopt;
   }
 
@@ -49,12 +47,9 @@ std::optional<Circuit> CircuitManager::establish(const CircuitRequest& request) 
   c.switch_ports = std::move(ports);
   connector_loss_db_ = request.connector_loss_db;
   circuits_.emplace(c.id.value, c);
-  if (established_metric_ != nullptr) {
-    established_metric_->add();
-    active_metric_->set(static_cast<double>(circuits_.size()));
-    ports_in_use_metric_->set(static_cast<double>(switch_.ports_in_use()));
-    hops_metric_->observe(static_cast<double>(c.hops));
-  }
+  established_metric_.add();
+  set_occupancy();
+  hops_metric_.observe(static_cast<double>(c.hops));
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return c;
 }
@@ -67,11 +62,8 @@ bool CircuitManager::teardown(hw::CircuitId id) {
     switch_.disconnect(c.switch_ports[2 * i]);
   }
   circuits_.erase(it);
-  if (torn_down_metric_ != nullptr) {
-    torn_down_metric_->add();
-    active_metric_->set(static_cast<double>(circuits_.size()));
-    ports_in_use_metric_->set(static_cast<double>(switch_.ports_in_use()));
-  }
+  torn_down_metric_.add();
+  set_occupancy();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return true;
 }
@@ -98,12 +90,9 @@ std::vector<Circuit> CircuitManager::teardown_below_floor() {
       switch_.disconnect(it->second.switch_ports[2 * i]);
     }
     circuits_.erase(it);
-    if (torn_down_metric_ != nullptr) torn_down_metric_->add();
+    torn_down_metric_.add();
   }
-  if (active_metric_ != nullptr && !torn.empty()) {
-    active_metric_->set(static_cast<double>(circuits_.size()));
-    ports_in_use_metric_->set(static_cast<double>(switch_.ports_in_use()));
-  }
+  if (!torn.empty()) set_occupancy();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return torn;
 }
@@ -126,24 +115,15 @@ std::vector<Circuit> CircuitManager::fail_switch_port(std::size_t port) {
       switch_.disconnect(it->second.switch_ports[2 * i]);
     }
     circuits_.erase(it);
-    if (torn_down_metric_ != nullptr) torn_down_metric_->add();
+    torn_down_metric_.add();
   }
   switch_.fail_port(port);
-  if (active_metric_ != nullptr && !torn.empty()) {
-    active_metric_->set(static_cast<double>(circuits_.size()));
-    ports_in_use_metric_->set(static_cast<double>(switch_.ports_in_use()));
-  }
+  if (!torn.empty()) set_occupancy();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return torn;
 }
 
-std::optional<Circuit> CircuitManager::find(hw::CircuitId id) const {
-  auto it = circuits_.find(id.value);
-  if (it == circuits_.end()) return std::nullopt;
-  return it->second;
-}
-
-const Circuit* CircuitManager::find_ref(hw::CircuitId id) const {
+const Circuit* CircuitManager::find(hw::CircuitId id) const {
   auto it = circuits_.find(id.value);
   return it == circuits_.end() ? nullptr : &it->second;
 }

@@ -56,7 +56,9 @@ struct CircuitRequest {
 /// wiring"; the SDM controller drives it from the control plane.
 class CircuitManager {
  public:
-  explicit CircuitManager(OpticalSwitch& sw) : switch_{sw} {}
+  /// Binds the establish/teardown counters, the active-circuit and
+  /// switch-port-occupancy gauges and a path-length (hops) histogram.
+  CircuitManager(OpticalSwitch& sw, sim::Telemetry& telemetry);
 
   /// Establishes a circuit, consuming 2*hops switch ports. Returns nullopt
   /// when the switch lacks free ports (the condition that motivates the
@@ -84,13 +86,10 @@ class CircuitManager {
   /// was healthy.
   bool repair_switch_port(std::size_t port) { return switch_.repair_port(port); }
 
-  std::optional<Circuit> find(hw::CircuitId id) const;
-  /// Allocation-free lookup for the per-op datapath: a pointer into the
-  /// manager's storage (stable until the circuit is torn down), nullptr
-  /// when the circuit is gone. find() copies the Circuit — including its
-  /// switch_ports vector, one heap allocation — so hot callers that only
-  /// read the stored record must use this instead.
-  const Circuit* find_ref(hw::CircuitId id) const;
+  /// A pointer into the manager's storage (stable until the circuit is
+  /// torn down), nullptr when the circuit is gone. Allocation-free, so the
+  /// per-op datapath calls it too.
+  const Circuit* find(hw::CircuitId id) const;
   std::size_t active_circuits() const { return circuits_.size(); }
 
   /// Time to program the cross-connections for a new circuit; all hops are
@@ -101,11 +100,6 @@ class CircuitManager {
   LinkBudget budget(const Circuit& circuit, bool from_a) const;
 
   OpticalSwitch& optical_switch() { return switch_; }
-
-  /// Wires rack-wide telemetry in: establish/teardown counters, the
-  /// active-circuit and switch-port-occupancy gauges and a path-length
-  /// (hops) histogram. Null detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
 
   /// Worst pre-FEC BER the link-layer FEC can still correct; circuits whose
   /// budget lands the received power below the power this BER requires are
@@ -127,12 +121,15 @@ class CircuitManager {
   std::uint32_t next_id_ = 1;
   double connector_loss_db_ = 0.3;
 
-  sim::metrics::Counter* established_metric_ = nullptr;
-  sim::metrics::Counter* rejected_metric_ = nullptr;
-  sim::metrics::Counter* torn_down_metric_ = nullptr;
-  sim::metrics::Gauge* active_metric_ = nullptr;
-  sim::metrics::Gauge* ports_in_use_metric_ = nullptr;
-  sim::metrics::Histogram* hops_metric_ = nullptr;
+  sim::metrics::Counter& established_metric_;
+  sim::metrics::Counter& rejected_metric_;
+  sim::metrics::Counter& torn_down_metric_;
+  sim::metrics::Gauge& active_metric_;
+  sim::metrics::Gauge& ports_in_use_metric_;
+  sim::metrics::Histogram& hops_metric_;
+
+  /// Refreshes the active-circuit and port-occupancy gauges.
+  void set_occupancy();
 };
 
 }  // namespace dredbox::optics

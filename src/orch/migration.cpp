@@ -8,8 +8,19 @@
 namespace dredbox::orch {
 
 MigrationEngine::MigrationEngine(hw::Rack& rack, memsys::RemoteMemoryFabric& fabric,
-                                 SdmController& sdm, const MigrationConfig& config)
-    : rack_{rack}, fabric_{fabric}, sdm_{sdm}, config_{config} {
+                                 SdmController& sdm, sim::Telemetry& telemetry,
+                                 const MigrationConfig& config)
+    : rack_{rack},
+      fabric_{fabric},
+      sdm_{sdm},
+      config_{config},
+      telemetry_{telemetry},
+      completed_metric_{telemetry.metrics().counter("orch.migration.completed")},
+      failed_metric_{telemetry.metrics().counter("orch.migration.failed")},
+      repointed_bytes_metric_{telemetry.metrics().counter("orch.migration.repointed_bytes")},
+      // Downtime is pause/resume plus the residual stop-and-copy: tens of ms.
+      downtime_metric_{
+          telemetry.metrics().histogram("orch.migration.downtime_ms", 0.0, 200.0, 40)} {
   if (config.network_bandwidth_gbps <= 0) {
     throw std::invalid_argument("MigrationEngine: bandwidth must be positive");
   }
@@ -34,45 +45,28 @@ sim::Time MigrationEngine::conventional_copy_time(std::uint64_t total_bytes) con
   return sim::Time::sec(seconds) + config_.pause_resume;
 }
 
-void MigrationEngine::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    completed_metric_ = failed_metric_ = repointed_bytes_metric_ = nullptr;
-    downtime_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  completed_metric_ = &m.counter("orch.migration.completed");
-  failed_metric_ = &m.counter("orch.migration.failed");
-  repointed_bytes_metric_ = &m.counter("orch.migration.repointed_bytes");
-  // Downtime is pause/resume plus the residual stop-and-copy: tens of ms.
-  downtime_metric_ = &m.histogram("orch.migration.downtime_ms", 0.0, 200.0, 40);
-}
-
 MigrationResult MigrationEngine::migrate(hw::VmId vm, hw::BrickId from, hw::BrickId to,
                                          sim::Time now) {
   MigrationResult result = migrate_impl(vm, from, to, now);
-  if (telemetry_ != nullptr) {
+  if (result.ok) {
+    completed_metric_.add();
+    repointed_bytes_metric_.add(result.repointed_bytes);
+    downtime_metric_.observe(result.downtime.as_ms());
+  } else {
+    failed_metric_.add();
+  }
+  if (telemetry_.tracing()) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kMigration, "live migration", now};
+    span.arg("vm", vm.to_string())
+        .arg("from", from.to_string())
+        .arg("to", to.to_string())
+        .arg("ok", result.ok ? "yes" : "no");
     if (result.ok) {
-      completed_metric_->add();
-      repointed_bytes_metric_->add(result.repointed_bytes);
-      downtime_metric_->observe(result.downtime.as_ms());
-    } else {
-      failed_metric_->add();
+      span.arg("copied_bytes", std::to_string(result.copied_bytes))
+          .arg("repointed_bytes", std::to_string(result.repointed_bytes))
+          .arg("downtime_ms", std::to_string(result.downtime.as_ms()));
     }
-    if (telemetry_->tracing()) {
-      sim::Span span{telemetry_->tracer(), sim::TraceCategory::kMigration, "live migration", now};
-      span.arg("vm", vm.to_string())
-          .arg("from", from.to_string())
-          .arg("to", to.to_string())
-          .arg("ok", result.ok ? "yes" : "no");
-      if (result.ok) {
-        span.arg("copied_bytes", std::to_string(result.copied_bytes))
-            .arg("repointed_bytes", std::to_string(result.repointed_bytes))
-            .arg("downtime_ms", std::to_string(result.downtime.as_ms()));
-      }
-      span.end(now + result.total_time);
-    }
+    span.end(now + result.total_time);
   }
   return result;
 }

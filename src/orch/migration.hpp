@@ -50,17 +50,15 @@ struct MigrationResult {
 /// stream all of it.
 class MigrationEngine {
  public:
+  /// Binds the completion/failure counters, the guest-visible downtime
+  /// histogram, the zero-copy dividend (re-pointed bytes) and a
+  /// kMigration trace span per move.
   MigrationEngine(hw::Rack& rack, memsys::RemoteMemoryFabric& fabric, SdmController& sdm,
-                  const MigrationConfig& config = {});
+                  sim::Telemetry& telemetry, const MigrationConfig& config = {});
 
   /// Migrates `vm` from `from` to `to`. On success the VM is running on
   /// `to` under `new_vm` and the source instance is destroyed.
   MigrationResult migrate(hw::VmId vm, hw::BrickId from, hw::BrickId to, sim::Time now);
-
-  /// Wires rack-wide telemetry in: completion/failure counters, the
-  /// guest-visible downtime histogram, the zero-copy dividend (re-pointed
-  /// bytes) and a kMigration trace span per move. Null detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
 
   /// What-if: predicted copy time if all of the VM's memory were local
   /// (the conventional mainboard-as-a-unit baseline).
@@ -76,11 +74,11 @@ class MigrationEngine {
   MigrationConfig config_;
   std::size_t completed_ = 0;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* completed_metric_ = nullptr;
-  sim::metrics::Counter* failed_metric_ = nullptr;
-  sim::metrics::Counter* repointed_bytes_metric_ = nullptr;
-  sim::metrics::Histogram* downtime_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& completed_metric_;
+  sim::metrics::Counter& failed_metric_;
+  sim::metrics::Counter& repointed_bytes_metric_;
+  sim::metrics::Histogram& downtime_metric_;
 
   MigrationResult migrate_impl(hw::VmId vm, hw::BrickId from, hw::BrickId to, sim::Time now);
 

@@ -6,22 +6,15 @@
 
 namespace dredbox::orch {
 
-PowerManager::PowerManager(hw::Rack& rack, const PowerPolicyConfig& config)
-    : rack_{rack}, config_{config} {}
-
-void PowerManager::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    wake_ups_metric_ = power_offs_metric_ = sweeps_metric_ = nullptr;
-    bricks_off_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  wake_ups_metric_ = &m.counter("orch.power.wake_ups");
-  power_offs_metric_ = &m.counter("orch.power.power_offs");
-  sweeps_metric_ = &m.counter("orch.power.sweeps");
-  bricks_off_metric_ = &m.gauge("orch.power.bricks_off");
-}
+PowerManager::PowerManager(hw::Rack& rack, sim::Telemetry& telemetry,
+                           const PowerPolicyConfig& config)
+    : rack_{rack},
+      config_{config},
+      telemetry_{telemetry},
+      wake_ups_metric_{telemetry.metrics().counter("orch.power.wake_ups")},
+      power_offs_metric_{telemetry.metrics().counter("orch.power.power_offs")},
+      sweeps_metric_{telemetry.metrics().counter("orch.power.sweeps")},
+      bricks_off_metric_{telemetry.metrics().gauge("orch.power.bricks_off")} {}
 
 void PowerManager::note_activity(hw::BrickId brick, sim::Time now) {
   last_active_[brick] = now;
@@ -33,13 +26,10 @@ sim::Time PowerManager::ensure_powered(hw::BrickId brick, sim::Time now) {
   if (b.power_state() != hw::PowerState::kOff) return sim::Time::zero();
   b.power_on();
   ++wake_ups_;
-  if (wake_ups_metric_ != nullptr) {
-    wake_ups_metric_->add();
-    bricks_off_metric_->set(static_cast<double>(powered_off_bricks()));
-    if (telemetry_->tracing()) {
-      telemetry_->tracer().record(now, sim::TraceCategory::kPower,
-                                  "wake brick " + brick.to_string());
-    }
+  wake_ups_metric_.add();
+  bricks_off_metric_.set(static_cast<double>(powered_off_bricks()));
+  if (telemetry_.tracing()) {
+    telemetry_.tracer().record(now, sim::TraceCategory::kPower, "wake brick " + brick.to_string());
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return config_.wake_latency;
@@ -68,15 +58,12 @@ std::size_t PowerManager::tick(sim::Time now) {
       ++swept;
     }
   }
-  if (telemetry_ != nullptr) {
-    sweeps_metric_->add();
-    power_offs_metric_->add(swept);
-    bricks_off_metric_->set(static_cast<double>(powered_off_bricks()));
-    if (swept > 0 && telemetry_->tracing()) {
-      telemetry_->tracer().record(now, sim::TraceCategory::kPower,
-                                  "idle sweep powered off " + std::to_string(swept) +
-                                      " brick(s)");
-    }
+  sweeps_metric_.add();
+  power_offs_metric_.add(swept);
+  bricks_off_metric_.set(static_cast<double>(powered_off_bricks()));
+  if (swept > 0 && telemetry_.tracing()) {
+    telemetry_.tracer().record(now, sim::TraceCategory::kPower,
+                               "idle sweep powered off " + std::to_string(swept) + " brick(s)");
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return swept;

@@ -28,7 +28,9 @@ struct PowerPolicyConfig {
 /// and note_activity() whenever it touches one; tick() sweeps idle bricks.
 class PowerManager {
  public:
-  explicit PowerManager(hw::Rack& rack, const PowerPolicyConfig& config = {});
+  /// Binds the wake/power-off counters, the bricks-off gauge and a kPower
+  /// trace event per sweep that turned anything off.
+  PowerManager(hw::Rack& rack, sim::Telemetry& telemetry, const PowerPolicyConfig& config = {});
 
   const PowerPolicyConfig& config() const { return config_; }
 
@@ -48,11 +50,6 @@ class PowerManager {
   std::size_t wake_ups() const { return wake_ups_; }
   std::size_t powered_off_bricks() const;
 
-  /// Wires rack-wide telemetry in: wake/power-off counters, the
-  /// bricks-off gauge and a kPower trace event per sweep that turned
-  /// anything off. Null detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
-
   /// Deep consistency audit: the rack power budget stays non-negative and
   /// finite, every powered-off brick really is quiescent (no connected
   /// ports — powering off a brick that still carries circuits would sever
@@ -69,11 +66,11 @@ class PowerManager {
   std::size_t power_offs_ = 0;
   std::size_t wake_ups_ = 0;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* wake_ups_metric_ = nullptr;
-  sim::metrics::Counter* power_offs_metric_ = nullptr;
-  sim::metrics::Counter* sweeps_metric_ = nullptr;
-  sim::metrics::Gauge* bricks_off_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& wake_ups_metric_;
+  sim::metrics::Counter& power_offs_metric_;
+  sim::metrics::Counter& sweeps_metric_;
+  sim::metrics::Gauge& bricks_off_metric_;
 
   bool eligible_for_poweroff(const hw::Brick& brick) const;
 };

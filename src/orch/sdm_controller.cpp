@@ -9,38 +9,30 @@
 namespace dredbox::orch {
 
 SdmController::SdmController(hw::Rack& rack, memsys::RemoteMemoryFabric& fabric,
-                             optics::CircuitManager& circuits, const SdmTiming& timing)
-    : rack_{rack}, fabric_{fabric}, circuits_{circuits}, timing_{timing} {}
+                             optics::CircuitManager& circuits, sim::Telemetry& telemetry,
+                             const SdmTiming& timing)
+    : rack_{rack},
+      fabric_{fabric},
+      circuits_{circuits},
+      timing_{timing},
+      telemetry_{telemetry},
+      allocations_metric_{telemetry.metrics().counter("orch.sdm.allocations")},
+      allocation_failures_metric_{telemetry.metrics().counter("orch.sdm.allocation_failures")},
+      scale_ups_metric_{telemetry.metrics().counter("orch.sdm.scale_ups")},
+      scale_up_failures_metric_{telemetry.metrics().counter("orch.sdm.scale_up_failures")},
+      scale_downs_metric_{telemetry.metrics().counter("orch.sdm.scale_downs")},
+      rebalances_metric_{telemetry.metrics().counter("orch.sdm.rebalances")},
+      // End-to-end scale-up times are dominated by switch programming
+      // (25 ms) and kernel hotplug, i.e. tens to hundreds of ms (Fig. 10).
+      scale_up_latency_metric_{
+          telemetry.metrics().histogram("orch.scale_up.latency_ms", 0.0, 1000.0, 50)},
+      stalls_metric_{telemetry.metrics().counter("orch.sdm.stalls")},
+      evacuated_metric_{telemetry.metrics().counter("orch.sdm.evacuated_segments")},
+      evacuation_failures_metric_{telemetry.metrics().counter("orch.sdm.evacuation_failures")},
+      degraded_membricks_metric_{telemetry.metrics().gauge("orch.sdm.degraded_membricks")} {}
 
 void SdmController::register_agent(SdmAgent& agent) {
   agents_[agent.brick()] = &agent;
-}
-
-void SdmController::set_telemetry(sim::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    allocations_metric_ = allocation_failures_metric_ = nullptr;
-    scale_ups_metric_ = scale_up_failures_metric_ = nullptr;
-    scale_downs_metric_ = rebalances_metric_ = nullptr;
-    scale_up_latency_metric_ = nullptr;
-    stalls_metric_ = evacuated_metric_ = evacuation_failures_metric_ = nullptr;
-    degraded_membricks_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  allocations_metric_ = &m.counter("orch.sdm.allocations");
-  allocation_failures_metric_ = &m.counter("orch.sdm.allocation_failures");
-  scale_ups_metric_ = &m.counter("orch.sdm.scale_ups");
-  scale_up_failures_metric_ = &m.counter("orch.sdm.scale_up_failures");
-  scale_downs_metric_ = &m.counter("orch.sdm.scale_downs");
-  rebalances_metric_ = &m.counter("orch.sdm.rebalances");
-  // End-to-end scale-up times are dominated by switch programming (25 ms)
-  // and kernel hotplug, i.e. tens to hundreds of ms (Fig. 10).
-  scale_up_latency_metric_ = &m.histogram("orch.scale_up.latency_ms", 0.0, 1000.0, 50);
-  stalls_metric_ = &m.counter("orch.sdm.stalls");
-  evacuated_metric_ = &m.counter("orch.sdm.evacuated_segments");
-  evacuation_failures_metric_ = &m.counter("orch.sdm.evacuation_failures");
-  degraded_membricks_metric_ = &m.gauge("orch.sdm.degraded_membricks");
 }
 
 SdmAgent& SdmController::agent_for(hw::BrickId compute) {
@@ -157,20 +149,18 @@ std::optional<hw::BrickId> SdmController::select_compute(std::size_t vcpus) cons
 
 AllocationResult SdmController::allocate_vm(const AllocationRequest& request, sim::Time now) {
   AllocationResult result = allocate_vm_impl(request, now);
-  if (telemetry_ != nullptr) {
-    (result.ok ? allocations_metric_ : allocation_failures_metric_)->add();
-    if (telemetry_->tracing()) {
-      sim::Span span{telemetry_->tracer(), sim::TraceCategory::kOrchestration, "allocate VM", now};
-      span.context(telemetry_->tracer().begin_trace());
-      span.arg("vcpus", std::to_string(request.vcpus))
-          .arg("memory_mib", std::to_string(request.memory_bytes >> 20))
-          .arg("ok", result.ok ? "yes" : "no");
-      if (result.ok) {
-        span.arg("compute", result.compute.to_string())
-            .arg("remote_mib", std::to_string(result.remote_bytes >> 20));
-      }
-      span.end(result.completed_at);
+  (result.ok ? allocations_metric_ : allocation_failures_metric_).add();
+  if (telemetry_.tracing()) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kOrchestration, "allocate VM", now};
+    span.context(telemetry_.tracer().begin_trace());
+    span.arg("vcpus", std::to_string(request.vcpus))
+        .arg("memory_mib", std::to_string(request.memory_bytes >> 20))
+        .arg("ok", result.ok ? "yes" : "no");
+    if (result.ok) {
+      span.arg("compute", result.compute.to_string())
+          .arg("remote_mib", std::to_string(result.remote_bytes >> 20));
     }
+    span.end(result.completed_at);
   }
   return result;
 }
@@ -251,27 +241,23 @@ ScaleUpResult SdmController::scale_up(const ScaleUpRequest& request) {
   // Trace root for the whole control-plane flow: the kernel hot-add and
   // the hypervisor's DIMM-add spans nest under it.
   sim::TraceContext ctx;
-  if (telemetry_ != nullptr && telemetry_->tracing()) {
-    ctx = telemetry_->tracer().begin_trace();
-  }
+  if (telemetry_.tracing()) ctx = telemetry_.tracer().begin_trace();
   ScaleUpResult result = scale_up_impl(request, ctx);
-  if (telemetry_ != nullptr) {
-    if (result.ok) {
-      scale_ups_metric_->add();
-      scale_up_latency_metric_->observe((result.completed_at - result.posted_at).as_ms());
-    } else {
-      scale_up_failures_metric_->add();
-    }
-    if (telemetry_->tracing()) {
-      sim::Span span{telemetry_->tracer(), sim::TraceCategory::kOrchestration, "scale up",
-                     result.posted_at};
-      span.context(ctx);
-      span.arg("vm", request.vm.to_string())
-          .arg("bytes", std::to_string(request.bytes))
-          .arg("ok", result.ok ? "yes" : "no");
-      if (result.ok) span.arg("membrick", result.membrick.to_string());
-      span.end(result.completed_at);
-    }
+  if (result.ok) {
+    scale_ups_metric_.add();
+    scale_up_latency_metric_.observe((result.completed_at - result.posted_at).as_ms());
+  } else {
+    scale_up_failures_metric_.add();
+  }
+  if (telemetry_.tracing()) {
+    sim::Span span{telemetry_.tracer(), sim::TraceCategory::kOrchestration, "scale up",
+                   result.posted_at};
+    span.context(ctx);
+    span.arg("vm", request.vm.to_string())
+        .arg("bytes", std::to_string(request.bytes))
+        .arg("ok", result.ok ? "yes" : "no");
+    if (result.ok) span.arg("membrick", result.membrick.to_string());
+    span.end(result.completed_at);
   }
   return result;
 }
@@ -329,12 +315,12 @@ ScaleUpResult SdmController::scale_up_impl(const ScaleUpRequest& request,
   const sim::Time hp_latency = agent.attach_physical(*attachment);
   result.breakdown.charge(sim::component("baremetal hotplug"), hp_latency);
   agent.set_busy_until(hp_start + hp_latency);
-  if (telemetry_ != nullptr && telemetry_->tracing()) {
-    telemetry_->tracer().record_span(hp_start, hp_start + hp_latency,
-                                     sim::TraceCategory::kHotplug, "kernel hot-add",
-                                     {{"brick", request.compute.to_string()},
-                                      {"bytes", std::to_string(request.bytes)}},
-                                     telemetry_->tracer().child_of(ctx));
+  if (telemetry_.tracing()) {
+    telemetry_.tracer().record_span(hp_start, hp_start + hp_latency,
+                                    sim::TraceCategory::kHotplug, "kernel hot-add",
+                                    {{"brick", request.compute.to_string()},
+                                     {"bytes", std::to_string(request.bytes)}},
+                                    telemetry_.tracer().child_of(ctx));
   }
   t = hp_start + hp_latency;
 
@@ -390,7 +376,7 @@ ScaleUpResult SdmController::scale_down(hw::VmId vm, hw::BrickId compute,
   }
   result.ok = true;
   result.completed_at = t;
-  if (scale_downs_metric_ != nullptr) scale_downs_metric_->add();
+  scale_downs_metric_.add();
   return result;
 }
 
@@ -433,14 +419,14 @@ ScaleUpResult SdmController::rebalance(hw::VmId donor, hw::VmId recipient,
   result.ok = true;
   result.membrick = hw::BrickId{};  // no dMEMBRICK involved
   result.completed_at = t;
-  if (rebalances_metric_ != nullptr) rebalances_metric_->add();
-  if (telemetry_ != nullptr && telemetry_->tracing()) {
-    telemetry_->tracer().record_span(now, t, sim::TraceCategory::kOrchestration,
-                                     "balloon rebalance",
-                                     {{"donor", donor.to_string()},
-                                      {"recipient", recipient.to_string()},
-                                      {"bytes", std::to_string(bytes)}},
-                                     telemetry_->tracer().begin_trace());
+  rebalances_metric_.add();
+  if (telemetry_.tracing()) {
+    telemetry_.tracer().record_span(now, t, sim::TraceCategory::kOrchestration,
+                                    "balloon rebalance",
+                                    {{"donor", donor.to_string()},
+                                     {"recipient", recipient.to_string()},
+                                     {"bytes", std::to_string(bytes)}},
+                                    telemetry_.tracer().begin_trace());
   }
   return result;
 }
@@ -518,7 +504,7 @@ void SdmController::reset_queues() {
 void SdmController::stall(sim::Time now, sim::Time duration) {
   const sim::Time resume = now + duration;
   if (resume > controller_busy_until_) controller_busy_until_ = resume;
-  if (stalls_metric_ != nullptr) stalls_metric_->add();
+  stalls_metric_.add();
 }
 
 std::size_t SdmController::evacuate_membrick(hw::BrickId membrick, sim::Time now) {
@@ -529,8 +515,8 @@ std::size_t SdmController::evacuate_membrick(hw::BrickId membrick, sim::Time now
   // loss) is a child, so a report reader can follow a brick crash down to
   // the guests it touched.
   sim::TraceContext ctx;
-  const bool tracing = telemetry_ != nullptr && telemetry_->tracing();
-  if (tracing) ctx = telemetry_->tracer().begin_trace();
+  const bool tracing = telemetry_.tracing();
+  if (tracing) ctx = telemetry_.tracer().begin_trace();
   // Deterministic sweep: compute bricks in id order, attachments in the
   // fabric's stable record order.
   for (hw::BrickId cb : rack_.bricks_of_kind(hw::BrickKind::kCompute)) {
@@ -545,40 +531,40 @@ std::size_t SdmController::evacuate_membrick(hw::BrickId membrick, sim::Time now
       }
       if (moved) {
         ++evacuated;
-        if (evacuated_metric_ != nullptr) evacuated_metric_->add();
+        evacuated_metric_.add();
         if (has_agent(cb)) {
           agent_for(cb).hypervisor().rebind_dimm_backing(a.segment, moved->segment);
         }
         if (tracing) {
-          telemetry_->tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
-                                           "segment rebind",
-                                           {{"compute", cb.to_string()},
-                                            {"from", a.segment.to_string()},
-                                            {"to", moved->segment.to_string()},
-                                            {"membrick", moved->membrick.to_string()}},
-                                           telemetry_->tracer().child_of(ctx));
+          telemetry_.tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
+                                          "segment rebind",
+                                          {{"compute", cb.to_string()},
+                                           {"from", a.segment.to_string()},
+                                           {"to", moved->segment.to_string()},
+                                           {"membrick", moved->membrick.to_string()}},
+                                          telemetry_.tracer().child_of(ctx));
         }
       } else {
         ++lost;
-        if (evacuation_failures_metric_ != nullptr) evacuation_failures_metric_->add();
+        evacuation_failures_metric_.add();
         if (has_agent(cb)) agent_for(cb).hypervisor().note_backing_lost(a.segment);
         if (tracing) {
-          telemetry_->tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
-                                           "backing lost",
-                                           {{"compute", cb.to_string()},
-                                            {"segment", a.segment.to_string()}},
-                                           telemetry_->tracer().child_of(ctx));
+          telemetry_.tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
+                                          "backing lost",
+                                          {{"compute", cb.to_string()},
+                                           {"segment", a.segment.to_string()}},
+                                          telemetry_.tracer().child_of(ctx));
         }
       }
     }
   }
   if (tracing && (evacuated > 0 || lost > 0)) {
-    telemetry_->tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
-                                     "evacuate membrick",
-                                     {{"membrick", membrick.to_string()},
-                                      {"evacuated", std::to_string(evacuated)},
-                                      {"lost", std::to_string(lost)}},
-                                     ctx);
+    telemetry_.tracer().record_span(now, now, sim::TraceCategory::kOrchestration,
+                                    "evacuate membrick",
+                                    {{"membrick", membrick.to_string()},
+                                     {"evacuated", std::to_string(evacuated)},
+                                     {"lost", std::to_string(lost)}},
+                                    ctx);
   }
   return evacuated;
 }
@@ -597,12 +583,11 @@ void SdmController::note_brick_recovered(hw::BrickId membrick) {
 }
 
 void SdmController::refresh_degraded_membricks() {
-  if (degraded_membricks_metric_ == nullptr) return;
   std::size_t failed = 0;
   for (hw::BrickId id : rack_.bricks_of_kind(hw::BrickKind::kMemory)) {
     if (rack_.brick(id).failed()) ++failed;
   }
-  degraded_membricks_metric_->set(static_cast<double>(failed));
+  degraded_membricks_metric_.set(static_cast<double>(failed));
 }
 
 }  // namespace dredbox::orch

@@ -33,8 +33,12 @@ namespace dredbox::orch {
 /// shapes the concurrency curves of Fig. 10.
 class SdmController {
  public:
+  /// Binds the decision counters (allocations, scale-ups/-downs, balloon
+  /// rebalances), the end-to-end scale-up latency histogram (the Fig. 10
+  /// quantity) and kOrchestration / kHotplug trace spans.
   SdmController(hw::Rack& rack, memsys::RemoteMemoryFabric& fabric,
-                optics::CircuitManager& circuits, const SdmTiming& timing = {});
+                optics::CircuitManager& circuits, sim::Telemetry& telemetry,
+                const SdmTiming& timing = {});
 
   void register_agent(SdmAgent& agent);
 
@@ -120,12 +124,6 @@ class SdmController {
   const SdmTiming& timing() const { return timing_; }
   std::uint64_t completed_scale_ups() const { return completed_scale_ups_; }
 
-  /// Wires rack-wide telemetry in: decision counters (allocations,
-  /// scale-ups/-downs, balloon rebalances), the end-to-end scale-up
-  /// latency histogram (the Fig. 10 quantity) and kOrchestration /
-  /// kHotplug trace spans. Null detaches telemetry.
-  void set_telemetry(sim::Telemetry* telemetry);
-
   /// Point-in-time view of one brick in the resource database.
   struct BrickStatus {
     hw::BrickId brick;
@@ -167,18 +165,18 @@ class SdmController {
   sim::Time switch_ctl_busy_until_;
   std::uint64_t completed_scale_ups_ = 0;
 
-  sim::Telemetry* telemetry_ = nullptr;
-  sim::metrics::Counter* allocations_metric_ = nullptr;
-  sim::metrics::Counter* allocation_failures_metric_ = nullptr;
-  sim::metrics::Counter* scale_ups_metric_ = nullptr;
-  sim::metrics::Counter* scale_up_failures_metric_ = nullptr;
-  sim::metrics::Counter* scale_downs_metric_ = nullptr;
-  sim::metrics::Counter* rebalances_metric_ = nullptr;
-  sim::metrics::Histogram* scale_up_latency_metric_ = nullptr;
-  sim::metrics::Counter* stalls_metric_ = nullptr;
-  sim::metrics::Counter* evacuated_metric_ = nullptr;
-  sim::metrics::Counter* evacuation_failures_metric_ = nullptr;
-  sim::metrics::Gauge* degraded_membricks_metric_ = nullptr;
+  sim::Telemetry& telemetry_;
+  sim::metrics::Counter& allocations_metric_;
+  sim::metrics::Counter& allocation_failures_metric_;
+  sim::metrics::Counter& scale_ups_metric_;
+  sim::metrics::Counter& scale_up_failures_metric_;
+  sim::metrics::Counter& scale_downs_metric_;
+  sim::metrics::Counter& rebalances_metric_;
+  sim::metrics::Histogram& scale_up_latency_metric_;
+  sim::metrics::Counter& stalls_metric_;
+  sim::metrics::Counter& evacuated_metric_;
+  sim::metrics::Counter& evacuation_failures_metric_;
+  sim::metrics::Gauge& degraded_membricks_metric_;
 
   void refresh_degraded_membricks();
 

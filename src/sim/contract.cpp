@@ -27,6 +27,13 @@ ContractViolation::ContractViolation(std::string kind, std::string expression, s
       function_{std::move(function)},
       message_{std::move(message)} {}
 
+void throw_if_invalid(const std::string& what, const std::vector<std::string>& errors) {
+  if (errors.empty()) return;
+  std::string message = "invalid " + what + ":";
+  for (const std::string& e : errors) message += "\n  - " + e;
+  throw std::invalid_argument(message);
+}
+
 namespace contract_detail {
 
 void fail(const char* kind, const char* expression, const char* file, int line,

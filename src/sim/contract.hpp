@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace dredbox::sim {
 
@@ -34,6 +35,12 @@ class ContractViolation : public std::logic_error {
   std::string function_;
   std::string message_;
 };
+
+/// The config gates' one throw: std::invalid_argument reading
+/// "invalid <what>:" followed by one "\n  - <finding>" line per error, so a
+/// caller fixing a config sees every finding at once. Returns when
+/// `errors` is empty.
+void throw_if_invalid(const std::string& what, const std::vector<std::string>& errors);
 
 namespace contract_detail {
 

@@ -253,24 +253,17 @@ std::optional<FaultPlan> fault_plan_from_env() {
   return FaultPlan::parse(spec);
 }
 
+FaultInjector::FaultInjector(Simulator& sim, Telemetry& telemetry)
+    : sim_{sim},
+      injected_metric_{telemetry.metrics().counter("sim.faults.injected")},
+      recovered_metric_{telemetry.metrics().counter("sim.faults.recovered")},
+      skipped_metric_{telemetry.metrics().counter("sim.faults.skipped")},
+      active_metric_{telemetry.metrics().gauge("sim.faults.active")} {}
+
 void FaultInjector::on(FaultKind kind, Handler inject) { inject_[kind] = std::move(inject); }
 
 void FaultInjector::on_recover(FaultKind kind, Handler recover) {
   recover_[kind] = std::move(recover);
-}
-
-void FaultInjector::set_telemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry == nullptr) {
-    injected_metric_ = recovered_metric_ = skipped_metric_ = nullptr;
-    active_metric_ = nullptr;
-    return;
-  }
-  auto& m = telemetry->metrics();
-  injected_metric_ = &m.counter("sim.faults.injected");
-  recovered_metric_ = &m.counter("sim.faults.recovered");
-  skipped_metric_ = &m.counter("sim.faults.skipped");
-  active_metric_ = &m.gauge("sim.faults.active");
 }
 
 std::size_t FaultInjector::schedule(const FaultPlan& plan) {
@@ -300,12 +293,12 @@ void FaultInjector::fire(std::size_t index) {
   auto it = inject_.find(event.kind);
   if (it == inject_.end() || !it->second) {
     ++skipped_;
-    if (skipped_metric_ != nullptr) skipped_metric_->add();
+    skipped_metric_.add();
     return;
   }
   ++injected_;
-  if (injected_metric_ != nullptr) injected_metric_->add();
-  if (active_metric_ != nullptr) active_metric_->set(static_cast<double>(active()));
+  injected_metric_.add();
+  active_metric_.set(static_cast<double>(active()));
   it->second(event);
   if (event.duration > Time::zero() && recover_.count(event.kind) != 0) {
     sim_.after(event.duration, [this, index] { fire_recovery(index); }, "sim.fault.recover");
@@ -317,8 +310,8 @@ void FaultInjector::fire_recovery(std::size_t index) {
   auto it = recover_.find(event.kind);
   if (it == recover_.end() || !it->second) return;
   ++recovered_;
-  if (recovered_metric_ != nullptr) recovered_metric_->add();
-  if (active_metric_ != nullptr) active_metric_->set(static_cast<double>(active()));
+  recovered_metric_.add();
+  active_metric_.set(static_cast<double>(active()));
   it->second(event);
 }
 

@@ -130,7 +130,9 @@ class FaultInjector {
  public:
   using Handler = std::function<void(const FaultEvent&)>;
 
-  explicit FaultInjector(Simulator& sim) : sim_{sim} {}
+  /// Binds the injected/recovered/skipped counters and the active-fault
+  /// gauge ("sim.faults.*").
+  FaultInjector(Simulator& sim, Telemetry& telemetry);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -146,10 +148,6 @@ class FaultInjector {
   /// the past are clamped to now(). Returns the number scheduled. Run the
   /// simulator (or Datacenter::advance_to) to make the faults land.
   std::size_t schedule(const FaultPlan& plan);
-
-  /// Wires telemetry in: injected/recovered/skipped counters and the
-  /// active-fault gauge ("sim.faults.*"). Null detaches telemetry.
-  void set_telemetry(Telemetry* telemetry);
 
   std::uint64_t scheduled() const { return scheduled_; }
   std::uint64_t injected() const { return injected_; }
@@ -178,11 +176,10 @@ class FaultInjector {
   std::uint64_t recovered_ = 0;
   std::uint64_t skipped_ = 0;
 
-  Telemetry* telemetry_ = nullptr;
-  metrics::Counter* injected_metric_ = nullptr;
-  metrics::Counter* recovered_metric_ = nullptr;
-  metrics::Counter* skipped_metric_ = nullptr;
-  metrics::Gauge* active_metric_ = nullptr;
+  metrics::Counter& injected_metric_;
+  metrics::Counter& recovered_metric_;
+  metrics::Counter& skipped_metric_;
+  metrics::Gauge& active_metric_;
 
   void fire(std::size_t index);
   void fire_recovery(std::size_t index);

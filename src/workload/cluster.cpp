@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/contract.hpp"
 #include "sim/digest.hpp"
 #include "sim/format.hpp"
 
@@ -38,11 +39,7 @@ ClusterEngine::ClusterEngine(core::Cluster& cluster, WorkloadConfig config)
           config_.tenants[i].home_rack, cluster_.size()));
     }
   }
-  if (!errors.empty()) {
-    std::string message = "invalid cluster WorkloadConfig:";
-    for (const auto& e : errors) message += "\n  - " + e;
-    throw std::invalid_argument(message);
-  }
+  sim::throw_if_invalid("cluster WorkloadConfig", errors);
 
   // One engine per populated rack, each seeing only its own tenants and
   // wired to its rack's spine NIC.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/contract.hpp"
 #include "sim/format.hpp"
 #include "sim/span.hpp"
 
@@ -78,12 +79,7 @@ std::string WorkloadResult::summary() const {
 
 WorkloadEngine::WorkloadEngine(core::Datacenter& dc, WorkloadConfig config)
     : dc_{dc}, config_{std::move(config)} {
-  const auto errors = config_.errors();
-  if (!errors.empty()) {
-    std::string message = "invalid WorkloadConfig:";
-    for (const auto& e : errors) message += "\n  - " + e;
-    throw std::invalid_argument(message);
-  }
+  sim::throw_if_invalid("WorkloadConfig", config_.errors());
 }
 
 void WorkloadEngine::boot_tenants() {

@@ -95,7 +95,11 @@ TEST(ClusterConfigTest, ConstructorRejectsInvalidConfigs) {
     Cluster cluster{config};
     ADD_FAILURE() << "a zero spine propagation must be rejected";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("spine.propagation"), std::string::npos) << e.what();
+    // Every finding is one "- " bullet under the header, as for every
+    // other config gate.
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("invalid cluster config:\n  - ", 0), 0u) << what;
+    EXPECT_NE(what.find("\n  - spine.propagation"), std::string::npos) << what;
   }
 }
 
@@ -138,13 +142,24 @@ TEST(ClusterBuilderTest, SingleRackScenariosStaySingleRack) {
 
 TEST(ClusterBuilderTest, SpineSetterPreservesDeclaredFaults) {
   ScenarioBuilder builder;
-  builder.add_racks(2, RackSpec{1, 2, 2, 0}).spine_fault(0, sim::Time::ms(1), sim::Time::ms(1));
+  builder.add_racks(2, RackSpec{1, 2, 2, 0})
+      .cross_rack_share(0.25)
+      .spine_fault(0, sim::Time::ms(1), sim::Time::ms(1));
   SpineSpec spec;
   spec.propagation = sim::Time::us(1);
   builder.spine(spec);
   Scenario scenario = builder.build();
   EXPECT_EQ(scenario.cluster().config().spine.propagation, sim::Time::us(1));
   EXPECT_EQ(scenario.cluster().config().spine.faults.size(), 1u);
+  // The spec leaves the share at 0, so the declared share survives...
+  EXPECT_EQ(scenario.cluster().config().spine.cross_share, 0.25);
+
+  // ...while a spec that carries its own share replaces it.
+  ScenarioBuilder own;
+  own.add_racks(2, RackSpec{1, 2, 2, 0}).cross_rack_share(0.25);
+  spec.cross_share = 0.5;
+  own.spine(spec);
+  EXPECT_EQ(own.config().spine.cross_share, 0.5);
 }
 
 TEST(ClusterBuilderTest, PlanSpineFaultOnAMissingRackIsRejected) {

@@ -22,18 +22,18 @@ RmstEntry entry(std::uint32_t seg, std::uint64_t base, std::uint64_t size) {
 TEST(RmstTest, InsertAndLookup) {
   Rmst rmst;
   rmst.insert(entry(1, 0x1000, 0x1000));
-  auto hit = rmst.lookup(0x1800);
-  ASSERT_TRUE(hit.has_value());
+  const RmstEntry* hit = rmst.find(0x1800);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->segment, SegmentId{1});
-  EXPECT_FALSE(rmst.lookup(0x0FFF).has_value());
-  EXPECT_FALSE(rmst.lookup(0x2000).has_value());  // end is exclusive
+  EXPECT_EQ(rmst.find(0x0FFF), nullptr);
+  EXPECT_EQ(rmst.find(0x2000), nullptr);  // end is exclusive
 }
 
 TEST(RmstTest, LookupBoundaries) {
   Rmst rmst;
   rmst.insert(entry(1, 0x1000, 0x1000));
-  EXPECT_TRUE(rmst.lookup(0x1000).has_value());   // first byte
-  EXPECT_TRUE(rmst.lookup(0x1FFF).has_value());   // last byte
+  EXPECT_NE(rmst.find(0x1000), nullptr);   // first byte
+  EXPECT_NE(rmst.find(0x1FFF), nullptr);   // last byte
 }
 
 TEST(RmstTest, RejectsOverlap) {
@@ -111,7 +111,7 @@ TEST(RmstTest, ClearEmptiesTable) {
   rmst.insert(entry(1, 0x0000, 0x100));
   rmst.clear();
   EXPECT_EQ(rmst.size(), 0u);
-  EXPECT_FALSE(rmst.lookup(0x50).has_value());
+  EXPECT_EQ(rmst.find(0x50), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -123,19 +123,19 @@ TEST(RmstTest, ClearEmptiesTable) {
 TEST(RmstBoundaryTest, WindowEndingExactlyAtTopOfAddressSpace) {
   Rmst rmst;
   EXPECT_NO_THROW(rmst.insert(entry(1, UINT64_MAX - 0xFFF, 0x1000)));
-  EXPECT_TRUE(rmst.lookup(UINT64_MAX).has_value());            // last byte
-  EXPECT_TRUE(rmst.lookup(UINT64_MAX - 0xFFF).has_value());    // first byte
-  EXPECT_FALSE(rmst.lookup(UINT64_MAX - 0x1000).has_value());  // one below
+  EXPECT_NE(rmst.find(UINT64_MAX), nullptr);            // last byte
+  EXPECT_NE(rmst.find(UINT64_MAX - 0xFFF), nullptr);    // first byte
+  EXPECT_EQ(rmst.find(UINT64_MAX - 0x1000), nullptr);  // one below
   EXPECT_NO_THROW(rmst.check_invariants());
 }
 
 TEST(RmstBoundaryTest, SingleByteWindowAtTopOfAddressSpace) {
   Rmst rmst;
   EXPECT_NO_THROW(rmst.insert(entry(1, UINT64_MAX, 1)));
-  auto hit = rmst.lookup(UINT64_MAX);
-  ASSERT_TRUE(hit.has_value());
+  const RmstEntry* hit = rmst.find(UINT64_MAX);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->segment, SegmentId{1});
-  EXPECT_FALSE(rmst.lookup(UINT64_MAX - 1).has_value());
+  EXPECT_EQ(rmst.find(UINT64_MAX - 1), nullptr);
   EXPECT_NO_THROW(rmst.check_invariants());
 }
 
@@ -260,12 +260,12 @@ TEST_P(RmstPropertyTest, LookupMatchesGroundTruth) {
   for (const auto& e : truth) {
     const std::uint64_t inside =
         e.base + static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(e.size) - 1));
-    auto hit = rmst.lookup(inside);
-    ASSERT_TRUE(hit.has_value());
+    const RmstEntry* hit = rmst.find(inside);
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->segment, e.segment);
     if (e.size < (1 << 20)) {
-      EXPECT_FALSE(rmst.lookup(e.base + e.size).has_value() &&
-                   rmst.lookup(e.base + e.size)->segment == e.segment);
+      const RmstEntry* next = rmst.find(e.base + e.size);
+      EXPECT_FALSE(next != nullptr && next->segment == e.segment);
     }
   }
 }

@@ -10,7 +10,9 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 class BalloonTest : public ::testing::Test {
  protected:
   BalloonTest()
-      : brick_{hw::BrickId{1}, hw::TrayId{1}, config()}, os_{brick_}, hv_{brick_, os_} {}
+      : brick_{hw::BrickId{1}, hw::TrayId{1}, config()},
+        os_{brick_},
+        hv_{brick_, os_, telemetry_} {}
 
   static hw::ComputeBrickConfig config() {
     hw::ComputeBrickConfig cfg;
@@ -19,6 +21,7 @@ class BalloonTest : public ::testing::Test {
     return cfg;
   }
 
+  sim::Telemetry telemetry_;
   hw::ComputeBrick brick_;
   os::BareMetalOs os_;
   Hypervisor hv_;

@@ -12,7 +12,7 @@ class HypervisorTest : public ::testing::Test {
   HypervisorTest()
       : brick_{hw::BrickId{1}, hw::TrayId{1}, config()},
         os_{brick_},
-        hv_{brick_, os_} {}
+        hv_{brick_, os_, telemetry_} {}
 
   static hw::ComputeBrickConfig config() {
     hw::ComputeBrickConfig cfg;
@@ -21,6 +21,7 @@ class HypervisorTest : public ::testing::Test {
     return cfg;
   }
 
+  sim::Telemetry telemetry_;
   hw::ComputeBrick brick_;
   os::BareMetalOs os_;
   Hypervisor hv_;
@@ -117,7 +118,7 @@ TEST_F(HypervisorTest, VmsListedSorted) {
 
 TEST_F(HypervisorTest, MismatchedOsRejected) {
   hw::ComputeBrick other{hw::BrickId{2}, hw::TrayId{1}, config()};
-  EXPECT_THROW(Hypervisor(other, os_), std::invalid_argument);
+  EXPECT_THROW(Hypervisor(other, os_, telemetry_), std::invalid_argument);
 }
 
 TEST_F(HypervisorTest, MultipleVmsShareHost) {

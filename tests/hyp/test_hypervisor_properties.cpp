@@ -17,7 +17,9 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 class HypervisorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   HypervisorPropertyTest()
-      : brick_{hw::BrickId{1}, hw::TrayId{1}, config()}, os_{brick_}, hv_{brick_, os_} {}
+      : brick_{hw::BrickId{1}, hw::TrayId{1}, config()},
+        os_{brick_},
+        hv_{brick_, os_, telemetry_} {}
 
   static hw::ComputeBrickConfig config() {
     hw::ComputeBrickConfig cfg;
@@ -43,6 +45,7 @@ class HypervisorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     ASSERT_LE(hv_.committed_bytes(), host);
   }
 
+  sim::Telemetry telemetry_;
   hw::ComputeBrick brick_;
   os::BareMetalOs os_;
   Hypervisor hv_;

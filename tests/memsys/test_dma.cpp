@@ -26,7 +26,7 @@ constexpr std::uint64_t kMiB = 1ull << 20;
 
 class DmaTest : public ::testing::Test {
  protected:
-  DmaTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  DmaTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray_a).id();
@@ -39,6 +39,7 @@ class DmaTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -62,6 +63,64 @@ TEST_F(DmaTest, SingleTransferCompletes) {
   EXPECT_GT(result.completed_at, result.enqueued_at);
   EXPECT_EQ(dma.completed_transfers(), 1u);
   EXPECT_EQ(dma.in_flight(), 0u);
+}
+
+// "Uninstrumented" is a disabled registry: the fabric and a DMA engine
+// built on a default sim::Telemetry bind their instruments at construction
+// and record nothing, then record once the registry is enabled, with no
+// rewiring in between.
+TEST_F(DmaTest, DisabledRegistryRecordsNothingUntilEnabled) {
+  DmaEngine dma{sim_, fabric_, compute_};
+  const sim::metrics::MetricsRegistry& m = telemetry_.metrics();
+  const auto counter = [&m](const char* name) {
+    const sim::metrics::Counter* c = m.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? ~0ull : c->value();
+  };
+  const auto samples = [&m](const char* name) {
+    const sim::metrics::Histogram* h = m.find_histogram(name);
+    EXPECT_NE(h, nullptr) << name;
+    return h == nullptr ? ~std::size_t{0} : h->count();
+  };
+  const auto transfer = [&] {
+    DmaDescriptor desc;
+    desc.address = attachment_.compute_base;
+    desc.bytes = 64 * 1024;  // 16 chunks of 4 KiB
+    bool ok = false;
+    dma.enqueue(desc, [&ok](const DmaCompletion& c) { ok = c.ok; });
+    sim_.run();
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(fabric_.read(compute_, attachment_.compute_base, 64, sim_.now()).ok());
+    // Past the only window: a TGL miss.
+    const std::uint64_t unmapped = attachment_.compute_base + attachment_.size;
+    EXPECT_FALSE(fabric_.read(compute_, unmapped, 64, sim_.now()).ok());
+  };
+
+  transfer();
+  // The DMA counters exist before any transfer completes, and nothing
+  // landed in any instrument: not the fixture's attach, not the chunks.
+  EXPECT_EQ(counter("memsys.dma.transfers"), 0u);
+  EXPECT_EQ(counter("memsys.dma.bytes"), 0u);
+  EXPECT_EQ(counter("memsys.fabric.attaches"), 0u);
+  EXPECT_EQ(counter("memsys.fabric.transactions"), 0u);
+  EXPECT_EQ(counter("hw.tgl.lookup_hits"), 0u);
+  EXPECT_EQ(counter("hw.tgl.lookup_misses"), 0u);
+  EXPECT_EQ(samples("memsys.write.latency_ns"), 0u);
+  EXPECT_EQ(samples("memsys.read.latency_ns"), 0u);
+
+  telemetry_.metrics().enable();
+  transfer();
+  EXPECT_EQ(counter("memsys.dma.transfers"), 1u);
+  EXPECT_EQ(counter("memsys.dma.bytes"), 64u * 1024);
+  EXPECT_EQ(counter("memsys.fabric.transactions"), 18u);  // 16 chunks + 2 reads
+  EXPECT_EQ(counter("memsys.fabric.failed_transactions"), 1u);
+  EXPECT_EQ(counter("hw.tgl.lookup_hits"), 17u);
+  EXPECT_EQ(counter("hw.tgl.lookup_misses"), 1u);
+  EXPECT_EQ(samples("memsys.write.latency_ns"), 16u);
+  EXPECT_EQ(samples("memsys.read.latency_ns"), 1u);
+  // The TGL's own counters never depended on the registry.
+  EXPECT_EQ(rack_.compute_brick(compute_).tgl().hits(), 34u);
+  EXPECT_EQ(rack_.compute_brick(compute_).tgl().misses(), 2u);
 }
 
 TEST_F(DmaTest, ThroughputApproachesLineRate) {
@@ -381,7 +440,7 @@ TEST_F(DmaTest, Validation) {
 /// full fabric walk; the streamed path must reproduce them exactly.
 class DmaStreamPinTest : public ::testing::Test {
  protected:
-  DmaStreamPinTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  DmaStreamPinTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray_a).id();
@@ -443,6 +502,7 @@ class DmaStreamPinTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -546,7 +606,8 @@ struct TrainOutcome {
 /// spare dMEMBRICK and a second compute brick to relocate or migrate to,
 /// and a packet substrate reaching all of them.
 struct TrainRig {
-  explicit TrainRig(Carrier carrier) : circuits{optical_switch}, fabric{rack, circuits} {
+  explicit TrainRig(Carrier carrier)
+      : circuits{optical_switch, telemetry}, fabric{rack, circuits, telemetry}, packet{telemetry} {
     const hw::TrayId tray_a = rack.add_tray();
     const hw::TrayId tray_b = rack.add_tray();
     compute = rack.add_compute_brick(tray_a).id();
@@ -556,7 +617,6 @@ struct TrainRig {
     for (const hw::BrickId b : {compute, other_compute, membrick, spare}) packet.add_brick(b);
     fabric.set_packet_network(&packet);
     telemetry.metrics().enable();
-    fabric.set_telemetry(&telemetry);
     AttachRequest req;
     req.compute = compute;
     req.membrick = membrick;
@@ -568,7 +628,7 @@ struct TrainRig {
   /// The first switch port of the attachment's primary circuit (none for
   /// backplane links).
   std::optional<std::size_t> switch_port() const {
-    const optics::Circuit* c = circuits.find_ref(attachment.circuit);
+    const optics::Circuit* c = circuits.find(attachment.circuit);
     if (c == nullptr) return std::nullopt;
     return c->switch_ports.front();
   }
@@ -693,12 +753,12 @@ struct TrainRig {
   }
 
   sim::Simulator sim;
+  sim::Telemetry telemetry;
   hw::Rack rack;
   optics::OpticalSwitch optical_switch;
   optics::CircuitManager circuits;
   RemoteMemoryFabric fabric;
   net::PacketNetwork packet;
-  sim::Telemetry telemetry;
   hw::BrickId compute;
   hw::BrickId other_compute;
   hw::BrickId membrick;

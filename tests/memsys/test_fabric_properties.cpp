@@ -15,7 +15,7 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 /// attachment bytes, and every attachment remains readable.
 class FabricPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  FabricPropertyTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  FabricPropertyTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     // Two trays, two compute bricks (one per tray), three memory bricks
     // spread so both electrical and optical media occur.
     const hw::TrayId tray_a = rack_.add_tray();
@@ -58,6 +58,7 @@ class FabricPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     }
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

@@ -10,7 +10,7 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 
 class FailureRepairTest : public ::testing::Test {
  protected:
-  FailureRepairTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  FailureRepairTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray_a).id();
@@ -27,6 +27,7 @@ class FailureRepairTest : public ::testing::Test {
     return *a;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -133,8 +134,8 @@ TEST_F(FailureRepairTest, RepairRestoresExactWindowAndLinkParameters) {
   EXPECT_EQ(healed->size, a->size);
   EXPECT_EQ(healed->switch_hops, 3u);
   EXPECT_DOUBLE_EQ(healed->fiber_length_m, 42.0);
-  const auto circuit = circuits_.find(healed->circuit);
-  ASSERT_TRUE(circuit.has_value());
+  const optics::Circuit* circuit = circuits_.find(healed->circuit);
+  ASSERT_NE(circuit, nullptr);
   EXPECT_EQ(circuit->hops, 3u);
   EXPECT_DOUBLE_EQ(circuit->fiber_length_m, 42.0);
 }

@@ -13,7 +13,11 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 /// quickly, plus a packet network registered for the fallback.
 class PacketFallbackTest : public ::testing::Test {
  protected:
-  PacketFallbackTest() : switch_{tiny_switch()}, circuits_{switch_}, fabric_{rack_, circuits_} {
+  PacketFallbackTest()
+      : switch_{tiny_switch()},
+        circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        packet_net_{telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray_a).id();
@@ -40,6 +44,7 @@ class PacketFallbackTest : public ::testing::Test {
     return req;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

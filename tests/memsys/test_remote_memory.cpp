@@ -14,7 +14,7 @@ using sim::Time;
 
 class RemoteMemoryTest : public ::testing::Test {
  protected:
-  RemoteMemoryTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  RemoteMemoryTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     // Compute and memory bricks on *different* trays: these tests exercise
     // the cross-tray optical path. Intra-tray electrical behaviour has its
     // own suite below.
@@ -34,6 +34,7 @@ class RemoteMemoryTest : public ::testing::Test {
     return req;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -197,8 +198,9 @@ TEST_F(RemoteMemoryTest, BondedLanesSpeedUpLargeTransfers) {
   const hw::BrickId cpu2 = rack2.add_compute_brick(t1).id();
   const hw::BrickId mem2 = rack2.add_memory_brick(t2).id();
   optics::OpticalSwitch sw2;
-  optics::CircuitManager circuits2{sw2};
-  RemoteMemoryFabric fabric2{rack2, circuits2};
+  sim::Telemetry telemetry;
+  optics::CircuitManager circuits2{sw2, telemetry};
+  RemoteMemoryFabric fabric2{rack2, circuits2, telemetry};
   AttachRequest narrow_req;
   narrow_req.compute = cpu2;
   narrow_req.membrick = mem2;
@@ -238,8 +240,9 @@ TEST_F(RemoteMemoryTest, BondRejectedWhenSwitchShort) {
   optics::OpticalSwitchConfig tiny;
   tiny.ports = 4;
   optics::OpticalSwitch small_switch{tiny};
-  optics::CircuitManager small_circuits{small_switch};
-  RemoteMemoryFabric fabric{rack_, small_circuits};
+  sim::Telemetry telemetry;
+  optics::CircuitManager small_circuits{small_switch, telemetry};
+  RemoteMemoryFabric fabric{rack_, small_circuits, telemetry};
   auto req = request();
   req.lanes = 4;  // needs 8 switch ports, only 4 exist
   EXPECT_FALSE(fabric.attach(req, Time::zero()).has_value());
@@ -276,8 +279,9 @@ TEST_F(RemoteMemoryTest, MemoryControllerContention) {
   const hw::BrickId mem4 = rack.add_memory_brick(tray_b, four_mc).id();
 
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  RemoteMemoryFabric fabric{rack, circuits};
+  sim::Telemetry telemetry;
+  optics::CircuitManager circuits{sw, telemetry};
+  RemoteMemoryFabric fabric{rack, circuits, telemetry};
 
   auto attach = [&](hw::BrickId cpu, hw::BrickId mem) {
     AttachRequest req;
@@ -335,7 +339,7 @@ TEST_F(RemoteMemoryTest, CrossTrayAttachmentsAreOptical) {
 /// fresh optical link and the source link must go away whole.
 class MigrationLinkTest : public ::testing::Test {
  protected:
-  MigrationLinkTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  MigrationLinkTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_m = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
@@ -351,6 +355,7 @@ class MigrationLinkTest : public ::testing::Test {
     return req;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -410,8 +415,8 @@ TEST_F(MigrationLinkTest, MigrationKeepsHopsAndFibre) {
 
   auto moved = fabric_.migrate_attachment(a->segment, from_, to_, Time::ms(1));
   ASSERT_TRUE(moved);
-  const auto circuit = circuits_.find(moved->attachment.circuit);
-  ASSERT_TRUE(circuit);
+  const optics::Circuit* circuit = circuits_.find(moved->attachment.circuit);
+  ASSERT_NE(circuit, nullptr);
   EXPECT_EQ(circuit->hops, 2u);
   EXPECT_DOUBLE_EQ(circuit->fiber_length_m, 50.0);
   EXPECT_EQ(switch_.ports_in_use(), 4u);
@@ -421,7 +426,7 @@ TEST_F(MigrationLinkTest, MigrationKeepsHopsAndFibre) {
 }
 
 TEST_F(MigrationLinkTest, MigratingPacketRiderReleasesPacketLink) {
-  net::PacketNetwork packet_net;
+  net::PacketNetwork packet_net{telemetry_};
   packet_net.add_brick(from_);
   packet_net.add_brick(to_);
   packet_net.add_brick(membrick_);
@@ -447,7 +452,7 @@ TEST_F(MigrationLinkTest, MigratingPacketRiderReleasesPacketLink) {
 /// is shorter.
 class IntraTrayMemoryTest : public ::testing::Test {
  protected:
-  IntraTrayMemoryTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+  IntraTrayMemoryTest() : circuits_{switch_, telemetry_}, fabric_{rack_, circuits_, telemetry_} {
     const hw::TrayId tray = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray).id();
     hw::MemoryBrickConfig mc;
@@ -463,6 +468,7 @@ class IntraTrayMemoryTest : public ::testing::Test {
     return req;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -502,7 +508,7 @@ TEST_F(IntraTrayMemoryTest, ElectricalReadFasterThanOptical) {
   // Same shape over the optical path, forced, through an independent
   // fabric instance (the first pair already shares an electrical link, and
   // attachments between the same pair reuse the established circuit).
-  RemoteMemoryFabric optical_fabric{rack_, circuits_};
+  RemoteMemoryFabric optical_fabric{rack_, circuits_, telemetry_};
   auto req2 = request();
   req2.prefer_electrical_intra_tray = false;
   auto b = optical_fabric.attach(req2, Time::zero());
@@ -548,7 +554,10 @@ TEST_F(IntraTrayMemoryTest, SecondSegmentSharesElectricalLink) {
 class FabricBreakdownPinTest : public ::testing::Test {
  protected:
   FabricBreakdownPinTest()
-      : switch_{two_port_switch()}, circuits_{switch_}, fabric_{rack_, circuits_} {
+      : switch_{two_port_switch()},
+        circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        packet_net_{telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     compute_ = rack_.add_compute_brick(tray_a).id();
@@ -602,6 +611,7 @@ class FabricBreakdownPinTest : public ::testing::Test {
     return out;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

@@ -10,8 +10,8 @@ using sim::Time;
 constexpr hw::BrickId kCpu{1};
 constexpr hw::BrickId kMem{2};
 
-PacketNetwork make_network(optics::FecModel fec = optics::FecModel{}) {
-  PacketNetwork net{PacketPathLatencies{}, fec};
+PacketNetwork make_network(sim::Telemetry& telemetry, optics::FecModel fec = optics::FecModel{}) {
+  PacketNetwork net{telemetry, PacketPathLatencies{}, fec};
   net.add_brick(kCpu);
   net.add_brick(kMem);
   net.connect(kCpu, kMem, 10.0);
@@ -19,7 +19,8 @@ PacketNetwork make_network(optics::FecModel fec = optics::FecModel{}) {
 }
 
 TEST(PacketNetworkTest, RemoteReadRoundTripAccounting) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
   EXPECT_EQ(pkt.type, PacketType::kMemReadResp);
   // Breakdown total must equal the end-to-end latency.
@@ -28,7 +29,8 @@ TEST(PacketNetworkTest, RemoteReadRoundTripAccounting) {
 }
 
 TEST(PacketNetworkTest, BreakdownContainsFig8Components) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
   EXPECT_TRUE(pkt.breakdown.has(sim::component("TGL / NI injection")));
   EXPECT_TRUE(pkt.breakdown.has(sim::component("on-brick switch (dCOMPUBRICK)")));
@@ -44,14 +46,16 @@ TEST(PacketNetworkTest, BreakdownContainsFig8Components) {
 TEST(PacketNetworkTest, RoundTripLatencyInExpectedRange) {
   // The prototype's packet-path round trip sits in the ~1 microsecond
   // regime (Fig. 8 is a sub-microsecond to low-microsecond breakdown).
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
   EXPECT_GT(pkt.latency(), Time::ns(500));
   EXPECT_LT(pkt.latency(), Time::us(3));
 }
 
 TEST(PacketNetworkTest, MacPhyDominatesPropagationInRack) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet pkt = net.remote_read(kCpu, kMem, 0x1000, 64, Time::zero());
   const Time mac_phy = pkt.breakdown.of(sim::component("MAC/PHY (dCOMPUBRICK)")) +
                        pkt.breakdown.of(sim::component("MAC/PHY (dMEMBRICK)"));
@@ -59,7 +63,8 @@ TEST(PacketNetworkTest, MacPhyDominatesPropagationInRack) {
 }
 
 TEST(PacketNetworkTest, WriteCarriesPayloadOutbound) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet rd = net.remote_read(kCpu, kMem, 0x0, 4096, Time::zero());
   const Packet wr = net.remote_write(kCpu, kMem, 0x0, 4096, Time::zero());
   // Both move the same bytes once, so serialization matches.
@@ -69,14 +74,16 @@ TEST(PacketNetworkTest, WriteCarriesPayloadOutbound) {
 }
 
 TEST(PacketNetworkTest, LargerPayloadsTakeLonger) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet small = net.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   const Packet big = net.remote_read(kCpu, kMem, 0x0, 4096, Time::us(100));
   EXPECT_GT(big.latency(), small.latency());
 }
 
 TEST(PacketNetworkTest, HmcFasterThanDdr) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet ddr =
       net.remote_read(kCpu, kMem, 0x0, 64, Time::zero(), hw::MemoryTechnology::kDdr4);
   const Packet hmc =
@@ -86,8 +93,9 @@ TEST(PacketNetworkTest, HmcFasterThanDdr) {
 }
 
 TEST(PacketNetworkTest, FecAddsLatencyOnBothTraversals) {
-  auto plain = make_network();
-  auto fec = make_network(optics::FecModel{optics::FecScheme::kRsLight});
+  sim::Telemetry telemetry;
+  auto plain = make_network(telemetry);
+  auto fec = make_network(telemetry, optics::FecModel{optics::FecScheme::kRsLight});
   const Packet p0 = plain.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   const Packet p1 = fec.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   EXPECT_TRUE(p1.breakdown.has(sim::component("FEC encode/decode")));
@@ -97,7 +105,8 @@ TEST(PacketNetworkTest, FecAddsLatencyOnBothTraversals) {
 }
 
 TEST(PacketNetworkTest, FartherBricksHaveMorePropagation) {
-  PacketNetwork net;
+  sim::Telemetry telemetry;
+  PacketNetwork net{telemetry};
   net.add_brick(kCpu);
   net.add_brick(kMem);
   net.connect(kCpu, kMem, 100.0);
@@ -107,27 +116,31 @@ TEST(PacketNetworkTest, FartherBricksHaveMorePropagation) {
 }
 
 TEST(PacketNetworkTest, UnconnectedPairThrows) {
-  PacketNetwork net;
+  sim::Telemetry telemetry;
+  PacketNetwork net{telemetry};
   net.add_brick(kCpu);
   net.add_brick(kMem);
   EXPECT_THROW(net.remote_read(kCpu, kMem, 0x0, 64, Time::zero()), std::logic_error);
 }
 
 TEST(PacketNetworkTest, DuplicateBrickRejected) {
-  PacketNetwork net;
+  sim::Telemetry telemetry;
+  PacketNetwork net{telemetry};
   net.add_brick(kCpu);
   EXPECT_THROW(net.add_brick(kCpu), std::logic_error);
 }
 
 TEST(PacketNetworkTest, BackToBackRequestsQueueAtTheSwitch) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet a = net.remote_read(kCpu, kMem, 0x0, 4096, Time::zero());
   const Packet b = net.remote_read(kCpu, kMem, 0x0, 4096, Time::zero());
   EXPECT_GT(b.latency(), a.latency());  // queued behind a's response bytes
 }
 
 TEST(PacketNetworkTest, PacketIdsIncrement) {
-  auto net = make_network();
+  sim::Telemetry telemetry;
+  auto net = make_network(telemetry);
   const Packet a = net.remote_read(kCpu, kMem, 0x0, 64, Time::zero());
   const Packet b = net.remote_write(kCpu, kMem, 0x0, 64, Time::zero());
   EXPECT_EQ(b.id, a.id + 1);

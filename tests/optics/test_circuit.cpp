@@ -16,7 +16,8 @@ CircuitRequest make_request(std::size_t hops = 1) {
 
 TEST(CircuitManagerTest, EstablishConsumesSwitchPorts) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c = mgr.establish(make_request(1));
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(sw.ports_in_use(), 2u);
@@ -26,7 +27,8 @@ TEST(CircuitManagerTest, EstablishConsumesSwitchPorts) {
 
 TEST(CircuitManagerTest, MultiHopConsumesTwoPortsPerHop) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c = mgr.establish(make_request(8));
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(sw.ports_in_use(), 16u);
@@ -35,34 +37,38 @@ TEST(CircuitManagerTest, MultiHopConsumesTwoPortsPerHop) {
 
 TEST(CircuitManagerTest, TeardownReleasesPorts) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c = mgr.establish(make_request(4));
   ASSERT_TRUE(c);
   EXPECT_TRUE(mgr.teardown(c->id));
   EXPECT_EQ(sw.ports_in_use(), 0u);
   EXPECT_EQ(mgr.active_circuits(), 0u);
   EXPECT_FALSE(mgr.teardown(c->id));
-  EXPECT_FALSE(mgr.find(c->id).has_value());
+  EXPECT_EQ(mgr.find(c->id), nullptr);
 }
 
 TEST(CircuitManagerTest, PortExhaustionReturnsNullopt) {
   OpticalSwitchConfig cfg;
   cfg.ports = 6;
   OpticalSwitch sw{cfg};
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   ASSERT_TRUE(mgr.establish(make_request(3)));  // uses all 6 ports
   EXPECT_FALSE(mgr.establish(make_request(1)).has_value());
 }
 
 TEST(CircuitManagerTest, ZeroHopRejected) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   EXPECT_THROW(mgr.establish(make_request(0)), std::invalid_argument);
 }
 
 TEST(CircuitManagerTest, PropagationDelayFollowsFiberLength) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c = mgr.establish(make_request(1));
   ASSERT_TRUE(c);
   // 20 m at 5 ns/m = 100 ns one way.
@@ -71,7 +77,8 @@ TEST(CircuitManagerTest, PropagationDelayFollowsFiberLength) {
 
 TEST(CircuitManagerTest, BudgetIncludesAllLossElements) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c = mgr.establish(make_request(8));
   ASSERT_TRUE(c);
   const LinkBudget lb = mgr.budget(*c, /*from_a=*/true);
@@ -85,7 +92,8 @@ TEST(CircuitManagerTest, BudgetIncludesAllLossElements) {
 
 TEST(CircuitManagerTest, BudgetUsesPerEndpointLaunchPower) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto req = make_request(1);
   req.a.launch_dbm = -2.0;
   req.b.launch_dbm = -5.0;
@@ -100,20 +108,22 @@ TEST(CircuitManagerTest, SetupTimeComesFromSwitchConfig) {
   OpticalSwitchConfig cfg;
   cfg.reconfiguration_time = sim::Time::ms(10);
   OpticalSwitch sw{cfg};
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   EXPECT_EQ(mgr.setup_time(), sim::Time::ms(10));
 }
 
 TEST(CircuitManagerTest, IndependentCircuitsCoexist) {
   OpticalSwitch sw;
-  CircuitManager mgr{sw};
+  sim::Telemetry telemetry;
+  CircuitManager mgr{sw, telemetry};
   auto c1 = mgr.establish(make_request(2));
   auto c2 = mgr.establish(make_request(2));
   ASSERT_TRUE(c1 && c2);
   EXPECT_NE(c1->id, c2->id);
   EXPECT_EQ(sw.ports_in_use(), 8u);
   mgr.teardown(c1->id);
-  EXPECT_TRUE(mgr.find(c2->id).has_value());
+  EXPECT_NE(mgr.find(c2->id), nullptr);
   EXPECT_EQ(sw.ports_in_use(), 4u);
 }
 

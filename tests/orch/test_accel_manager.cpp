@@ -109,11 +109,12 @@ TEST_F(AccelManagerTest, KernelBoundWhenComputeHeavy) {
 /// Direct dMEMBRICK links (Fig. 5's wrapper transceivers).
 class AccelLinkTest : public AccelManagerTest {
  protected:
-  AccelLinkTest() : circuits_{switch_} {
+  AccelLinkTest() : circuits_{switch_, telemetry_} {
     hw::MemoryBrickConfig mc;
     mc.capacity_bytes = 32ull << 30;
     membrick_ = rack_.add_memory_brick(rack_.brick(compute_).tray(), mc).id();
   }
+  sim::Telemetry telemetry_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
   hw::BrickId membrick_;

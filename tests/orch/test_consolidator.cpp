@@ -13,11 +13,11 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 class ConsolidatorTest : public ::testing::Test {
  protected:
   ConsolidatorTest()
-      : circuits_{switch_},
-        fabric_{rack_, circuits_},
-        sdm_{rack_, fabric_, circuits_},
-        engine_{rack_, fabric_, sdm_},
-        power_{rack_} {
+      : circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        sdm_{rack_, fabric_, circuits_, telemetry_},
+        engine_{rack_, fabric_, sdm_, telemetry_},
+        power_{rack_, telemetry_} {
     // Four compute bricks on two trays, memory bricks on a third tray.
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
@@ -27,7 +27,7 @@ class ConsolidatorTest : public ::testing::Test {
     cc.local_memory_bytes = 8 * kGiB;
     for (hw::TrayId tray : {tray_a, tray_a, tray_b, tray_b}) {
       auto& cb = rack_.add_compute_brick(tray, cc);
-      stacks_.push_back(std::make_unique<Stack>(cb));
+      stacks_.push_back(std::make_unique<Stack>(cb, telemetry_));
       sdm_.register_agent(stacks_.back()->agent);
       computes_.push_back(cb.id());
     }
@@ -37,8 +37,8 @@ class ConsolidatorTest : public ::testing::Test {
   }
 
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     SdmAgent agent;
@@ -52,6 +52,7 @@ class ConsolidatorTest : public ::testing::Test {
     return *vm;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

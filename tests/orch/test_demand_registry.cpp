@@ -74,27 +74,31 @@ TEST(DemandRegistryTest, ForgetRemovesVm) {
 /// attach tier.
 class SmartScaleUpTest : public ::testing::Test {
  protected:
-  SmartScaleUpTest() : circuits_{switch_}, fabric_{rack_, circuits_}, sdm_{rack_, fabric_, circuits_} {
+  SmartScaleUpTest()
+      : circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        sdm_{rack_, fabric_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     hw::ComputeBrickConfig cc;
     cc.apu_cores = 4;
     cc.local_memory_bytes = 16 * kGiB;
     auto& cb = rack_.add_compute_brick(tray_a, cc);
-    stack_ = std::make_unique<Stack>(cb);
+    stack_ = std::make_unique<Stack>(cb, telemetry_);
     sdm_.register_agent(stack_->agent);
     compute_ = cb.id();
     rack_.add_memory_brick(tray_b);
   }
 
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     SdmAgent agent;
   };
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

@@ -13,8 +13,10 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 class MigrationTest : public ::testing::Test {
  protected:
   MigrationTest()
-      : circuits_{switch_}, fabric_{rack_, circuits_}, sdm_{rack_, fabric_, circuits_},
-        engine_{rack_, fabric_, sdm_} {
+      : circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        sdm_{rack_, fabric_, circuits_, telemetry_},
+        engine_{rack_, fabric_, sdm_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     hw::ComputeBrickConfig cc;
@@ -22,7 +24,7 @@ class MigrationTest : public ::testing::Test {
     cc.local_memory_bytes = 4 * kGiB;
     for (hw::TrayId tray : {tray_a, tray_b}) {
       auto& cb = rack_.add_compute_brick(tray, cc);
-      stacks_.push_back(std::make_unique<Stack>(cb));
+      stacks_.push_back(std::make_unique<Stack>(cb, telemetry_));
       sdm_.register_agent(stacks_.back()->agent);
       computes_.push_back(cb.id());
     }
@@ -32,8 +34,8 @@ class MigrationTest : public ::testing::Test {
   }
 
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     SdmAgent agent;
@@ -60,6 +62,7 @@ class MigrationTest : public ::testing::Test {
     return vm.vm;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -148,10 +151,10 @@ TEST_F(MigrationTest, DestinationMustFitCoresAndLocalMemory) {
 TEST_F(MigrationTest, ConfigValidation) {
   MigrationConfig bad;
   bad.dirty_rate_bytes_per_sec = 2e9;  // above 10 Gb/s
-  EXPECT_THROW(MigrationEngine(rack_, fabric_, sdm_, bad), std::invalid_argument);
+  EXPECT_THROW(MigrationEngine(rack_, fabric_, sdm_, telemetry_, bad), std::invalid_argument);
   bad = MigrationConfig{};
   bad.network_bandwidth_gbps = 0;
-  EXPECT_THROW(MigrationEngine(rack_, fabric_, sdm_, bad), std::invalid_argument);
+  EXPECT_THROW(MigrationEngine(rack_, fabric_, sdm_, telemetry_, bad), std::invalid_argument);
 }
 
 TEST_F(MigrationTest, MigratedVmKeepsWorking) {

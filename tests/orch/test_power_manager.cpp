@@ -17,7 +17,8 @@ TEST(PowerManagerTest, TickPowersOffIdleBricks) {
   const hw::TrayId tray = rack.add_tray();
   rack.add_memory_brick(tray);
   rack.add_memory_brick(tray);
-  PowerManager pm{rack};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry};
   // Too early: nothing idle long enough.
   EXPECT_EQ(pm.tick(Time::sec(30)), 0u);
   // Past the timeout both idle bricks go dark.
@@ -30,7 +31,8 @@ TEST(PowerManagerTest, ActivityResetsIdleClock) {
   hw::Rack rack;
   const hw::TrayId tray = rack.add_tray();
   const hw::BrickId mb = rack.add_memory_brick(tray).id();
-  PowerManager pm{rack};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry};
   pm.note_activity(mb, Time::sec(50));
   EXPECT_EQ(pm.tick(Time::sec(100)), 0u);  // idle only 50 s
   EXPECT_EQ(pm.tick(Time::sec(111)), 1u);
@@ -42,7 +44,8 @@ TEST(PowerManagerTest, ActiveBricksAreNeverSwept) {
   auto& mb = rack.add_memory_brick(tray);
   auto seg = mb.allocate(kGiB, hw::BrickId{1});  // brick becomes kActive
   ASSERT_TRUE(seg);
-  PowerManager pm{rack};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry};
   EXPECT_EQ(pm.tick(Time::sec(1000)), 0u);
   EXPECT_EQ(mb.power_state(), hw::PowerState::kActive);
 }
@@ -52,7 +55,8 @@ TEST(PowerManagerTest, BricksWithCircuitsAreNotSwept) {
   const hw::TrayId tray = rack.add_tray();
   auto& mb = rack.add_memory_brick(tray);
   mb.port(0).connected = true;  // live circuit endpoint
-  PowerManager pm{rack};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry};
   EXPECT_EQ(pm.tick(Time::sec(1000)), 0u);
 }
 
@@ -63,7 +67,8 @@ TEST(PowerManagerTest, KeepComputeBricksOnPolicy) {
   rack.add_memory_brick(tray);
   PowerPolicyConfig policy;
   policy.keep_compute_bricks_on = true;
-  PowerManager pm{rack, policy};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry, policy};
   EXPECT_EQ(pm.tick(Time::sec(1000)), 1u);  // only the memory brick
 }
 
@@ -71,7 +76,8 @@ TEST(PowerManagerTest, EnsurePoweredChargesWakeLatency) {
   hw::Rack rack;
   const hw::TrayId tray = rack.add_tray();
   const hw::BrickId mb = rack.add_memory_brick(tray).id();
-  PowerManager pm{rack};
+  sim::Telemetry telemetry;
+  PowerManager pm{rack, telemetry};
   pm.tick(Time::sec(100));
   ASSERT_EQ(rack.brick(mb).power_state(), hw::PowerState::kOff);
   const Time wake = pm.ensure_powered(mb, Time::sec(200));
@@ -86,9 +92,10 @@ TEST(PowerManagerTest, EnsurePoweredChargesWakeLatency) {
 TEST(PowerManagerTest, SdmChargesWakeUpInScaleUpPath) {
   hw::Rack rack;
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  SdmController sdm{rack, fabric, circuits};
+  sim::Telemetry telemetry;
+  optics::CircuitManager circuits{sw, telemetry};
+  memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
+  SdmController sdm{rack, fabric, circuits, telemetry};
 
   const hw::TrayId tray_a = rack.add_tray();
   const hw::TrayId tray_b = rack.add_tray();
@@ -97,12 +104,12 @@ TEST(PowerManagerTest, SdmChargesWakeUpInScaleUpPath) {
   cc.local_memory_bytes = 4 * kGiB;
   auto& cb = rack.add_compute_brick(tray_a, cc);
   os::BareMetalOs os{cb};
-  hyp::Hypervisor hv{cb, os};
+  hyp::Hypervisor hv{cb, os, telemetry};
   SdmAgent agent{hv, os};
   sdm.register_agent(agent);
   const hw::BrickId mb = rack.add_memory_brick(tray_b).id();
 
-  PowerManager pm{rack};
+  PowerManager pm{rack, telemetry};
   sdm.set_power_manager(&pm);
 
   AllocationRequest req;

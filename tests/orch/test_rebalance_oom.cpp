@@ -14,14 +14,16 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 class RebalanceOomTest : public ::testing::Test {
  protected:
   RebalanceOomTest()
-      : circuits_{switch_}, fabric_{rack_, circuits_}, sdm_{rack_, fabric_, circuits_} {
+      : circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        sdm_{rack_, fabric_, circuits_, telemetry_} {
     const hw::TrayId tray_a = rack_.add_tray();
     const hw::TrayId tray_b = rack_.add_tray();
     hw::ComputeBrickConfig cc;
     cc.apu_cores = 4;
     cc.local_memory_bytes = 8 * kGiB;
     auto& cb = rack_.add_compute_brick(tray_a, cc);
-    stack_ = std::make_unique<Stack>(cb);
+    stack_ = std::make_unique<Stack>(cb, telemetry_);
     sdm_.register_agent(stack_->agent);
     compute_ = cb.id();
     hw::MemoryBrickConfig mc;
@@ -30,8 +32,8 @@ class RebalanceOomTest : public ::testing::Test {
   }
 
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     SdmAgent agent;
@@ -46,6 +48,7 @@ class RebalanceOomTest : public ::testing::Test {
     return result.vm;
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;

@@ -16,7 +16,10 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 /// bricks, with the full per-brick software stack.
 class SdmControllerTest : public ::testing::Test {
  protected:
-  SdmControllerTest() : circuits_{switch_}, fabric_{rack_, circuits_}, sdm_{rack_, fabric_, circuits_} {
+  SdmControllerTest()
+      : circuits_{switch_, telemetry_},
+        fabric_{rack_, circuits_, telemetry_},
+        sdm_{rack_, fabric_, circuits_, telemetry_} {
     // Compute bricks and memory bricks on separate trays so these tests
     // exercise the cross-tray optical control path (switch programming).
     const hw::TrayId compute_tray = rack_.add_tray();
@@ -26,7 +29,7 @@ class SdmControllerTest : public ::testing::Test {
       cc.apu_cores = 4;
       cc.local_memory_bytes = 4 * kGiB;
       auto& cb = rack_.add_compute_brick(compute_tray, cc);
-      auto stack = std::make_unique<Stack>(cb);
+      auto stack = std::make_unique<Stack>(cb, telemetry_);
       sdm_.register_agent(stack->agent);
       computes_.push_back(cb.id());
       stacks_.push_back(std::move(stack));
@@ -39,8 +42,8 @@ class SdmControllerTest : public ::testing::Test {
   }
 
   struct Stack {
-    explicit Stack(hw::ComputeBrick& brick)
-        : os{brick}, hypervisor{brick, os}, agent{hypervisor, os} {}
+    Stack(hw::ComputeBrick& brick, sim::Telemetry& telemetry)
+        : os{brick}, hypervisor{brick, os, telemetry}, agent{hypervisor, os} {}
     os::BareMetalOs os;
     hyp::Hypervisor hypervisor;
     SdmAgent agent;
@@ -55,6 +58,7 @@ class SdmControllerTest : public ::testing::Test {
     return sdm_.scale_up(req);
   }
 
+  sim::Telemetry telemetry_;
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
@@ -281,11 +285,12 @@ TEST(OpenStackFrontendTest, BootRecordsInstances) {
   const hw::TrayId tray = rack.add_tray();
   auto& cb = rack.add_compute_brick(tray);
   optics::OpticalSwitch sw;
-  optics::CircuitManager circuits{sw};
-  memsys::RemoteMemoryFabric fabric{rack, circuits};
-  SdmController sdm{rack, fabric, circuits};
+  sim::Telemetry telemetry;
+  optics::CircuitManager circuits{sw, telemetry};
+  memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
+  SdmController sdm{rack, fabric, circuits, telemetry};
   os::BareMetalOs os{cb};
-  hyp::Hypervisor hv{cb, os};
+  hyp::Hypervisor hv{cb, os, telemetry};
   SdmAgent agent{hv, os};
   sdm.register_agent(agent);
 

@@ -236,7 +236,8 @@ TEST(ArenaFaultChurnTest, FaultInjectorInterleavedChurnStaysConsistent) {
   std::vector<std::uint32_t> live_slots;
   std::uint64_t generation_bumps = 0;
 
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   injector.on(FaultKind::kBrickCrash, [&](const FaultEvent&) {
     // The crash abandons the newest half of the in-flight ops.
     std::size_t victims = (live_slots.size() + 1) / 2;

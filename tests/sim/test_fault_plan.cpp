@@ -96,7 +96,8 @@ TEST(FaultPlanGenerate, HonoursConfigKnobs) {
 
 TEST(FaultInjectorTest, DeliversThroughTheEventQueueInOrder) {
   Simulator sim;
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   std::vector<FaultKind> seen;
   injector.on(FaultKind::kLinkFlap, [&](const FaultEvent&) {
     seen.push_back(FaultKind::kLinkFlap);
@@ -121,7 +122,8 @@ TEST(FaultInjectorTest, DeliversThroughTheEventQueueInOrder) {
 
 TEST(FaultInjectorTest, RecoveryFiresDurationAfterInjection) {
   Simulator sim;
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   Time injected_at, recovered_at;
   injector.on(FaultKind::kLinkFlap,
               [&](const FaultEvent&) { injected_at = sim.now(); });
@@ -145,7 +147,8 @@ TEST(FaultInjectorTest, RecoveryFiresDurationAfterInjection) {
 
 TEST(FaultInjectorTest, PersistentFaultNeverAutoRecovers) {
   Simulator sim;
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   injector.on(FaultKind::kBrickCrash, [](const FaultEvent&) {});
   injector.on_recover(FaultKind::kBrickCrash, [](const FaultEvent&) {
     FAIL() << "zero-duration fault must not auto-recover";
@@ -160,7 +163,8 @@ TEST(FaultInjectorTest, PersistentFaultNeverAutoRecovers) {
 
 TEST(FaultInjectorTest, UnhandledKindsCountAsSkipped) {
   Simulator sim;
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   FaultPlan plan;
   plan.add({Time::ms(1), FaultKind::kControllerStall});
   EXPECT_EQ(injector.schedule(plan), 1u);
@@ -173,7 +177,8 @@ TEST(FaultInjectorTest, UnhandledKindsCountAsSkipped) {
 TEST(FaultInjectorTest, PastEventsClampToNow) {
   Simulator sim;
   sim.run_until(Time::ms(10));
-  FaultInjector injector{sim};
+  Telemetry telemetry;
+  FaultInjector injector{sim, telemetry};
   Time fired_at;
   injector.on(FaultKind::kLinkFlap, [&](const FaultEvent&) { fired_at = sim.now(); });
   FaultPlan plan;
@@ -187,8 +192,7 @@ TEST(FaultInjectorTest, TelemetryCountsInjectionsAndRecoveries) {
   Simulator sim;
   Telemetry telemetry;
   telemetry.enable_all();
-  FaultInjector injector{sim};
-  injector.set_telemetry(&telemetry);
+  FaultInjector injector{sim, telemetry};
   injector.on(FaultKind::kLinkFlap, [](const FaultEvent&) {});
   injector.on_recover(FaultKind::kLinkFlap, [](const FaultEvent&) {});
 
