@@ -34,9 +34,9 @@ struct RackLinkStats {
 /// time-varying state is each rack's sender-owned outbound directions.
 ///
 /// Each rack is one shard of a sim::PartitionedKernel whose one lookahead
-/// is the spine's propagation delay; advance_all() therefore
-/// runs the coupled simulation on any number of threads with a schedule
-/// byte-identical to the single-threaded reference.
+/// is the spine's propagation delay; advance_all() runs the coupled
+/// simulation in conservative rounds on the calling thread, with one
+/// schedule whatever thread count is asked for.
 class Cluster {
  public:
   /// Requires config.racks to be non-empty; validates the config and
@@ -78,8 +78,9 @@ class Cluster {
   void arm_spine_faults(sim::Time base);
   bool spine_faults_armed() const { return faults_armed_; }
 
-  /// Advances every rack to `until` in conservative lookahead rounds on
-  /// `threads` workers (threads=1 is the sequential reference schedule).
+  /// Advances every rack to `until` in conservative lookahead rounds.
+  /// `threads` is passed to PartitionedKernel::run, which runs every
+  /// round on the calling thread.
   sim::PartitionRunStats advance_all(sim::Time until, std::size_t threads = 1);
 
   /// Total instantaneous power: the racks plus one lit spine port each.

@@ -115,8 +115,9 @@ struct DatacenterConfig {
   /// its own) and arm the spine/partitions fields below.
   std::vector<RackSpec> racks;
   SpineSpec spine;
-  /// Default worker-thread count for parallel cluster runs (>= 1; 1 is
-  /// the sequential reference schedule).
+  /// Worker count a cluster run asks the partitioned kernel for when the
+  /// caller gives none (>= 1). The kernel runs every round on the calling
+  /// thread, so no count changes the schedule.
   std::size_t partitions = 1;
 
   /// Checks the whole deployment shape for physical and numerical sanity
@@ -265,8 +266,8 @@ class Datacenter {
 
   /// Hands ownership of the rack's thread-confined telemetry to the next
   /// touching thread. Called by the partitioned kernel's shard prologue:
-  /// barrier rounds may drive this rack from a different pool worker each
-  /// round, which is exactly the "ownership legitimately moves between
+  /// a cluster may be advanced on a thread other than the one that built
+  /// it, which is exactly the "ownership legitimately moves between
   /// phases" case the confinement checker's rebind exists for.
   void rebind_thread_owner() { telemetry_.rebind_owner(); }
 

@@ -12,8 +12,7 @@ Histogram::Histogram(RegistryKey, const bool* enabled, double lo, double hi, std
   counts_.resize(bins, 0);
 }
 
-void Histogram::observe(double x) {
-  if (!*enabled_) return;
+void Histogram::record(double x) {
   running_.add(x);
   const double span = hi_ - lo_;
   auto bin = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));

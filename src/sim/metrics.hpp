@@ -76,10 +76,13 @@ class Gauge {
 /// [lo, hi) whose edge buckets absorb out-of-range samples, so memory stays
 /// O(buckets) no matter how hot the instrumented path is and no sample is
 /// silently dropped. Quantiles are estimated by linear interpolation
-/// inside the bucket.
+/// inside the bucket. Recording is gated inline, as Counter::add is, so a
+/// disabled registry costs the call site one branch and no call.
 class Histogram {
  public:
-  void observe(double x);
+  void observe(double x) {
+    if (*enabled_) record(x);
+  }
 
   std::size_t count() const { return running_.count(); }
   double mean() const { return running_.mean(); }
@@ -108,6 +111,8 @@ class Histogram {
   double hi_;
   std::vector<std::size_t> counts_;
 
+  /// The bucket and aggregate work of one enabled observe().
+  void record(double x);
   double bucket_low(std::size_t i) const;
   double bucket_high(std::size_t i) const { return bucket_low(i + 1); }
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/contract.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace dredbox::sim {
 
@@ -36,7 +35,6 @@ PartitionedKernel::~PartitionedKernel() = default;
 
 std::size_t PartitionedKernel::add_shard(Simulator& sim) {
   shards_.push_back(&sim);
-  MutexLock lock{mail_mu_};
   inbox_.emplace_back();
   return shards_.size() - 1;
 }
@@ -53,7 +51,6 @@ void PartitionedKernel::send(std::size_t from, std::size_t to, Time when, Inplac
   DREDBOX_INVARIANT(when >= shards_[from]->now() + lookahead_,
                     "PartitionedKernel::send: delivery time is inside the lookahead window "
                     "(send later or declare a smaller lookahead)");
-  MutexLock lock{mail_mu_};
   std::vector<Message>& inbox = inbox_[to];
   if (inbox.empty()) mailed_.push_back(to);
   inbox.push_back(Message{when, static_cast<std::uint32_t>(from),
@@ -61,14 +58,13 @@ void PartitionedKernel::send(std::size_t from, std::size_t to, Time when, Inplac
 }
 
 std::uint64_t PartitionedKernel::deliver_mail(Time horizon) {
-  MutexLock lock{mail_mu_};
   std::uint64_t delivered = 0;
   for (const std::size_t shard : mailed_) {
     std::vector<Message>& inbox = inbox_[shard];
     Simulator& sim = *shards_[shard];
     // Total order over incoming messages: (time, source, send order) is a
-    // pure function of send history, never of worker interleaving, and the
-    // send order keeps FIFO-within-timestamp across the partition cut.
+    // pure function of send history, and the send order keeps
+    // FIFO-within-timestamp across the partition cut.
     // Destinations are independent queues, so the order in which inboxes
     // are visited does not matter.
     std::sort(inbox.begin(), inbox.end(), [](const Message& a, const Message& b) {
@@ -83,9 +79,8 @@ std::uint64_t PartitionedKernel::deliver_mail(Time horizon) {
       sim.at(message.when, std::move(message.action), message.label);
     }
     // Only these arrivals changed the queue, so its head is the earlier
-    // of the indexed head and the first arrival.
-    const Time first = seed_head(inbox.front().when, horizon);
-    if (first < head(shard)) set_head(shard, first);
+    // of the kept head and the first arrival.
+    heads_[shard] = std::min(heads_[shard], seed_head(inbox.front().when, horizon));
     delivered += inbox.size();
     inbox.clear();
   }
@@ -93,59 +88,23 @@ std::uint64_t PartitionedKernel::deliver_mail(Time horizon) {
   return delivered;
 }
 
-void PartitionedKernel::set_head(std::size_t shard, Time key) {
-  std::size_t slot = slot_[shard];
-  const Time old = heap_[slot].head;
-  if (key == old) return;
-  const std::size_t n = heap_.size();
-  const auto place = [this](HeapEntry entry, std::size_t at) {
-    heap_[at] = entry;
-    slot_[entry.shard] = static_cast<std::uint32_t>(at);
-  };
-  if (key < old) {
-    while (slot > 0 && key < heap_[(slot - 1) / 2].head) {
-      place(heap_[(slot - 1) / 2], slot);
-      slot = (slot - 1) / 2;
-    }
-  } else {
-    for (std::size_t child = 2 * slot + 1; child < n; child = 2 * slot + 1) {
-      if (child + 1 < n && heap_[child + 1].head < heap_[child].head) ++child;
-      if (!(heap_[child].head < key)) break;
-      place(heap_[child], slot);
-      slot = child;
-    }
-  }
-  place(HeapEntry{key, static_cast<std::uint32_t>(shard)}, slot);
-}
-
 void PartitionedKernel::prepare_run(Time horizon) {
   const std::size_t n = shards_.size();
   // Every queue head is read afresh: wiring code may have scheduled or
-  // cancelled anything between two run() calls. Heads start infinite,
-  // which any order of the heap satisfies, and are keyed in one by one.
-  heap_.resize(n);
-  slot_.resize(n);
+  // cancelled anything between two run() calls.
+  heads_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    heap_[i] = HeapEntry{Time::infinity(), static_cast<std::uint32_t>(i)};
-    slot_[i] = static_cast<std::uint32_t>(i);
+    heads_[i] = seed_head(shards_[i]->queue().next_time(), horizon);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    set_head(i, seed_head(shards_[i]->queue().next_time(), horizon));
-  }
-  ran_.assign(n, Ran{});
   runnable_.clear();
 }
 
 void PartitionedKernel::check_round(Time horizon) const {
   const std::size_t n = shards_.size();
-  // The index holds every shard's current effective head, in heap order.
+  // The kept heads are every shard's current effective head.
   for (std::size_t i = 0; i < n; ++i) {
-    const Time next = shards_[i]->queue().next_time();
-    DREDBOX_INVARIANT(heap_[slot_[i]].shard == i, "PartitionedKernel: head index slots disagree");
-    DREDBOX_INVARIANT(head(i) == seed_head(next, horizon),
+    DREDBOX_INVARIANT(heads_[i] == seed_head(shards_[i]->queue().next_time(), horizon),
                       "PartitionedKernel: a queue head moved without being re-keyed");
-    DREDBOX_INVARIANT(slot_[i] == 0 || heap_[(slot_[i] - 1) / 2].head <= head(i),
-                      "PartitionedKernel: head index out of heap order");
   }
   // The reference round over the mesh: every reach over every other
   // shard's head, every cap over every other shard's reach, and the
@@ -153,21 +112,21 @@ void PartitionedKernel::check_round(Time horizon) const {
   const auto after = [this](Time t) { return t.is_infinite() ? t : t + lookahead_; };
   std::vector<Time> reach(n, Time::infinity());
   for (std::size_t j = 0; j < n; ++j) {
-    reach[j] = head(j);
+    reach[j] = heads_[j];
     for (std::size_t k = 0; k < n; ++k) {
-      if (k != j) reach[j] = std::min(reach[j], after(head(k)));
+      if (k != j) reach[j] = std::min(reach[j], after(heads_[k]));
     }
     if (reach[j] > horizon) reach[j] = Time::infinity();
   }
   std::vector<std::size_t> runnable;
   for (std::size_t i = 0; i < n; ++i) {
-    if (head(i).is_infinite()) continue;
+    if (heads_[i].is_infinite()) continue;
     Time safe = Time::infinity();
     for (std::size_t j = 0; j < n; ++j) {
       if (j != i) safe = std::min(safe, after(reach[j]));
     }
     const Time reference = cap_below(safe, horizon);
-    if (head(i) > reference) continue;
+    if (heads_[i] > reference) continue;
     runnable.push_back(i);
     DREDBOX_INVARIANT(cap(i) == reference,
                       "PartitionedKernel: a round's cap disagrees with the full scan");
@@ -176,75 +135,62 @@ void PartitionedKernel::check_round(Time horizon) const {
                     "PartitionedKernel: a round's runnable set disagrees with the full scan");
 }
 
-PartitionRunStats PartitionedKernel::run(Time horizon, std::size_t threads) {
-  const std::size_t workers = std::max<std::size_t>(1, std::min(threads, shards_.size()));
-  if (!pool_ || pool_->threads() != workers) pool_ = std::make_unique<WorkerPool>(workers);
+PartitionRunStats PartitionedKernel::run(Time horizon, std::size_t /*threads*/) {
   PartitionRunStats stats;
-  stats.threads = workers;
   prepare_run(horizon);
   const std::size_t n = shards_.size();
 
-  // Built once per run: the body captures only `this`, so no round pays
-  // for a std::function conversion. Each worker writes only its own
-  // shard's slot of ran_; the coordinator reads them after the barrier.
-  const std::function<void(std::size_t)> phase_b = [this](std::size_t k) {
-    const std::size_t i = runnable_[k];
-    if (prologue_) prologue_(i);
-    Simulator& sim = *shards_[i];
-    const std::size_t events = sim.run_until(cap(i));
-    // The head is read here, while the queue is still in this thread's cache.
-    ran_[i] = Ran{sim.queue().next_time(), events};
-  };
-
   while (true) {
-    // --- Phase A (coordinator): deliver cross traffic. ---
+    // --- Phase A: deliver cross traffic. ---
     // A queue head moves only where events ran or mail landed, so only
-    // those shards are re-keyed: the ones that ran after Phase B, the
-    // ones that got mail as it lands.
+    // those shards are re-keyed: the ones that ran as Phase B leaves
+    // them, the ones that got mail as it lands.
     stats.messages += deliver_mail(horizon);
-    if (n == 0 || heap_[0].head.is_infinite()) break;
 
     // --- The round's two caps. ---
-    // The heap's root is the earliest seed `a` (head h1); the
-    // second-earliest head h2 is one of its children. Every shard's
-    // earliest source is `a`, at reach h1; `a`'s own is the earlier of
-    // h2 and the h1 + L that any message `a` sends could wake. A lone
-    // shard has no source and runs to the horizon.
-    root_ = heap_[0].shard;
-    const Time h1 = heap_[0].head;
+    // One pass finds the earliest seed `a` (head h1) and the
+    // second-earliest head h2. Every shard's earliest source is `a`, at
+    // reach h1; `a`'s own is the earlier of h2 and the h1 + L that any
+    // message `a` sends could wake. A lone shard has no source and runs
+    // to the horizon. Both passes are branch-free: which shards lead
+    // changes every round, so a branch on a head mispredicts.
+    Time h1 = Time::infinity();
     Time h2 = Time::infinity();
-    if (n > 1) h2 = heap_[1].head;
-    if (n > 2) h2 = std::min(h2, heap_[2].head);
+    std::size_t root = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Time head = heads_[i];
+      const bool earliest = head < h1;
+      h2 = earliest ? h1 : std::min(h2, head);
+      root = earliest ? i : root;
+      h1 = earliest ? head : h1;
+    }
+    if (h1.is_infinite()) break;
+    root_ = root;
     cap_ = cap_below(h1 + lookahead_, horizon);
     root_cap_ = n > 1 ? cap_below(std::min(h2, h1 + lookahead_) + lookahead_, horizon) : horizon;
 
-    // `a` always runs, and so does every seed within cap_: the top of the
-    // heap. Walk it, pruning every subtree whose root is past the cap.
-    runnable_.clear();
-    walk_.clear();
-    walk_.push_back(0);
-    while (!walk_.empty()) {
-      const std::size_t slot = walk_.back();
-      walk_.pop_back();
-      // Phase B enters shards in ascending order, as the full scan does.
-      const std::size_t i = heap_[slot].shard;
-      runnable_.push_back(i);
-      for (std::size_t k = runnable_.size() - 1; k > 0 && runnable_[k - 1] > i; --k) {
-        std::swap(runnable_[k - 1], runnable_[k]);
-      }
-      for (std::size_t child = 2 * slot + 1; child <= 2 * slot + 2 && child < n; ++child) {
-        if (heap_[child].head <= cap_) walk_.push_back(child);
-      }
+    // Every seed within cap_ runs, `a` (h1 <= cap_) among them, in
+    // ascending shard order as the full scan has it: each shard is
+    // written to the next slot, which is kept only if its seed is within.
+    runnable_.resize(n);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      runnable_[kept] = i;
+      kept += heads_[i] <= cap_ ? 1 : 0;
     }
+    runnable_.resize(kept);
     DREDBOX_AUDIT_INVARIANT(check_round(horizon));
 
-    // --- Phase B: every shard with work advances to its cap in parallel. ---
+    // --- Phase B: every shard with work advances to its cap. ---
+    // The caps are fixed for the round, so a shard re-keyed as it
+    // finishes cannot change what the shards after it run.
     ++stats.rounds;
     stats.shard_runs += runnable_.size();
-    pool_->parallel_for(runnable_.size(), phase_b);
     for (const std::size_t i : runnable_) {
-      stats.dispatched += ran_[i].events;
-      set_head(i, seed_head(ran_[i].head, horizon));
+      if (prologue_) prologue_(i);
+      Simulator& sim = *shards_[i];
+      stats.dispatched += sim.run_until(cap(i));
+      heads_[i] = seed_head(sim.queue().next_time(), horizon);
     }
   }
 

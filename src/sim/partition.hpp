@@ -3,17 +3,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "sim/annotations.hpp"
 #include "sim/inplace_action.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace dredbox::sim {
-
-class WorkerPool;
 
 /// What one PartitionedKernel::run call did.
 struct PartitionRunStats {
@@ -27,11 +23,9 @@ struct PartitionRunStats {
   /// an event at or below its cap. Shards with nothing runnable in a
   /// round are not entered, so this over `rounds` is the mean fan-out.
   std::size_t shard_runs = 0;
-  /// Workers that ran: the requested count clamped to [1, shards].
-  std::size_t threads = 1;
 };
 
-/// Conservative-lookahead parallel event kernel (the CMB scheme in its
+/// Conservative-lookahead partitioned event kernel (the CMB scheme in its
 /// barrier-round form) over the optical spine's shape: N shards, every
 /// ordered pair linked at one lookahead L (physically: the inter-rack
 /// propagation delay), all run to one horizon. Each shard is a full
@@ -39,12 +33,11 @@ struct PartitionRunStats {
 /// events only through send(), which lands no earlier than L past the
 /// sender's clock.
 ///
-/// run() alternates two phases. Phase A, on the coordinator thread: take
-/// each destination shard's inbox, merge its messages in (time, source
-/// shard, send order) — a total order that is a pure function of send
-/// history, never of thread interleaving — and schedule them; then bound
-/// each shard by the queue heads h_i (within the horizon, else infinity).
-/// Phase B, fanned across the pool: each shard i processes events up to
+/// run() alternates two phases. Phase A: take each destination shard's
+/// inbox, merge its messages in (time, source shard, send order) — a
+/// total order that is a pure function of send history — and schedule
+/// them; then bound each shard by the queue heads h_i (within the
+/// horizon, else infinity). Phase B: each shard i processes events up to
 ///
 ///     cap_i = min over j != i of (reach_j + L) - 1 tick,
 ///     reach_j = min(h_j, min over k != j of h_k + L),
@@ -57,24 +50,31 @@ struct PartitionRunStats {
 /// shard but a, and min(h2, h1 + L) + L - 1 tick for a. A lone shard is
 /// capped at the horizon.
 ///
-/// Cost of a round: O(touched * log shards + runnable + messages + events
-/// dispatched), where touched counts the shards that ran or received mail.
-/// Every shard's head sits in a binary min-heap, and only touched shards
-/// are re-keyed: one that ran with the head its worker read as Phase B
-/// ended, one that got mail with the earlier of its indexed head and the
-/// first arrival. The root is a and h2 is one of its children. No seed
-/// past h1 + L - 1 tick can run, and every seed within it can, so the
-/// round walks only the top of the heap within that bound. A shard left
-/// out of Phase B would have dispatched nothing and merely moved its
-/// clock, which nothing reads before the final alignment to the horizon.
-/// Audit builds check every round against the full O(n^2) scan above.
+/// Cost of a round: O(shards + messages + events dispatched). The
+/// effective heads — the queue head if within the horizon, else infinity
+/// — sit in one flat array with a slot per shard, and only shards whose
+/// head can have moved are re-keyed, each with one store: one that ran
+/// with the head its Phase B left, one that got mail with the earlier of
+/// its slot and the first arrival. A round makes one pass over the array
+/// for a, h1 and h2, then a second that collects, in shard order, every
+/// seed within h1 + L - 1 tick (a among them): no seed past it can run,
+/// and every seed within it can. A shard left out of Phase B
+/// would have dispatched nothing and merely moved its clock, which
+/// nothing reads before the final alignment to the horizon. Audit builds
+/// check every round against the full O(n^2) scan above.
+///
+/// Both phases run on the calling thread, whatever worker count run() is
+/// asked for. Waking a worker pool costs about 7.5 us a round on a shared
+/// 4-vCPU host, while a row-16rack round runs ~2.8 shards of ~0.4 us
+/// each, and pooled rounds lost to inline ones even at 64 one-event
+/// shards (36 us against 13.7 us). Until rounds carry enough work to
+/// repay a wake, a pool would only make more threads lose to one.
 ///
 /// Determinism: the rounds — and therefore the exact points where
 /// messages enter each queue, the per-queue sequence numbers they draw,
-/// and every tie-break — are a function of (shard states, horizon) only.
-/// threads=1 executes the same rounds on one thread, so the parallel
-/// schedule is byte-identical to the sequential reference by
-/// construction, which the digest tests then verify end to end.
+/// and every tie-break — are a function of (shard states, horizon) only,
+/// so any worker count yields one schedule, which the digest tests then
+/// verify end to end.
 class PartitionedKernel {
  public:
   /// Throws std::invalid_argument unless `lookahead` is strictly positive.
@@ -85,7 +85,7 @@ class PartitionedKernel {
 
   /// Registers a shard; returns its index. The Simulator must outlive the
   /// kernel. All shards must be added before the first run().
-  std::size_t add_shard(Simulator& sim) DREDBOX_EXCLUDES(mail_mu_);
+  std::size_t add_shard(Simulator& sim);
 
   /// Sender-side: deliver `action` into shard `to` at `when`. Must be
   /// called from shard `from`'s execution context (one of its events, or
@@ -93,13 +93,12 @@ class PartitionedKernel {
   /// the contract the caps rest on, checked on every send. Throws
   /// std::invalid_argument on an out-of-range or self pair.
   void send(std::size_t from, std::size_t to, Time when, InplaceAction action,
-            const char* label = nullptr) DREDBOX_EXCLUDES(mail_mu_);
+            const char* label = nullptr);
 
-  /// Ran on the executing thread right before a shard's parallel phase
-  /// in every round that enters it (the shard index is the argument; a
-  /// shard with nothing runnable that round is not entered). Hook for
-  /// thread-affinity bookkeeping — the cluster uses it to re-bind each
-  /// rack's thread-confined telemetry to the worker that drives it.
+  /// Run right before a shard's Phase B in every round that enters it (the
+  /// shard index is the argument; a shard with nothing runnable that round
+  /// is not entered). Hook for thread-affinity bookkeeping — the cluster uses it to re-bind each
+  /// rack's thread-confined telemetry to the thread that drives it.
   void set_shard_prologue(std::function<void(std::size_t)> prologue) {
     prologue_ = std::move(prologue);
   }
@@ -108,10 +107,11 @@ class PartitionedKernel {
   Time lookahead() const { return lookahead_; }
 
   /// Advances every shard to `horizon` (all its events with t <= horizon
-  /// dispatched, clock left at the horizon) in conservative rounds on
-  /// `threads` workers. threads=1 is the sequential reference schedule.
-  /// May be called again with a later horizon.
-  PartitionRunStats run(Time horizon, std::size_t threads = 1) DREDBOX_EXCLUDES(mail_mu_);
+  /// dispatched, clock left at the horizon) in conservative rounds. May be
+  /// called again with a later horizon. `threads` is the worker count the
+  /// caller asks for; every round runs on the calling thread (see the
+  /// class comment), so the schedule and the stats are the same for any.
+  PartitionRunStats run(Time horizon, std::size_t threads = 1);
 
  private:
   /// One timestamped event crossing a partition boundary: deliver
@@ -130,11 +130,9 @@ class PartitionedKernel {
 
   /// Phase A delivery: merges and schedules every non-empty inbox and
   /// re-keys its shard's head. Returns messages delivered.
-  std::uint64_t deliver_mail(Time horizon) DREDBOX_EXCLUDES(mail_mu_);
-  /// Resets the per-run state and indexes every shard's head afresh.
+  std::uint64_t deliver_mail(Time horizon);
+  /// Resets the per-run state and reads every shard's head afresh.
   void prepare_run(Time horizon);
-  /// Sets shard i's head and restores the heap order around it.
-  void set_head(std::size_t shard, Time key);
   /// Audit: the round's caps and runnable set equal the full O(n^2) scan's.
   void check_round(Time horizon) const;
   /// The cap the current round gives shard i.
@@ -144,43 +142,21 @@ class PartitionedKernel {
   std::vector<Simulator*> shards_;
   std::function<void(std::size_t)> prologue_;
 
-  /// The mail: senders run concurrently in Phase B and only the
-  /// coordinator reads in Phase A, so one lock taken once per send and
-  /// once per round covers it, provably under clang -Wthread-safety.
-  Mutex mail_mu_;
   /// One inbox per destination shard, in send order.
-  std::vector<std::vector<Message>> inbox_ DREDBOX_GUARDED_BY(mail_mu_);
+  std::vector<std::vector<Message>> inbox_;
   /// Destinations whose inbox went non-empty since the last delivery.
-  std::vector<std::size_t> mailed_ DREDBOX_GUARDED_BY(mail_mu_);
+  std::vector<std::size_t> mailed_;
 
-  // The pool and per-round scratch are kept across calls (the pool is
-  // rebuilt only when the thread count changes), so a warmed kernel runs
+  // The per-round scratch is kept across calls, so a warmed kernel runs
   // its rounds without touching the heap.
-  std::unique_ptr<WorkerPool> pool_;
-  /// The head index: a binary min-heap of (effective head, shard) — the
-  /// queue head if within the horizon, else infinity — and each shard's
-  /// slot in it. Keys live in the heap so a sift reads one array.
-  struct HeapEntry {
-    Time head;
-    std::uint32_t shard;
-  };
-  std::vector<HeapEntry> heap_;
-  std::vector<std::uint32_t> slot_;
-  Time head(std::size_t shard) const { return heap_[slot_[shard]].head; }
-  /// Per shard: what its last Phase B left, written by the worker that
-  /// ran it — the queue head at the end, and the events dispatched.
-  struct Ran {
-    Time head = Time::infinity();
-    std::size_t events = 0;
-  };
-  std::vector<Ran> ran_;
+  /// Each shard's effective head: its queue head if within the horizon,
+  /// else infinity.
+  std::vector<Time> heads_;
   /// The current round: the earliest seed, its cap, every other cap.
   std::size_t root_ = 0;
   Time root_cap_;
   Time cap_;
   std::vector<std::size_t> runnable_;
-  /// Heap slots still to visit in a round's walk.
-  std::vector<std::size_t> walk_;
 };
 
 }  // namespace dredbox::sim

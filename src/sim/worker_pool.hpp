@@ -12,20 +12,17 @@
 
 namespace dredbox::sim {
 
-/// The repository's one fork-join thread pool, shared by every parallel
-/// harness (the sweep runner's per-cell fan-out and the partitioned
-/// kernel's per-round shard fan-out) so there is a single annotated,
+/// The repository's one fork-join thread pool (the sweep runner's
+/// per-cell fan-out uses it), so there is a single annotated,
 /// TSan-exercised implementation of "run N independent bodies on K
 /// threads" instead of ad-hoc thread spawns per call site.
 ///
 /// Workers are spawned once at construction and parked on a condition
-/// variable between jobs, so a caller that issues many small
-/// parallel_for() rounds (the conservative-lookahead kernel runs one per
-/// barrier round) pays a wake-up, not a thread spawn, per round. The
-/// calling thread always participates as one worker, so WorkerPool{1}
-/// spawns nothing and parallel_for degenerates to an inline loop — the
-/// sequential reference schedule and the parallel one share this exact
-/// code path.
+/// variable between jobs, so a caller that issues many parallel_for()
+/// jobs pays a wake-up, not a thread spawn, per job. The calling thread
+/// always participates as one worker, so WorkerPool{1} spawns nothing and
+/// parallel_for degenerates to an inline loop — a sequential reference
+/// run and a parallel one share this exact code path.
 ///
 /// Indices are claimed from an atomic cursor (work stealing); the body
 /// must therefore be index-independent of claim order, which every caller

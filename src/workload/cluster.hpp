@@ -16,8 +16,8 @@ namespace dredbox::workload {
 /// Everything a multi-rack load session measured: one WorkloadResult per
 /// rack plus cluster-level reductions. `digest` folds every rack's op
 /// stream, every rack's *served* cross-traffic schedule and the spine
-/// link counters in rack order, so a parallel run matches the sequential
-/// reference iff the two coupled schedules were byte-identical.
+/// link counters in rack order, so two runs match iff their coupled
+/// schedules were byte-identical.
 struct ClusterResult {
   std::vector<WorkloadResult> racks;
 
@@ -32,10 +32,11 @@ struct ClusterResult {
 
   std::uint64_t digest = 0;
   /// The partitioned kernel's round accounting for the coupled window and
-  /// the host wall-clock it took (the scaling experiment's speedup inputs).
+  /// the host wall-clock it took.
   sim::PartitionRunStats kernel;
   double wall_seconds = 0.0;
-  /// Workers that ran the window: the request clamped to [1, racks].
+  /// Threads that ran the window: one, whatever was asked for, since the
+  /// partitioned kernel runs every round on the calling thread.
   std::size_t threads = 1;
   double duration_s = 0.0;
 
@@ -49,8 +50,8 @@ struct ClusterResult {
 /// Drives one WorkloadConfig against a core::Cluster: tenants land on
 /// their home_rack, each rack gets its own WorkloadEngine wired to the
 /// rack's spine NIC, and the coupled window runs on the partitioned
-/// kernel — sequentially for threads=1, in conservative-lookahead
-/// parallel rounds otherwise, with a byte-identical schedule either way.
+/// kernel in conservative-lookahead rounds, with one schedule whatever
+/// thread count is asked for.
 class ClusterEngine {
  public:
   /// Throws std::invalid_argument listing every config error (including
@@ -59,8 +60,9 @@ class ClusterEngine {
 
   const WorkloadConfig& config() const { return config_; }
 
-  /// Boots, generates, drains, reduces, once. `threads` == 0 uses the
-  /// cluster config's partitions setting.
+  /// Boots, generates, drains, reduces, once. `threads` is the worker
+  /// count asked of the kernel (0 uses the cluster config's partitions
+  /// setting); the window runs on the calling thread either way.
   ClusterResult run(std::size_t threads = 0);
 
  private:

@@ -413,7 +413,8 @@ WorkloadResult WorkloadEngine::finish() {
       .update(result_.failed)
       .update(result_.retries);
   result_.digest = digest_.value();
-  return result_;
+  // Called once (finished_ guards it), so the samples move out, not copy.
+  return std::move(result_);
 }
 
 WorkloadResult WorkloadEngine::run() {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/contract.hpp"
@@ -193,10 +194,7 @@ TEST(PartitionedKernelTest, StatsCountRoundsAndMessages) {
   // 32 pings each answered by a pong, plus the final unanswered receipt.
   EXPECT_EQ(stats.messages, 64u);
   EXPECT_GE(stats.rounds, 1u);
-  EXPECT_EQ(stats.threads, 2u);
   EXPECT_EQ(game.kernel.shards(), 2u);
-  // Workers are clamped to one per shard.
-  EXPECT_EQ(game.kernel.run(Time::us(200), 8).threads, 2u);
 }
 
 /// Seeded random traffic over a full mesh: tokens wander until the
@@ -279,6 +277,164 @@ TEST(PartitionedKernelTest, FullMeshScheduleIsPinned) {
     EXPECT_EQ(stats.messages, 21083u) << where;
     EXPECT_EQ(stats.dispatched, 42053u) << where;
     EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
+  }
+}
+
+// Asking for more workers changes neither where nor what a round runs:
+// three tokens circle a 16-shard ring at 4 threads, every shard is
+// entered on the calling thread, and the rounds are those of 1 thread.
+TEST(PartitionedKernelTest, EveryRoundRunsOnTheCallingThread) {
+  constexpr std::size_t kShards = 16;
+  struct Ring {
+    PartitionedKernel kernel{Time::ns(10)};
+    std::vector<std::unique_ptr<Simulator>> sims;
+    void on_token(std::size_t shard) {
+      const std::size_t to = (shard + 1) % sims.size();
+      kernel.send(shard, to, sims[shard]->now() + kernel.lookahead(), [this, to] { on_token(to); },
+                  "token");
+    }
+  };
+  const auto run = [](std::size_t threads, std::vector<std::thread::id>* entered_on) {
+    Ring ring;
+    for (std::size_t i = 0; i < kShards; ++i) {
+      ring.sims.push_back(std::make_unique<Simulator>(i + 1));
+      ring.kernel.add_shard(*ring.sims.back());
+    }
+    if (entered_on != nullptr) {
+      ring.kernel.set_shard_prologue(
+          [entered_on](std::size_t shard) { (*entered_on)[shard] = std::this_thread::get_id(); });
+    }
+    for (const std::size_t start : {0u, 5u, 11u}) {
+      const Time first = Time::ns(static_cast<double>(1 + start));
+      ring.sims[start]->at(first, [&ring, start] { ring.on_token(start); }, "token");
+    }
+    return ring.kernel.run(Time::us(2), threads);
+  };
+  const PartitionRunStats sequential = run(1, nullptr);
+  std::vector<std::thread::id> entered_on(kShards);
+  const PartitionRunStats stats = run(4, &entered_on);
+  EXPECT_LE(stats.shard_runs, stats.rounds * 3);
+  EXPECT_EQ(stats.rounds, sequential.rounds);
+  EXPECT_EQ(stats.shard_runs, sequential.shard_runs);
+  EXPECT_EQ(stats.dispatched, sequential.dispatched);
+  EXPECT_EQ(stats.messages, sequential.messages);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(entered_on[i], std::this_thread::get_id()) << "shard " << i;
+  }
+}
+
+/// Random traffic on a 1 ns grid, built to hit the corners of the head
+/// scan: every seeded shard has a seed at exactly 1 ns, so the first round
+/// opens with h1 = h2 and grid times keep producing exact ties; every third
+/// shard starts idle and wakes only through mail; every shard holds one
+/// event past the horizon, so its head is infinite once its traffic ends.
+struct GridTraffic {
+  static constexpr Time kLookahead = Time::ns(3);
+
+  GridTraffic(std::size_t n, std::uint64_t seed)
+      : kernel{kLookahead}, events(n, 0), budget_(n, 4), logs_(n) {
+    Rng seeds{seed};
+    for (std::size_t i = 0; i < n; ++i) {
+      sims.push_back(std::make_unique<Simulator>(seed * 100 + i));
+      kernel.add_shard(*sims.back());
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      Simulator& sim = *sims[i];
+      sim.at(Time::us(10), [this, i] { on_event(i, "late"); }, "late");
+      if (i % 3 == 2) continue;
+      sim.at(Time::ns(1), [this, i] { on_event(i, "seed"); }, "seed");
+      for (std::int64_t k = seeds.uniform_int(0, 2); k > 0; --k) {
+        const Time when = Time::ns(static_cast<double>(seeds.uniform_int(1, 12)));
+        sim.at(when, [this, i] { on_event(i, "seed"); }, "seed");
+      }
+    }
+  }
+
+  void on_event(std::size_t shard, const char* label) {
+    Simulator& sim = *sims[shard];
+    logs_[shard].update(label).update(static_cast<std::uint64_t>(sim.now().ticks()));
+    ++events[shard];
+    Rng& rng = sim.rng();
+    int tokens = 1;
+    if (budget_[shard] > 0 && rng.chance(0.2)) {
+      --budget_[shard];
+      tokens = 2;
+    }
+    for (int k = 0; k < tokens; ++k) {
+      if (sims.size() > 1 && rng.chance(0.4)) {
+        auto dest = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(sims.size()) - 2));
+        if (dest >= shard) ++dest;
+        const Time lead = Time::ns(static_cast<double>(rng.uniform_int(0, 2)));
+        const Time when = sim.now() + kLookahead + lead;
+        kernel.send(shard, dest, when, [this, dest] { on_event(dest, "msg"); }, "msg");
+      } else {
+        const Time delay = Time::ns(static_cast<double>(rng.uniform_int(0, 4)));
+        sim.after(delay, [this, shard] { on_event(shard, "local"); }, "local");
+      }
+    }
+  }
+
+  std::uint64_t fingerprint() const {
+    Digest d;
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      d.update(static_cast<std::uint64_t>(i)).update(logs_[i].value());
+    }
+    return d.value();
+  }
+
+  PartitionedKernel kernel;
+  std::vector<std::unique_ptr<Simulator>> sims;
+  /// Events each shard dispatched.
+  std::vector<std::size_t> events;
+
+ private:
+  std::vector<std::size_t> budget_;
+  std::vector<Digest> logs_;
+};
+
+// The flat head scan across mesh sizes: the dispatch logs and the round
+// accounting do not depend on the worker count asked for (1, 2 or 3),
+// over two run() calls each. Audit builds also check every one of these
+// rounds against check_round's O(n^2) reference scan.
+TEST(PartitionedKernelTest, RandomGridMeshesAreThreadCountInvariant) {
+  for (const std::size_t n : {1u, 2u, 3u, 16u, 64u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      struct Outcome {
+        std::uint64_t fingerprint;
+        PartitionRunStats first, second;
+      };
+      const auto run = [n, seed](std::size_t threads) {
+        GridTraffic mesh{n, seed};
+        Outcome out{};
+        out.first = mesh.kernel.run(Time::ns(200), threads);
+        out.second = mesh.kernel.run(Time::ns(400), threads);
+        out.fingerprint = mesh.fingerprint();
+        if (n >= 3) {
+          EXPECT_GT(mesh.events[2], 0u) << "the idle shard 2 must wake through mail";
+        }
+        for (const auto& sim : mesh.sims) EXPECT_EQ(sim->now(), Time::ns(400));
+        return out;
+      };
+      const Outcome reference = run(1);
+      if (n > 1) {
+        EXPECT_GT(reference.first.messages, 0u);
+      }
+      for (const std::size_t threads : {2u, 3u}) {
+        const Outcome got = run(threads);
+        const std::string where =
+            "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+            " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.fingerprint, reference.fingerprint) << where;
+        for (const auto& [ours, theirs] :
+             {std::pair{got.first, reference.first}, std::pair{got.second, reference.second}}) {
+          EXPECT_EQ(ours.rounds, theirs.rounds) << where;
+          EXPECT_EQ(ours.shard_runs, theirs.shard_runs) << where;
+          EXPECT_EQ(ours.dispatched, theirs.dispatched) << where;
+          EXPECT_EQ(ours.messages, theirs.messages) << where;
+        }
+      }
+    }
   }
 }
 

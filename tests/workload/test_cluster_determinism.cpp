@@ -102,14 +102,13 @@ TEST(ClusterDeterminismTest, SingleRackClusterIsDegenerate) {
   EXPECT_GT(reference.completed, 0u);
 }
 
-// The kernel runs at most one worker per rack; the result reports the
-// workers that ran, not the request.
+// The kernel runs every round on the calling thread; the result reports
+// the one thread that ran, not the request.
 TEST(ClusterDeterminismTest, ThreadsReportTheWorkersThatRan) {
   RunSpec spec;
   spec.window = sim::Time::us(50);
   const ClusterResult result = run_once(spec, 4);
-  EXPECT_EQ(result.kernel.threads, 2u);
-  EXPECT_EQ(result.threads, 2u);
+  EXPECT_EQ(result.threads, 1u);
 }
 
 TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
