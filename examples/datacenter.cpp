@@ -1,18 +1,15 @@
 // Multi-rack datacenter driver: builds N racks joined by an optical spine,
 // places one tenant class per rack, points a share of every rack's
 // read/write stream at peer racks' gateway windows, and runs the coupled
-// simulation twice on fresh clusters — once at 1 thread, once asking for
-// --threads workers — proving the two schedules byte-identical by digest
-// and reporting the wall-clock ratio. The partitioned kernel runs every
-// round on the calling thread, so the second pass checks that a fresh
-// run at any requested count reproduces the first.
+// simulation twice on fresh clusters, proving the two schedules
+// byte-identical by digest.
 //
-//   $ ./datacenter                              # 2 racks, 2 threads
-//   $ ./datacenter --racks 16 --threads 4 --cross-share 0.15
+//   $ ./datacenter                              # 2 racks
+//   $ ./datacenter --racks 16 --cross-share 0.15
 //   $ ./datacenter --spine-faults 'spine-down@1ms+2ms:target=0'
-//   $ ./datacenter --racks 4 --out parallel.json
+//   $ ./datacenter --racks 4 --out cluster.json
 //
-// The JSON report follows the "dredbox-parallel/v1" schema consumed by
+// The JSON report follows the "dredbox-cluster/v1" schema consumed by
 // scripts/validate_artifacts.py.
 
 #include <cstdio>
@@ -21,7 +18,6 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/scenario.hpp"
 #include "sim/format.hpp"
@@ -35,7 +31,6 @@ void usage() {
   std::printf(
       "usage: datacenter [options]\n"
       "  --racks N        racks on the spine (default 2)\n"
-      "  --threads N      workers the second pass asks for (default 2)\n"
       "  --seed N         deployment seed (default 1)\n"
       "  --duration-ms X  generation window (default 2)\n"
       "  --cross-share X  fraction of reads/writes crossing the spine (default 0.10)\n"
@@ -43,11 +38,11 @@ void usage() {
       "  --spine-faults SPEC\n"
       "                   window-relative spine-down plan in the fault mini-language,\n"
       "                   e.g. 'spine-down@0.3ms+0.4ms:target=3' (default: none)\n"
-      "  --out FILE       write the dredbox-parallel/v1 JSON report to FILE\n");
+      "  --out FILE       write the dredbox-cluster/v1 JSON report to FILE\n");
 }
 
 core::ScenarioBuilder make_builder(std::size_t racks, std::uint64_t seed, double cross_share,
-                                   std::size_t threads, const sim::FaultPlan& spine_faults) {
+                                   const sim::FaultPlan& spine_faults) {
   core::RackSpec rack;
   rack.trays = 1;
   rack.compute_bricks_per_tray = 2;
@@ -55,7 +50,6 @@ core::ScenarioBuilder make_builder(std::size_t racks, std::uint64_t seed, double
   core::ScenarioBuilder builder;
   builder.add_racks(racks, rack)
       .cross_rack_share(cross_share)
-      .partitions(threads)
       .seed(seed)
       .compute_local_memory_bytes(8ull << 30)
       .memory_pool_bytes(32ull << 30)
@@ -85,7 +79,6 @@ workload::WorkloadConfig make_workload(std::size_t racks, std::size_t vms, doubl
 
 int run(int argc, char** argv) {
   std::size_t racks = 2;
-  std::size_t threads = 2;
   std::uint64_t seed = 1;
   double duration_ms = 2.0;
   double cross_share = 0.10;
@@ -104,8 +97,6 @@ int run(int argc, char** argv) {
     };
     if (arg == "--racks") {
       racks = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      threads = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--seed") {
       seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--duration-ms") {
@@ -123,66 +114,57 @@ int run(int argc, char** argv) {
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
-  if (racks == 0 || threads == 0 || vms == 0) {
+  if (racks == 0 || vms == 0) {
     usage();
     return 2;
   }
 
   const sim::FaultPlan plan = sim::FaultPlan::parse(spine_faults);
-  const core::ScenarioBuilder builder = make_builder(racks, seed, cross_share, threads, plan);
+  const core::ScenarioBuilder builder = make_builder(racks, seed, cross_share, plan);
   const workload::WorkloadConfig workload = make_workload(racks, vms, duration_ms);
 
   std::printf("== dReDBox multi-rack datacenter ==\n");
   std::printf("%zu racks on the spine, %.1f ms window, cross-rack share %.2f%s\n\n", racks,
               duration_ms, cross_share, plan.empty() ? "" : ", spine fault scheduled");
 
-  // Sequential reference: an independent cluster, same seed, 1 thread.
-  core::Scenario seq_scenario = builder.build();
-  workload::ClusterEngine seq_engine{seq_scenario.cluster(), workload};
-  const workload::ClusterResult seq = seq_engine.run(1);
-  std::printf("sequential:            %s\n\n", seq.summary().c_str());
+  // Two fresh, fully independent clusters from one builder: same seed,
+  // same schedule.
+  const auto run_fresh = [&] {
+    core::Scenario scenario = builder.build();
+    return workload::ClusterEngine{scenario.cluster(), workload}.run();
+  };
+  const workload::ClusterResult first = run_fresh();
+  std::printf("first:   %s\n\n", first.summary().c_str());
+  const workload::ClusterResult second = run_fresh();
+  std::printf("second:  %s\n\n", second.summary().c_str());
 
-  // Second pass: a fresh, fully independent cluster asking for `threads`
-  // workers.
-  core::Scenario par_scenario = builder.build();
-  workload::ClusterEngine par_engine{par_scenario.cluster(), workload};
-  const workload::ClusterResult par = par_engine.run(threads);
-  std::printf("second (%zu thread%s):  %s\n\n", par.threads, par.threads == 1 ? "" : "s",
-              par.summary().c_str());
-
-  const bool match = seq.digest == par.digest;
-  const double speedup = par.wall_seconds > 0.0 ? seq.wall_seconds / par.wall_seconds : 0.0;
-  std::printf("digests: %s   speedup %.2fx\n", match ? "IDENTICAL" : "MISMATCH", speedup);
+  const bool match = first.digest == second.digest;
+  std::printf("digests: %s\n", match ? "IDENTICAL" : "MISMATCH");
 
   if (!out_path.empty()) {
     std::string json = "{\n";
-    json += R"(  "schema": "dredbox-parallel/v1",)" "\n";
-    json += sim::strformat("  \"racks\": %zu,\n  \"threads\": %zu,\n  \"seed\": %llu,\n", racks,
-                           par.threads, static_cast<unsigned long long>(seed));
+    json += R"(  "schema": "dredbox-cluster/v1",)" "\n";
+    json += sim::strformat("  \"racks\": %zu,\n  \"seed\": %llu,\n", racks,
+                           static_cast<unsigned long long>(seed));
     json += sim::strformat("  \"duration_ms\": %.9g,\n  \"cross_share\": %.9g,\n", duration_ms,
                            cross_share);
     json += sim::strformat("  \"spine_faults\": \"%s\",\n", plan.to_string().c_str());
     json += sim::strformat("  \"digest\": \"%016llx\",\n  \"digests_match\": %s,\n",
-                           static_cast<unsigned long long>(par.digest),
+                           static_cast<unsigned long long>(first.digest),
                            match ? "true" : "false");
     json += sim::strformat(
         "  \"offered\": %llu,\n  \"completed\": %llu,\n  \"failed\": %llu,\n"
         "  \"cross_ops\": %llu,\n  \"spine_tx_messages\": %llu,\n"
         "  \"spine_fail_fast\": %llu,\n",
-        static_cast<unsigned long long>(par.offered),
-        static_cast<unsigned long long>(par.completed),
-        static_cast<unsigned long long>(par.failed),
-        static_cast<unsigned long long>(par.cross_ops),
-        static_cast<unsigned long long>(par.spine_tx_messages),
-        static_cast<unsigned long long>(par.spine_fail_fast));
-    json += sim::strformat("  \"rounds\": %zu,\n  \"messages\": %llu,\n", par.kernel.rounds,
-                           static_cast<unsigned long long>(par.kernel.messages));
-    json += sim::strformat(
-        "  \"sequential_wall_seconds\": %.9g,\n  \"parallel_wall_seconds\": %.9g,\n"
-        "  \"speedup\": %.9g,\n",
-        seq.wall_seconds, par.wall_seconds, speedup);
-    json += sim::strformat("  \"host\": {\"num_cpus\": %u}\n}\n",
-                           std::thread::hardware_concurrency());
+        static_cast<unsigned long long>(first.offered),
+        static_cast<unsigned long long>(first.completed),
+        static_cast<unsigned long long>(first.failed),
+        static_cast<unsigned long long>(first.cross_ops),
+        static_cast<unsigned long long>(first.spine_tx_messages),
+        static_cast<unsigned long long>(first.spine_fail_fast));
+    json += sim::strformat("  \"rounds\": %zu,\n  \"messages\": %llu,\n", first.kernel.rounds,
+                           static_cast<unsigned long long>(first.kernel.messages));
+    json += sim::strformat("  \"wall_seconds\": %.9g\n}\n", first.wall_seconds);
     std::ofstream out{out_path};
     out << json;
     if (!out) {

@@ -216,7 +216,6 @@ Cluster::Cluster(const DatacenterConfig& config)
   }
   wire_spine();
   boot_gateways();
-  kernel_.set_shard_prologue([this](std::size_t shard) { racks_[shard]->rebind_thread_owner(); });
 }
 
 Cluster::~Cluster() = default;
@@ -345,8 +344,8 @@ std::uint64_t Cluster::served_digest(std::size_t r) const {
   return ports_.at(r)->served_.value();
 }
 
-sim::PartitionRunStats Cluster::advance_all(sim::Time until, std::size_t threads) {
-  return kernel_.run(until, threads);
+sim::PartitionRunStats Cluster::advance_all(sim::Time until, std::size_t /*threads*/) {
+  return kernel_.run(until);
 }
 
 double Cluster::power_draw_watts() const {

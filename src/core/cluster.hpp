@@ -35,8 +35,7 @@ struct RackLinkStats {
 ///
 /// Each rack is one shard of a sim::PartitionedKernel whose one lookahead
 /// is the spine's propagation delay; advance_all() runs the coupled
-/// simulation in conservative rounds on the calling thread, with one
-/// schedule whatever thread count is asked for.
+/// simulation in conservative rounds on the calling thread.
 class Cluster {
  public:
   /// Requires config.racks to be non-empty; validates the config and
@@ -79,8 +78,8 @@ class Cluster {
   bool spine_faults_armed() const { return faults_armed_; }
 
   /// Advances every rack to `until` in conservative lookahead rounds.
-  /// `threads` is passed to PartitionedKernel::run, which runs every
-  /// round on the calling thread.
+  /// `threads` is ignored; benchmark/dredbox_bench.cpp is its only caller
+  /// (ROADMAP item 1).
   sim::PartitionRunStats advance_all(sim::Time until, std::size_t threads = 1);
 
   /// Total instantaneous power: the racks plus one lit spine port each.

@@ -234,8 +234,7 @@ std::vector<std::string> DatacenterConfig::validate() const {
               sim::strformat("spine.faults[%zu].duration: must be positive", i));
     }
   }
-  require(errors, partitions >= 1,
-          "partitions: parallel cluster runs need at least one worker thread");
+  require(errors, partitions >= 1, "partitions: must be at least 1");
   return errors;
 }
 

@@ -115,9 +115,7 @@ struct DatacenterConfig {
   /// its own) and arm the spine/partitions fields below.
   std::vector<RackSpec> racks;
   SpineSpec spine;
-  /// Worker count a cluster run asks the partitioned kernel for when the
-  /// caller gives none (>= 1). The kernel runs every round on the calling
-  /// thread, so no count changes the schedule.
+  /// Ignored (>= 1); benchmark/dredbox_bench.cpp is its only setter (ROADMAP item 1).
   std::size_t partitions = 1;
 
   /// Checks the whole deployment shape for physical and numerical sanity
@@ -263,13 +261,6 @@ class Datacenter {
 
   /// Instantaneous rack power draw (bricks + switch ports).
   double power_draw_watts() const;
-
-  /// Hands ownership of the rack's thread-confined telemetry to the next
-  /// touching thread. Called by the partitioned kernel's shard prologue:
-  /// a cluster may be advanced on a thread other than the one that built
-  /// it, which is exactly the "ownership legitimately moves between
-  /// phases" case the confinement checker's rebind exists for.
-  void rebind_thread_owner() { telemetry_.rebind_owner(); }
 
   std::string describe() const;
 

@@ -101,8 +101,8 @@ class ScenarioBuilder {
   /// kernel's conservative lookahead). Faults and a cross-rack share
   /// declared earlier survive unless `spec` sets its own.
   ScenarioBuilder& spine(const SpineSpec& spec);
-  /// Default worker-thread count for parallel cluster runs (1 = the
-  /// sequential reference schedule).
+  /// Sets DatacenterConfig::partitions, which is ignored;
+  /// benchmark/dredbox_bench.cpp is its only caller (ROADMAP item 1).
   ScenarioBuilder& partitions(std::size_t n);
   /// Deployment-wide fraction of every tenant's read/write stream that
   /// crosses the spine to a peer rack (TenantSpec::cross_rack_share

@@ -17,8 +17,9 @@
 //     Telemetry registries, the Tracer ring buffer, the EventQueue — is
 //     built and driven by exactly one thread; the sweep runner relies on
 //     this for its zero-sharing parallelism) declares a sim::ThreadConfined
-//     member and calls assert_confined() at its mutation points. In
-//     -DDREDBOX_AUDIT=ON builds a cross-thread touch throws
+//     member and calls assert_confined() at its mutation points. The
+//     first thread to touch the object owns it for life. In
+//     -DDREDBOX_AUDIT=ON builds a touch from any other thread throws
 //     ContractViolation naming the object; in normal builds the check
 //     compiles away.
 
@@ -121,10 +122,6 @@ class ThreadConfined {
                           "(share it via its own thread, or add real locking)");
   }
 
-  /// Releases confinement (e.g. when ownership legitimately moves between
-  /// phases, as a moved-from object's does).
-  void rebind() { owner_.store(0, std::memory_order_relaxed); }
-
  private:
   // Hashed owner thread id; 0 = not yet claimed. (A hash collision or a
   // thread id hashing to 0 weakens, never breaks, the check.)
@@ -136,7 +133,6 @@ class ThreadConfined {
 class ThreadConfined {
  public:
   void assert_confined(const char*) const {}
-  void rebind() {}
 };
 
 #endif  // DREDBOX_AUDIT_ENABLED

@@ -177,13 +177,6 @@ class MetricsRegistry {
   /// instrument set and enabled flag are kept.
   void reset();
 
-  /// Hands thread ownership over: the next touching thread becomes the
-  /// owner. For the partitioned kernel, which legitimately drives one
-  /// rack's registry from a different pool worker each barrier round —
-  /// rounds are barrier-separated, so exactly one thread owns it at any
-  /// instant, which is what the confinement check enforces per round.
-  void rebind_owner() { confined_.rebind(); }
-
  private:
   bool enabled_ = false;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
@@ -226,14 +219,6 @@ class Telemetry {
 
   /// Cheap guard call sites use before building span names/attributes.
   bool tracing() const { return tracer_.enabled(); }
-
-  /// Re-binds both thread-confined halves to the next touching thread
-  /// (one barrier round of the partitioned kernel; see
-  /// MetricsRegistry::rebind_owner).
-  void rebind_owner() {
-    metrics_.rebind_owner();
-    tracer_.rebind_owner();
-  }
 
  private:
   metrics::MetricsRegistry metrics_;

@@ -46,8 +46,8 @@ void PartitionedKernel::send(std::size_t from, std::size_t to, Time when, Inplac
   }
   // The conservative contract every cap rests on: nothing may land closer
   // than the lookahead ahead of the sender's clock. Checked on every send
-  // — a violation here would not crash, it would silently decohere the
-  // parallel and sequential schedules.
+  // — past a violation the caps no longer bound what a shard may run,
+  // so its receiver could already have run beyond the delivery time.
   DREDBOX_INVARIANT(when >= shards_[from]->now() + lookahead_,
                     "PartitionedKernel::send: delivery time is inside the lookahead window "
                     "(send later or declare a smaller lookahead)");
@@ -135,7 +135,7 @@ void PartitionedKernel::check_round(Time horizon) const {
                     "PartitionedKernel: a round's runnable set disagrees with the full scan");
 }
 
-PartitionRunStats PartitionedKernel::run(Time horizon, std::size_t /*threads*/) {
+PartitionRunStats PartitionedKernel::run(Time horizon) {
   PartitionRunStats stats;
   prepare_run(horizon);
   const std::size_t n = shards_.size();
@@ -187,7 +187,6 @@ PartitionRunStats PartitionedKernel::run(Time horizon, std::size_t /*threads*/) 
     ++stats.rounds;
     stats.shard_runs += runnable_.size();
     for (const std::size_t i : runnable_) {
-      if (prologue_) prologue_(i);
       Simulator& sim = *shards_[i];
       stats.dispatched += sim.run_until(cap(i));
       heads_[i] = seed_head(sim.queue().next_time(), horizon);

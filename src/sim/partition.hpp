@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/inplace_action.hpp"
@@ -63,18 +62,18 @@ struct PartitionRunStats {
 /// nothing reads before the final alignment to the horizon. Audit builds
 /// check every round against the full O(n^2) scan above.
 ///
-/// Both phases run on the calling thread, whatever worker count run() is
-/// asked for. Waking a worker pool costs about 7.5 us a round on a shared
-/// 4-vCPU host, while a row-16rack round runs ~2.8 shards of ~0.4 us
-/// each, and pooled rounds lost to inline ones even at 64 one-event
-/// shards (36 us against 13.7 us). Until rounds carry enough work to
-/// repay a wake, a pool would only make more threads lose to one.
+/// Both phases run on the calling thread. Waking a worker pool costs
+/// about 7.5 us a round on a shared 4-vCPU host, while a row-16rack round
+/// runs ~2.8 shards of ~0.4 us each, and pooled rounds lost to inline
+/// ones even at 64 one-event shards (36 us against 13.7 us). Until rounds
+/// carry enough work to repay a wake, a pool would only make more threads
+/// lose to one.
 ///
 /// Determinism: the rounds — and therefore the exact points where
 /// messages enter each queue, the per-queue sequence numbers they draw,
 /// and every tie-break — are a function of (shard states, horizon) only,
-/// so any worker count yields one schedule, which the digest tests then
-/// verify end to end.
+/// so two runs from equal states yield one schedule, which the digest
+/// tests then verify end to end.
 class PartitionedKernel {
  public:
   /// Throws std::invalid_argument unless `lookahead` is strictly positive.
@@ -95,23 +94,13 @@ class PartitionedKernel {
   void send(std::size_t from, std::size_t to, Time when, InplaceAction action,
             const char* label = nullptr);
 
-  /// Run right before a shard's Phase B in every round that enters it (the
-  /// shard index is the argument; a shard with nothing runnable that round
-  /// is not entered). Hook for thread-affinity bookkeeping — the cluster uses it to re-bind each
-  /// rack's thread-confined telemetry to the thread that drives it.
-  void set_shard_prologue(std::function<void(std::size_t)> prologue) {
-    prologue_ = std::move(prologue);
-  }
-
   std::size_t shards() const { return shards_.size(); }
   Time lookahead() const { return lookahead_; }
 
   /// Advances every shard to `horizon` (all its events with t <= horizon
   /// dispatched, clock left at the horizon) in conservative rounds. May be
-  /// called again with a later horizon. `threads` is the worker count the
-  /// caller asks for; every round runs on the calling thread (see the
-  /// class comment), so the schedule and the stats are the same for any.
-  PartitionRunStats run(Time horizon, std::size_t threads = 1);
+  /// called again with a later horizon.
+  PartitionRunStats run(Time horizon);
 
  private:
   /// One timestamped event crossing a partition boundary: deliver
@@ -140,7 +129,6 @@ class PartitionedKernel {
 
   const Time lookahead_;
   std::vector<Simulator*> shards_;
-  std::function<void(std::size_t)> prologue_;
 
   /// One inbox per destination shard, in send order.
   std::vector<std::vector<Message>> inbox_;

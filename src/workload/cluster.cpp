@@ -13,11 +13,11 @@ namespace dredbox::workload {
 
 std::string ClusterResult::summary() const {
   std::string out = sim::strformat(
-      "cluster: %zu racks, %zu threads, %zu rounds (%zu shard runs), %llu cross-partition "
+      "cluster: %zu racks, %zu rounds (%zu shard runs), %llu cross-partition "
       "messages\n"
       "offered %llu, completed %llu (%.0f req/s), failed %llu, cross-rack %llu "
       "(spine tx %llu, fail-fast %llu)\n",
-      racks.size(), threads, kernel.rounds, kernel.shard_runs,
+      racks.size(), kernel.rounds, kernel.shard_runs,
       static_cast<unsigned long long>(kernel.messages),
       static_cast<unsigned long long>(offered), static_cast<unsigned long long>(completed),
       throughput_hz(), static_cast<unsigned long long>(failed),
@@ -57,7 +57,7 @@ ClusterEngine::ClusterEngine(core::Cluster& cluster, WorkloadConfig config)
   }
 }
 
-ClusterResult ClusterEngine::run(std::size_t threads) {
+ClusterResult ClusterEngine::run(std::size_t /*threads*/) {
   if (ran_) throw std::logic_error("ClusterEngine::run() may only be called once");
   ran_ = true;
 
@@ -88,11 +88,8 @@ ClusterResult ClusterEngine::run(std::size_t threads) {
   for (auto& engine : engines_) {
     if (engine) engine->begin_window(t0);
   }
-  // The kernel runs every round on this thread whatever the request, and
-  // result.threads keeps reporting the one thread that ran.
-  const std::size_t requested = threads == 0 ? cluster_.config().partitions : threads;
   const auto start = std::chrono::steady_clock::now();  // dredbox-lint: ignore[wall-clock] times the coupled window on the host
-  result.kernel = cluster_.advance_all(t0 + config_.duration + config_.drain_grace, requested);
+  result.kernel = cluster_.advance_all(t0 + config_.duration + config_.drain_grace);
   const auto stop = std::chrono::steady_clock::now();  // dredbox-lint: ignore[wall-clock] times the coupled window on the host
   result.wall_seconds = std::chrono::duration<double>(stop - start).count();
 

@@ -35,8 +35,7 @@ struct ClusterResult {
   /// the host wall-clock it took.
   sim::PartitionRunStats kernel;
   double wall_seconds = 0.0;
-  /// Threads that ran the window: one, whatever was asked for, since the
-  /// partitioned kernel runs every round on the calling thread.
+  /// Always 1; benchmark/dredbox_bench.cpp is its only reader (ROADMAP item 1).
   std::size_t threads = 1;
   double duration_s = 0.0;
 
@@ -50,8 +49,7 @@ struct ClusterResult {
 /// Drives one WorkloadConfig against a core::Cluster: tenants land on
 /// their home_rack, each rack gets its own WorkloadEngine wired to the
 /// rack's spine NIC, and the coupled window runs on the partitioned
-/// kernel in conservative-lookahead rounds, with one schedule whatever
-/// thread count is asked for.
+/// kernel in conservative-lookahead rounds on the calling thread.
 class ClusterEngine {
  public:
   /// Throws std::invalid_argument listing every config error (including
@@ -60,9 +58,8 @@ class ClusterEngine {
 
   const WorkloadConfig& config() const { return config_; }
 
-  /// Boots, generates, drains, reduces, once. `threads` is the worker
-  /// count asked of the kernel (0 uses the cluster config's partitions
-  /// setting); the window runs on the calling thread either way.
+  /// Boots, generates, drains, reduces, once. `threads` is ignored;
+  /// benchmark/dredbox_bench.cpp is its only caller (ROADMAP item 1).
   ClusterResult run(std::size_t threads = 0);
 
  private:

@@ -107,13 +107,11 @@ TEST(ClusterBuilderTest, BuilderAssemblesAMultiRackScenario) {
   Scenario scenario = ScenarioBuilder{}
                           .add_racks(3, RackSpec{1, 2, 2, 0})
                           .cross_rack_share(0.25)
-                          .partitions(2)
                           .spine_fault(1, sim::Time::ms(1), sim::Time::ms(2))
                           .build();
   ASSERT_TRUE(scenario.is_cluster());
   Cluster& cluster = scenario.cluster();
   EXPECT_EQ(cluster.size(), 3u);
-  EXPECT_EQ(cluster.config().partitions, 2u);
   EXPECT_DOUBLE_EQ(cluster.config().spine.cross_share, 0.25);
   ASSERT_EQ(cluster.config().spine.faults.size(), 1u);
   EXPECT_EQ(cluster.config().spine.faults.events()[0].kind, sim::FaultKind::kSpineLinkDown);
@@ -219,7 +217,7 @@ TEST(ClusterTest, CrossReadRoundTripCrossesTheSpineTwice) {
   port.set_handler([&](const CrossCompletion& c) { done.push_back(c); });
   port.issue(0, 4096, 64, /*write=*/false, /*token=*/7, /*closed_loop=*/false);
   port.issue(0, 8192, 64, /*write=*/false, /*token=*/8, /*closed_loop=*/false);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 2);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
 
   ASSERT_EQ(done.size(), 2u);
   EXPECT_TRUE(done[0].ok);
@@ -250,7 +248,7 @@ sim::Time round_trip_at(double gbps, bool write) {
   std::vector<CrossCompletion> done;
   rig.cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
   rig.cluster.port(0).issue(0, 4096, 64, write, /*token=*/1, /*closed_loop=*/false);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
   EXPECT_EQ(done.size(), 1u);
   EXPECT_TRUE(!done.empty() && done[0].ok);
   return done.empty() ? sim::Time::zero() : done[0].round_trip();
@@ -292,12 +290,12 @@ TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
     Cluster& cluster = scenario.cluster();
     const sim::Time t0 = align_racks(cluster);
     cluster.arm_spine_faults(t0);
-    cluster.advance_all(t0 + sim::Time::us(10), 1);  // the down event fires
+    cluster.advance_all(t0 + sim::Time::us(10));  // the down event fires
 
     std::vector<CrossCompletion> done;
     cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
     cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/1, /*closed_loop=*/false);
-    cluster.advance_all(t0 + sim::Time::us(20), 1);
+    cluster.advance_all(t0 + sim::Time::us(20));
 
     ASSERT_EQ(done.size(), 1u);
     EXPECT_FALSE(done[0].ok);
@@ -305,9 +303,9 @@ TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
     EXPECT_EQ(cluster.link_stats(1).rx_messages, 0u);
 
     // After the restore, the same port carries traffic again.
-    cluster.advance_all(t0 + sim::Time::ms(2), 1);
+    cluster.advance_all(t0 + sim::Time::ms(2));
     cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/2, /*closed_loop=*/false);
-    cluster.advance_all(t0 + sim::Time::ms(3), 1);
+    cluster.advance_all(t0 + sim::Time::ms(3));
     ASSERT_EQ(done.size(), 2u);
     EXPECT_TRUE(done[1].ok);
   }
@@ -334,7 +332,7 @@ TEST(ClusterTest, EachRackInjectsAndRecoversASpineFaultOnce) {
   Cluster& cluster = scenario.cluster();
   const sim::Time t0 = align_racks(cluster);
   cluster.arm_spine_faults(t0);
-  cluster.advance_all(t0 + sim::Time::ms(1), 1);
+  cluster.advance_all(t0 + sim::Time::ms(1));
   for (std::size_t r = 0; r < cluster.size(); ++r) {
     const sim::FaultInjector& faults = cluster.rack(r).faults();
     EXPECT_EQ(faults.scheduled(), 1u) << "rack " << r;
@@ -349,7 +347,7 @@ TEST(ClusterTest, EachRackInjectsAndRecoversASpineFaultOnce) {
   cluster.port(1).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
   cluster.port(1).issue(0, 0, 64, /*write=*/false, /*token=*/1, /*closed_loop=*/false);
   cluster.port(1).issue(1, 0, 64, /*write=*/false, /*token=*/2, /*closed_loop=*/false);
-  cluster.advance_all(t0 + sim::Time::ms(2), 1);
+  cluster.advance_all(t0 + sim::Time::ms(2));
   ASSERT_EQ(done.size(), 2u);
   EXPECT_TRUE(done[0].ok);
   EXPECT_TRUE(done[1].ok);
@@ -364,7 +362,7 @@ TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {
   // The first request takes pending slot 0 at its first generation (1);
   // its reply retires the slot.
   port.issue(0, 4096, 64, /*write=*/false, /*token=*/1, /*closed_loop=*/false);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].token, 1u);
 
@@ -374,7 +372,7 @@ TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {
   EXPECT_THROW(ClusterTestAccess::deliver_reply(rig.cluster, 0, 0, 1, true),
                sim::ContractViolation);
   EXPECT_EQ(done.size(), 1u);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(2), 1);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(2));
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[1].token, 2u);
   EXPECT_TRUE(done[1].ok);
@@ -387,7 +385,7 @@ TEST(ClusterTest, DuplicatedReplyIsRefusedByGeneration) {
   // slots and each completes once, with its own token.
   port.issue(0, 0, 64, /*write=*/true, /*token=*/3, /*closed_loop=*/false);
   port.issue(0, 64, 64, /*write=*/true, /*token=*/4, /*closed_loop=*/false);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(3), 1);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(3));
   ASSERT_EQ(done.size(), 4u);
   EXPECT_EQ(done[2].token, 3u);
   EXPECT_EQ(done[3].token, 4u);
@@ -422,7 +420,7 @@ ServedStream serve_stream(bool trace_target) {
                  /*closed_loop=*/false);
     });
   }
-  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 1);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
   out.served_digest = rig.cluster.served_digest(1);
   return out;
 }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/contract.hpp"
@@ -49,7 +48,7 @@ TEST(PartitionedKernelTest, SingleShardDegeneratesToRunUntil) {
   sim.at(Time::ns(30), [&] { order.push_back(3); }, "c");
   sim.at(Time::ns(10), [&] { order.push_back(1); }, "a");
   sim.at(Time::ns(20), [&] { order.push_back(2); }, "b");
-  const PartitionRunStats stats = kernel.run(Time::us(1), 4);
+  const PartitionRunStats stats = kernel.run(Time::us(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(stats.dispatched, 3u);
   EXPECT_EQ(stats.messages, 0u);
@@ -62,7 +61,7 @@ TEST(PartitionedKernelTest, EmptyShardsStillAlignToTheHorizon) {
   PartitionedKernel kernel{Time::ns(1)};
   kernel.add_shard(a);
   kernel.add_shard(b);
-  const PartitionRunStats stats = kernel.run(Time::ms(1), 2);
+  const PartitionRunStats stats = kernel.run(Time::ms(1));
   EXPECT_EQ(stats.dispatched, 0u);
   EXPECT_EQ(a.now(), Time::ms(1));
   EXPECT_EQ(b.now(), Time::ms(1));
@@ -78,7 +77,7 @@ TEST(PartitionedKernelTest, SameLinkSameTickPreservesSendOrder) {
   // must hold across the partition cut exactly as inside one queue.
   kernel.send(0, 1, Time::ns(50), [&] { order.push_back(1); }, "first");
   kernel.send(0, 1, Time::ns(50), [&] { order.push_back(2); }, "second");
-  kernel.run(Time::us(1), 2);
+  kernel.run(Time::us(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -91,10 +90,10 @@ TEST(PartitionedKernelTest, TiesMergeBySourceShard) {
   std::vector<int> order;
   // Sent in the *opposite* order: the merge key (when, source, send
   // order) must still put the lower source first — a pure function of
-  // the shard indices, not of which sender's thread pushed first.
+  // the shard indices, not of which sender sent first.
   kernel.send(1, 2, Time::ns(50), [&] { order.push_back(1); }, "from-b");
   kernel.send(0, 2, Time::ns(50), [&] { order.push_back(0); }, "from-a");
-  kernel.run(Time::us(1), 3);
+  kernel.run(Time::us(1));
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -125,17 +124,13 @@ struct Relay {
 // B's induced send time (tripping the delivered-in-the-past contract);
 // B's reach, min(its head, A's head + L), must hold C back.
 TEST(PartitionedKernelTest, AnEmptyShardIsNotSilent) {
-  for (std::size_t threads : {1u, 2u, 3u}) {
-    Relay relay;
-    relay.kernel.run(Time::us(2), threads);
-    EXPECT_EQ(relay.c_received, Time::ns(7)) << "threads=" << threads;
-  }
+  Relay relay;
+  relay.kernel.run(Time::us(2));
+  EXPECT_EQ(relay.c_received, Time::ns(7));
 }
 
 /// Two shards ping-pong a token; each shard records its own receipt
-/// times (its events run only on the thread driving it that round, so
-/// per-shard vectors need no locks). The digest over both sequences is
-/// the determinism witness.
+/// times. The digest over both sequences is the determinism witness.
 struct PingPong {
   explicit PingPong(Time lookahead) : kernel{lookahead} {
     kernel.add_shard(a);
@@ -154,8 +149,8 @@ struct PingPong {
     kernel.send(1, 0, b.now() + kernel.lookahead(), [this] { on_a(); }, "pong");
   }
 
-  std::uint64_t run(Time horizon, std::size_t threads) {
-    kernel.run(horizon, threads);
+  std::uint64_t run(Time horizon) {
+    kernel.run(horizon);
     Digest d;
     for (const auto t : seen_a) d.update("a").update(static_cast<std::uint64_t>(t));
     for (const auto t : seen_b) d.update("b").update(static_cast<std::uint64_t>(t));
@@ -168,29 +163,23 @@ struct PingPong {
   std::vector<std::int64_t> seen_a, seen_b;
 };
 
-TEST(PartitionedKernelTest, PingPongScheduleIsThreadCountInvariant) {
-  const std::uint64_t reference = PingPong{Time::ns(500)}.run(Time::us(100), 1);
-  for (std::size_t threads : {2u, 4u}) {
-    EXPECT_EQ(PingPong{Time::ns(500)}.run(Time::us(100), threads), reference)
-        << "threads=" << threads;
-  }
-  EXPECT_NE(PingPong{Time::ns(500)}.run(Time::us(1), 1), reference)
+TEST(PartitionedKernelTest, PingPongAgreesAcrossFreshRuns) {
+  const std::uint64_t reference = PingPong{Time::ns(500)}.run(Time::us(100));
+  EXPECT_EQ(PingPong{Time::ns(500)}.run(Time::us(100)), reference);
+  EXPECT_NE(PingPong{Time::ns(500)}.run(Time::us(1)), reference)
       << "digest must actually depend on the schedule";
 }
 
 TEST(PartitionedKernelTest, OneTickLookaheadStillConverges) {
   // lookahead = 1 ps: every round advances by the minimum possible
   // window, the worst case for both progress and the cap math.
-  const std::uint64_t reference = PingPong{Time::ps(1)}.run(Time::ps(200), 1);
-  for (std::size_t threads : {2u, 4u}) {
-    EXPECT_EQ(PingPong{Time::ps(1)}.run(Time::ps(200), threads), reference)
-        << "threads=" << threads;
-  }
+  const std::uint64_t reference = PingPong{Time::ps(1)}.run(Time::ps(200));
+  EXPECT_EQ(PingPong{Time::ps(1)}.run(Time::ps(200)), reference);
 }
 
 TEST(PartitionedKernelTest, StatsCountRoundsAndMessages) {
   PingPong game{Time::ns(500)};
-  const PartitionRunStats stats = game.kernel.run(Time::us(100), 2);
+  const PartitionRunStats stats = game.kernel.run(Time::us(100));
   // 32 pings each answered by a pong, plus the final unanswered receipt.
   EXPECT_EQ(stats.messages, 64u);
   EXPECT_GE(stats.rounds, 1u);
@@ -201,8 +190,7 @@ TEST(PartitionedKernelTest, StatsCountRoundsAndMessages) {
 /// horizon. Every event draws from its own shard's Rng and forwards its
 /// token either locally or to a random other shard; while the shard's
 /// budget lasts, one event in ten also forks a second token. Each shard
-/// folds its (time, label) dispatch sequence into its own digest (a
-/// shard's events run on one thread per round, so no locks), and the
+/// folds its (time, label) dispatch sequence into its own digest, and the
 /// shard digests fold, in shard order, into the schedule fingerprint.
 struct RandomTraffic {
   RandomTraffic(std::size_t n, std::size_t budget, Time lookahead)
@@ -267,24 +255,19 @@ struct RandomTraffic {
 // round: the dispatch order and the exact round count are a function of
 // the caps and the delivery points, so any drift in either shows up here.
 TEST(PartitionedKernelTest, FullMeshScheduleIsPinned) {
-  for (std::size_t threads : {1u, 4u}) {
-    RandomTraffic mesh{16, 8, Time::ns(3)};
-    mesh.seed_tokens(1);
-    const PartitionRunStats stats = mesh.kernel.run(Time::us(1), threads);
-    const std::string where = "threads=" + std::to_string(threads);
-    EXPECT_EQ(mesh.fingerprint(), 12567000689784214049ull) << where;
-    EXPECT_EQ(stats.rounds, 330u) << where;
-    EXPECT_EQ(stats.messages, 21083u) << where;
-    EXPECT_EQ(stats.dispatched, 42053u) << where;
-    EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
-  }
+  RandomTraffic mesh{16, 8, Time::ns(3)};
+  mesh.seed_tokens(1);
+  const PartitionRunStats stats = mesh.kernel.run(Time::us(1));
+  EXPECT_EQ(mesh.fingerprint(), 12567000689784214049ull);
+  EXPECT_EQ(stats.rounds, 330u);
+  EXPECT_EQ(stats.messages, 21083u);
+  EXPECT_EQ(stats.dispatched, 42053u);
+  EXPECT_LT(stats.shard_runs, stats.rounds * 16) << "idle shards must not be entered";
 }
 
-// Asking for more workers changes neither where nor what a round runs:
-// three tokens circle a 16-shard ring at 4 threads, every shard is
-// entered on the calling thread, and the rounds are those of 1 thread.
-TEST(PartitionedKernelTest, EveryRoundRunsOnTheCallingThread) {
-  constexpr std::size_t kShards = 16;
+// Three tokens circle a 16-shard ring: a round enters only the shards
+// holding a token, so at most three of the sixteen.
+TEST(PartitionedKernelTest, RingRoundsEnterOnlyTheTokenShards) {
   struct Ring {
     PartitionedKernel kernel{Time::ns(10)};
     std::vector<std::unique_ptr<Simulator>> sims;
@@ -294,33 +277,18 @@ TEST(PartitionedKernelTest, EveryRoundRunsOnTheCallingThread) {
                   "token");
     }
   };
-  const auto run = [](std::size_t threads, std::vector<std::thread::id>* entered_on) {
-    Ring ring;
-    for (std::size_t i = 0; i < kShards; ++i) {
-      ring.sims.push_back(std::make_unique<Simulator>(i + 1));
-      ring.kernel.add_shard(*ring.sims.back());
-    }
-    if (entered_on != nullptr) {
-      ring.kernel.set_shard_prologue(
-          [entered_on](std::size_t shard) { (*entered_on)[shard] = std::this_thread::get_id(); });
-    }
-    for (const std::size_t start : {0u, 5u, 11u}) {
-      const Time first = Time::ns(static_cast<double>(1 + start));
-      ring.sims[start]->at(first, [&ring, start] { ring.on_token(start); }, "token");
-    }
-    return ring.kernel.run(Time::us(2), threads);
-  };
-  const PartitionRunStats sequential = run(1, nullptr);
-  std::vector<std::thread::id> entered_on(kShards);
-  const PartitionRunStats stats = run(4, &entered_on);
-  EXPECT_LE(stats.shard_runs, stats.rounds * 3);
-  EXPECT_EQ(stats.rounds, sequential.rounds);
-  EXPECT_EQ(stats.shard_runs, sequential.shard_runs);
-  EXPECT_EQ(stats.dispatched, sequential.dispatched);
-  EXPECT_EQ(stats.messages, sequential.messages);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(entered_on[i], std::this_thread::get_id()) << "shard " << i;
+  Ring ring;
+  for (std::size_t i = 0; i < 16; ++i) {
+    ring.sims.push_back(std::make_unique<Simulator>(i + 1));
+    ring.kernel.add_shard(*ring.sims.back());
   }
+  for (const std::size_t start : {0u, 5u, 11u}) {
+    const Time first = Time::ns(static_cast<double>(1 + start));
+    ring.sims[start]->at(first, [&ring, start] { ring.on_token(start); }, "token");
+  }
+  const PartitionRunStats stats = ring.kernel.run(Time::us(2));
+  EXPECT_GT(stats.messages, 0u);
+  EXPECT_LE(stats.shard_runs, stats.rounds * 3);
 }
 
 /// Random traffic on a 1 ns grid, built to hit the corners of the head
@@ -393,22 +361,22 @@ struct GridTraffic {
   std::vector<Digest> logs_;
 };
 
-// The flat head scan across mesh sizes: the dispatch logs and the round
-// accounting do not depend on the worker count asked for (1, 2 or 3),
-// over two run() calls each. Audit builds also check every one of these
-// rounds against check_round's O(n^2) reference scan.
-TEST(PartitionedKernelTest, RandomGridMeshesAreThreadCountInvariant) {
+// The flat head scan across mesh sizes: two fresh runs of one mesh agree
+// on the dispatch logs and the round accounting, over two run() calls
+// each. Audit builds also check every one of these rounds against
+// check_round's O(n^2) reference scan.
+TEST(PartitionedKernelTest, RandomGridMeshesAgreeAcrossFreshRuns) {
   for (const std::size_t n : {1u, 2u, 3u, 16u, 64u}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       struct Outcome {
         std::uint64_t fingerprint;
         PartitionRunStats first, second;
       };
-      const auto run = [n, seed](std::size_t threads) {
+      const auto run = [n, seed] {
         GridTraffic mesh{n, seed};
         Outcome out{};
-        out.first = mesh.kernel.run(Time::ns(200), threads);
-        out.second = mesh.kernel.run(Time::ns(400), threads);
+        out.first = mesh.kernel.run(Time::ns(200));
+        out.second = mesh.kernel.run(Time::ns(400));
         out.fingerprint = mesh.fingerprint();
         if (n >= 3) {
           EXPECT_GT(mesh.events[2], 0u) << "the idle shard 2 must wake through mail";
@@ -416,23 +384,19 @@ TEST(PartitionedKernelTest, RandomGridMeshesAreThreadCountInvariant) {
         for (const auto& sim : mesh.sims) EXPECT_EQ(sim->now(), Time::ns(400));
         return out;
       };
-      const Outcome reference = run(1);
+      const Outcome reference = run();
       if (n > 1) {
         EXPECT_GT(reference.first.messages, 0u);
       }
-      for (const std::size_t threads : {2u, 3u}) {
-        const Outcome got = run(threads);
-        const std::string where =
-            "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
-            " threads=" + std::to_string(threads);
-        EXPECT_EQ(got.fingerprint, reference.fingerprint) << where;
-        for (const auto& [ours, theirs] :
-             {std::pair{got.first, reference.first}, std::pair{got.second, reference.second}}) {
-          EXPECT_EQ(ours.rounds, theirs.rounds) << where;
-          EXPECT_EQ(ours.shard_runs, theirs.shard_runs) << where;
-          EXPECT_EQ(ours.dispatched, theirs.dispatched) << where;
-          EXPECT_EQ(ours.messages, theirs.messages) << where;
-        }
+      const Outcome got = run();
+      const std::string where = "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      EXPECT_EQ(got.fingerprint, reference.fingerprint) << where;
+      for (const auto& [ours, theirs] :
+           {std::pair{got.first, reference.first}, std::pair{got.second, reference.second}}) {
+        EXPECT_EQ(ours.rounds, theirs.rounds) << where;
+        EXPECT_EQ(ours.shard_runs, theirs.shard_runs) << where;
+        EXPECT_EQ(ours.dispatched, theirs.dispatched) << where;
+        EXPECT_EQ(ours.messages, theirs.messages) << where;
       }
     }
   }
@@ -444,18 +408,16 @@ TEST(PartitionedKernelTest, RandomGridMeshesAreThreadCountInvariant) {
 // 119.999 ns at L = 10 ns. Round one runs the first two; the third is past
 // 109.999 ns, and in round two it is the earliest seed and runs alone.
 TEST(PartitionedKernelTest, MeshCapIsOneTickShortOfTheEarliestHeadPlusLookahead) {
-  for (std::size_t threads : {1u, 3u}) {
-    Simulator a{1}, b{2}, c{3};
-    PartitionedKernel kernel{Time::ns(10)};
-    for (Simulator* sim : {&a, &b, &c}) kernel.add_shard(*sim);
-    a.at(Time::ns(100), [] {}, "earliest");
-    b.at(Time::ns(110) - Time::ps(1), [] {}, "one-tick-inside");
-    c.at(Time::ns(120) - Time::ps(1), [] {}, "past-the-cap");
-    const PartitionRunStats stats = kernel.run(Time::us(1), threads);
-    EXPECT_EQ(stats.rounds, 2u) << "threads=" << threads;
-    EXPECT_EQ(stats.shard_runs, 3u) << "threads=" << threads;
-    EXPECT_EQ(stats.dispatched, 3u) << "threads=" << threads;
-  }
+  Simulator a{1}, b{2}, c{3};
+  PartitionedKernel kernel{Time::ns(10)};
+  for (Simulator* sim : {&a, &b, &c}) kernel.add_shard(*sim);
+  a.at(Time::ns(100), [] {}, "earliest");
+  b.at(Time::ns(110) - Time::ps(1), [] {}, "one-tick-inside");
+  c.at(Time::ns(120) - Time::ps(1), [] {}, "past-the-cap");
+  const PartitionRunStats stats = kernel.run(Time::us(1));
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(stats.shard_runs, 3u);
+  EXPECT_EQ(stats.dispatched, 3u);
 }
 
 // Mail sent from wiring code — before the first run() and between two
@@ -467,41 +429,36 @@ TEST(PartitionedKernelTest, SendsOutsideRunAreDelivered) {
   kernel.add_shard(b);
   std::vector<Time> received;
   kernel.send(0, 1, Time::ns(40), [&] { received.push_back(b.now()); }, "before-run");
-  const PartitionRunStats first = kernel.run(Time::us(1), 2);
+  const PartitionRunStats first = kernel.run(Time::us(1));
   EXPECT_EQ(first.messages, 1u);
   EXPECT_EQ(received, (std::vector<Time>{Time::ns(40)}));
 
   kernel.send(0, 1, Time::us(1) + Time::ns(25), [&] { received.push_back(b.now()); }, "between");
-  const PartitionRunStats second = kernel.run(Time::us(2), 2);
+  const PartitionRunStats second = kernel.run(Time::us(2));
   EXPECT_EQ(second.messages, 1u);
   EXPECT_EQ(received, (std::vector<Time>{Time::ns(40), Time::us(1) + Time::ns(25)}));
 }
 
-// A shard with nothing at or below its cap is not entered — neither its
-// prologue nor its run_until — yet still ends parked at the horizon.
+// A shard with nothing at or below its cap is not entered, yet still ends
+// parked at the horizon.
 TEST(PartitionedKernelTest, IdleShardsAreNotEntered) {
-  for (std::size_t threads : {1u, 3u}) {
-    Simulator a{1}, b{2}, c{3};
-    PartitionedKernel kernel{Time::ns(5)};
-    kernel.add_shard(a);
-    kernel.add_shard(b);
-    kernel.add_shard(c);
-    std::vector<int> entered(3, 0);  // one slot per shard: no two threads share one
-    kernel.set_shard_prologue([&](std::size_t shard) { ++entered[shard]; });
-    a.at(Time::ns(10), [] {}, "early");
-    // Round 1 caps b at 14.999 ns (a's head + lookahead - 1 tick): b's
-    // head at 1 us is past it, so only a runs. Round 2 runs b alone. c
-    // never has work.
-    b.at(Time::us(1), [] {}, "late");
-    const PartitionRunStats stats = kernel.run(Time::us(2), threads);
-    EXPECT_EQ(stats.rounds, 2u) << "threads=" << threads;
-    EXPECT_EQ(stats.shard_runs, 2u) << "threads=" << threads;
-    EXPECT_EQ(stats.dispatched, 2u) << "threads=" << threads;
-    EXPECT_EQ(entered, (std::vector<int>{1, 1, 0})) << "threads=" << threads;
-    EXPECT_EQ(a.now(), Time::us(2));
-    EXPECT_EQ(b.now(), Time::us(2));
-    EXPECT_EQ(c.now(), Time::us(2));
-  }
+  Simulator a{1}, b{2}, c{3};
+  PartitionedKernel kernel{Time::ns(5)};
+  kernel.add_shard(a);
+  kernel.add_shard(b);
+  kernel.add_shard(c);
+  a.at(Time::ns(10), [] {}, "early");
+  // Round 1 caps b at 14.999 ns (a's head + lookahead - 1 tick): b's
+  // head at 1 us is past it, so only a runs. Round 2 runs b alone. c
+  // never has work.
+  b.at(Time::us(1), [] {}, "late");
+  const PartitionRunStats stats = kernel.run(Time::us(2));
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(stats.shard_runs, 2u);
+  EXPECT_EQ(stats.dispatched, 2u);
+  EXPECT_EQ(a.now(), Time::us(2));
+  EXPECT_EQ(b.now(), Time::us(2));
+  EXPECT_EQ(c.now(), Time::us(2));
 }
 
 }  // namespace

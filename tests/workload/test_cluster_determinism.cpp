@@ -53,10 +53,10 @@ WorkloadConfig make_workload(const RunSpec& spec) {
   return config;
 }
 
-ClusterResult run_once(const RunSpec& spec, std::size_t threads) {
+ClusterResult run_once(const RunSpec& spec) {
   core::Scenario scenario = make_builder(spec).build();
   ClusterEngine engine{scenario.cluster(), make_workload(spec)};
-  return engine.run(threads);
+  return engine.run();
 }
 
 /// Once a run has drained, every admitted cross-rack request crossed the
@@ -65,21 +65,17 @@ void expect_spine_messages_conserved(const ClusterResult& result, const std::str
   EXPECT_EQ(result.spine_tx_messages, 2 * (result.cross_ops - result.spine_fail_fast)) << what;
 }
 
-TEST(ClusterDeterminismTest, ParallelDigestsMatchSequentialAcrossSeeds) {
+TEST(ClusterDeterminismTest, FreshRunsAgreeAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RunSpec spec;
     spec.seed = seed;
-    const ClusterResult reference = run_once(spec, 1);
+    const ClusterResult reference = run_once(spec);
     EXPECT_GT(reference.completed, 0u) << "seed " << seed;
     EXPECT_GT(reference.cross_ops, 0u) << "seed " << seed;
     expect_spine_messages_conserved(reference, "seed " + std::to_string(seed));
-    for (std::size_t threads : {2u, 4u}) {
-      const ClusterResult parallel = run_once(spec, threads);
-      EXPECT_EQ(parallel.digest, reference.digest)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(parallel.completed, reference.completed)
-          << "seed " << seed << " threads " << threads;
-    }
+    const ClusterResult again = run_once(spec);
+    EXPECT_EQ(again.digest, reference.digest) << "seed " << seed;
+    EXPECT_EQ(again.completed, reference.completed) << "seed " << seed;
   }
 }
 
@@ -87,27 +83,28 @@ TEST(ClusterDeterminismTest, SeedsActuallyChangeTheSchedule) {
   RunSpec a, b;
   a.seed = 1;
   b.seed = 2;
-  EXPECT_NE(run_once(a, 1).digest, run_once(b, 1).digest);
+  EXPECT_NE(run_once(a).digest, run_once(b).digest);
 }
 
 TEST(ClusterDeterminismTest, SingleRackClusterIsDegenerate) {
   RunSpec spec;
   spec.racks = 1;
   spec.cross_share = 0.5;  // no peers: must never produce cross traffic
-  const ClusterResult reference = run_once(spec, 1);
-  const ClusterResult parallel = run_once(spec, 4);
-  EXPECT_EQ(parallel.digest, reference.digest);
+  const ClusterResult reference = run_once(spec);
+  EXPECT_EQ(run_once(spec).digest, reference.digest);
   EXPECT_EQ(reference.cross_ops, 0u);
   EXPECT_EQ(reference.spine_tx_messages, 0u);
   EXPECT_GT(reference.completed, 0u);
 }
 
 // The kernel runs every round on the calling thread; the result reports
-// the one thread that ran, not the request.
+// the one thread that ran, not the request. The benchmark driver passes a
+// thread count and reads this field, so it is pinned here.
 TEST(ClusterDeterminismTest, ThreadsReportTheWorkersThatRan) {
   RunSpec spec;
   spec.window = sim::Time::us(50);
-  const ClusterResult result = run_once(spec, 4);
+  core::Scenario scenario = make_builder(spec).build();
+  const ClusterResult result = ClusterEngine{scenario.cluster(), make_workload(spec)}.run(4);
   EXPECT_EQ(result.threads, 1u);
 }
 
@@ -117,31 +114,27 @@ TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
   spec.seed = 7;
   spec.cross_share = 0.3;
   spec.window = sim::Time::us(200);
-  const ClusterResult reference = run_once(spec, 1);
+  const ClusterResult reference = run_once(spec);
   EXPECT_GT(reference.cross_ops, 0u);
   expect_spine_messages_conserved(reference, "4 racks");
-  for (std::size_t threads : {2u, 4u}) {
-    EXPECT_EQ(run_once(spec, threads).digest, reference.digest) << "threads " << threads;
-  }
+  EXPECT_EQ(run_once(spec).digest, reference.digest);
 }
 
 TEST(ClusterDeterminismTest, MidWindowSpineFaultStaysDeterministic) {
   RunSpec spec;
   spec.seed = 3;
   spec.fault = true;
-  const ClusterResult reference = run_once(spec, 1);
+  const ClusterResult reference = run_once(spec);
   EXPECT_GT(reference.spine_fail_fast, 0u)
       << "the fault window must actually reject traffic";
   expect_spine_messages_conserved(reference, "spine fault");
-  for (std::size_t threads : {2u, 4u}) {
-    const ClusterResult parallel = run_once(spec, threads);
-    EXPECT_EQ(parallel.digest, reference.digest) << "threads " << threads;
-    EXPECT_EQ(parallel.spine_fail_fast, reference.spine_fail_fast) << "threads " << threads;
-  }
+  const ClusterResult again = run_once(spec);
+  EXPECT_EQ(again.digest, reference.digest);
+  EXPECT_EQ(again.spine_fail_fast, reference.spine_fail_fast);
 
   RunSpec healthy = spec;
   healthy.fault = false;
-  EXPECT_NE(run_once(healthy, 1).digest, reference.digest)
+  EXPECT_NE(run_once(healthy).digest, reference.digest)
       << "the fault must leave a mark on the schedule";
 }
 
@@ -191,7 +184,7 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
     workload.power_samples = 4;
     workload.sample_period = spec.window / 4;
     core::Scenario reference_scenario = make_builder(spec).build();
-    const ClusterResult reference = ClusterEngine{reference_scenario.cluster(), workload}.run(2);
+    const ClusterResult reference = ClusterEngine{reference_scenario.cluster(), workload}.run();
     if (fault) {
       EXPECT_GT(reference.spine_fail_fast, 0u) << "the fault window must actually reject traffic";
     }
@@ -210,7 +203,7 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
       const std::string what = std::string{fault ? "spine fault, " : "healthy, "} +
                                "perturbation " + std::to_string(i) + " (" +
                                perturbation.to_string() + ")";
-      EXPECT_EQ(canonical(engine.run(2)), baseline) << what;
+      EXPECT_EQ(canonical(engine.run()), baseline) << what;
       std::uint64_t groups = 0;
       for (std::size_t r = 0; r < scenario.cluster().size(); ++r) {
         groups += scenario.cluster().rack(r).simulator().queue().batches_collected();
