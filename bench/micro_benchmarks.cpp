@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot paths of the simulation
 // substrate itself (these measure the *implementation*, not the modelled
-// hardware): RMST associative lookup, event-queue throughput, segment
-// allocator churn, packet-path evaluation, and TCO scheduling throughput.
+// hardware): RMST associative lookup, event-queue throughput, random
+// draws, segment allocator churn, packet-path evaluation, and TCO
+// scheduling throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "core/datacenter.hpp"
@@ -335,6 +339,74 @@ void BM_EventQueueRearmHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueueRearmHold)->Arg(8)->Arg(64)->Arg(256);
+
+// sim::Rng's per-op draws over std::mt19937_64, the engine Rng replaced:
+// the same-process baseline for BM_RngDraw, as the reference heap is for
+// the queue benches. tests/sim/test_random.cpp pins both to equal outputs,
+// so BM_ReferenceRngDraw / BM_RngDraw is the engine's speedup alone.
+class ReferenceRng {
+ public:
+  explicit ReferenceRng(std::uint64_t seed) : engine_{seed} {}
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+  }
+  double exponential(double mean) {
+    return std::exponential_distribution<double>{1.0 / mean}(engine_);
+  }
+  std::size_t weighted_index(std::span<const double> weights) {
+    double x = std::uniform_real_distribution<double>{
+        0.0, std::accumulate(weights.begin(), weights.end(), 0.0)}(engine_);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      x -= weights[i];
+      if (x < 0) return i;
+    }
+    return weights.size() - 1;
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+// The three draws a workload op makes (op kind, address, think time) and
+// the raw engine output beneath them. Each iteration is one draw; 0
+// allocs/op.
+enum class RngDraw { kEngine, kUniformInt, kExponential, kWeightedIndex };
+
+template <class Draw>
+void gated_draws(benchmark::State& state, Draw draw) {
+  AllocGate allocs;
+  for (auto _ : state) allocs.count([&] { benchmark::DoNotOptimize(draw()); });
+  allocs.check(state, "allocs_per_op", state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+template <class Engine, class Rng>
+void rng_draws(benchmark::State& state, RngDraw kind) {
+  static constexpr double kMix[] = {0.6, 0.3, 0.1};  // a read/write/DMA op mix
+  Engine engine{1};
+  Rng rng{1};
+  switch (kind) {
+    case RngDraw::kEngine: return gated_draws(state, [&] { return engine(); });
+    case RngDraw::kUniformInt:
+      return gated_draws(state, [&] { return rng.uniform_int(0, (std::int64_t{1} << 30) - 1); });
+    case RngDraw::kExponential: return gated_draws(state, [&] { return rng.exponential(2.5); });
+    case RngDraw::kWeightedIndex: return gated_draws(state, [&] { return rng.weighted_index(kMix); });
+  }
+}
+void BM_RngDraw(benchmark::State& state, RngDraw kind) {
+  rng_draws<sim::Mt19937_64, sim::Rng>(state, kind);
+}
+void BM_ReferenceRngDraw(benchmark::State& state, RngDraw kind) {
+  rng_draws<std::mt19937_64, ReferenceRng>(state, kind);
+}
+BENCHMARK_CAPTURE(BM_RngDraw, engine, RngDraw::kEngine);
+BENCHMARK_CAPTURE(BM_RngDraw, uniform_int, RngDraw::kUniformInt);
+BENCHMARK_CAPTURE(BM_RngDraw, exponential, RngDraw::kExponential);
+BENCHMARK_CAPTURE(BM_RngDraw, weighted_index, RngDraw::kWeightedIndex);
+BENCHMARK_CAPTURE(BM_ReferenceRngDraw, engine, RngDraw::kEngine);
+BENCHMARK_CAPTURE(BM_ReferenceRngDraw, uniform_int, RngDraw::kUniformInt);
+BENCHMARK_CAPTURE(BM_ReferenceRngDraw, exponential, RngDraw::kExponential);
+BENCHMARK_CAPTURE(BM_ReferenceRngDraw, weighted_index, RngDraw::kWeightedIndex);
 
 // The event kernel's node pool in isolation: steady-state create/destroy
 // (freelist pop/push, no growth) over a working set that spans several

@@ -70,14 +70,15 @@ class SampleSet {
 
   BoxPlot box_plot() const;
 
+  /// Insertion order, until a quantile() on an unsorted set reorders them.
   const std::vector<double>& samples() const { return samples_; }
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  /// True while the samples arrived in non-decreasing order; quantile()
+  /// then indexes directly, else it selects (reordering the samples).
+  bool sorted_ = true;
   RunningStats running_;
-
-  void ensure_sorted() const;
 };
 
 }  // namespace dredbox::sim

@@ -181,8 +181,8 @@ TEST(SampleSetQuantileProperty, DuplicateHeavySetsStayMonotoneAndBounded) {
 }
 
 TEST(SampleSetQuantileProperty, InterleavedAddsDoNotDisturbQuantiles) {
-  // quantile() sorts lazily; interleaving add() and quantile() must keep
-  // answers consistent with a from-scratch sorted copy.
+  // quantile() reorders the samples when it selects; interleaving add() and
+  // quantile() must keep answers consistent with a from-scratch sorted copy.
   Rng rng{5};
   SampleSet s;
   std::vector<double> mirror;
@@ -229,6 +229,113 @@ TEST(SampleSetTest, CiShrinksWithMoreSamples) {
   for (int i = 0; i < 30; ++i) small.add(rng.normal(0.0, 1.0));
   for (int i = 0; i < 3000; ++i) large.add(rng.normal(0.0, 1.0));
   EXPECT_LT(large.ci95_halfwidth(), small.ci95_halfwidth());
+}
+
+// quantile() selects instead of sorting. These pin it, bit for bit, to the
+// sort-based type-7 formula it replaced.
+
+double sorted_reference_quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto idx = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(idx);
+  if (idx + 1 >= v.size()) return v.back();
+  return v[idx] * (1.0 - frac) + v[idx + 1] * frac;
+}
+
+constexpr double kOracleQs[] = {0.0, 0.25, 0.5, 0.95, 0.999, 1.0};
+
+// ~6 distinct values with a fractional part, so ties are common and the
+// interpolation weights matter.
+std::vector<double> tie_heavy_samples(Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (double& x : v) x = static_cast<double>(rng.uniform_int(-3, 2)) * 1.375;
+  return v;
+}
+
+TEST(SampleSetSelectionOracle, MatchesSortedReferenceOnTieHeavySets) {
+  for (std::size_t n : {1u, 2u, 3u, 1000u}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng{seed};
+      const std::vector<double> samples = tie_heavy_samples(rng, n);
+      SampleSet s;
+      for (double x : samples) s.add(x);
+      for (double q : kOracleQs) {
+        EXPECT_EQ(s.quantile(q), sorted_reference_quantile(samples, q))
+            << "n=" << n << " seed " << seed << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(SampleSetSelectionOracle, RepeatedCallsAgree) {
+  Rng rng{11};
+  const std::vector<double> samples = tie_heavy_samples(rng, 1000);
+  SampleSet s;
+  for (double x : samples) s.add(x);
+  for (int pass = 0; pass < 3; ++pass) {
+    // Descending then ascending q: each selection starts from the order
+    // the previous one left.
+    for (auto it = std::rbegin(kOracleQs); it != std::rend(kOracleQs); ++it) {
+      EXPECT_EQ(s.quantile(*it), sorted_reference_quantile(samples, *it)) << "q=" << *it;
+    }
+    for (double q : kOracleQs) {
+      EXPECT_EQ(s.quantile(q), sorted_reference_quantile(samples, q)) << "q=" << q;
+    }
+  }
+}
+
+TEST(SampleSetSelectionOracle, InterleavedWithAdd) {
+  Rng rng{12};
+  SampleSet s;
+  std::vector<double> mirror;
+  for (double x : tie_heavy_samples(rng, 600)) {
+    s.add(x);
+    mirror.push_back(x);
+    for (double q : kOracleQs) {
+      ASSERT_EQ(s.quantile(q), sorted_reference_quantile(mirror, q))
+          << "n=" << mirror.size() << " q=" << q;
+    }
+  }
+}
+
+TEST(SampleSetSelectionOracle, SortedInsertionIndexesDirectly) {
+  SampleSet s;
+  std::vector<double> mirror;
+  for (int i = 0; i < 257; ++i) {
+    const double x = static_cast<double>(i / 4) * 0.5;  // non-decreasing, with ties
+    s.add(x);
+    mirror.push_back(x);
+  }
+  for (double q : kOracleQs) EXPECT_EQ(s.quantile(q), sorted_reference_quantile(mirror, q));
+  EXPECT_EQ(s.samples(), mirror);  // an in-order set is never reordered
+}
+
+TEST(SampleSetSelectionOracle, BoxPlotMatchesSortedReference) {
+  Rng rng{13};
+  const std::vector<double> samples = tie_heavy_samples(rng, 1000);
+  SampleSet s;
+  for (double x : samples) s.add(x);
+  const BoxPlot b = s.box_plot();
+  EXPECT_EQ(b.minimum, sorted_reference_quantile(samples, 0.0));
+  EXPECT_EQ(b.q1, sorted_reference_quantile(samples, 0.25));
+  EXPECT_EQ(b.median, sorted_reference_quantile(samples, 0.5));
+  EXPECT_EQ(b.q3, sorted_reference_quantile(samples, 0.75));
+  EXPECT_EQ(b.maximum, sorted_reference_quantile(samples, 1.0));
+  EXPECT_EQ(b.count, samples.size());
+}
+
+TEST(SampleSetSelectionOracle, MeanMinMaxUnchangedBySelection) {
+  Rng rng{14};
+  SampleSet s;
+  for (int i = 0; i < 1000; ++i) s.add(rng.normal(5.0, 2.0));
+  const double mean = s.mean(), min = s.min(), max = s.max(), stddev = s.stddev();
+  for (double q : kOracleQs) s.quantile(q);
+  EXPECT_EQ(s.mean(), mean);
+  EXPECT_EQ(s.min(), min);
+  EXPECT_EQ(s.max(), max);
+  EXPECT_EQ(s.stddev(), stddev);
+  EXPECT_EQ(s.count(), 1000u);
 }
 
 }  // namespace
