@@ -79,9 +79,15 @@ void operator delete[](void* p, const NothrowT&) noexcept { std::free(p); }
 void operator delete(void* p, AlignT, const NothrowT&) noexcept { std::free(p); }
 void operator delete[](void* p, AlignT, const NothrowT&) noexcept { std::free(p); }
 
-// Set when any allocation-free bench saw a heap allocation; main() turns it
-// into the exit status (google-benchmark itself exits 0 on a failed bench).
+// Set when any allocation-free bench saw a heap allocation or measured
+// something other than the path it names; main() turns it into the exit
+// status (google-benchmark itself exits 0 on a failed bench).
 static bool g_alloc_gate_failed = false;
+
+static void fail_gate(benchmark::State& state, const char* why) {
+  g_alloc_gate_failed = true;
+  state.SkipWithError(why);
+}
 
 namespace dredbox::memsys {
 
@@ -114,8 +120,7 @@ class AllocGate {
     state.counters[counter] =
         static_cast<double>(allocs_) / static_cast<double>(std::max<std::uint64_t>(ops, 1));
     if (allocs_ == 0) return;
-    g_alloc_gate_failed = true;
-    state.SkipWithError("heap allocation on an allocation-free path");
+    fail_gate(state, "heap allocation on an allocation-free path");
   }
 
  private:
@@ -147,8 +152,10 @@ core::DatacenterConfig two_tray_config() {
   return config;
 }
 
-// A compute brick and an 8 GiB memory brick on two trays, joined by a
-// 1 GiB attachment: the fabric the DMA and chunk-write benches walk.
+// A compute brick and an 8 GiB memory brick joined by a 1 GiB attachment:
+// the fabric the DMA and chunk-write benches walk. On two trays (the
+// default) the attachment rides an optical circuit through the rack
+// switch; on one tray, the tray's electrical backplane.
 struct AttachedPair {
   sim::Telemetry telemetry;
   hw::Rack rack;
@@ -157,10 +164,11 @@ struct AttachedPair {
   memsys::RemoteMemoryFabric fabric{rack, circuits, telemetry};
   hw::BrickId cpu;
   std::uint64_t base = 0;  // compute-side base address of the attachment
+  memsys::LinkMedium medium = memsys::LinkMedium::kOptical;
 
-  AttachedPair() {
+  explicit AttachedPair(bool same_tray = false) {
     const hw::TrayId tray_a = rack.add_tray();
-    const hw::TrayId tray_b = rack.add_tray();
+    const hw::TrayId tray_b = same_tray ? tray_a : rack.add_tray();
     cpu = rack.add_compute_brick(tray_a).id();
     hw::MemoryBrickConfig mc;
     mc.capacity_bytes = 8ull << 30;
@@ -168,7 +176,9 @@ struct AttachedPair {
     req.compute = cpu;
     req.membrick = rack.add_memory_brick(tray_b, mc).id();
     req.bytes = 1ull << 30;
-    base = fabric.attach(req, sim::Time::zero())->compute_base;
+    const auto attachment = fabric.attach(req, sim::Time::zero());
+    base = attachment->compute_base;
+    medium = attachment->medium;
   }
 };
 
@@ -662,14 +672,23 @@ BENCHMARK(BM_RemoteReadSteadyStateAllocs);
 // The same window as BM_RemoteReadSteadyStateAllocs, issued the way a VM
 // window issues its ops: 64 B reads and writes alternate over one held
 // route (RemoteMemoryFabric::transact), as the workload engine and the
-// rack gateways price them. 0 allocs/op.
-void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
-  core::Datacenter dc{two_tray_config()};
+// rack gateways price them. The plain bench attaches over the tray's
+// electrical backplane; the optical one over a circuit through the rack
+// switch, so each op also checks the circuit is still live. 0 allocs/op.
+void held_read_steady_state(benchmark::State& state, bool optical) {
+  core::DatacenterConfig config = two_tray_config();
+  config.prefer_optical_attach = optical;
+  core::Datacenter dc{config};
   dc.metrics().enable();
   const auto vm = dc.boot_vm("bench-guest", /*vcpus=*/2, /*memory=*/2ull << 30);
   const auto up = dc.scale_up(vm.vm, vm.compute, 2ull << 30);
   benchmark::DoNotOptimize(up.ok);
   const auto attachment = dc.fabric().attachments_of(vm.compute).front();
+  if (attachment.medium !=
+      (optical ? memsys::LinkMedium::kOptical : memsys::LinkMedium::kElectrical)) {
+    fail_gate(state, "the attachment rides the wrong medium");
+    return;
+  }
   memsys::RemoteMemoryFabric::HeldRoute held;
   std::uint64_t offset = 0;
   std::uint64_t ops = 0;
@@ -688,16 +707,29 @@ void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
   allocs.check(state, "allocs_per_op", state.iterations());
   // Ops the held route declined (and the fabric walked).
   const std::uint64_t walked = ops - memsys::FabricTestAccess::held_transactions(dc.fabric());
-  if (walked != 0) state.SkipWithError("the held route declined an op; nothing was measured");
+  if (walked != 0) fail_gate(state, "the held route declined an op; nothing was measured");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+void BM_RemoteReadHeldSteadyStateAllocs(benchmark::State& state) {
+  held_read_steady_state(state, /*optical=*/false);
+}
 BENCHMARK(BM_RemoteReadHeldSteadyStateAllocs);
+void BM_RemoteReadHeldOpticalSteadyStateAllocs(benchmark::State& state) {
+  held_read_steady_state(state, /*optical=*/true);
+}
+BENCHMARK(BM_RemoteReadHeldOpticalSteadyStateAllocs);
 
 // A 256 KiB transfer through a DMA channel that owns its job, in chunks of
 // range(0) bytes: 4 chunks of 64 KiB, or 64 chunks of 4 KiB that ride the
-// channel's held route.
-void BM_DmaSteadyStateAllocs(benchmark::State& state) {
-  AttachedPair pair;
+// channel's held route. The plain bench crosses trays, so its chunks ride
+// an optical circuit; the electrical one stays on one tray's backplane.
+void dma_steady_state(benchmark::State& state, bool same_tray) {
+  AttachedPair pair{same_tray};
+  if (pair.medium !=
+      (same_tray ? memsys::LinkMedium::kElectrical : memsys::LinkMedium::kOptical)) {
+    fail_gate(state, "the attachment rides the wrong medium");
+    return;
+  }
   sim::Simulator sim;
   memsys::DmaEngine dma{sim, pair.fabric, pair.cpu, 2,
                         static_cast<std::uint32_t>(state.range(0))};
@@ -716,7 +748,12 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
   allocs.check(state, "allocs_per_op", state.iterations());
   state.SetBytesProcessed(state.iterations() * (256 << 10));
 }
+void BM_DmaSteadyStateAllocs(benchmark::State& state) { dma_steady_state(state, false); }
 BENCHMARK(BM_DmaSteadyStateAllocs)->Arg(65536)->Arg(4096);
+void BM_DmaElectricalSteadyStateAllocs(benchmark::State& state) {
+  dma_steady_state(state, /*same_tray=*/true);
+}
+BENCHMARK(BM_DmaElectricalSteadyStateAllocs)->Arg(4096);
 
 // Far-future timers (window ends, power sweeps) pending while 256 near
 // events churn in a hold model: each iteration dispatches the earliest

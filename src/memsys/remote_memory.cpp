@@ -1,6 +1,7 @@
 #include "memsys/remote_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "sim/contract.hpp"
@@ -854,7 +855,7 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   tx.breakdown.append(kBdSerialization, terms.out_ser + terms.back_ser);
   tx.breakdown.append(kBdSerdesTx, terms.serdes);
   tx.breakdown.append(terms.electrical ? kBdElectricalProp : kBdOpticalProp,
-                      priced.propagation * 2);
+                      terms.propagation * 2);
   tx.breakdown.append(kBdSerdesRx, terms.serdes);
   tx.breakdown.append(kBdGlueLogic, latencies_.glue_logic);
   tx.breakdown.append(kBdMcWait, priced.mc_wait);
@@ -903,18 +904,27 @@ TransactionStatus RemoteMemoryFabric::resolve(hw::BrickId compute,
 
 RemoteMemoryFabric::StageTerms RemoteMemoryFabric::stage_terms(TransactionKind kind,
                                                                const Route& route,
-                                                               std::uint32_t bytes) const {
+                                                               std::uint32_t bytes) {
   StageTerms terms;
   const LinkMedium medium = route.link->medium;
   terms.electrical = medium == LinkMedium::kElectrical;
   terms.serdes = terms.electrical ? latencies_.electrical_serdes : latencies_.serdes;
+  // A circuit's fibre run is fixed for its life, so its propagation is a
+  // stage term; a packet link has no circuit (route.circuit is null).
+  terms.propagation = terms.electrical                  ? latencies_.electrical_propagation
+                      : medium == LinkMedium::kOptical ? route.circuit->propagation_delay()
+                                                       : sim::Time{};
 
   // Array occupancy: first-word latency plus streaming time for the
   // payload at the controller's bandwidth.
-  const bool hmc = route.membrick->config().technology == hw::MemoryTechnology::kHmc;
+  const hw::MemoryBrick& mb = *route.membrick;
+  const bool hmc = mb.config().technology == hw::MemoryTechnology::kHmc;
   const double array_gbps = hmc ? latencies_.hmc_bandwidth_gbps : latencies_.ddr_bandwidth_gbps;
   terms.mem_access = (hmc ? latencies_.hmc_access : latencies_.ddr_access) +
                      sim::Time::ns(static_cast<double>(bytes) * 8.0 / array_gbps);
+  terms.mc_base = controller_slots(mb);
+  terms.mc_count = static_cast<std::uint32_t>(mb.config().memory_controllers);
+  terms.mc_pow2 = std::has_single_bit(terms.mc_count);
 
   // Outbound: request (write carries payload; read is header-only). Return:
   // read carries payload back; write returns a short ack.
@@ -927,68 +937,70 @@ RemoteMemoryFabric::StageTerms RemoteMemoryFabric::stage_terms(TransactionKind k
 RemoteMemoryFabric::Priced RemoteMemoryFabric::price(const Route& route, const StageTerms& terms,
                                                      sim::Time t) {
   Priced priced;
-  priced.propagation = terms.electrical ? latencies_.electrical_propagation
-                                        : route.circuit->propagation_delay();
   sim::Time& busy = route.link->busy_until;
   const sim::Time start = std::max(t, busy);
   priced.circuit_wait = start - t;
   busy = start + terms.out_ser;
-  t = busy + terms.serdes + priced.propagation + terms.serdes + latencies_.glue_logic;
+  t = busy + terms.serdes + terms.propagation + terms.serdes + latencies_.glue_logic;
 
   // dMEMBRICK: glue logic steers the transaction to one of the brick's
-  // memory controllers (address-interleaved); a busy controller delays
-  // the access, so bricks dimensioned with more controllers sustain more
-  // concurrent transactions (Section II).
-  const hw::MemoryBrick& mb = *route.membrick;
-  const std::size_t mc =
-      static_cast<std::size_t>(route.remote_address >> 12) % mb.config().memory_controllers;
-  sim::Time& mc_busy = controller_busy_until(mb, mc);
+  // memory controllers (interleaved by 4 KiB page); a busy controller
+  // delays the access, so bricks dimensioned with more controllers sustain
+  // more concurrent transactions (Section II).
+  const std::uint64_t page = route.remote_address >> 12;
+  const std::uint64_t mc = terms.mc_pow2 ? page & (terms.mc_count - 1) : page % terms.mc_count;
+  sim::Time& mc_busy = controller_busy_until_[terms.mc_base + mc];
   const sim::Time mc_start = std::max(t, mc_busy);
   priced.mc_wait = mc_start - t;
   mc_busy = mc_start + terms.mem_access;
-  priced.completed_at = mc_busy + terms.back_ser + terms.serdes * 2 + priced.propagation;
+  priced.completed_at = mc_busy + terms.back_ser + terms.serdes * 2 + terms.propagation;
   return priced;
 }
 
-std::optional<sim::Time> RemoteMemoryFabric::stream(HeldRoute::Slot& slot, TransactionKind kind,
-                                                    hw::BrickId compute, std::uint64_t address,
-                                                    std::uint32_t bytes, sim::Time when) {
+bool RemoteMemoryFabric::stream(HeldRoute::Slot& slot, TransactionKind kind, hw::BrickId compute,
+                                std::uint64_t address, std::uint32_t bytes, sim::Time when,
+                                sim::Time& done) {
   Route& route = slot.route;
   const bool held = slot.epoch == route_epoch_ && slot.compute == compute &&
                     slot.bytes == bytes && address >= route.window_base &&
                     address - route.window_base < route.window_size;
   if (held) {
     // No mutator ran since the route was resolved; only a brick crash and
-    // a circuit torn behind the fabric's back can have broken it.
-    if (route.membrick->failed()) return std::nullopt;
-    if (route.link->medium == LinkMedium::kOptical) {
-      route.circuit = circuits_.find(route.link->id);
-      if (route.circuit == nullptr) return std::nullopt;
+    // a circuit torn behind the fabric's back can have broken it, and the
+    // latter only if the circuit manager tore something since the slot
+    // last found its circuit.
+    if (slot.medium == LinkMedium::kPacket || route.membrick->failed()) return false;
+    if (slot.teardowns != circuits_.teardowns()) [[unlikely]] {
+      if (slot.medium == LinkMedium::kOptical) {
+        route.circuit = circuits_.find(route.link->id);
+        if (route.circuit == nullptr) return false;
+      }
+      slot.teardowns = circuits_.teardowns();
     }
     route.remote_address = route.dest_base + (address - route.window_base);
-    DREDBOX_AUDIT_INVARIANT(check_held_route(slot, address));
+    DREDBOX_AUDIT_INVARIANT(check_held_route(slot, kind, address));
   } else {
     slot.epoch = 0;
     hw::TransactionGlueLogic& tgl = rack_.compute_brick(compute).tgl();
     route = Route{};
-    if (resolve(compute, tgl.match(address), route) != TransactionStatus::kOk) {
-      return std::nullopt;
-    }
+    if (resolve(compute, tgl.match(address), route) != TransactionStatus::kOk) return false;
     slot.epoch = route_epoch_;
+    slot.teardowns = circuits_.teardowns();
     slot.compute = compute;
     slot.bytes = bytes;
+    slot.medium = route.link->medium;
     slot.tgl = &tgl;
+    if (slot.medium == LinkMedium::kPacket) return false;
     slot.terms = stage_terms(kind, route, bytes);
   }
-  if (route.link->medium == LinkMedium::kPacket) return std::nullopt;
 
   slot.tgl->note_hit();
   tgl_hits_metric_.add();
-  const sim::Time done = price(route, slot.terms, when + latencies_.tgl_lookup).completed_at;
+  done = price(route, slot.terms, when + latencies_.tgl_lookup).completed_at;
   transactions_metric_.add();
   (kind == TransactionKind::kRead ? read_latency_metric_ : write_latency_metric_)
       .observe((done - when).as_ns());
-  return done;
+  return true;
 }
 
 RemoteMemoryFabric::Outcome RemoteMemoryFabric::transact(HeldRoute& held, TransactionKind kind,
@@ -999,29 +1011,30 @@ RemoteMemoryFabric::Outcome RemoteMemoryFabric::transact(HeldRoute& held, Transa
   // Traced transactions need their spans and breakdowns: full walk.
   const bool traced = ctx.valid() || telemetry_.tracing();
   if (!traced) {
-    if (const auto done =
-            stream(held.slots[static_cast<std::size_t>(kind)], kind, compute, address, bytes,
-                   when)) {
+    sim::Time done;
+    if (stream(held.slots[static_cast<std::size_t>(kind)], kind, compute, address, bytes, when,
+               done)) {
       ++held_transactions_;
-      return Outcome{*done, 0, TransactionStatus::kOk};
+      return Outcome{done, 0, TransactionStatus::kOk};
     }
   }
   const Transaction tx = execute(kind, compute, address, bytes, when, ctx);
   return Outcome{tx.completed_at, tx.retries, tx.status};
 }
 
-void RemoteMemoryFabric::check_held_route(const HeldRoute::Slot& slot, std::uint64_t address) {
+void RemoteMemoryFabric::check_held_route(const HeldRoute::Slot& slot, TransactionKind kind,
+                                          std::uint64_t address) {
   const hw::TransactionGlueLogic& tgl = rack_.compute_brick(slot.compute).tgl();
   Route fresh;
   DREDBOX_INVARIANT(resolve(slot.compute, tgl.match(address), fresh) == TransactionStatus::kOk &&
                         fresh == slot.route,
                     "held route disagrees with a fresh fabric resolution");
+  DREDBOX_INVARIANT(fresh.link->medium == slot.medium &&
+                        stage_terms(kind, fresh, slot.bytes) == slot.terms,
+                    "held stage terms disagree with fresh ones");
 }
 
-sim::Time& RemoteMemoryFabric::controller_busy_until(const hw::MemoryBrick& membrick,
-                                                     std::size_t mc) {
-  // A brick's controller slots are laid out on its first transaction, so
-  // only that one grows the arrays.
+std::uint32_t RemoteMemoryFabric::controller_slots(const hw::MemoryBrick& membrick) {
   constexpr std::uint32_t kUnplaced = 0xffffffffu;
   const std::uint32_t id = membrick.id().value;
   if (id >= controller_base_.size()) controller_base_.resize(id + 1, kUnplaced);
@@ -1030,7 +1043,7 @@ sim::Time& RemoteMemoryFabric::controller_busy_until(const hw::MemoryBrick& memb
     base = static_cast<std::uint32_t>(controller_busy_until_.size());
     controller_busy_until_.resize(base + membrick.config().memory_controllers);
   }
-  return controller_busy_until_[base + mc];
+  return base;
 }
 // dredbox-lint: hot-path-end
 

@@ -105,21 +105,28 @@ class RemoteMemoryFabric {
     bool operator==(const Route&) const = default;
   };
 
-  /// The occupancy-independent terms of one transaction over a route:
-  /// serialization each way, the serdes pair and the array access. They
-  /// depend only on kind, size, link and memory technology.
+  /// The occupancy-independent terms of one transaction over a circuit
+  /// route: serialization each way, the serdes pair, the array access, the
+  /// one-way propagation and where the dMEMBRICK's controllers sit. They
+  /// depend only on kind, size, link, circuit and memory brick.
   struct StageTerms {
     sim::Time out_ser;
     sim::Time back_ser;
     sim::Time serdes;
     sim::Time mem_access;
+    sim::Time propagation;  // one way
+    /// The brick's first slot in controller_busy_until_: an index, since
+    /// the vector grows when another brick first serves.
+    std::uint32_t mc_base = 0;
+    std::uint32_t mc_count = 1;
+    bool mc_pow2 = true;  // mc_count is a power of two: page & (count - 1)
     bool electrical = false;
+    bool operator==(const StageTerms&) const = default;
   };
 
   /// The occupancy-dependent outcome of price().
   struct Priced {
     sim::Time circuit_wait;
-    sim::Time propagation;  // one way
     sim::Time mc_wait;
     sim::Time completed_at;
   };
@@ -133,11 +140,14 @@ class RemoteMemoryFabric {
     friend class RemoteMemoryFabric;
     struct Slot {
       std::uint64_t epoch = 0;  // route epoch it was resolved in; 0 = none
+      /// CircuitManager::teardowns() when route.circuit was last found.
+      std::uint64_t teardowns = 0;
       hw::BrickId compute;
       std::uint32_t bytes = 0;
+      LinkMedium medium = LinkMedium::kOptical;  // the held link's
       hw::TransactionGlueLogic* tgl = nullptr;
       Route route;
-      StageTerms terms;
+      StageTerms terms;  // unset on a packet link
     };
     Slot slots[2];  // indexed by TransactionKind
   };
@@ -426,14 +436,16 @@ class RemoteMemoryFabric {
   // neither caller pays a call for the split.
 
   /// transact()'s held path: prices the transaction from `slot` (re-resolved
-  /// first when stale) and returns its completion time, or nullopt — with
-  /// nothing charged or counted — when the address does not resolve to a
-  /// healthy circuit path or the link is a packet link. Not inline: inlined
-  /// into transact(), it made `BM_DmaSteadyStateAllocs/4096` ~8% slower
-  /// (GCC 12, -O3, x86-64).
-  std::optional<sim::Time> stream(HeldRoute::Slot& slot, TransactionKind kind,
-                                  hw::BrickId compute, std::uint64_t address,
-                                  std::uint32_t bytes, sim::Time when);
+  /// first when stale), sets `done` to its completion time and returns
+  /// true, or returns false — with nothing charged or counted — when the
+  /// address does not resolve to a healthy circuit path or the link is a
+  /// packet link. Not inline: inlined into transact(), it made
+  /// `BM_DmaSteadyStateAllocs/4096` ~8% slower (GCC 12, -O3, x86-64). A
+  /// flag and an out-param, not std::optional<sim::Time>: GCC 12 built the
+  /// optional with two narrow stores and read it back with one wide load,
+  /// which stalled on store forwarding in every held transaction.
+  bool stream(HeldRoute::Slot& slot, TransactionKind kind, hw::BrickId compute,
+              std::uint64_t address, std::uint32_t bytes, sim::Time when, sim::Time& done);
 
   /// Resolves `match` (the TGL's RMST match for an address of `compute`)
   /// to the dMEMBRICK, backing segment, link and live circuit behind it.
@@ -441,16 +453,21 @@ class RemoteMemoryFabric {
   /// nothing; the caller charges the TGL.
   inline TransactionStatus resolve(hw::BrickId compute,
                                    const std::optional<hw::TglRoute>& match, Route& route);
-  inline StageTerms stage_terms(TransactionKind kind, const Route& route,
-                                std::uint32_t bytes) const;
+  /// The stage terms of `route`, a circuit route (electrical or optical:
+  /// a packet link has no circuit to read). Lays out the dMEMBRICK's
+  /// controller slots on its first transaction.
+  inline StageTerms stage_terms(TransactionKind kind, const Route& route, std::uint32_t bytes);
   /// Prices one circuit transaction entering the link at `t` (after the
   /// TGL lookup): applies and advances the link's and the controller's
   /// busy-until.
   inline Priced price(const Route& route, const StageTerms& terms, sim::Time t);
-  /// Audit cross-check: a fresh resolve of `address` equals the held route.
-  void check_held_route(const HeldRoute::Slot& slot, std::uint64_t address);
-  /// Busy-until of controller `mc` on `membrick`.
-  sim::Time& controller_busy_until(const hw::MemoryBrick& membrick, std::size_t mc);
+  /// Audit cross-check: a fresh resolve of `address` equals the held route,
+  /// and fresh stage terms equal the held ones.
+  void check_held_route(const HeldRoute::Slot& slot, TransactionKind kind,
+                        std::uint64_t address);
+  /// The first of `membrick`'s controller slots in controller_busy_until_,
+  /// laid out on the brick's first call.
+  std::uint32_t controller_slots(const hw::MemoryBrick& membrick);
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,
                                std::size_t lanes) const;
   const Attachment* find_attachment(hw::BrickId compute, std::uint64_t address) const;

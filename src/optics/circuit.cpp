@@ -62,6 +62,7 @@ bool CircuitManager::teardown(hw::CircuitId id) {
     switch_.disconnect(c.switch_ports[2 * i]);
   }
   circuits_.erase(it);
+  ++teardowns_;
   torn_down_metric_.add();
   set_occupancy();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
@@ -90,6 +91,7 @@ std::vector<Circuit> CircuitManager::teardown_below_floor() {
       switch_.disconnect(it->second.switch_ports[2 * i]);
     }
     circuits_.erase(it);
+    ++teardowns_;
     torn_down_metric_.add();
   }
   if (!torn.empty()) set_occupancy();
@@ -115,6 +117,7 @@ std::vector<Circuit> CircuitManager::fail_switch_port(std::size_t port) {
       switch_.disconnect(it->second.switch_ports[2 * i]);
     }
     circuits_.erase(it);
+    ++teardowns_;
     torn_down_metric_.add();
   }
   switch_.fail_port(port);

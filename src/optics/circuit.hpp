@@ -92,6 +92,12 @@ class CircuitManager {
   const Circuit* find(hw::CircuitId id) const;
   std::size_t active_circuits() const { return circuits_.size(); }
 
+  /// Circuits torn down so far, by teardown(), teardown_below_floor() or
+  /// fail_switch_port(). A pointer find() returned stays valid while this
+  /// count has not moved (establishing never moves a circuit), so a caller
+  /// that caches one re-runs find() only when it has.
+  std::uint64_t teardowns() const { return teardowns_; }
+
   /// Time to program the cross-connections for a new circuit; all hops are
   /// configured in parallel so one switch reconfiguration dominates.
   sim::Time setup_time() const { return switch_.config().reconfiguration_time; }
@@ -119,6 +125,7 @@ class CircuitManager {
   OpticalSwitch& switch_;
   std::unordered_map<std::uint32_t, Circuit> circuits_;
   std::uint32_t next_id_ = 1;
+  std::uint64_t teardowns_ = 0;
   double connector_loss_db_ = 0.3;
 
   sim::metrics::Counter& established_metric_;

@@ -43,10 +43,15 @@ const char* mode_name(SchedulePerturbation::Mode mode) {
 // handful of events.
 constexpr std::size_t kInitialBuckets = 4096;
 constexpr int kInitialShift = 15;
-// Re-span bounds: aim at one bucket per live event, clamped so degenerate
-// rungs (a single far-future timer / a million same-day events) stay sane.
+// Re-span bounds: days are sized for one bucket per live event, and the
+// year holds kYearSpan times that many, both clamped so degenerate rungs
+// (a single far-future timer / a million same-day events) stay sane.
 constexpr std::size_t kMinBuckets = 64;
 constexpr std::size_t kMaxBuckets = 32768;
+// Days in the year per live event. Each doubling halves the re-spans;
+// past 4 the saving fades and rack-dma, whose events sit close together,
+// turns slower on the sparser calendar (DESIGN.md §4d has the pairs).
+constexpr std::size_t kYearSpan = 4;
 // Smallest rank whose mean spacing may set the day width: a tie group or
 // two near now() must not shrink the days to a few ticks.
 constexpr std::size_t kMinSpacingRank = 16;
@@ -163,13 +168,19 @@ void EventQueue::insert_node(Node* node) const {
 }
 
 void EventQueue::drain_insert(Node* node) const {
+  // Insertion step from the tail: the open day holds a handful of entries,
+  // so shifting the smaller ones up one by one beats a binary search plus
+  // a library memmove. (when, seq) is unique, so the slot is the one a
+  // binary search would find.
   const DrainEntry entry{node->when, node->seq, node};
-  const auto pos = std::lower_bound(
-      drain_.begin(), drain_.end(), entry, [](const DrainEntry& a, const DrainEntry& b) {
-        if (a.when != b.when) return a.when > b.when;
-        return a.seq > b.seq;
-      });
-  drain_.insert(pos, entry);
+  drain_.push_back(entry);
+  std::size_t i = drain_.size() - 1;
+  for (; i > 0; --i) {
+    const DrainEntry& below = drain_[i - 1];
+    if (below.when > entry.when || (below.when == entry.when && below.seq > entry.seq)) break;
+    drain_[i] = below;
+  }
+  drain_[i] = entry;
 }
 
 void EventQueue::flush_drain() const {
@@ -273,12 +284,22 @@ void EventQueue::rebuild_from_overflow() const {
   // window end, a power sweep — from widening the days: they only raise
   // the spacing at ranks above the near cluster. Sizing the day to reach
   // the farthest event would let one far timer stretch the days until the
-  // open day holds nearly every pending event. With one day per live node
-  // the year spans about as many near events as are pending; if clamping
-  // the bucket count cuts it short, the days widen until the node that set
-  // the spacing fits, so a re-span always moves that node and every nearer
-  // one into the window. The rest stay on the rung.
-  const std::size_t want = std::clamp(std::bit_ceil(live_count), kMinBuckets, kMaxBuckets);
+  // open day holds nearly every pending event. The days are sized for one
+  // day per live node; if clamping that count cuts it short, the days widen
+  // until the node that set the spacing fits in that many, so a re-span
+  // always moves that node and every nearer one into the window.
+  //
+  // The year then holds kYearSpan times that many days, of the same
+  // width. A year of one day per live node reaches about as far as the
+  // nodes pending now (67 us on rack-read), and what is left of it shrinks
+  // as the cursor advances, so most events an action schedules a closed
+  // loop's think time ahead (exp(50 us) there) landed past it: they parked
+  // on the rung and were re-filed at the next re-span. The longer year
+  // files most of them straight into their day. The rest stay on the
+  // rung.
+  const std::size_t days = std::clamp(std::bit_ceil(live_count), kMinBuckets, kMaxBuckets);
+  const std::size_t want =
+      std::clamp(std::bit_ceil(live_count) * kYearSpan, kMinBuckets, kMaxBuckets);
   if (buckets_.size() != want) buckets_.assign(want, nullptr);
   occupancy_.assign(want / 64, 0);
   const auto first = respan_distances_.begin();
@@ -297,7 +318,7 @@ void EventQueue::rebuild_from_overflow() const {
     above = rank;
   }
   int shift = spacing <= 1 ? 0 : std::bit_width(spacing - 1);
-  while ((spacing_reach >> shift) >= want) ++shift;
+  while ((spacing_reach >> shift) >= days) ++shift;
   bucket_shift_ = shift;
   // Saturating win_last_ at the tick type's maximum is safe — when
   // want << shift overshoots INT64_MAX the buckets physically cover every
@@ -477,7 +498,7 @@ std::size_t EventQueue::dispatch_batch(Time until, std::size_t limit) {
   // sits contiguously at its tail: serve the whole tie group in one pass,
   // without re-probing the calendar (ensure_drain) between events. The
   // group is what was pending at its timestamp when it opened; an event
-  // scheduled mid-group (a sequence number from end_seq on) binary-inserts
+  // scheduled mid-group (a sequence number from end_seq on) inserts
   // behind it, at its FIFO place, and opens the next group. Actions may
   // schedule and cancel freely; cancelled entries are skipped at the tail.
   ensure_drain();

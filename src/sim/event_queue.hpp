@@ -130,13 +130,16 @@ struct CalendarStats {
 /// Geometry: the "year" [window_start, window_last] is split into
 /// power-of-two-width day buckets; an event lands in its day's unsorted
 /// chain in O(1). Events past the year go to an unsorted overflow rung;
-/// when the year is exhausted the window re-spans from the overflow, with
-/// one day per live event and days sized from the spacing of the nearest
-/// events (far timers stay on the rung), so a day holds O(1) events.
-/// A day is sorted once when the cursor reaches it, into a descending
-/// "drain" serviced back-to-front — so a whole same-timestamp tie-batch
-/// is dispatched without re-touching the priority structure, and events
-/// an action schedules into the open day merge by binary insertion.
+/// when the year is exhausted the window re-spans from the overflow. The
+/// days are sized from the spacing of the nearest events (far timers stay
+/// on the rung) for one day per live event, so a day holds O(1) events,
+/// and the year holds four times that many days, so the events actions
+/// schedule over the next stretch of think time land in a day rather than
+/// on the rung. A day is sorted once when the cursor reaches it, into a
+/// descending "drain" serviced back-to-front — so a whole same-timestamp
+/// tie-batch is dispatched without re-touching the priority structure,
+/// and events an action schedules into the open day merge by an insertion
+/// step from the tail.
 ///
 /// Cancellation is O(1): the handle's slot+generation resolve to the
 /// node, which is flagged and reclaimed lazily when its bucket is

@@ -899,5 +899,82 @@ TEST(DmaTrainProfileTest, ChunksAfterARetryCountAsSteps) {
   }
 }
 
+/// A held slot keeps its optical circuit's pointer and re-runs
+/// CircuitManager::find only once the manager's teardown count has moved.
+/// `teardown_own` picks whose circuit the manager tears, behind the
+/// fabric's back (no on_circuits_torn): an unrelated one, or the slot's.
+/// Ops run at 0, 2, 4, ... us; the teardown lands just before op 3.
+TrainOutcome run_teardown(bool tracing, bool teardown_own) {
+  TrainRig rig{Carrier::kOptical};
+  if (tracing) rig.telemetry.tracer().enable();
+  optics::CircuitRequest unrelated;
+  unrelated.a = optics::CircuitEndpoint{rig.other_compute, hw::PortId{0}, -3.7, 1.2};
+  unrelated.b = optics::CircuitEndpoint{rig.spare, hw::PortId{0}, -3.7, 1.2};
+  const hw::CircuitId bystander = rig.circuits.establish(unrelated)->id;
+  TrainOutcome out;
+  RemoteMemoryFabric::HeldRoute held;
+  for (int i = 0; i < 6; ++i) {
+    if (i == 3) {
+      const std::uint64_t before = rig.circuits.teardowns();
+      EXPECT_TRUE(rig.circuits.teardown(teardown_own ? rig.attachment.circuit : bystander));
+      EXPECT_EQ(rig.circuits.teardowns(), before + 1);
+    }
+    const TransactionKind kind = i % 2 == 0 ? TransactionKind::kRead : TransactionKind::kWrite;
+    const Time now = Time::us(2 * i);
+    const auto tx = rig.fabric.transact(held, kind, rig.compute,
+                                        rig.attachment.compute_base + 4096 * i, 64, now);
+    out.ops.push_back(SyncOp{tx.status, now, tx.completed_at, tx.retries});
+  }
+  out.held_ops = FabricTestAccess::held_transactions(rig.fabric);
+  rig.collect(out);
+  return out;
+}
+
+TEST(HeldRouteTeardownTest, AnUnrelatedTeardownKeepsTheRouteRiding) {
+  const TrainOutcome held = run_teardown(/*tracing=*/false, /*teardown_own=*/false);
+  const TrainOutcome walked = run_teardown(/*tracing=*/true, /*teardown_own=*/false);
+  // Every op rode the held route, the three after the teardown included.
+  EXPECT_EQ(held.held_ops, 6u);
+  EXPECT_EQ(held.tgl_misses, 0u);
+  EXPECT_EQ(walked.held_ops, 0u);
+  EXPECT_EQ(held.ops, walked.ops);
+  EXPECT_EQ(held.metrics, walked.metrics);
+  for (const SyncOp& op : held.ops) EXPECT_EQ(op.status, TransactionStatus::kOk);
+}
+
+TEST(HeldRouteTeardownTest, TearingTheSlotsOwnCircuitFallsBackToTheWalk) {
+  const TrainOutcome held = run_teardown(/*tracing=*/false, /*teardown_own=*/true);
+  const TrainOutcome walked = run_teardown(/*tracing=*/true, /*teardown_own=*/true);
+  ASSERT_EQ(held.ops.size(), walked.ops.size());
+  for (std::size_t i = 0; i < held.ops.size(); ++i) {
+    EXPECT_EQ(held.ops[i], walked.ops[i]) << "op " << i;
+  }
+  EXPECT_EQ(held.metrics, walked.metrics);
+  // The first three rode the held route; from the teardown on, the slot
+  // found its circuit gone and every op took the walk, which reports it.
+  EXPECT_EQ(held.held_ops, 3u);
+  EXPECT_EQ(held.ops[2].status, TransactionStatus::kOk);
+  EXPECT_EQ(held.ops[3].status, TransactionStatus::kCircuitDown);
+}
+
+/// A link moved to the packet substrate has no circuit: a held slot that
+/// resolves to it must walk every op, as the traced walk does, without
+/// reading a circuit (Route::circuit is null there).
+TEST(HeldRoutePacketTest, APacketLinkWalksEveryOp) {
+  const auto run = [](bool tracing) {
+    TrainRig rig{Carrier::kOptical};
+    if (tracing) rig.telemetry.tracer().enable();
+    EXPECT_TRUE(rig.fabric.failover_to_packet(rig.compute, rig.attachment.segment, Time::zero()));
+    return rig.run_sync();
+  };
+  const TrainOutcome held = run(/*tracing=*/false);
+  const TrainOutcome walked = run(/*tracing=*/true);
+  EXPECT_EQ(held.ops, walked.ops);
+  EXPECT_EQ(held.metrics, walked.metrics);
+  EXPECT_EQ(held.tgl_hits, walked.tgl_hits);
+  EXPECT_EQ(held.held_ops, 0u);
+  for (const SyncOp& op : held.ops) EXPECT_EQ(op.status, TransactionStatus::kOk);
+}
+
 }  // namespace
 }  // namespace dredbox::memsys

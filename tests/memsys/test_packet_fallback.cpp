@@ -110,6 +110,28 @@ TEST_F(PacketFallbackTest, PacketWriteRoundTrips) {
   EXPECT_GT(tx.round_trip(), Time::zero());
 }
 
+TEST_F(PacketFallbackTest, HeldRouteOnAFallbackAttachmentPricesAsTheWalk) {
+  ASSERT_TRUE(fabric_.attach(request(membrick_a_), Time::zero()));
+  auto packet = fabric_.attach(request(membrick_b_), Time::zero());
+  ASSERT_TRUE(packet);
+  ASSERT_EQ(packet->medium, LinkMedium::kPacket);
+  // Each held op and its walked twin start on an idle substrate, 1 ms
+  // apart, so their round trips must agree.
+  RemoteMemoryFabric::HeldRoute held;
+  for (int i = 0; i < 4; ++i) {
+    const auto kind = i % 2 == 0 ? TransactionKind::kRead : TransactionKind::kWrite;
+    const std::uint64_t address = packet->compute_base + 4096 * static_cast<std::uint64_t>(i);
+    const Time at = Time::ms(2 * i);
+    const auto op = fabric_.transact(held, kind, compute_, address, 64, at);
+    const Transaction walked = kind == TransactionKind::kRead
+                                   ? fabric_.read(compute_, address, 64, at + Time::ms(1))
+                                   : fabric_.write(compute_, address, 64, at + Time::ms(1));
+    ASSERT_TRUE(op.ok());
+    ASSERT_TRUE(walked.ok());
+    EXPECT_EQ(op.completed_at - at, walked.round_trip()) << "op " << i;
+  }
+}
+
 TEST_F(PacketFallbackTest, SecondSegmentSharesPacketLink) {
   ASSERT_TRUE(fabric_.attach(request(membrick_a_), Time::zero()));
   auto p1 = fabric_.attach(request(membrick_b_), Time::zero());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -446,6 +447,40 @@ TEST(EventQueueCalendarTest, FarTimersDoNotStretchTheDays) {
     EXPECT_LE(max_drain, 16u);
     calendar.check_invariants();
   }
+}
+
+TEST(EventQueueCalendarTest, ClosedLoopThinkTimesLandInTheYear) {
+  // rack-read's shape: 256 closed-loop chains, each issuing its next op an
+  // exp(50 us) think time after the last. Days sized for one per live
+  // event are ~2^18 ps wide, so a year of 256 of them spans ~67 us and most
+  // think times overshoot it: those events parked on the rung and were
+  // re-filed at the next re-span: 286 re-spans over 20 ms (139 with a
+  // year of twice as many days). A year of four times as many days of the
+  // same width files most of them straight into their day, in 73
+  // re-spans, and a day still holds a handful of events.
+  EventQueue q;
+  std::uint64_t state = 0x5eed;
+  const auto think = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;  // [0, 1)
+    return Time::us(-50.0 * std::log1p(-u));
+  };
+  std::uint64_t fired = 0;
+  std::function<void()> step = [&] {
+    ++fired;
+    const Time next = q.now() + think();
+    if (next < Time::ms(20)) q.schedule(next, [&step] { step(); });
+  };
+  for (int chain = 0; chain < 256; ++chain) q.schedule(think(), [&step] { step(); });
+  std::size_t max_drain = 0;  // after the first re-span
+  while (q.dispatch_one()) {
+    const CalendarStats stats = q.calendar_stats();
+    if (stats.rebuilds > 0) max_drain = std::max(max_drain, stats.in_drain);
+  }
+  EXPECT_GT(fired, 100000u);
+  EXPECT_LE(q.calendar_stats().rebuilds, 100u);
+  EXPECT_LE(max_drain, 16u);
+  q.check_invariants();
 }
 
 TEST(EventQueueCalendarTest, HugeFarRungStillLandsInTheYear) {
